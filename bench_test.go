@@ -100,8 +100,8 @@ func BenchmarkFig2FixedVthRetrainEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.restore(b)
-		if _, err := core.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], core.Config{
-			Method: core.FaPIT, Epochs: 1, FixedVth: 0.55, LR: 0.01, BatchSize: 16,
+		if _, err := mitigation.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], mitigation.Config{
+			Method: mitigation.FaPIT, Epochs: 1, FixedVth: 0.55, LR: 0.01, BatchSize: 16,
 			Rng: rand.New(rand.NewSource(int64(i))),
 		}); err != nil {
 			b.Fatal(err)
@@ -168,8 +168,8 @@ func BenchmarkFig6FalVoltEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.restore(b)
-		if _, err := core.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], core.Config{
-			Method: core.FalVolt, Epochs: 1, LR: 0.01, BatchSize: 16,
+		if _, err := mitigation.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], mitigation.Config{
+			Method: mitigation.FalVolt, Epochs: 1, LR: 0.01, BatchSize: 16,
 			Rng: rand.New(rand.NewSource(int64(i))),
 		}); err != nil {
 			b.Fatal(err)
@@ -186,8 +186,8 @@ func BenchmarkFig7FaP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.restore(b)
-		if _, err := core.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], core.Config{
-			Method: core.FaP, Rng: rand.New(rand.NewSource(int64(i))),
+		if _, err := mitigation.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], mitigation.Config{
+			Method: mitigation.FaP, Rng: rand.New(rand.NewSource(int64(i))),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -203,8 +203,8 @@ func BenchmarkFig8CurveEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.restore(b)
-		if _, err := core.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], core.Config{
-			Method: core.FalVolt, Epochs: 1, LR: 0.01, BatchSize: 16,
+		if _, err := mitigation.Mitigate(f.model, arr, fm, f.ds.Train[:48], f.ds.Test[:24], mitigation.Config{
+			Method: mitigation.FalVolt, Epochs: 1, LR: 0.01, BatchSize: 16,
 			TrackCurve: true, CurveEvalSize: 24,
 			Rng: rand.New(rand.NewSource(int64(i))),
 		}); err != nil {

@@ -22,30 +22,32 @@
 //	campaign run  -c fig5a -quick -shard 1/2 -o b.jsonl   # run the other
 //	campaign merge a.jsonl b.jsonl                     # assemble figures
 //
-// Distributed mode replaces manual sharding with a coordinator that
-// leases shards to worker daemons over HTTP (internal/cluster):
+// Distributed mode replaces manual sharding with a one-run campaign
+// service (internal/service) that leases shards to worker daemons over
+// HTTP and exits when the campaign is done:
 //
-//	campaign serve -c fig5a -quick -addr :9090 -o fig5a.jsonl   # coordinator
+//	export CAMPAIGN_TOKEN=...                                  # shared secret
+//	campaign serve -c fig5a -quick -addr :9090 -o fig5a.jsonl   # one-run service
 //	campaign work  -coordinator http://host:9090 -checkpoint wrk/
 //
-// Workers are spec-free: the coordinator ships its canonical spec at
-// registration and each worker builds the campaign from those bytes, so
-// a worker cannot be misconfigured. The merged output is byte-identical
+// Workers are spec-free: every lease grant carries the run's canonical
+// spec and each worker builds the campaign from those bytes, so a
+// worker cannot be misconfigured. The merged output is byte-identical
 // to a single-process run however many workers ran (and died) along the
 // way.
 //
-// `serve -state <dir>` makes the coordinator itself durable: it
-// journals its shard table, leases and every accepted result to an
-// append-only WAL in the state dir, so a serve killed mid-campaign and
-// restarted with the same flags resumes the run — surviving workers
-// re-register on their own and continue from their local checkpoints.
-// `serve -balance <timing-source>` (and `plan -balance`) sizes shards
-// by predicted wall-clock from a prior run's recorded per-trial timing
-// instead of by trial count, so slow keys no longer serialize the
-// fleet behind one overloaded shard.
+// `serve -state <dir>` makes the service durable: it journals the run's
+// shard table, leases and every accepted result to an append-only WAL
+// in the state dir, so a serve killed mid-campaign and restarted with
+// the same flags resumes the run — surviving workers re-register on
+// their own and continue from their local checkpoints. `serve -balance
+// <timing-source>` (and `plan -balance`) sizes shards by predicted
+// wall-clock from a prior run's recorded per-trial timing instead of by
+// trial count, so slow keys no longer serialize the fleet behind one
+// overloaded shard.
 //
 // Where serve runs ONE campaign and exits, `campaign service` is the
-// long-lived multi-tenant form (internal/service): a persistent
+// long-lived multi-tenant form of the same service: a persistent
 // catalog that accepts specs over HTTP, schedules every admitted run
 // across one shared worker fleet with priority + fair-share, and
 // survives its own restart. `campaign submit`, `campaign runs` and
@@ -133,12 +135,13 @@ func usage() {
   run   -c <kind> -o <file> [-shard i/n] [-max N] [config flags]
                                             execute (one shard of) a campaign with
                                             JSONL checkpointing and resume
-  serve -c <kind> -addr <host:port> [-shards N] [-lease-ttl D] [-o file]
-        [-state dir] [-balance src] [-tls-cert crt -tls-key key] [config flags]
-                                            coordinate ONE campaign across HTTP workers,
-                                            then print the figures/report; -state makes
-                                            the coordinator survive its own restart,
-                                            -balance sizes shards by recorded timing
+  serve -c <kind> -addr <host:port> -token <tok> [-shards N] [-lease-ttl D]
+        [-o file] [-state dir] [-balance src] [-tls-cert crt -tls-key key]
+        [config flags]
+                                            serve ONE campaign to HTTP workers, then
+                                            print the figures/report; -state makes the
+                                            service survive its own restart, -balance
+                                            sizes shards by recorded timing
   service -addr <host:port> -state <dir> -token <tok> [-shards N] [-lease-ttl D]
           [-retain N] [-tls-cert crt -tls-key key]
                                             long-lived multi-tenant coordinator: accepts
@@ -152,10 +155,10 @@ func usage() {
                                             list catalog runs, or watch/cancel/fetch one
   drain  -service <url> -token <tok> -worker <id|name>
                                             gracefully retire workers (finish shard, exit)
-  work  -coordinator <url> [-token tok] [-checkpoint dir] [-cache dir] [-tls-ca pem]
+  work  -coordinator <url> -token <tok> [-checkpoint dir] [-cache dir] [-tls-ca pem]
                                             spec-free worker daemon: campaign specs
-                                            arrive from the coordinator or service
-                                            (https:// coordinators verify via -tls-ca)
+                                            arrive from serve or service
+                                            (https:// services verify via -tls-ca)
   merge [-cache dir] [-json file] [-o file] <file>...
                                             merge shard/checkpoint files and print the
                                             figures or report (plus a timing summary)
@@ -428,7 +431,7 @@ func planCmd(args []string) error {
 	var c config
 	var (
 		balance = fs.String("balance", "", "plan load-aware shards from this timing source (a checkpoint, WAL, or state dir)")
-		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = coordinator default)")
+		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = serve's default)")
 	)
 	addConfigFlags(fs, &c)
 	fs.Parse(args)
@@ -459,7 +462,7 @@ func planCmd(args []string) error {
 	return nil
 }
 
-// printShardPlan renders the shard table a coordinator would serve —
+// printShardPlan renders the shard table `serve` would plan —
 // the dry-run view of -shards / -balance.
 func printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards int) error {
 	planner, err := campaign.PlannerByName(name)
@@ -557,11 +560,12 @@ func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var c config
 	var (
-		addr     = fs.String("addr", ":9090", "coordinator listen address")
+		addr     = fs.String("addr", ":9090", "listen address")
+		token    = fs.String("token", "", "bearer token workers must present (default $CAMPAIGN_TOKEN; required)")
 		shards   = fs.Int("shards", 0, "shard count (0 = auto; more shards = finer reassignment)")
 		leaseTTL = fs.Duration("lease-ttl", 0, "shard lease deadline without a heartbeat (0 = default)")
 		out      = fs.String("o", "", "checkpoint/output JSONL (default <kind>-cluster.jsonl); resumes")
-		state    = fs.String("state", "", "state directory for the coordinator WAL: journal shard table, leases and results; a restarted serve with the same -state resumes the run")
+		state    = fs.String("state", "", "state directory for the run's WAL: journal shard table, leases and results; a restarted serve with the same -state resumes the run")
 		balance  = fs.String("balance", "", "size shards by predicted wall-clock from this timing source (a checkpoint, WAL, or state dir of a prior run)")
 		tlsCert  = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key)")
 		tlsKey   = fs.String("tls-key", "", "PEM private key for -tls-cert")
@@ -570,6 +574,10 @@ func serveCmd(args []string) error {
 	fs.Parse(args)
 	if err := noPositional(fs); err != nil {
 		return err
+	}
+	tok := resolveToken(*token)
+	if tok == "" && !c.dump {
+		return fmt.Errorf("serve needs a bearer token for its workers: pass -token or set $CAMPAIGN_TOKEN")
 	}
 	s, built, err := c.prepare()
 	if err != nil || built == nil {
@@ -591,28 +599,27 @@ func serveCmd(args []string) error {
 	pn := plannerName(s, *balance)
 	ctx, stop := sigCtx()
 	defer stop()
-	co := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Addr: *addr, Spec: s, Shards: *shards, LeaseTTL: *leaseTTL,
-		PlannerName: pn, StateDir: *state, Log: os.Stderr,
-		TLSCert: *tlsCert, TLSKey: *tlsKey,
-	})
+	one := service.NewOneRun(service.Config{
+		Addr: *addr, StateDir: *state, Token: tok, Shards: *shards, LeaseTTL: *leaseTTL,
+		TLSCert: *tlsCert, TLSKey: *tlsKey, Log: os.Stderr,
+	}, s, pn)
 	// One startup line with everything an operator needs to point
 	// workers (and debug a wrong flag): the RESOLVED listen address —
 	// ":0" is useless in a log — plus state dir and planner.
 	go func() {
-		<-co.Ready()
+		<-one.Ready()
 		stateDesc := *state
 		if stateDesc == "" {
-			stateDesc = "none (in-memory; a restart loses leases and results)"
+			stateDesc = "temporary (a restart loses leases and results)"
 		}
 		planDesc := pn
 		if planDesc == "" {
 			planDesc = "uniform"
 		}
 		fmt.Fprintf(os.Stderr, "serve: listening on %s (state %s, planner %s, spec %s)\n",
-			co.URL(), stateDesc, planDesc, fingerprintOf(s))
+			one.URL(), stateDesc, planDesc, fingerprintOf(s))
 	}()
-	opt := campaign.Options{Context: ctx, Runner: co, Checkpoint: *out, Log: os.Stderr}
+	opt := campaign.Options{Context: ctx, Runner: one, Checkpoint: *out, Log: os.Stderr}
 	rr, err := campaign.Run(built.Campaign, opt)
 	if err != nil {
 		return err
@@ -621,7 +628,7 @@ func serveCmd(args []string) error {
 		// Nothing was pending, so the runner — and thus the HTTP server
 		// — never started; workers pointed here will see connection
 		// refused, not StatusDone.
-		fmt.Fprintf(os.Stderr, "checkpoint %s already complete: no coordinator was started; stop any waiting workers\n", *out)
+		fmt.Fprintf(os.Stderr, "checkpoint %s already complete: no service was started; stop any waiting workers\n", *out)
 	}
 	fmt.Fprintf(os.Stderr, "campaign %s: %d/%d trials complete -> %s\n",
 		s.Kind, len(rr.Results), rr.Planned, *out)
@@ -631,13 +638,13 @@ func serveCmd(args []string) error {
 func workCmd(args []string) error {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	var (
-		coord   = fs.String("coordinator", "", "coordinator or campaign-service base URL (http://host:port)")
-		token   = fs.String("token", "", "bearer token for a campaign service (default $CAMPAIGN_TOKEN; single-run coordinators ignore it)")
+		coord   = fs.String("coordinator", "", "base URL of a `campaign serve` or `campaign service` (http://host:port)")
+		token   = fs.String("token", "", "bearer token the service requires (default $CAMPAIGN_TOKEN)")
 		name    = fs.String("name", "", "worker display name (default host-pid)")
 		ckptDir = fs.String("checkpoint", "", "directory for local per-shard JSONL checkpoints (resume on restart)")
 		cache   = fs.String("cache", "", "directory for baseline snapshots (reused across runs)")
 		poll    = fs.Duration("poll", 0, "idle poll interval (0 = default)")
-		tlsCA   = fs.String("tls-ca", "", "PEM CA bundle for an https:// coordinator with a private certificate")
+		tlsCA   = fs.String("tls-ca", "", "PEM CA bundle for an https:// service with a private certificate")
 		backend = fs.String("backend", "", tensor.BackendFlagDoc)
 	)
 	fs.Parse(args)
@@ -652,8 +659,8 @@ func workCmd(args []string) error {
 	}
 	ctx, stop := sigCtx()
 	defer stop()
-	// No campaign configuration here, by design: the coordinator ships
-	// its canonical spec at registration and the worker builds from it.
+	// No campaign configuration here, by design: every lease grant ships
+	// its run's canonical spec and the worker builds from it.
 	w := cluster.NewWorker(cluster.WorkerConfig{
 		Coordinator: *coord, Token: resolveToken(*token), Name: *name,
 		CheckpointDir: *ckptDir, CacheDir: *cache, Poll: *poll,

@@ -12,9 +12,10 @@
 // The figure sweeps run as campaigns (internal/campaign): -checkpoint
 // makes them resumable, and -shard splits one campaign across processes
 // whose partial JSONL files merge bit-identically with `campaign merge`.
-// -coordinator serves each selected campaign to remote spec-free worker
-// daemons (`campaign work -coordinator <url>`) instead of running
-// trials locally.
+// -coordinator serves each selected campaign from a one-run campaign
+// service to remote spec-free worker daemons (`campaign work
+// -coordinator <url>`), authenticated by the bearer token in
+// $CAMPAIGN_TOKEN, instead of running trials locally.
 //
 // Usage:
 //
@@ -25,6 +26,7 @@
 //	experiments -quick -fig 5a -shard 1/2 -checkpoint out/   # other half
 //	campaign merge out/fig5a-shard*.jsonl                    # assembled figure
 //
+//	export CAMPAIGN_TOKEN=...                                # on every host
 //	experiments -quick -fig 5a -coordinator :9090            # distributed
 //	campaign work -coordinator http://host:9090              # each worker
 package main
@@ -40,8 +42,8 @@ import (
 	"syscall"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/cluster"
 	"falvolt/internal/experiments"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
@@ -62,7 +64,7 @@ func main() {
 		dumpSpec = flag.Bool("dump-spec", false, "print the spec of the single selected campaign and exit")
 		shardArg = flag.String("shard", "", "run the i-th of n interleaved trial subsets of each figure campaign (i/n)")
 		ckptDir  = flag.String("checkpoint", "", "directory for per-campaign JSONL checkpoints (resume + shard partials)")
-		coordArg = flag.String("coordinator", "", "serve each selected campaign to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`")
+		coordArg = flag.String("coordinator", "", "serve each selected campaign to remote spec-free workers on this listen address (host:port), authenticated by $CAMPAIGN_TOKEN; workers run `campaign work -coordinator <url>`")
 	)
 	flag.Parse()
 
@@ -170,6 +172,10 @@ func main() {
 	if strings.Contains(*coordArg, "://") {
 		failTop(fmt.Errorf("-coordinator here is a listen address (host:port), got URL %q; the URL form belongs on `campaign work -coordinator`", *coordArg))
 	}
+	token := os.Getenv("CAMPAIGN_TOKEN")
+	if *coordArg != "" && token == "" {
+		failTop(fmt.Errorf("-coordinator needs a bearer token for its workers in $CAMPAIGN_TOKEN"))
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -206,11 +212,9 @@ func main() {
 			copt.Checkpoint = shardFile(name)
 		}
 		if *coordArg != "" {
-			// One single-use coordinator per campaign; sequential
+			// One single-use service per campaign; sequential
 			// campaigns reuse the same listen address.
-			copt.Runner = cluster.NewCoordinator(cluster.CoordinatorConfig{
-				Addr: *coordArg, Spec: s, Log: os.Stderr,
-			})
+			copt.Runner = service.NewOneRun(service.Config{Addr: *coordArg, Token: token, Log: os.Stderr}, s, "")
 		}
 		if *verbose {
 			copt.Log = os.Stderr

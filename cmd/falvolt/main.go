@@ -27,6 +27,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
@@ -127,7 +128,7 @@ func run(s *spec.Spec, stateOut string, showVths bool) error {
 	default:
 		return fmt.Errorf("unknown dataset %q", p.Dataset)
 	}
-	method, err := core.ParseMethod(p.Method)
+	method, err := mitigation.ParseMethod(p.Method)
 	if err != nil {
 		return err
 	}
@@ -184,7 +185,7 @@ func run(s *spec.Spec, stateOut string, showVths bool) error {
 	}
 	fmt.Printf("accuracy with unmitigated faults: %.3f\n", faultyAcc)
 
-	rep, err := core.Mitigate(model, arr, fm, ds.Train, ds.Test, core.Config{
+	rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
 		Method: method, Epochs: epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng: rand.New(rand.NewSource(seed + 3)),
 		Progress: func(epoch int, loss float64) {

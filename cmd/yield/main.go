@@ -12,8 +12,10 @@
 // campaign (internal/campaign): dies execute in parallel across
 // compute-engine lanes, -checkpoint makes the run resumable, -shard
 // splits it across processes (merge the partial files with `campaign
-// merge`), and -coordinator serves the dies to remote spec-free worker
-// daemons (`campaign work -coordinator <url>`).
+// merge`), and -coordinator serves the dies from a one-run campaign
+// service to remote spec-free worker daemons (`campaign work
+// -coordinator <url>`), authenticated by the bearer token in
+// $CAMPAIGN_TOKEN.
 //
 // Usage:
 //
@@ -23,7 +25,8 @@
 //	yield -chips 40 -shard 1/2 -checkpoint y1.jsonl   # process 2
 //	campaign merge y0.jsonl y1.jsonl                  # combined report
 //
-//	yield -chips 40 -coordinator :9090 -checkpoint y.jsonl   # coordinator
+//	export CAMPAIGN_TOKEN=...                                # on every host
+//	yield -chips 40 -coordinator :9090 -checkpoint y.jsonl   # one-run service
 //	campaign work -coordinator http://host:9090              # each worker
 package main
 
@@ -37,8 +40,8 @@ import (
 	"syscall"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/cluster"
 	"falvolt/internal/core"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
@@ -65,7 +68,7 @@ func main() {
 		dumpSpec   = flag.Bool("dump-spec", false, "print the spec compiled from the flags and exit")
 		shardArg   = flag.String("shard", "", "run the i-th of n interleaved die subsets (i/n); merge partials with `campaign merge`")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint: append per-die results, resume by skipping completed dies")
-		coordArg   = flag.String("coordinator", "", "serve the dies to remote spec-free workers on this listen address (host:port); workers run `campaign work -coordinator <url>`")
+		coordArg   = flag.String("coordinator", "", "serve the dies to remote spec-free workers on this listen address (host:port), authenticated by $CAMPAIGN_TOKEN; workers run `campaign work -coordinator <url>`")
 	)
 	flag.Parse()
 
@@ -127,6 +130,10 @@ func main() {
 	if strings.Contains(*coordArg, "://") {
 		fail(fmt.Errorf("-coordinator here is a listen address (host:port), got URL %q; the URL form belongs on `campaign work -coordinator`", *coordArg))
 	}
+	token := os.Getenv("CAMPAIGN_TOKEN")
+	if *coordArg != "" && token == "" {
+		fail(fmt.Errorf("-coordinator needs a bearer token for its workers in $CAMPAIGN_TOKEN"))
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -141,9 +148,7 @@ func main() {
 		Context: ctx, Shard: shard, Checkpoint: *checkpoint, Log: os.Stderr,
 	}
 	if *coordArg != "" {
-		opt.Runner = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Addr: *coordArg, Spec: s, Log: os.Stderr,
-		})
+		opt.Runner = service.NewOneRun(service.Config{Addr: *coordArg, Token: token, Log: os.Stderr}, s, "")
 	}
 	rr, err := campaign.Run(built.Campaign, opt)
 	if err != nil {

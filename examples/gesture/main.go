@@ -18,6 +18,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -66,8 +67,8 @@ func main() {
 	}
 	fmt.Printf("unmitigated on faulty array: %.3f\n", faulty)
 
-	rep, err := core.Mitigate(model, arr, fm, ds.Train, ds.Test, core.Config{
-		Method: core.FalVolt, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+	rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
+		Method: mitigation.FalVolt, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng: rand.New(rand.NewSource(seed + 3)),
 	})
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -55,12 +56,12 @@ func main() {
 	fmt.Printf("%v\n\n", fm)
 
 	target := baseAcc - 0.05 // "close to baseline" recovery target
-	for _, method := range []core.Method{core.FaP, core.FaPIT, core.FalVolt} {
+	for _, method := range []mitigation.Method{mitigation.FaP, mitigation.FaPIT, mitigation.FalVolt} {
 		model.Net.Undeploy()
 		if err := model.Net.LoadState(baseline); err != nil {
 			log.Fatal(err)
 		}
-		rep, err := core.Mitigate(model, arr, fm, ds.Train, ds.Test, core.Config{
+		rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
 			Method: method, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 			TrackCurve: true, CurveEvalSize: 64,
 			Rng: rand.New(rand.NewSource(seed + 3)),
@@ -69,8 +70,8 @@ func main() {
 			log.Fatal(err)
 		}
 		line := fmt.Sprintf("%-8s accuracy %.3f", method, rep.Accuracy)
-		if method != core.FaP {
-			if e := core.EpochsToReachTarget(rep.Curve, target); e >= 0 {
+		if method != mitigation.FaP {
+			if e := mitigation.EpochsToReachTarget(rep.Curve, target); e >= 0 {
 				line += fmt.Sprintf("  (reached %.3f at epoch %d)", target, e)
 			} else {
 				line += fmt.Sprintf("  (did not reach %.3f in %d epochs)", target, 10)

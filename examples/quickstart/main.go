@@ -17,6 +17,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -67,8 +68,8 @@ func main() {
 
 	// 4. FalVolt: prune the weights mapped to faulty PEs, bypass those
 	//    PEs, retrain the rest while learning each layer's threshold.
-	rep, err := core.Mitigate(model, arr, fm, ds.Train, ds.Test, core.Config{
-		Method: core.FalVolt, Epochs: 8, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+	rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
+		Method: mitigation.FalVolt, Epochs: 8, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng: rand.New(rand.NewSource(seed + 3)),
 	})
 	if err != nil {

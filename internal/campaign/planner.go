@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Shard planning. A coordinator (or anyone splitting a campaign across
-// executors) turns the trial list into a shard table through a Planner.
+// Shard planning. A campaign service (or anyone splitting a campaign
+// across executors) turns the trial list into a shard table through a Planner.
 // The historical behavior — interleaved, equal-count shards via
 // Shard.Of — is UniformPlanner, the deterministic default.
 // BalancedPlanner instead equalizes *predicted wall-clock* using the
@@ -45,7 +46,7 @@ func (p PlannedShard) TrialIDs() []int {
 
 // ResolveShards resolves a shard-count request: n <= 0 selects def,
 // and the result is clamped to the trial count so no shard need be
-// empty. The `plan` dry-run and a serving coordinator resolve through
+// empty. The `plan` dry-run and a campaign service resolve through
 // this one helper, so their shard tables cannot drift apart.
 func ResolveShards(n, def, trials int) int {
 	if n <= 0 {
@@ -176,12 +177,13 @@ func (b BalancedPlanner) Plan(trials []Trial, n int) ([]PlannedShard, error) {
 
 // balancePrefix is the planner-name form selecting BalancedPlanner:
 // "balance:<timing-source>", where the source is a checkpoint JSONL, a
-// coordinator WAL, or a coordinator state directory (its wal.jsonl).
+// run's WAL, or a campaign-service state directory (every run WAL under
+// its runs/ directory).
 const balancePrefix = "balance:"
 
 // PlannerNameDoc documents the planner-name forms for flag help and
 // spec docs.
-const PlannerNameDoc = `"uniform" (default) or "balance:<timing-source>" (a checkpoint JSONL, coordinator WAL, or state dir with recorded per-trial timing)`
+const PlannerNameDoc = `"uniform" (default) or "balance:<timing-source>" (a checkpoint JSONL, run WAL, or service state dir with recorded per-trial timing)`
 
 // ValidatePlannerName checks a planner name's form without touching the
 // filesystem — the spec-validation path, which must work on machines
@@ -219,12 +221,14 @@ func PlannerByName(name string) (Planner, error) {
 }
 
 // TimingFromFile loads per-key timing summaries from a results file: a
-// checkpoint JSONL, a coordinator WAL, or a state directory holding
-// one (its wal.jsonl). A corrupt WAL is reported as itself (file and
-// line), not as a failed checkpoint parse of the wrong format.
+// checkpoint JSONL, a run WAL, or a campaign-service state directory
+// (the runs journaled under <dir>/runs/*/, as `campaign serve -state`
+// and `campaign service` lay them out). A corrupt WAL is reported as
+// itself (file and line), not as a failed checkpoint parse of the
+// wrong format.
 func TimingFromFile(path string) ([]KeyTiming, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		path = WALPath(path)
+		return timingFromStateDir(path)
 	}
 	_, wResults, _, wErr := ReadWAL(path)
 	if wErr == nil {
@@ -239,4 +243,25 @@ func TimingFromFile(path string) ([]KeyTiming, error) {
 		return nil, fmt.Errorf("timing source %s: %w", path, cErr)
 	}
 	return nil, fmt.Errorf("timing source %s: %w", path, wErr)
+}
+
+// timingFromStateDir pools the journaled results of every run in a
+// service state directory.
+func timingFromStateDir(dir string) ([]KeyTiming, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "runs", "*", WALFileName))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("timing source %s: no run journals under runs/ (not a service state dir?)", dir)
+	}
+	var all []Result
+	for _, p := range paths {
+		_, results, _, err := ReadWAL(p)
+		if err != nil {
+			return nil, fmt.Errorf("timing source %s: %w", dir, err)
+		}
+		all = append(all, results...)
+	}
+	return TimingByKey(all), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -268,5 +269,29 @@ func TestPlannerByName(t *testing.T) {
 	ck.Close()
 	if _, err := PlannerByName("balance:" + bare); err == nil || !strings.Contains(err.Error(), "no recorded durations") {
 		t.Fatalf("timing-free source accepted: %v", err)
+	}
+}
+
+// TestTimingFromStateDir: a service state directory is a balance source
+// — the timing of every run journaled under runs/ is pooled — and a
+// directory with no run journals is refused.
+func TestTimingFromStateDir(t *testing.T) {
+	state := t.TempDir()
+	for _, run := range []string{"r1-deadbeef", "r2-deadbeef"} {
+		dir := filepath.Join(state, "runs", run)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeFixtureWAL(t, WALPath(dir))
+	}
+	timing, err := TimingFromFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(timing) != 1 || timing[0].Key != "k" || timing[0].Count != 8 {
+		t.Fatalf("pooled timing = %+v, want key k over both runs' 4 results each", timing)
+	}
+	if _, err := TimingFromFile(t.TempDir()); err == nil || !strings.Contains(err.Error(), "no run journals") {
+		t.Fatalf("empty state dir accepted as a timing source: %v", err)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // dispatching new trials promptly once ctx is cancelled, returning
 // ctx.Err(); results already delivered stay valid, so a cancelled run
 // resumes from its checkpoint. The in-process PoolRunner executes on
-// compute-engine lanes; cluster.Coordinator implements the same
-// interface across machines, with Shard as the unit of distribution.
+// compute-engine lanes; service.OneRun implements the same interface
+// across machines, with Shard as the unit of distribution.
 type Runner interface {
 	Run(ctx context.Context, c Campaign, trials []Trial, sink func(Result) error) error
 }

@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 )
 
-// Coordinator write-ahead log. A distributed-campaign coordinator
-// journals everything it would lose on a crash — which experiment it
-// serves, how the trial list was split into shards, which leases it
-// granted, and every result it accepted — as append-only JSONL, one
+// Run write-ahead log. A campaign service (internal/service) journals,
+// per run, everything it would lose on a crash — which experiment the
+// run is, how its trial list was split into shards, which leases were
+// granted, and every result accepted — as append-only JSONL, one
 // record per line, flushed per append like checkpoints. A restarted
-// coordinator replays the file (tolerating a torn final line from the
+// service replays the file (tolerating a torn final line from the
 // kill), re-derives the trial bodies from the embedded spec, restores
 // the exact shard table, treats journaled-but-open leases as
 // invalidated, and carries on; workers re-register and resume from
@@ -26,7 +26,7 @@ import (
 // version-1 files remain readable.
 const walVersion = 2
 
-// WALFileName is the journal's filename inside a coordinator state
+// WALFileName is the journal's filename inside a run's state
 // directory.
 const WALFileName = "wal.jsonl"
 
@@ -35,13 +35,13 @@ func WALPath(stateDir string) string { return filepath.Join(stateDir, WALFileNam
 
 // WALHeader is the journal's first record: the run's identity and its
 // shard plan. Fingerprint pins the canonical experiment spec — a
-// restarted coordinator refuses a state dir whose fingerprint does not
-// match the campaign it was asked to serve.
+// restarted one-run service refuses a state dir whose fingerprint does
+// not match the campaign it was asked to serve.
 type WALHeader struct {
 	Version  int    `json:"version"`
 	Campaign string `json:"campaign"`
 	// Trials is the campaign's FULL trial count (not just the pending
-	// subset the coordinator was handed).
+	// subset a one-run service was handed).
 	Trials int `json:"trials"`
 	// Fingerprint and Spec identify the experiment (spec.Fingerprint /
 	// canonical spec JSON), making the state dir self-describing.
@@ -181,14 +181,12 @@ func ReadWAL(path string) (WALHeader, []Result, []WALLease, error) {
 	if err != nil {
 		return WALHeader{}, nil, nil, fmt.Errorf("campaign: read WAL: %w", err)
 	}
-	return ReadWALBytes(data, path)
+	return readWAL(data, path)
 }
 
-// ReadWALBytes is ReadWAL over an already-loaded journal; path only
-// names the source in errors. It lets a caller that had to read the
-// file anyway (a restarting coordinator probing for a torn header)
-// avoid a second full read.
-func ReadWALBytes(data []byte, path string) (WALHeader, []Result, []WALLease, error) {
+// readWAL is ReadWAL over an already-loaded journal; path only names
+// the source in errors.
+func readWAL(data []byte, path string) (WALHeader, []Result, []WALLease, error) {
 	fail := func(err error) (WALHeader, []Result, []WALLease, error) {
 		return WALHeader{}, nil, nil, err
 	}

@@ -1,9 +1,16 @@
-package cluster
+// The distributed tests drive cluster.Worker against the one-run
+// campaign service (service.OneRun) that `campaign serve` runs. They
+// live in the external test package so they can import
+// internal/service, which itself imports this package.
+package cluster_test
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -11,9 +18,15 @@ import (
 	"time"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/cluster"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
+
+// testToken is the bearer token every test service requires and every
+// test worker presents.
+const testToken = "cluster-test-token"
 
 // selftestSpec declares the synthetic smoke campaign the way a cmd tool
 // would compile it from flags.
@@ -25,7 +38,7 @@ func selftestSpec(n int, seed int64) *spec.Spec {
 }
 
 // buildFromSpec constructs the campaign a spec describes — the same
-// path coordinators, workers and cmd tools share.
+// path services, workers and cmd tools share.
 func buildFromSpec(t *testing.T, sp *spec.Spec) campaign.Campaign {
 	t.Helper()
 	built, err := spec.Build(sp, spec.BuildOpts{})
@@ -77,21 +90,19 @@ func (r *cancelAfter) Run(ctx context.Context, c campaign.Campaign, trials []cam
 	return r.inner.Run(ctx, c, trials, wrapped)
 }
 
-// startCoordinator runs campaign.Run with a Coordinator runner in the
-// background and returns the coordinator, its URL, and a channel with
-// the run outcome. sp is the spec the coordinator ships to workers.
-func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg CoordinatorConfig,
-	opt campaign.Options) (*Coordinator, string, <-chan runOutcome) {
+// startCoordinator runs campaign.Run with a one-run service as its
+// runner in the background and returns the service, its URL, and a
+// channel with the run outcome. sp is the spec workers build from;
+// planner selects the fresh-run shard plan.
+func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg service.Config, planner string,
+	opt campaign.Options) (*service.OneRun, string, <-chan runOutcome) {
 	t.Helper()
-	cfg.Spec = sp
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	if cfg.Linger == 0 {
-		cfg.Linger = 50 * time.Millisecond
-	}
-	co := NewCoordinator(cfg)
-	opt.Runner = co
+	cfg.Token = testToken
+	one := service.NewOneRun(cfg, sp, planner)
+	opt.Runner = one
 	if opt.Context == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		t.Cleanup(cancel)
@@ -103,11 +114,13 @@ func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg Coor
 		out <- runOutcome{rr: rr, err: err}
 	}()
 	select {
-	case <-co.Ready():
+	case <-one.Ready():
+	case res := <-out:
+		t.Fatalf("one-run service exited before listening: %v", res.err)
 	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator never started listening")
+		t.Fatal("one-run service never started listening")
 	}
-	return co, co.URL(), out
+	return one, one.URL(), out
 }
 
 type runOutcome struct {
@@ -117,9 +130,10 @@ type runOutcome struct {
 
 // startWorker launches a worker daemon. Unless the test injects a
 // Build hook, the worker is spec-free: everything it knows about the
-// campaign arrives from the coordinator at registration.
-func startWorker(t *testing.T, cfg WorkerConfig, ctx context.Context) <-chan error {
+// campaign arrives from the service inside its lease grants.
+func startWorker(t *testing.T, cfg cluster.WorkerConfig, ctx context.Context) <-chan error {
 	t.Helper()
+	cfg.Token = testToken
 	if cfg.Poll == 0 {
 		cfg.Poll = 20 * time.Millisecond
 	}
@@ -127,7 +141,7 @@ func startWorker(t *testing.T, cfg WorkerConfig, ctx context.Context) <-chan err
 		cfg.Runner = campaign.PoolRunner{Engine: tensor.NewParallel(2)}
 	}
 	done := make(chan error, 1)
-	go func() { done <- NewWorker(cfg).Run(ctx) }()
+	go func() { done <- cluster.NewWorker(cfg).Run(ctx) }()
 	return done
 }
 
@@ -145,18 +159,25 @@ func singleProcessWant(t *testing.T, c campaign.Campaign) []byte {
 }
 
 // TestDistributedEquivalence is the acceptance gate: a campaign
-// distributed across two loopback workers launched spec-free (the
-// coordinator ships the canonical spec at registration) produces
-// byte-identical merged result JSON to the single-process PoolRunner
-// run, with every trial executed exactly once.
+// distributed across loopback workers launched spec-free (every lease
+// grant ships the canonical spec) produces byte-identical merged
+// result JSON to the single-process PoolRunner run, with every trial
+// executed exactly once — for 1, 2 and 8 workers.
 func TestDistributedEquivalence(t *testing.T) {
 	const n = 37
 	sp := selftestSpec(n, 7)
 	want := singleProcessWant(t, buildFromSpec(t, sp))
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("%dworkers", workers), func(t *testing.T) {
+			testDistributedEquivalence(t, sp, n, workers, want)
+		})
+	}
+}
 
-	ckpt := filepath.Join(t.TempDir(), "coordinator.jsonl")
+func testDistributedEquivalence(t *testing.T, sp *spec.Spec, n, workers int, want []byte) {
+	ckpt := filepath.Join(t.TempDir(), "serve.jsonl")
 	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 4, LeaseTTL: 2 * time.Second},
+		service.Config{Shards: 4, LeaseTTL: 2 * time.Second}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -165,19 +186,20 @@ func TestDistributedEquivalence(t *testing.T) {
 	counting := func() campaign.Runner {
 		return countingRunner{inner: campaign.PoolRunner{Engine: tensor.NewParallel(2)}, runs: &runs}
 	}
-	// w1 is fully spec-free; w2 additionally records what arrived, to
-	// pin down that the campaign really came over the wire.
+	// Workers record the spec kind that arrived, to pin down that the
+	// campaign really came over the wire. With more workers than
+	// shards, some never get a lease and exit on the run's outcome.
 	var gotKind atomic.Value
-	w1 := startWorker(t, WorkerConfig{
-		Coordinator: url, Name: "w1", CheckpointDir: t.TempDir(), Runner: counting(),
-	}, ctx)
-	w2 := startWorker(t, WorkerConfig{
-		Coordinator: url, Name: "w2", CheckpointDir: t.TempDir(), Runner: counting(),
-		Build: func(s *spec.Spec) (*spec.Built, error) {
-			gotKind.Store(s.Kind)
-			return spec.Build(s, spec.BuildOpts{})
-		},
-	}, ctx)
+	var ws []<-chan error
+	for i := 0; i < workers; i++ {
+		ws = append(ws, startWorker(t, cluster.WorkerConfig{
+			Coordinator: url, Name: fmt.Sprintf("w%d", i), CheckpointDir: t.TempDir(), Runner: counting(),
+			Build: func(s *spec.Spec) (*spec.Built, error) {
+				gotKind.Store(s.Kind)
+				return spec.Build(s, spec.BuildOpts{})
+			},
+		}, ctx))
+	}
 
 	res := <-out
 	if res.err != nil {
@@ -193,26 +215,26 @@ func TestDistributedEquivalence(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("distributed result JSON differs from single-process run")
 	}
-	if runs.Load() != n {
+	if runs.Load() != int64(n) {
 		t.Fatalf("workers executed %d trials, want exactly %d", runs.Load(), n)
 	}
-	for i, w := range []<-chan error{w1, w2} {
+	for i, w := range ws {
 		if err := <-w; err != nil {
-			t.Fatalf("worker %d exited with error: %v", i+1, err)
+			t.Fatalf("worker %d exited with error: %v", i, err)
 		}
 	}
 	if k, _ := gotKind.Load().(string); k != "selftest" {
-		t.Fatalf("worker 2 received spec kind %q, want %q", k, "selftest")
+		t.Fatalf("workers received spec kind %q, want %q", k, "selftest")
 	}
 
-	// The coordinator's checkpoint holds each trial exactly once, keeps
+	// The caller's checkpoint holds each trial exactly once, keeps
 	// the wire-carried wall-clock, and merges to the same bytes.
 	h, rs, err := campaign.ReadCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Campaign != "selftest" || len(rs) != n || !campaign.Complete(rs, n) {
-		t.Fatalf("coordinator checkpoint: campaign %q, %d results (complete=%v)",
+		t.Fatalf("serve checkpoint: campaign %q, %d results (complete=%v)",
 			h.Campaign, len(rs), campaign.Complete(rs, n))
 	}
 	if sjson, err := spec.FromMeta(h.Meta); err != nil || sjson.Kind != "selftest" {
@@ -228,12 +250,12 @@ func TestDistributedEquivalence(t *testing.T) {
 		}
 	}
 	if timed == 0 {
-		t.Fatal("no trial reached the coordinator checkpoint with a wall-clock")
+		t.Fatal("no trial reached the serve checkpoint with a wall-clock")
 	}
 	if b, _ := campaign.MarshalResults(rs); !bytes.Equal(b, want) {
-		t.Fatal("coordinator checkpoint differs from single-process run")
+		t.Fatal("serve checkpoint differs from single-process run")
 	}
-	if st := co.Stats(); st.Reassigned != 0 || !st.Complete {
+	if st := co.Summary(); st.Reassigned != 0 || st.State != service.RunDone {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -247,9 +269,9 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	sp := selftestSpec(n, 7)
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
-	ckpt := filepath.Join(t.TempDir(), "coordinator.jsonl")
+	ckpt := filepath.Join(t.TempDir(), "serve.jsonl")
 	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 2, LeaseTTL: 150 * time.Millisecond},
+		service.Config{Shards: 2, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	// Worker A dies (stops running AND heartbeating) after 3 results.
@@ -261,12 +283,12 @@ func TestWorkerDeathReassignment(t *testing.T) {
 		after:  dieAfter,
 		cancel: cancelA,
 	}
-	wa := startWorker(t, WorkerConfig{Coordinator: url, Name: "doomed", Runner: ra, CheckpointDir: t.TempDir()}, ctxA)
+	wa := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "doomed", Runner: ra, CheckpointDir: t.TempDir()}, ctxA)
 
 	// Let A claim a shard and push its 3 results before B exists, so
 	// the reassignment path is actually exercised.
 	deadline := time.Now().Add(30 * time.Second)
-	for co.Stats().Done < dieAfter {
+	for co.Summary().Done < dieAfter {
 		if time.Now().After(deadline) {
 			t.Fatal("worker A never delivered its first results")
 		}
@@ -276,7 +298,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 
 	ctxB, cancelB := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelB()
-	wb := startWorker(t, WorkerConfig{
+	wb := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(),
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, ctxB)
@@ -298,7 +320,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("workers executed %d trials across the death+reassignment, want exactly %d", runs.Load(), n)
 	}
-	if st := co.Stats(); st.Reassigned < 1 {
+	if st := co.Summary(); st.Reassigned < 1 {
 		t.Fatalf("expected at least one lease reassignment, stats: %+v", st)
 	}
 	// Surviving checkpoint: every trial exactly once.
@@ -321,8 +343,8 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	var runs atomic.Int64
-	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 1, LeaseTTL: 150 * time.Millisecond},
+	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{})
 
 	dir := t.TempDir() // shared across the worker's two lives
@@ -333,12 +355,12 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 		after:  dieAfter,
 		cancel: cancelA,
 	}
-	wa := startWorker(t, WorkerConfig{Coordinator: url, Name: "flaky", Runner: ra, CheckpointDir: dir}, ctxA)
+	wa := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "flaky", Runner: ra, CheckpointDir: dir}, ctxA)
 	<-wa
 
 	ctxB, cancelB := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelB()
-	wb := startWorker(t, WorkerConfig{
+	wb := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "flaky", CheckpointDir: dir,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, ctxB)
@@ -356,8 +378,9 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("executed %d trials across restart, want exactly %d (local checkpoint must prevent re-runs)", runs.Load(), n)
 	}
-	// The local shard checkpoint is complete and re-readable.
-	_, rs, err := campaign.ReadCheckpoint(filepath.Join(dir, shardFileName("selftest", "0/1")))
+	// The local shard checkpoint (named by run, campaign and shard) is
+	// complete and re-readable.
+	_, rs, err := campaign.ReadCheckpoint(filepath.Join(dir, co.Summary().ID+"-selftest-shard0of1.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,17 +397,30 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	defer cancel()
 	sp := selftestSpec(20, 1)
 	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{LeaseTTL: time.Second},
+		service.Config{LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	cl := newClient(url, "", "")
-	_, err := cl.register(RegisterRequest{Worker: "stale-build", Proto: ProtocolVersion - 1})
-	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
-		t.Fatalf("stale worker registered anyway: err=%v", err)
+	body, err := json.Marshal(cluster.RegisterRequest{Worker: "stale-build", Proto: cluster.ProtocolVersion - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/register", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+testToken)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), "protocol version mismatch") {
+		t.Fatalf("stale worker registered anyway: HTTP %d %s", resp.StatusCode, msg)
 	}
 	cancel() // nothing will finish the campaign
 	if res := <-out; res.err == nil {
-		t.Fatal("coordinator run should report cancellation")
+		t.Fatal("one-run service should report cancellation")
 	}
 }
 
@@ -396,18 +432,18 @@ func TestUnknownSpecKindFailsWorker(t *testing.T) {
 	defer cancel()
 	sp := &spec.Spec{Version: spec.Version, Kind: "martian"}
 	_, url, out := startCoordinator(t, campaign.Synthetic(8, 1), sp,
-		CoordinatorConfig{LeaseTTL: time.Second},
+		service.Config{LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	err := NewWorker(WorkerConfig{
-		Coordinator: url, Name: "confused", Poll: 10 * time.Millisecond,
+	err := cluster.NewWorker(cluster.WorkerConfig{
+		Coordinator: url, Token: testToken, Name: "confused", Poll: 10 * time.Millisecond,
 	}).Run(ctx)
 	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Fatalf("worker with unbuildable spec should fail with unknown kind, got: %v", err)
 	}
 	cancel()
 	if res := <-out; res.err == nil {
-		t.Fatal("coordinator run should report cancellation")
+		t.Fatal("one-run service should report the failed run")
 	}
 }
 
@@ -429,11 +465,11 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 
 	var runs atomic.Int64
 	co, url, out := startCoordinator(t, slow, selftestSpec(n, 1),
-		CoordinatorConfig{Shards: 1, LeaseTTL: 150 * time.Millisecond},
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "slowpoke",
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 		// The test campaign is not spec-buildable; inject it directly.
@@ -450,7 +486,7 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 	if runs.Load() != n {
 		t.Fatalf("executed %d trials, want %d (reassignment would re-run)", runs.Load(), n)
 	}
-	if st := co.Stats(); st.Reassigned != 0 {
+	if st := co.Summary(); st.Reassigned != 0 {
 		t.Fatalf("slow shard was reassigned despite heartbeats: %+v", st)
 	}
 }
@@ -472,11 +508,11 @@ func TestTrialErrorAbortsCampaign(t *testing.T) {
 	})
 
 	_, url, out := startCoordinator(t, failing, selftestSpec(8, 1),
-		CoordinatorConfig{Shards: 2, LeaseTTL: time.Second},
+		service.Config{Shards: 2, LeaseTTL: time.Second}, "",
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "unlucky",
 		Runner: campaign.PoolRunner{Engine: tensor.Serial()},
 		Build:  func(*spec.Spec) (*spec.Built, error) { return &spec.Built{Campaign: failing}, nil },
@@ -484,7 +520,7 @@ func TestTrialErrorAbortsCampaign(t *testing.T) {
 
 	res := <-out
 	if res.err == nil || !strings.Contains(res.err.Error(), "injected fault") {
-		t.Fatalf("coordinator run error = %v, want the injected trial fault", res.err)
+		t.Fatalf("one-run service error = %v, want the injected trial fault", res.err)
 	}
 	if err := <-w; err == nil {
 		t.Fatal("worker should surface the trial failure")

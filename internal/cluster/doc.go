@@ -1,83 +1,61 @@
-// Package cluster runs fault-sweep campaigns across machines: a
-// coordinator plans a campaign into interleaved shards
-// (campaign.Shard), leases them to worker daemons over HTTP+JSON, and
-// folds the streamed-back results through the campaign engine's
-// order-independent merge. Coordinator implements campaign.Runner, so
-// any sweep that runs on the in-process PoolRunner — the figure
-// campaigns of cmd/experiments, the yield study of cmd/yield — runs on
-// a fleet by swapping the runner (`cmd/campaign serve` / `cmd/campaign
-// work`, or the -coordinator flag on the sweep tools).
+// Package cluster is the mechanics of running fault-sweep campaigns
+// across machines: the HTTP+JSON wire protocol, the heartbeat-leased
+// shard table, the worker daemon, and TLS. The control plane that
+// plans runs, leases their shards and folds results back is
+// internal/service — as a long-lived multi-run catalog (`campaign
+// service`) or as a one-run service that implements campaign.Runner
+// (`campaign serve`, and the -coordinator flag of cmd/yield and
+// cmd/experiments). Any sweep that runs on the in-process PoolRunner
+// runs on a fleet by swapping the runner.
 //
 // Determinism guarantee: distribution never changes results. Every
 // trial is seed-addressed — its result is a pure function of the trial,
 // not of which worker ran it, when, or after how many lease
-// reassignments — and the coordinator delivers each trial's result to
-// the campaign sink exactly once, with reductions consuming them in
-// ascending trial-ID order. A campaign distributed across any number of
-// workers (including workers that die mid-shard and have their leases
-// reassigned) therefore produces figure and report JSON byte-identical
-// to a single-process run; the cluster tests assert exactly that.
+// reassignments — and the service records each trial's result exactly
+// once, with reductions consuming them in ascending trial-ID order. A
+// campaign distributed across any number of workers (including workers
+// that die mid-shard and have their leases reassigned) therefore
+// produces figure and report JSON byte-identical to a single-process
+// run; the distributed tests of this package assert exactly that.
 //
 // Fault tolerance: leases carry heartbeat-renewed deadlines. A worker
 // that misses its deadline (crash, network partition) loses the lease,
 // and the shard's remaining trials — those whose results never arrived
 // — are reassigned to the next idle worker. Workers keep a local JSONL
-// checkpoint per shard, so a restarted worker re-registers, resumes its
-// shard from disk, and streams the already-completed records instead of
-// re-running them.
+// checkpoint per (run, shard), so a restarted worker re-registers,
+// resumes its shard from disk, and streams the already-completed
+// records instead of re-running them. A restarted service forgets its
+// worker table; workers notice only a rejected worker ID and
+// re-register on their own.
 //
-// Durability: with CoordinatorConfig.StateDir set (`campaign serve
-// -state <dir>`), the coordinator survives its own death too. It
-// journals the canonical spec, the shard table, lease grants/expiries
-// and every accepted result to an append-only WAL (campaign.WAL,
-// flushed per record, torn-tail tolerant); a restarted coordinator
-// replays the journal, restores the exact shard table, re-delivers
-// results the caller lost, invalidates leases open at the crash, and
-// refuses a state dir whose spec fingerprint mismatches the campaign it
-// was asked to serve. Workers notice only a rejected worker ID: they
-// re-register automatically (pinned to the same spec fingerprint) and
-// resume from their local checkpoints.
-//
-// Shard planning is a campaign.Planner seam: the uniform interleaved
-// split by default, or — `serve -balance <timing-source>` — shards
-// sized to equalize predicted wall-clock from a prior run's recorded
-// per-key timing. Any plan merges byte-identically.
-//
-// Safety: workers carry no campaign configuration of their own. At
-// registration the coordinator ships the canonical experiment spec
-// (internal/spec) and the worker builds its campaign from exactly those
-// bytes via the spec registry — `campaign work -coordinator <url>` is
-// all it takes to join a fleet. The misconfigured-worker failure mode
-// the old flag-matching + fingerprint scheme could only detect is
-// therefore unrepresentable; registration still rejects wire-protocol
-// version mismatches up front, and the spec fingerprint names the
-// experiment in logs and /v1/status.
+// Safety: workers carry no campaign configuration of their own. Every
+// lease grant ships its run's canonical experiment spec
+// (internal/spec); the worker builds the campaign from exactly those
+// bytes via the spec registry, once per distinct spec fingerprint —
+// `campaign work -coordinator <url>` plus the service's bearer token is
+// all it takes to join a fleet. Registration rejects wire-protocol
+// version mismatches up front.
 //
 // # Ownership split with internal/service
 //
-// This package owns the MECHANICS of distribution, deliberately
-// single-campaign and policy-free:
+// This package owns the mechanics every fleet needs, policy-free:
 //
 //   - the wire protocol (protocol.go) — register/lease/heartbeat/
-//     results, shared verbatim by both control planes;
-//   - LeaseTable — generic over its shard key, so one table can span
-//     shards of one run (Coordinator) or of a whole catalog (service);
-//   - Worker — the one worker binary for both worlds. Registration
-//     tells it which it joined: a single-run coordinator ships the spec
-//     up front and the worker pins its fingerprint for life, while a
-//     campaign service (RegisterResponse.Service) ships a spec per
-//     LEASE, and the worker builds per fingerprint on demand, caches
-//     builds, isolates per-run failures, and honors drain directives;
-//   - Coordinator — the ephemeral control plane: one campaign, runs as
-//     a campaign.Runner inside `campaign serve`, exits with its run.
+//     results, and the terminal lease statuses a one-run service
+//     answers with once its run is over;
+//   - LeaseTable — heartbeat-renewed deadlines, generic over its shard
+//     key (the service keys it by (run, shard));
+//   - Worker — the one worker loop: build per spec fingerprint, run
+//     leased shards with local checkpoints, stream results, honor
+//     drain directives, exit when a one-run service reports its run
+//     done or failed;
+//   - TLS helpers and the JSON transport shared by both sides.
 //
-// internal/service owns the POLICY a long-lived fleet needs on top:
-// the durable run catalog (submit/list/watch/cancel, one WAL-journaled
-// state dir per run), priority + deficit fair-share scheduling across
-// runs, re-planning at admission boundaries from accumulated timing,
-// autoscaling hooks (drain + scale-up advice), and bearer-token auth.
-// Nothing there reimplements a mechanism here: the service composes
-// LeaseTable, the WAL, and this protocol. When changing a behavior,
-// place it by that test — every fleet needs it: cluster; only a
-// multi-run catalog needs it: service.
+// internal/service owns the control plane on top: the run catalog and
+// its per-run WAL-journaled state dirs, restart recovery, priority +
+// deficit fair-share scheduling, admission-time re-planning, the
+// autoscaling hooks, bearer-token auth, and the one-run entry point.
+// When changing a behavior, place it by that test — a worker or the
+// wire needs it: cluster; deciding what runs where, or remembering it
+// across restarts: service.
 package cluster

@@ -6,10 +6,9 @@ import (
 )
 
 // Lease is one worker's time-bounded claim on one unit of schedulable
-// work. The key type is whatever the owner schedules over: the
-// single-run coordinator leases shard indexes (int), the multi-run
-// service leases (run, shard) pairs — one table, one expiry policy,
-// shared by both layers.
+// work. The key type is whatever the owner schedules over: the campaign
+// service leases (run, shard) pairs, so one table and one expiry policy
+// span its whole catalog.
 type Lease[K comparable] struct {
 	// ID is the journaled lease identity ("l<seq>-s<key>").
 	ID string

@@ -3,99 +3,84 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"falvolt/internal/campaign"
 )
 
 // The wire protocol is deliberately small: four POST endpoints under
 // /v1/ (register, lease, heartbeat, results) plus a GET /v1/status
-// snapshot, all JSON. Trials travel coordinator -> worker inside lease
-// grants; results stream back worker -> coordinator one record per
-// completed trial. The campaign configuration travels exactly once, as
-// the canonical experiment spec (internal/spec) inside the registration
-// response: workers build their campaign from the received bytes, so a
-// worker cannot be configured differently from its coordinator — the
-// misconfiguration class the old flag-matching + fingerprint scheme
-// could only detect is unrepresentable.
+// snapshot, all JSON, every request carrying the service's bearer
+// token. Trials travel service -> worker inside lease grants, together
+// with the canonical experiment spec (internal/spec) of the run they
+// belong to: workers build their campaign from the received bytes, so a
+// worker cannot be configured differently from the run it serves.
+// Results stream back worker -> service one record per completed trial.
 
 // ProtocolVersion is bumped on incompatible wire changes; registration
-// rejects mismatched versions up front. Version 3 added service mode:
-// a multi-run coordinator registers workers without shipping a spec
-// (RegisterResponse.Service), ships each run's spec inside its lease
-// grants instead (LeaseResponse.RunID/Spec/Fingerprint), routes result
-// batches by run (ResultsRequest.RunID), and carries autoscaling
-// directives (HeartbeatResponse.Drain/ScaleUp, LeaseResponse.Drain).
-const ProtocolVersion = 3
+// rejects mismatched versions up front. Version 4 dropped the
+// single-run coordinator: registration no longer ships a spec, every
+// lease grant carries its run's spec, and heartbeats no longer carry a
+// campaign status.
+const ProtocolVersion = 4
+
+// DefaultShards is the per-run shard count when none is configured: a
+// few shards per expected worker, so a small fleet load-balances
+// without making shards so fine that lease traffic dominates.
+const DefaultShards = 8
+
+// DefaultLeaseTTL is the lease deadline when none is configured.
+// Workers heartbeat at a third of the TTL, so a worker death is
+// detected within one TTL while three missed heartbeats are tolerated.
+const DefaultLeaseTTL = 15 * time.Second
 
 // Lease-response statuses.
 const (
 	// StatusLease: a shard lease was granted; Trials holds the work.
 	StatusLease = "lease"
-	// StatusWait: all shards are leased or done but the campaign is not
-	// finished; poll again.
+	// StatusWait: no shard is schedulable right now; poll again.
 	StatusWait = "wait"
-	// StatusDone: every trial has a result; the worker can exit.
+	// StatusDone: a one-run service's run has a result for every trial;
+	// the worker can exit.
 	StatusDone = "done"
-	// StatusFailed: the campaign aborted (trial error, sink error,
-	// result conflict); Error carries the cause.
+	// StatusFailed: a one-run service's run aborted (trial error, sink
+	// error, result conflict); Error carries the cause.
 	StatusFailed = "failed"
 )
 
-// CampaignInfo identifies a campaign configuration: the same fields a
-// checkpoint Header carries, which the fingerprint hashes.
+// CampaignInfo identifies a campaign: its name and full trial count.
 type CampaignInfo struct {
-	Version  int               `json:"version"`
-	Campaign string            `json:"campaign"`
-	Trials   int               `json:"trials"`
-	Meta     map[string]string `json:"meta,omitempty"`
+	Campaign string
+	Trials   int
 }
 
-// InfoOf extracts a campaign's identity (name, full trial count,
-// metadata fingerprint).
+// InfoOf extracts a campaign's identity.
 func InfoOf(c campaign.Campaign) (CampaignInfo, error) {
 	trials, err := c.Trials()
 	if err != nil {
 		return CampaignInfo{}, fmt.Errorf("cluster: enumerate %s: %w", c.Name(), err)
 	}
-	info := CampaignInfo{Version: ProtocolVersion, Campaign: c.Name(), Trials: len(trials)}
-	if mp, ok := c.(campaign.MetaProvider); ok {
-		info.Meta = mp.Meta()
-	}
-	return info, nil
+	return CampaignInfo{Campaign: c.Name(), Trials: len(trials)}, nil
 }
 
-// RegisterRequest enrolls a worker for the coordinator's campaign. The
-// worker brings nothing but a name and its protocol version — the
-// campaign configuration flows the other way, in the response.
+// RegisterRequest enrolls a worker with a service. The worker brings
+// nothing but a name and its protocol version — campaign
+// configuration arrives later, inside each lease grant.
 type RegisterRequest struct {
 	// Worker is a self-chosen display name (host:pid by default).
 	Worker string `json:"worker"`
-	// Proto is the worker's wire-protocol version; the coordinator
-	// rejects mismatches at registration instead of failing obscurely
+	// Proto is the worker's wire-protocol version; the service rejects
+	// mismatches at registration instead of failing obscurely
 	// mid-campaign.
 	Proto int `json:"proto"`
 }
 
-// RegisterResponse acknowledges registration and ships the experiment.
+// RegisterResponse acknowledges registration.
 type RegisterResponse struct {
 	WorkerID string `json:"workerID"`
 	// LeaseTTLMillis tells the worker how often to heartbeat (a third
 	// of the TTL).
 	LeaseTTLMillis int64 `json:"leaseTTLMillis"`
-	// Spec is the canonical JSON of the experiment spec this
-	// coordinator serves (internal/spec). The worker builds its
-	// campaign from exactly these bytes via the spec registry. Empty
-	// in service mode, where every lease grant carries its run's spec.
-	Spec json.RawMessage `json:"spec,omitempty"`
-	// Fingerprint is the spec's digest (spec.Fingerprint), echoed so
-	// the worker can verify the payload arrived intact and logs can
-	// name the experiment. Empty in service mode.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Service marks a multi-run campaign service: the worker must not
-	// expect a registration spec, builds one campaign per distinct
-	// fingerprint it is leased, and keeps polling when individual runs
-	// finish (only a drain directive or cancellation stops it).
-	Service bool `json:"service,omitempty"`
 }
 
 // LeaseRequest asks for a shard of work.
@@ -103,7 +88,7 @@ type LeaseRequest struct {
 	WorkerID string `json:"workerID"`
 }
 
-// LeaseResponse grants a shard (StatusLease) or reports the campaign
+// LeaseResponse grants a shard (StatusLease) or reports the service
 // state (StatusWait / StatusDone / StatusFailed).
 type LeaseResponse struct {
 	Status  string `json:"status"`
@@ -113,20 +98,19 @@ type LeaseResponse struct {
 	// worker resumes iff it is re-granted the same shard.
 	Shard string `json:"shard,omitempty"`
 	// Trials are the shard's trials still missing results at the
-	// coordinator, sorted by ID — a reassigned shard only re-runs what
-	// its dead worker never delivered.
+	// service, sorted by ID — a reassigned shard only re-runs what its
+	// dead worker never delivered.
 	Trials []campaign.Trial `json:"trials,omitempty"`
 	Error  string           `json:"error,omitempty"`
 
-	// RunID names the catalog run this lease belongs to (service mode;
-	// echoed back in ResultsRequest so results route to the right run).
+	// RunID names the catalog run this lease belongs to (echoed back in
+	// ResultsRequest so results route to the right run).
 	RunID string `json:"runID,omitempty"`
-	// Spec is the run's canonical spec JSON (service mode: the per-run
-	// analogue of RegisterResponse.Spec). Workers cache built campaigns
-	// by Fingerprint, so a fleet serving N concurrent runs builds each
-	// distinct experiment once.
+	// Spec is the run's canonical spec JSON. Workers cache built
+	// campaigns by Fingerprint, so a fleet serving N concurrent runs
+	// builds each distinct experiment once.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Fingerprint digests Spec (service mode).
+	// Fingerprint digests Spec.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Drain tells an idle worker to exit now instead of polling again:
 	// the graceful scale-down half of the autoscaling hooks.
@@ -143,13 +127,12 @@ type HeartbeatRequest struct {
 // means the lease expired or was reassigned: the worker must abandon
 // the shard (its results so far are kept).
 type HeartbeatResponse struct {
-	OK     bool   `json:"ok"`
-	Status string `json:"status"`
+	OK bool `json:"ok"`
 	// Drain asks the worker to finish its current shard, then exit
 	// instead of taking another lease (graceful scale-down). Unlike
 	// OK=false it never aborts in-flight work.
 	Drain bool `json:"drain,omitempty"`
-	// ScaleUp is the coordinator's scale-up advice: how many ADDITIONAL
+	// ScaleUp is the service's scale-up advice: how many ADDITIONAL
 	// workers could be leasing work right now (schedulable shards with
 	// no holder, minus idle registered workers). Pure advice — workers
 	// log it and external autoscalers act on it via /v1/status.
@@ -157,18 +140,18 @@ type HeartbeatResponse struct {
 }
 
 // ResultsRequest streams completed trial results (or a fatal trial
-// error) back to the coordinator.
+// error) back to the service.
 type ResultsRequest struct {
 	WorkerID string `json:"workerID"`
 	LeaseID  string `json:"leaseID,omitempty"`
-	// RunID routes the batch to its catalog run (service mode; echoed
-	// from the lease grant).
+	// RunID routes the batch to its catalog run (echoed from the lease
+	// grant).
 	RunID   string            `json:"runID,omitempty"`
 	Results []campaign.Result `json:"results,omitempty"`
 	// Wall carries Results[i].Wall (seconds), which canonical result
-	// JSON excludes, so coordinator checkpoints keep per-trial timing.
+	// JSON excludes, so service-side checkpoints keep per-trial timing.
 	Wall []float64 `json:"wall,omitempty"`
-	// TrialErr aborts the whole campaign: trials are deterministic, so
+	// TrialErr aborts the whole run: trials are deterministic, so
 	// another worker would fail the same way.
 	TrialErr string `json:"trialErr,omitempty"`
 }
@@ -176,29 +159,4 @@ type ResultsRequest struct {
 // ResultsResponse acknowledges a results batch.
 type ResultsResponse struct {
 	OK bool `json:"ok"`
-}
-
-// ShardStatus is one shard's entry in a status snapshot.
-type ShardStatus struct {
-	Shard     string `json:"shard"`
-	Trials    int    `json:"trials"`
-	Remaining int    `json:"remaining"`
-	Worker    string `json:"worker,omitempty"`
-	Done      bool   `json:"done"`
-}
-
-// StatusResponse is the GET /v1/status snapshot.
-type StatusResponse struct {
-	Campaign    CampaignInfo `json:"campaign"`
-	Fingerprint string       `json:"fingerprint"`
-	Planned     int          `json:"planned"`
-	Done        int          `json:"done"`
-	// Recovered counts results a restarted coordinator replayed from
-	// its WAL directly into this run's sink (0 without -state).
-	Recovered  int           `json:"recovered,omitempty"`
-	Workers    int           `json:"workers"`
-	Reassigned int           `json:"reassigned"`
-	Shards     []ShardStatus `json:"shards"`
-	Failed     string        `json:"failed,omitempty"`
-	Complete   bool          `json:"complete"`
 }

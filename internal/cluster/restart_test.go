@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -11,15 +11,18 @@ import (
 	"time"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/cluster"
+	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
 
-// Coordinator durability tests: the in-process counterpart of the CI
-// kill-and-restart gauntlet. "Kill" here is context cancellation of the
-// coordinator's Run — from the fleet's perspective the same event as a
-// SIGKILL (the socket dies, worker IDs are forgotten), while the WAL on
-// disk is what the next incarnation has to work with.
+// Durability tests of the one-run service behind `campaign serve
+// -state`: the in-process counterpart of the CI kill-and-restart
+// gauntlet. "Kill" here is context cancellation of the service's Run —
+// from the fleet's perspective the same event as a SIGKILL (the socket
+// dies, worker IDs are forgotten), while the state dir on disk is what
+// the next incarnation has to work with.
 
 // delayedSelftestSpec declares a selftest slow enough (per-trial delay)
 // to interrupt mid-campaign deterministically.
@@ -30,22 +33,28 @@ func delayedSelftestSpec(n int, seed int64, delayMS int) *spec.Spec {
 	}
 }
 
-// hostPort strips the scheme from a coordinator URL so a restarted
-// coordinator can bind the same address its predecessor used — which
-// is what lets the surviving workers find it again.
+// hostPort strips the scheme from a service URL so a restarted service
+// can bind the same address its predecessor used — which is what lets
+// the surviving workers find it again.
 func hostPort(url string) string { return strings.TrimPrefix(url, "http://") }
 
-// waitForDone polls a coordinator's stats until at least want results
+// waitForDone polls a one-run service's run until at least want results
 // were accepted.
-func waitForDone(t *testing.T, co *Coordinator, want int) {
+func waitForDone(t *testing.T, co *service.OneRun, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for co.Stats().Done < want {
+	for co.Summary().Done < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never reached %d accepted results", want)
+			t.Fatalf("service never reached %d accepted results", want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// runWAL is the journal of a one-run service's run inside its state
+// dir.
+func runWAL(state string, co *service.OneRun) string {
+	return campaign.WALPath(filepath.Join(state, "runs", co.Summary().ID))
 }
 
 // TestCoordinatorRestartResumesFromWAL is the durability acceptance
@@ -60,19 +69,19 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	state := t.TempDir()
-	ckpt := filepath.Join(t.TempDir(), "coordinator.jsonl")
+	ckpt := filepath.Join(t.TempDir(), "serve.jsonl")
 
 	// Life 1: durable coordinator, killed once killAfter results landed.
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
 	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+		service.Config{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Checkpoint: ckpt, Context: ctx1})
 
 	var runs atomic.Int64
 	wctx, wcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(), Retries: 1000,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, wctx)
@@ -80,9 +89,9 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	waitForDone(t, co1, killAfter)
 	kill()
 	if res := <-out1; res.err == nil {
-		t.Fatal("killed coordinator run should report cancellation")
+		t.Fatal("killed service should report cancellation")
 	}
-	done1 := co1.Stats().Done
+	done1 := co1.Summary().Done
 	if done1 >= n {
 		t.Fatalf("campaign completed (%d/%d) before the kill; raise the delay", done1, n)
 	}
@@ -90,7 +99,7 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	// Life 2: same state dir, same checkpoint, same address. The worker
 	// was never told anything happened.
 	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+		service.Config{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Checkpoint: ckpt})
 
 	res := <-out2
@@ -115,11 +124,11 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	}
 	// The checkpoint already carried the pre-kill results, so nothing
 	// needed recovering from the WAL itself.
-	if st := co2.Stats(); st.Recovered != 0 || !st.Complete {
+	if st := co2.Summary(); st.Recovered != 0 || st.State != service.RunDone {
 		t.Fatalf("restarted stats: %+v", st)
 	}
 	// And the WAL round-trips as a complete record of the run.
-	hdr, walResults, _, err := campaign.ReadWAL(campaign.WALPath(state))
+	hdr, walResults, _, err := campaign.ReadWAL(runWAL(state, co2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +149,13 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
 	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+		service.Config{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{Context: ctx1})
 
 	var runs atomic.Int64
 	wctx, wcancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{
+	w := startWorker(t, cluster.WorkerConfig{
 		Coordinator: url, Name: "survivor", CheckpointDir: t.TempDir(), Retries: 1000,
 		Runner: countingRunner{inner: campaign.PoolRunner{Engine: tensor.Serial()}, runs: &runs},
 	}, wctx)
@@ -154,15 +163,15 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	waitForDone(t, co1, killAfter)
 	kill()
 	if res := <-out1; res.err == nil {
-		t.Fatal("killed coordinator run should report cancellation")
+		t.Fatal("killed service should report cancellation")
 	}
-	done1 := co1.Stats().Done
+	done1 := co1.Summary().Done
 	if done1 >= n {
 		t.Fatalf("campaign completed (%d/%d) before the kill; raise the delay", done1, n)
 	}
 
 	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
+		service.Config{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
 		campaign.Options{})
 
 	res := <-out2
@@ -179,7 +188,7 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("WAL-recovered merged output differs from single-process run")
 	}
-	if st := co2.Stats(); st.Recovered != done1 {
+	if st := co2.Summary(); st.Recovered != done1 {
 		t.Fatalf("recovered %d results from the WAL, want every accepted pre-kill result (%d)", st.Recovered, done1)
 	}
 	if runs.Load() != n {
@@ -188,8 +197,8 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 }
 
 // TestRestartSurvivesMissingBalanceSource: the WAL's shard table is
-// authoritative on replay, so a coordinator started with
-// -balance <timing-file> must restart fine after that file is gone.
+// authoritative on replay, so a serve started with -balance
+// <timing-file> must restart fine after that file is gone.
 func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 	const n = 12
 	// 1ms delay guarantees the timing checkpoint records nonzero walls
@@ -206,12 +215,15 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 
 	state := t.TempDir()
 	ctx1, kill := context.WithCancel(context.Background())
-	_, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, PlannerName: "balance:" + timing, LeaseTTL: time.Second},
+	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
 		campaign.Options{Context: ctx1})
+	if st := co1.Summary(); st.Planner != "balance:"+timing {
+		t.Fatalf("fresh run planned by %q, want the balance planner", st.Planner)
+	}
 	kill() // WAL header (with the balanced shard table) is already on disk
 	if res := <-out1; res.err == nil {
-		t.Fatal("killed coordinator run should report cancellation")
+		t.Fatal("killed service should report cancellation")
 	}
 
 	// The timing source vanishes (rotated away, different machine...).
@@ -222,11 +234,11 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 	// Restart with the same flags must restore from the WAL, not
 	// re-resolve the planner.
 	co2, url2, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Addr: hostPort(url), StateDir: state, PlannerName: "balance:" + timing, LeaseTTL: time.Second},
+		service.Config{Addr: hostPort(url), StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
 		campaign.Options{})
 	wctx, wcancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer wcancel()
-	w := startWorker(t, WorkerConfig{Coordinator: url2, Name: "w", CheckpointDir: t.TempDir()}, wctx)
+	w := startWorker(t, cluster.WorkerConfig{Coordinator: url2, Name: "w", CheckpointDir: t.TempDir()}, wctx)
 	res := <-out2
 	if res.err != nil {
 		t.Fatalf("restart with missing balance source failed: %v", res.err)
@@ -237,29 +249,38 @@ func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
 	if got, _ := campaign.MarshalResults(res.rr.Results); !bytes.Equal(got, want) {
 		t.Fatal("balanced restart merged output differs from single-process run")
 	}
-	if st := co2.Stats(); !st.Complete {
+	if st := co2.Summary(); st.State != service.RunDone {
 		t.Fatalf("restarted stats: %+v", st)
 	}
 }
 
 // TestTornHeaderWALPlansFresh: a serve SIGKILLed before its journal
 // header durably landed leaves a 0-byte or newline-less wal.jsonl;
-// restarting with the same flags must plan fresh and overwrite instead
-// of failing until the operator deletes the state dir.
+// restarting with the same flags must plan fresh instead of failing
+// until the operator deletes the state dir.
 func TestTornHeaderWALPlansFresh(t *testing.T) {
 	const n = 8
 	sp := delayedSelftestSpec(n, 7, 0)
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 	for name, torn := range map[string]string{"empty": "", "torn header": `{"header":{"version":1,"campaig`} {
 		state := t.TempDir()
-		if err := os.WriteFile(campaign.WALPath(state), []byte(torn), 0o644); err != nil {
+		// Life 1 admits the run (status.json + WAL header), then dies;
+		// the header is then torn as if the kill had beaten its flush.
+		ctx1, kill := context.WithCancel(context.Background())
+		co1, _, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
+			service.Config{StateDir: state, LeaseTTL: time.Second}, "",
+			campaign.Options{Context: ctx1})
+		kill()
+		<-out1
+		if err := os.WriteFile(runWAL(state, co1), []byte(torn), 0o644); err != nil {
 			t.Fatal(err)
 		}
+
 		co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-			CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+			service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 			campaign.Options{})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		w := startWorker(t, WorkerConfig{Coordinator: url, Name: "w"}, ctx)
+		w := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "w"}, ctx)
 		res := <-out
 		if res.err != nil {
 			t.Fatalf("%s WAL: restart did not plan fresh: %v", name, res.err)
@@ -270,19 +291,23 @@ func TestTornHeaderWALPlansFresh(t *testing.T) {
 		if got, _ := campaign.MarshalResults(res.rr.Results); !bytes.Equal(got, want) {
 			t.Fatalf("%s WAL: merged output differs from single-process run", name)
 		}
-		if st := co.Stats(); !st.Complete {
-			t.Fatalf("%s WAL: stats %+v", name, st)
+		if st := co.Summary(); st.State != service.RunDone || st.ID == co1.Summary().ID {
+			t.Fatalf("%s WAL: stats %+v (torn run %s)", name, st, co1.Summary().ID)
 		}
-		// The overwritten journal is a complete, readable record now.
-		if _, rs, _, err := campaign.ReadWAL(campaign.WALPath(state)); err != nil || !campaign.Complete(rs, n) {
-			t.Fatalf("%s WAL: rewritten journal unreadable or incomplete: %v", name, err)
+		// The torn run is gone and the fresh journal is a complete,
+		// readable record.
+		if _, err := os.Stat(runWAL(state, co1)); !os.IsNotExist(err) {
+			t.Fatalf("%s WAL: torn run was not discarded: %v", name, err)
+		}
+		if _, rs, _, err := campaign.ReadWAL(runWAL(state, co)); err != nil || !campaign.Complete(rs, n) {
+			t.Fatalf("%s WAL: fresh journal unreadable or incomplete: %v", name, err)
 		}
 		cancel()
 	}
 }
 
-// TestStateDirDoubleServeRefused: a second coordinator on a live state
-// dir must be refused up front — two journal writers would interleave
+// TestStateDirDoubleServeRefused: a second serve on a live state dir
+// must be refused up front — two journal writers would interleave
 // records and double-serve the campaign.
 func TestStateDirDoubleServeRefused(t *testing.T) {
 	state := t.TempDir()
@@ -290,53 +315,46 @@ func TestStateDirDoubleServeRefused(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
 
-	co2 := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: sp, StateDir: state, Linger: 50 * time.Millisecond,
-	})
-	_, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: co2})
-	if err == nil || !strings.Contains(err.Error(), "already served by another coordinator") {
-		t.Fatalf("second coordinator on a live state dir accepted: %v", err)
+	cfg := service.Config{Addr: "127.0.0.1:0", StateDir: state, Token: testToken}
+	_, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp, "")})
+	if err == nil || !strings.Contains(err.Error(), "already served") {
+		t.Fatalf("second serve on a live state dir accepted: %v", err)
 	}
 	cancel()
 	if res := <-out; res.err == nil {
-		t.Fatal("first coordinator should report cancellation")
+		t.Fatal("first serve should report cancellation")
 	}
 
-	// With the first coordinator gone, the lock is free again.
-	co3 := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: sp, StateDir: state, Linger: 50 * time.Millisecond,
-	})
+	// With the first serve gone, the lock is free again.
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	cancel3()
-	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: co3, Context: ctx3}); err == nil ||
+	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp, ""), Context: ctx3}); err == nil ||
 		strings.Contains(err.Error(), "already served") {
-		t.Fatalf("lock not released after the first coordinator exited: %v", err)
+		t.Fatalf("lock not released after the first serve exited: %v", err)
 	}
 }
 
-// TestStateDirSpecMismatchRefused: a restarted coordinator must refuse
-// a state dir journaled by a different experiment instead of quietly
+// TestStateDirSpecMismatchRefused: a restarted serve must refuse a
+// state dir journaled by a different experiment instead of quietly
 // mixing runs.
 func TestStateDirSpecMismatchRefused(t *testing.T) {
 	state := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	sp := delayedSelftestSpec(12, 7, 0)
 	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{StateDir: state, LeaseTTL: time.Second},
+		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
 		campaign.Options{Context: ctx})
-	cancel() // no workers; the WAL header is written at Run start
+	cancel() // no workers; the WAL header is written at admission
 	if res := <-out; res.err == nil {
-		t.Fatal("cancelled coordinator run should report cancellation")
+		t.Fatal("cancelled serve should report cancellation")
 	}
 
 	other := delayedSelftestSpec(30, 7, 0)
-	co := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Spec: other, StateDir: state, Linger: 50 * time.Millisecond,
-	})
-	_, err := campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: co})
+	cfg := service.Config{Addr: "127.0.0.1:0", StateDir: state, Token: testToken}
+	_, err := campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: service.NewOneRun(cfg, other, "")})
 	if err == nil || !strings.Contains(err.Error(), "journals spec") {
 		t.Fatalf("mismatched state dir accepted: %v", err)
 	}

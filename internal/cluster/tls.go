@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// TLSServerConfig loads a PEM certificate/key pair for a coordinator or
-// service listener. Both paths are required together: a cert without its
+// TLSServerConfig loads a PEM certificate/key pair for a service
+// listener. Both paths are required together: a cert without its
 // key (or vice versa) is a misconfiguration worth failing on at startup.
 func TLSServerConfig(certFile, keyFile string) (*tls.Config, error) {
 	if certFile == "" || keyFile == "" {
@@ -24,7 +24,7 @@ func TLSServerConfig(certFile, keyFile string) (*tls.Config, error) {
 }
 
 // TLSClientConfig builds a client-side TLS configuration trusting the CA
-// bundle at caFile — the worker/submit-side counterpart of a coordinator
+// bundle at caFile — the worker/submit-side counterpart of a service
 // served with a private certificate. An empty path returns nil (system
 // roots), so callers can pass the flag through unconditionally.
 func TLSClientConfig(caFile string) (*tls.Config, error) {

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/cluster"
+	"falvolt/internal/service"
 )
 
 // writeSelfSignedCert mints a short-lived ECDSA certificate for
@@ -65,13 +67,13 @@ func TestTLSConfigHelpers(t *testing.T) {
 	dir := t.TempDir()
 	certFile, keyFile := writeSelfSignedCert(t, dir)
 
-	if _, err := TLSServerConfig(certFile, ""); err == nil {
+	if _, err := cluster.TLSServerConfig(certFile, ""); err == nil {
 		t.Error("missing key file should error")
 	}
-	if _, err := TLSServerConfig("", keyFile); err == nil {
+	if _, err := cluster.TLSServerConfig("", keyFile); err == nil {
 		t.Error("missing cert file should error")
 	}
-	tc, err := TLSServerConfig(certFile, keyFile)
+	tc, err := cluster.TLSServerConfig(certFile, keyFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +81,21 @@ func TestTLSConfigHelpers(t *testing.T) {
 		t.Errorf("MinVersion = %#x, want at least TLS 1.2", tc.MinVersion)
 	}
 
-	cc, err := TLSClientConfig("")
+	cc, err := cluster.TLSClientConfig("")
 	if err != nil || cc != nil {
 		t.Errorf("empty CA should mean system roots (nil config), got %v/%v", cc, err)
 	}
-	if _, err := TLSClientConfig(filepath.Join(dir, "nope.pem")); err == nil {
+	if _, err := cluster.TLSClientConfig(filepath.Join(dir, "nope.pem")); err == nil {
 		t.Error("missing CA file should error")
 	}
 	junk := filepath.Join(dir, "junk.pem")
 	if err := os.WriteFile(junk, []byte("not a pem"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TLSClientConfig(junk); err == nil {
+	if _, err := cluster.TLSClientConfig(junk); err == nil {
 		t.Error("junk CA file should error")
 	}
-	cc, err = TLSClientConfig(certFile)
+	cc, err = cluster.TLSClientConfig(certFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +105,9 @@ func TestTLSConfigHelpers(t *testing.T) {
 }
 
 // TestDistributedEquivalenceTLS reruns the distributed acceptance gate
-// over HTTPS: coordinator serves with a self-signed cert, the worker
-// trusts it via TLSCA, and the merged results stay byte-identical to
-// the single-process run.
+// over HTTPS: the one-run service serves with a self-signed cert, the
+// worker trusts it via TLSCA, and the merged results stay
+// byte-identical to the single-process run.
 func TestDistributedEquivalenceTLS(t *testing.T) {
 	certFile, keyFile := writeSelfSignedCert(t, t.TempDir())
 	const n = 19
@@ -113,15 +115,15 @@ func TestDistributedEquivalenceTLS(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		CoordinatorConfig{Shards: 2, LeaseTTL: 2 * time.Second, TLSCert: certFile, TLSKey: keyFile},
+		service.Config{Shards: 2, LeaseTTL: 2 * time.Second, TLSCert: certFile, TLSKey: keyFile}, "",
 		campaign.Options{})
 	if !strings.HasPrefix(url, "https://") {
-		t.Fatalf("TLS coordinator URL = %q, want https://", url)
+		t.Fatalf("TLS service URL = %q, want https://", url)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startWorker(t, WorkerConfig{Coordinator: url, Name: "tls-w0", TLSCA: certFile}, ctx)
+	startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "tls-w0", TLSCA: certFile}, ctx)
 
 	oc := <-out
 	if oc.err != nil {
@@ -137,11 +139,11 @@ func TestDistributedEquivalenceTLS(t *testing.T) {
 
 	// A worker without the CA bundle must fail fast: the self-signed cert
 	// does not verify against system roots.
-	w := NewWorker(WorkerConfig{Coordinator: url, Name: "tls-untrusted", Retries: 2,
+	w := cluster.NewWorker(cluster.WorkerConfig{Coordinator: url, Token: testToken, Name: "tls-untrusted", Retries: 2,
 		Poll: 10 * time.Millisecond})
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
 	if err := w.Run(wctx); err == nil {
-		t.Error("worker without CA trust should fail against a self-signed https coordinator")
+		t.Error("worker without CA trust should fail against a self-signed https service")
 	}
 }

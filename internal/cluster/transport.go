@@ -16,11 +16,11 @@ import (
 const MaxBodyBytes = 64 << 20
 
 // client is the worker side of the wire protocol. A non-empty token is
-// sent as a bearer credential on every request (campaign services
-// require one; single-run coordinators ignore it). A non-empty caFile
-// makes HTTPS connections verify against that CA bundle instead of the
-// system roots; a bundle that fails to load is surfaced on every call
-// rather than at construction, so NewWorker stays infallible.
+// sent as a bearer credential on every request (services require one).
+// A non-empty caFile makes HTTPS connections verify against that CA
+// bundle instead of the system roots; a bundle that fails to load is
+// surfaced on every call rather than at construction, so NewWorker
+// stays infallible.
 type client struct {
 	base  string
 	token string
@@ -35,7 +35,7 @@ func newClient(base, token, caFile string) *client {
 }
 
 // statusError is a non-2xx protocol reply — a deliberate rejection
-// (fingerprint mismatch, unknown worker), as opposed to a transport
+// (protocol mismatch, bad token, unknown worker), as opposed to a transport
 // error worth retrying.
 type statusError struct {
 	code int

@@ -20,7 +20,7 @@ import (
 // is 0.
 const DefaultPoll = 500 * time.Millisecond
 
-// defaultRetries bounds consecutive transport failures (coordinator not
+// defaultRetries bounds consecutive transport failures (service not
 // yet listening at startup, restarting mid-campaign) before the worker
 // gives up.
 const defaultRetries = 60
@@ -29,35 +29,31 @@ const defaultRetries = 60
 // tolerates before treating its lease as lost.
 const heartbeatMisses = 3
 
-// errLeaseLost marks a shard abandoned because the coordinator revoked
-// or expired the lease; the worker returns to the lease loop.
+// errLeaseLost marks a shard abandoned because the service revoked or
+// expired the lease; the worker returns to the lease loop.
 var errLeaseLost = errors.New("cluster: lease lost")
 
 // errPush tags a failed result upload. Unlike a trial failure it is not
-// deterministic — the coordinator may be restarting or the network
-// flaky — so the worker abandons the shard (keeping its local
-// checkpoint) and rejoins the lease loop, whose retry budget decides
-// whether the coordinator is truly gone. It must never abort the whole
-// campaign via TrialErr.
+// deterministic — the service may be restarting or the network flaky —
+// so the worker abandons the shard (keeping its local checkpoint) and
+// rejoins the lease loop, whose retry budget decides whether the
+// service is truly gone. It must never abort the whole run via
+// TrialErr.
 var errPush = errors.New("cluster: pushing results failed")
 
 // errLocal tags a local checkpoint write failure (disk full,
 // permissions): fatal to THIS worker, but not a reason to abort the
-// campaign — the lease expires and another worker takes the shard.
+// run — the lease expires and another worker takes the shard.
 var errLocal = errors.New("cluster: local checkpoint write failed")
-
-// errCampaignDone is runShard's signal that the campaign completed
-// (observed via heartbeat) while the shard was running; the worker
-// exits cleanly without another lease round-trip.
-var errCampaignDone = errors.New("cluster: campaign completed")
 
 // WorkerConfig configures a worker daemon.
 type WorkerConfig struct {
-	// Coordinator is the coordinator's base URL ("http://host:9090").
+	// Coordinator is the campaign service's base URL
+	// ("http://host:9090") — a `campaign service`, or the one-run
+	// service behind `campaign serve` and the -coordinator flags.
 	Coordinator string
-	// Token is the bearer credential sent on every request. Campaign
-	// services (internal/service) require one; single-run coordinators
-	// ignore it.
+	// Token is the bearer credential sent on every request; the service
+	// rejects requests without it.
 	Token string
 	// Name is the worker's display name (default "host-pid").
 	Name string
@@ -73,36 +69,36 @@ type WorkerConfig struct {
 	// the spec builder (execution-local, never affects results).
 	CacheDir string
 	// TLSCA, when non-empty, is a PEM CA bundle HTTPS connections verify
-	// against instead of the system roots — for an https:// coordinator
+	// against instead of the system roots — for an https:// service
 	// served with a privately-issued certificate.
 	TLSCA string
-	// Build constructs the campaign from the spec the coordinator ships
-	// at registration. Nil selects spec.Build with this worker's
-	// CacheDir and Log — the production path. Tests inject wrappers
-	// (trial counters, simulated deaths) here.
+	// Build constructs a campaign from the spec a lease grant ships.
+	// Nil selects spec.Build with this worker's CacheDir and Log — the
+	// production path. Tests inject wrappers (trial counters, simulated
+	// deaths) here.
 	Build func(s *spec.Spec) (*spec.Built, error)
 	// Poll is the idle poll and retry interval (0 = DefaultPoll).
 	Poll time.Duration
 	// Retries bounds consecutive transport failures before giving up
-	// (0 = a built-in default generous enough for a coordinator that
+	// (0 = a built-in default generous enough for a service that
 	// starts after its workers).
 	Retries int
 	// Log receives progress lines (nil silences).
 	Log io.Writer
 }
 
-// Worker executes shards of a campaign leased from a coordinator. It
-// needs no campaign configuration of its own: registration hands it the
-// coordinator's canonical experiment spec, and it builds the campaign
+// Worker executes shards leased from a campaign service. It needs no
+// campaign configuration of its own: every lease grant carries its
+// run's canonical experiment spec, and the worker builds the campaign
 // from those bytes (expensive resources like trained baselines still
 // load lazily on first trial). A worker therefore cannot be
-// misconfigured relative to its coordinator.
+// misconfigured relative to the run it serves.
 type Worker struct {
 	cfg WorkerConfig
 	cl  *client
 }
 
-// NewWorker builds a worker daemon for one coordinator.
+// NewWorker builds a worker daemon for one service.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Name == "" {
 		host, err := os.Hostname()
@@ -123,34 +119,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{cfg: cfg, cl: newClient(cfg.Coordinator, cfg.Token, cfg.TLSCA)}
 }
 
-// Run registers with the coordinator and processes shard leases until
-// the work is over or ctx is cancelled. Against a single-run
-// coordinator it builds the campaign from the spec received at
-// registration and exits when that campaign completes (nil) or fails.
-// Against a campaign service (RegisterResponse.Service) it serves MANY
-// runs — each lease grant carries its run's spec, campaigns are built
-// once per distinct fingerprint — and exits only on a drain directive
-// or cancellation. A coordinator restart (the worker's ID is rejected
-// as unknown) triggers re-registration; leased shards resume from the
-// local checkpoints.
-func (w *Worker) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	resp, err := w.register(ctx)
-	if err != nil {
-		return err
-	}
-	hbEvery := time.Duration(resp.LeaseTTLMillis) * time.Millisecond / 3
-	if hbEvery <= 0 {
-		hbEvery = w.cfg.Poll
-	}
-	if resp.Service {
-		return w.serviceLoop(ctx, resp.WorkerID, hbEvery)
-	}
-	return w.singleLoop(ctx, resp, hbEvery)
-}
-
 // buildFunc resolves the campaign builder (cfg.Build, or spec.Build
 // with this worker's cache/log — the production path).
 func (w *Worker) buildFunc() func(s *spec.Spec) (*spec.Built, error) {
@@ -162,139 +130,42 @@ func (w *Worker) buildFunc() func(s *spec.Spec) (*spec.Built, error) {
 	}
 }
 
-// decodeShipped decodes and fingerprint-verifies a spec payload
-// received from the coordinator (registration or lease grant).
-func decodeShipped(raw []byte, wantFP string) (*spec.Spec, string, error) {
+// decodeShipped decodes and fingerprint-verifies the spec payload of a
+// lease grant.
+func decodeShipped(raw []byte, wantFP string) (*spec.Spec, error) {
 	sp, err := spec.Decode(raw)
 	if err != nil {
-		return nil, "", fmt.Errorf("cluster: coordinator shipped an unreadable spec: %w", err)
+		return nil, fmt.Errorf("cluster: service shipped an unreadable spec: %w", err)
 	}
 	fp, err := sp.Fingerprint()
 	if err != nil {
-		return nil, "", fmt.Errorf("cluster: fingerprint received spec: %w", err)
+		return nil, fmt.Errorf("cluster: fingerprint received spec: %w", err)
 	}
-	if wantFP != "" && fp != wantFP {
-		return nil, "", fmt.Errorf("cluster: received spec fingerprint %s does not match coordinator's %s", fp, wantFP)
+	if fp != wantFP {
+		return nil, fmt.Errorf("cluster: received spec fingerprint %s does not match the service's %s", fp, wantFP)
 	}
-	return sp, fp, nil
+	return sp, nil
 }
 
-// singleLoop is the classic one-campaign worker life: build the
-// registration spec, lease shards until the campaign is over.
-func (w *Worker) singleLoop(ctx context.Context, reg RegisterResponse, hbEvery time.Duration) error {
-	workerID := reg.WorkerID
-	sp, fp, err := decodeShipped(reg.Spec, reg.Fingerprint)
+// Run registers with the service and leases shards of whatever run it
+// schedules, building (and caching) one campaign per distinct spec
+// fingerprint, until the work is over or ctx is cancelled. Individual
+// runs of a catalog service finishing, failing or being cancelled never
+// stop the worker; a drain directive, a one-run service reporting its
+// run done (nil) or failed (error), an unrecoverable local fault, or
+// ctx cancellation do. A service restart (the worker's ID is rejected
+// as unknown) triggers re-registration; leased shards resume from the
+// local checkpoints.
+func (w *Worker) Run(ctx context.Context) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	resp, err := w.register(ctx)
 	if err != nil {
 		return err
 	}
-	built, err := w.buildFunc()(sp)
-	if err != nil {
-		return fmt.Errorf("cluster: build campaign from coordinator spec: %w", err)
-	}
-	c := built.Campaign
-	info, err := InfoOf(c)
-	if err != nil {
-		return err
-	}
-	w.logf("worker %s: registered for campaign %s (%d trials), heartbeat every %v\n",
-		workerID, info.Campaign, info.Trials, hbEvery)
-
-	fails := 0
-	reregs := 0
-	for {
-		if err := sleepCtx(ctx, 0); err != nil {
-			return err
-		}
-		lr, err := w.cl.lease(LeaseRequest{WorkerID: workerID})
-		if err != nil {
-			var se *statusError
-			if errors.As(err, &se) && se.code == http.StatusForbidden {
-				// "unknown worker": the coordinator restarted and its
-				// worker table is gone. Re-register — refusing to switch
-				// experiments mid-run — and rejoin the queue; leased
-				// shards resume from the local checkpoints. Consecutive
-				// re-registrations (reset by any successful lease call)
-				// share the transport retry budget, so a crash-looping
-				// coordinator fails its workers instead of spinning them
-				// forever.
-				reregs++
-				if reregs > w.cfg.Retries {
-					return fmt.Errorf("cluster: coordinator rejected this worker %d times in a row; giving up", reregs)
-				}
-				if err := sleepCtx(ctx, w.cfg.Poll); err != nil {
-					return err
-				}
-				resp, rerr := w.register(ctx)
-				if rerr != nil {
-					return fmt.Errorf("cluster: re-register after coordinator restart: %w", rerr)
-				}
-				if resp.Service {
-					return fmt.Errorf("cluster: coordinator at %s restarted as a campaign service; restart this worker against it", w.cfg.Coordinator)
-				}
-				if _, fp2, rerr := decodeShipped(resp.Spec, resp.Fingerprint); rerr != nil {
-					return fmt.Errorf("cluster: re-register after coordinator restart: %w", rerr)
-				} else if fp2 != fp {
-					return fmt.Errorf("cluster: restarted coordinator serves spec %s, but this worker joined for %s", fp2, fp)
-				}
-				workerID = resp.WorkerID
-				if d := time.Duration(resp.LeaseTTLMillis) * time.Millisecond / 3; d > 0 {
-					hbEvery = d
-				}
-				w.logf("worker %s: re-registered after coordinator restart\n", workerID)
-				continue
-			}
-			if errors.As(err, &se) && se.code != http.StatusServiceUnavailable {
-				return err // deliberate rejection, not a transient fault
-			}
-			// Transport failures AND 503 "shutting down" are transient: a
-			// restarting coordinator answers 503 during its shutdown
-			// grace, and treating that as fatal would turn every
-			// restart into a timing lottery for its workers.
-			fails++
-			if fails > w.cfg.Retries {
-				return fmt.Errorf("cluster: coordinator unreachable after %d attempts: %w", fails, err)
-			}
-			if err := sleepCtx(ctx, w.cfg.Poll); err != nil {
-				return err
-			}
-			continue
-		}
-		fails, reregs = 0, 0
-		switch lr.Status {
-		case StatusDone:
-			w.logf("worker %s: campaign complete\n", workerID)
-			return nil
-		case StatusFailed:
-			return fmt.Errorf("cluster: campaign failed at coordinator: %s", lr.Error)
-		case StatusWait:
-			if err := sleepCtx(ctx, w.cfg.Poll); err != nil {
-				return err
-			}
-		case StatusLease:
-			env := shardEnv{c: c, info: info, ckptName: info.Campaign}
-			err := w.runShard(ctx, env, workerID, hbEvery, lr)
-			switch {
-			case errors.Is(err, errLeaseLost):
-				w.logf("worker %s: lease %s lost; rejoining the queue\n", workerID, lr.LeaseID)
-			case errors.Is(err, errCampaignDone):
-				w.logf("worker %s: campaign completed elsewhere; exiting\n", workerID)
-				return nil
-			case err != nil:
-				return err
-			}
-		default:
-			return fmt.Errorf("cluster: coordinator sent unknown lease status %q", lr.Status)
-		}
-	}
-}
-
-// serviceLoop is the multi-run worker life against a campaign service:
-// lease shards of whatever run the service schedules, building (and
-// caching) one campaign per distinct spec fingerprint. Individual runs
-// finishing, failing or being cancelled never stop the worker; only a
-// drain directive (graceful scale-down), an unrecoverable local fault,
-// or ctx cancellation do.
-func (w *Worker) serviceLoop(ctx context.Context, workerID string, hbEvery time.Duration) error {
+	workerID := resp.WorkerID
+	hbEvery := heartbeatEvery(resp, w.cfg.Poll)
 	w.logf("worker %s: registered with campaign service, heartbeat every %v\n", workerID, hbEvery)
 	build := w.buildFunc()
 	type cached struct {
@@ -331,19 +202,18 @@ func (w *Worker) serviceLoop(ctx context.Context, workerID string, hbEvery time.
 				if rerr != nil {
 					return fmt.Errorf("cluster: re-register after service restart: %w", rerr)
 				}
-				if !resp.Service {
-					return fmt.Errorf("cluster: coordinator at %s is no longer a campaign service; restart this worker against it", w.cfg.Coordinator)
-				}
 				workerID = resp.WorkerID
-				if d := time.Duration(resp.LeaseTTLMillis) * time.Millisecond / 3; d > 0 {
-					hbEvery = d
-				}
+				hbEvery = heartbeatEvery(resp, w.cfg.Poll)
 				w.logf("worker %s: re-registered after service restart\n", workerID)
 				continue
 			}
 			if errors.As(err, &se) && se.code != http.StatusServiceUnavailable {
-				return err
+				return err // deliberate rejection, not a transient fault
 			}
+			// Transport failures AND 503 "shutting down" are transient: a
+			// restarting service answers 503 during its shutdown grace,
+			// and treating that as fatal would turn every restart into a
+			// timing lottery for its workers.
 			fails++
 			if fails > w.cfg.Retries {
 				return fmt.Errorf("cluster: service unreachable after %d attempts: %w", fails, err)
@@ -365,14 +235,14 @@ func (w *Worker) serviceLoop(ctx context.Context, workerID string, hbEvery time.
 				return err
 			}
 		case StatusDone:
-			w.logf("worker %s: service closed its queue; exiting\n", workerID)
+			w.logf("worker %s: the service's run is complete; exiting\n", workerID)
 			return nil
 		case StatusFailed:
-			return fmt.Errorf("cluster: campaign service failed: %s", lr.Error)
+			return fmt.Errorf("cluster: run failed at the service: %s", lr.Error)
 		case StatusLease:
 			br, ok := builds[lr.Fingerprint]
 			if !ok {
-				sp, _, err := decodeShipped(lr.Spec, lr.Fingerprint)
+				sp, err := decodeShipped(lr.Spec, lr.Fingerprint)
 				var built *spec.Built
 				if err == nil {
 					built, err = build(sp)
@@ -394,23 +264,12 @@ func (w *Worker) serviceLoop(ctx context.Context, workerID string, hbEvery time.
 				w.logf("worker %s: built campaign %s (spec %s) for run %s\n",
 					workerID, info.Campaign, lr.Fingerprint, lr.RunID)
 			}
-			env := shardEnv{
-				c: br.c, info: br.info,
-				// The run ID prefixes the checkpoint name: two runs of equal
-				// shard labels (even of the same experiment) must never
-				// share a local file.
-				ckptName: lr.RunID + "-" + br.info.Campaign,
-				runID:    lr.RunID,
-				service:  true,
-				drain:    &drain,
-			}
-			err := w.runShard(ctx, env, workerID, hbEvery, lr)
+			err := w.runShard(ctx, br.c, br.info, &drain, workerID, hbEvery, lr)
 			switch {
 			case errors.Is(err, errLeaseLost):
+				// Also how a shard ends whose run finished or failed
+				// elsewhere: the service revokes its leases.
 				w.logf("worker %s: lease %s lost; rejoining the queue\n", workerID, lr.LeaseID)
-			case errors.Is(err, errCampaignDone):
-				// The run finished under this shard's feet — fine; there
-				// may be more runs to serve.
 			case errors.Is(err, errLocal):
 				return err // this worker can no longer checkpoint durably
 			case ctx.Err() != nil:
@@ -428,7 +287,7 @@ func (w *Worker) serviceLoop(ctx context.Context, workerID string, hbEvery time.
 }
 
 // register enrolls the worker — retrying transport failures so workers
-// may start before their coordinator listens.
+// may start before their service listens.
 func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	req := RegisterRequest{Worker: w.cfg.Name, Proto: ProtocolVersion}
 	for attempt := 1; ; attempt++ {
@@ -449,42 +308,30 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	}
 }
 
-// shardEnv is everything runShard needs to execute one lease beyond
-// the lease grant itself: which campaign to run, what to name the
-// local checkpoint, and — in service mode — which run results route to
-// and where mid-shard drain directives land.
-type shardEnv struct {
-	c    campaign.Campaign
-	info CampaignInfo
-	// ckptName prefixes the local checkpoint filename (the campaign
-	// name in single mode; runID-campaign in service mode so concurrent
-	// runs of the same experiment never share a file).
-	ckptName string
-	// runID routes result batches in service mode ("" in single mode).
-	runID string
-	// service marks service-mode semantics: a terminal heartbeat status
-	// means THIS RUN is over, not the worker's life.
-	service bool
-	// drain, when non-nil, receives heartbeat drain directives: finish
-	// this shard, then exit at the top of the lease loop.
-	drain *atomic.Bool
+// heartbeatEvery derives the heartbeat interval from a registration: a
+// third of the lease TTL (the poll interval if the service sent none).
+func heartbeatEvery(resp RegisterResponse, poll time.Duration) time.Duration {
+	if d := time.Duration(resp.LeaseTTLMillis) * time.Millisecond / 3; d > 0 {
+		return d
+	}
+	return poll
 }
 
 // runShard executes one leased shard: resume from the local checkpoint,
 // run the pending trials on the local runner, stream each result back,
 // heartbeat until done.
-func (w *Worker) runShard(ctx context.Context, env shardEnv,
+func (w *Worker) runShard(ctx context.Context, c campaign.Campaign, info CampaignInfo, drain *atomic.Bool,
 	workerID string, hbEvery time.Duration, lr LeaseResponse) error {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Local shard checkpoint: resume completed trials from disk and
-	// stream them to the coordinator (it deduplicates).
+	// stream them to the service (it deduplicates).
 	done := make(map[int]bool)
 	var ckpt *campaign.Checkpoint
 	if w.cfg.CheckpointDir != "" {
 		var err error
-		ckpt, done, err = w.openShardCheckpoint(env, workerID, lr)
+		ckpt, done, err = w.openShardCheckpoint(c, info, workerID, lr)
 		if err != nil {
 			if errors.Is(err, errPush) {
 				// Streaming the resumed records failed transiently;
@@ -507,20 +354,15 @@ func (w *Worker) runShard(ctx context.Context, env shardEnv,
 		workerID, lr.Shard, len(lr.Trials), len(lr.Trials)-len(pending))
 
 	// Heartbeat until the shard run finishes (the deferred cancel stops
-	// the goroutine). A revoked lease cancels the shard context, which
-	// aborts the runner promptly; a terminal campaign status observed
-	// on the heartbeat (failed/done elsewhere in the fleet) does the
-	// same and is remembered, so the worker reports the real outcome
-	// instead of burning its retry budget against a dead socket. In
-	// service mode terminal statuses belong to individual runs, so they
-	// never stop the worker; drain directives and scale-up advice ride
-	// the heartbeat responses instead.
-	var terminal atomic.Value // string: StatusFailed or StatusDone
-	var lastAdvice atomic.Int64
+	// the goroutine). A revoked lease — expired, or its run finished,
+	// failed or was cancelled — cancels the shard context, which aborts
+	// the runner promptly; drain directives and scale-up advice ride the
+	// heartbeat responses.
 	go func() {
 		ticker := time.NewTicker(hbEvery)
 		defer ticker.Stop()
 		misses := 0
+		var lastAdvice int
 		for {
 			select {
 			case <-shardCtx.Done():
@@ -528,31 +370,25 @@ func (w *Worker) runShard(ctx context.Context, env shardEnv,
 			case <-ticker.C:
 			}
 			resp, err := w.cl.heartbeat(HeartbeatRequest{WorkerID: workerID, LeaseID: lr.LeaseID})
-			if err == nil {
-				if resp.Drain && env.drain != nil && !env.drain.Load() {
-					env.drain.Store(true)
-					w.logf("worker %s: drain directive received; will exit after this shard\n", workerID)
-				}
-				if adv := int64(resp.ScaleUp); adv != lastAdvice.Swap(adv) {
-					w.logf("worker %s: service advises %+d workers\n", workerID, adv)
-				}
-			}
-			switch {
-			case err != nil:
-				misses++
-				if misses >= heartbeatMisses {
+			if err != nil {
+				if misses++; misses >= heartbeatMisses {
 					cancel()
 					return
 				}
-			case !env.service && (resp.Status == StatusFailed || resp.Status == StatusDone):
-				terminal.Store(resp.Status)
+				continue
+			}
+			misses = 0
+			if resp.Drain && !drain.Load() {
+				drain.Store(true)
+				w.logf("worker %s: drain directive received; will exit after this shard\n", workerID)
+			}
+			if resp.ScaleUp != lastAdvice {
+				lastAdvice = resp.ScaleUp
+				w.logf("worker %s: service advises %+d workers\n", workerID, resp.ScaleUp)
+			}
+			if !resp.OK {
 				cancel()
 				return
-			case !resp.OK:
-				cancel()
-				return
-			default:
-				misses = 0
 			}
 		}
 	}()
@@ -568,7 +404,7 @@ func (w *Worker) runShard(ctx context.Context, env shardEnv,
 			}
 		}
 		if _, err := w.cl.results(ResultsRequest{
-			WorkerID: workerID, LeaseID: lr.LeaseID, RunID: env.runID,
+			WorkerID: workerID, LeaseID: lr.LeaseID, RunID: lr.RunID,
 			Results: []campaign.Result{r}, Wall: []float64{r.Wall},
 		}); err != nil {
 			return fmt.Errorf("%w: %v", errPush, err)
@@ -576,16 +412,7 @@ func (w *Worker) runShard(ctx context.Context, env shardEnv,
 		w.logf("worker %s: shard %s: trial %d (%s) done\n", workerID, lr.Shard, r.TrialID, r.Key)
 		return nil
 	}
-	err := w.cfg.Runner.Run(shardCtx, env.c, pending, sink)
-	if st, _ := terminal.Load().(string); st != "" && ctx.Err() == nil {
-		// The fleet finished (or failed) while this shard ran; report
-		// the observed outcome directly instead of polling a
-		// coordinator that may already be gone.
-		if st == StatusFailed {
-			return fmt.Errorf("cluster: campaign failed at coordinator (observed via heartbeat)")
-		}
-		return errCampaignDone
-	}
+	err := w.cfg.Runner.Run(shardCtx, c, pending, sink)
 	switch {
 	case err == nil:
 		w.logf("worker %s: shard %s complete\n", workerID, lr.Shard)
@@ -597,35 +424,36 @@ func (w *Worker) runShard(ctx context.Context, env shardEnv,
 	case errors.Is(err, errPush):
 		// Transient upload failure, not a bad trial: the completed
 		// results survive in the local checkpoint; rejoin the lease
-		// loop, whose retry budget decides if the coordinator is gone.
+		// loop, whose retry budget decides if the service is gone.
 		w.logf("worker %s: shard %s: %v\n", workerID, lr.Shard, err)
 		return errLeaseLost
 	case errors.Is(err, errLocal):
 		// This worker can no longer checkpoint durably; let it die
-		// without aborting the campaign — the lease will expire and the
+		// without aborting the run — the lease will expire and the
 		// shard will be reassigned.
 		return err
 	default:
 		// A deterministic trial (or worker-construction) failure:
-		// another worker would fail the same way, so tell the
-		// coordinator to abort the campaign (single mode) or just this
-		// run (service mode, routed by RunID) — best effort.
-		w.cl.results(ResultsRequest{WorkerID: workerID, LeaseID: lr.LeaseID, RunID: env.runID, TrialErr: err.Error()})
+		// another worker would fail the same way, so tell the service
+		// to abort this run (routed by RunID) — best effort.
+		w.cl.results(ResultsRequest{WorkerID: workerID, LeaseID: lr.LeaseID, RunID: lr.RunID, TrialErr: err.Error()})
 		return err
 	}
 }
 
 // openShardCheckpoint opens (or creates) the local checkpoint for a
 // leased shard, returning the writer, the completed trial IDs, and —
-// when resuming — streaming the completed records to the coordinator.
-func (w *Worker) openShardCheckpoint(env shardEnv,
+// when resuming — streaming the completed records to the service.
+func (w *Worker) openShardCheckpoint(c campaign.Campaign, info CampaignInfo,
 	workerID string, lr LeaseResponse) (*campaign.Checkpoint, map[int]bool, error) {
 	shard, err := campaign.ParseShard(lr.Shard)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: coordinator sent bad shard label %q: %w", lr.Shard, err)
+		return nil, nil, fmt.Errorf("cluster: service sent bad shard label %q: %w", lr.Shard, err)
 	}
-	header := campaign.NewHeader(env.c, env.info.Trials, shard)
-	path := filepath.Join(w.cfg.CheckpointDir, shardFileName(env.ckptName, lr.Shard))
+	header := campaign.NewHeader(c, info.Trials, shard)
+	// The run ID prefixes the checkpoint name: two runs of equal shard
+	// labels (even of the same experiment) must never share a local file.
+	path := filepath.Join(w.cfg.CheckpointDir, shardFileName(lr.RunID+"-"+info.Campaign, lr.Shard))
 	done := make(map[int]bool)
 	if _, err := os.Stat(path); err == nil {
 		prev, results, err := campaign.ReadCheckpoint(path)
@@ -641,7 +469,7 @@ func (w *Worker) openShardCheckpoint(env shardEnv,
 				walls[i] = r.Wall
 			}
 			if _, err := w.cl.results(ResultsRequest{
-				WorkerID: workerID, LeaseID: lr.LeaseID, RunID: env.runID,
+				WorkerID: workerID, LeaseID: lr.LeaseID, RunID: lr.RunID,
 				Results: results, Wall: walls,
 			}); err != nil {
 				return nil, nil, fmt.Errorf("%w: %v", errPush, err)
@@ -662,7 +490,7 @@ func (w *Worker) openShardCheckpoint(env shardEnv,
 }
 
 // shardFileName renders the local checkpoint filename for a shard
-// ("yield-shard3of8.jsonl").
+// ("r1-ab12cd34-yield-shard3of8.jsonl").
 func shardFileName(name, shard string) string {
 	return fmt.Sprintf("%s-shard%s.jsonl", name, strings.ReplaceAll(shard, "/", "of"))
 }

@@ -18,10 +18,10 @@
 // at the end of every epoch, Algorithm 1 line 13), then evaluate on the
 // faulty array with bypass enabled.
 //
-// The Algorithm-1 engine itself now lives in internal/mitigation, where
-// it is one strategy among several in the salvage zoo; this package
-// aliases and delegates so the historical core API — and the campaigns
-// built on it — is byte-for-byte unchanged.
+// The Algorithm-1 engine itself lives in internal/mitigation
+// (mitigation.Mitigate), where it is one strategy among several in the
+// salvage zoo; this package holds the faulty-array evaluation paths and
+// the campaigns built on them.
 package core
 
 import (
@@ -29,50 +29,10 @@ import (
 	"math/rand"
 
 	"falvolt/internal/faults"
-	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
 )
-
-// Method selects the mitigation strategy.
-type Method = mitigation.Method
-
-const (
-	// FaP is fault-aware pruning only.
-	FaP = mitigation.FaP
-	// FaPIT is fault-aware pruning with retraining, fixed threshold.
-	FaPIT = mitigation.FaPIT
-	// FalVolt is fault-aware pruning with retraining and per-layer
-	// threshold-voltage optimization.
-	FalVolt = mitigation.FalVolt
-)
-
-// Config controls a mitigation run.
-type Config = mitigation.Config
-
-// EpochPoint is one point of a retraining convergence curve.
-type EpochPoint = mitigation.EpochPoint
-
-// Report summarises a mitigation run.
-type Report = mitigation.Report
-
-// EpochsToReachTarget returns the first epoch at which a convergence curve
-// reaches the target accuracy, or -1 if it never does — the quantity
-// behind the paper's "FalVolt is 2x faster than FaPIT" claim (Fig. 8).
-func EpochsToReachTarget(curve []EpochPoint, target float64) int {
-	return mitigation.EpochsToReachTarget(curve, target)
-}
-
-// Mitigate runs Algorithm 1 on model against the fault map, retraining on
-// train and reporting accuracy on test. The model is modified in place
-// (snapshot with Network.State first if the original is still needed).
-// The array must have the same dimensions as the fault map; it is left
-// fault-injected with bypass enabled and the network deployed onto it.
-func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	train, test []snn.Sample, cfg Config) (*Report, error) {
-	return mitigation.Mitigate(model, arr, fm, train, test, cfg)
-}
 
 // EvalOptions configures a faulty-array evaluation.
 type EvalOptions struct {

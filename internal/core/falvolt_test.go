@@ -9,6 +9,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -123,12 +124,12 @@ func TestMitigationOrdering(t *testing.T) {
 	h := newHarness(t)
 	fm := worstCaseFaults(t, 16, 16, 77, 2) // ~30% of PEs
 
-	run := func(m Method, epochs int) *Report {
+	run := func(m mitigation.Method, epochs int) *mitigation.Report {
 		if err := h.model.Net.LoadState(h.baseline); err != nil {
 			t.Fatal(err)
 		}
 		h.model.Net.Undeploy()
-		rep, err := Mitigate(h.model, h.arr, fm, h.train, h.test, Config{
+		rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
 			Method: m, Epochs: epochs, BatchSize: 16, LR: 0.01, ClipNorm: 5,
 			Rng: rand.New(rand.NewSource(3)),
 		})
@@ -138,21 +139,21 @@ func TestMitigationOrdering(t *testing.T) {
 		return rep
 	}
 
-	fap := run(FaP, 0)
-	fapit := run(FaPIT, 3)
-	falvolt := run(FalVolt, 3)
+	fap := run(mitigation.FaP, 0)
+	fapit := run(mitigation.FaPIT, 3)
+	falvolt := run(mitigation.FalVolt, 3)
 
-	t.Logf("baseline %.3f | FaP %.3f | FaPIT %.3f | FalVolt %.3f",
+	t.Logf("baseline %.3f | mitigation.FaP %.3f | mitigation.FaPIT %.3f | mitigation.FalVolt %.3f",
 		h.baseAcc, fap.Accuracy, fapit.Accuracy, falvolt.Accuracy)
 
 	if fap.RetrainDuration != 0 {
-		t.Error("FaP must not retrain")
+		t.Error("mitigation.FaP must not retrain")
 	}
 	if fapit.Accuracy < fap.Accuracy-0.05 {
-		t.Errorf("retraining (FaPIT %.2f) should not be clearly worse than pruning alone (FaP %.2f)", fapit.Accuracy, fap.Accuracy)
+		t.Errorf("retraining (mitigation.FaPIT %.2f) should not be clearly worse than pruning alone (mitigation.FaP %.2f)", fapit.Accuracy, fap.Accuracy)
 	}
 	if falvolt.Accuracy < fap.Accuracy-0.05 {
-		t.Errorf("FalVolt %.2f should not be clearly worse than FaP %.2f", falvolt.Accuracy, fap.Accuracy)
+		t.Errorf("mitigation.FalVolt %.2f should not be clearly worse than mitigation.FaP %.2f", falvolt.Accuracy, fap.Accuracy)
 	}
 	if falvolt.PrunedFraction <= 0 {
 		t.Error("expected a non-trivial pruned fraction at 30% fault rate")
@@ -160,7 +161,7 @@ func TestMitigationOrdering(t *testing.T) {
 	if len(falvolt.Vths) != len(h.model.SpikingNames) {
 		t.Errorf("Vths per spiking layer: got %d, want %d", len(falvolt.Vths), len(h.model.SpikingNames))
 	}
-	// FalVolt must actually have moved thresholds away from the fixed 1.0.
+	// mitigation.FalVolt must actually have moved thresholds away from the fixed 1.0.
 	moved := false
 	for _, v := range falvolt.Vths {
 		if v != 1.0 {
@@ -168,11 +169,11 @@ func TestMitigationOrdering(t *testing.T) {
 		}
 	}
 	if !moved {
-		t.Error("FalVolt did not optimize any threshold voltage")
+		t.Error("mitigation.FalVolt did not optimize any threshold voltage")
 	}
 	for _, v := range fapit.Vths {
 		if v != 1.0 {
-			t.Errorf("FaPIT must keep thresholds fixed at 1.0, got %v", fapit.Vths)
+			t.Errorf("mitigation.FaPIT must keep thresholds fixed at 1.0, got %v", fapit.Vths)
 		}
 	}
 }
@@ -183,8 +184,8 @@ func TestMitigateFixedVthSweep(t *testing.T) {
 	if err := h.model.Net.LoadState(h.baseline); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Mitigate(h.model, h.arr, fm, h.train, h.test, Config{
-		Method: FaPIT, Epochs: 2, BatchSize: 16, LR: 0.01, FixedVth: 0.55,
+	rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
+		Method: mitigation.FaPIT, Epochs: 2, BatchSize: 16, LR: 0.01, FixedVth: 0.55,
 		Rng: rand.New(rand.NewSource(5)),
 	})
 	if err != nil {
@@ -203,8 +204,8 @@ func TestMitigateTracksCurve(t *testing.T) {
 	if err := h.model.Net.LoadState(h.baseline); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Mitigate(h.model, h.arr, fm, h.train, h.test, Config{
-		Method: FalVolt, Epochs: 3, BatchSize: 16, LR: 0.01,
+	rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
+		Method: mitigation.FalVolt, Epochs: 3, BatchSize: 16, LR: 0.01,
 		TrackCurve: true, CurveEvalSize: 40,
 		Rng: rand.New(rand.NewSource(7)),
 	})
@@ -228,8 +229,8 @@ func TestStateRoundTripThroughMitigation(t *testing.T) {
 	h := newHarness(t)
 	before := snn.Evaluate(h.model.Net, h.test, 32)
 	fm := worstCaseFaults(t, 16, 16, 60, 8)
-	if _, err := Mitigate(h.model, h.arr, fm, h.train, h.test, Config{
-		Method: FaP, Rng: rand.New(rand.NewSource(9)),
+	if _, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
+		Method: mitigation.FaP, Rng: rand.New(rand.NewSource(9)),
 	}); err != nil {
 		t.Fatal(err)
 	}

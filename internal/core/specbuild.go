@@ -15,13 +15,6 @@ import (
 // bit-identical yield campaigns from the same canonical bytes — the
 // hand-copied flag plumbing that once had to agree across tools is gone.
 
-// ParseMethod parses a mitigation/salvage method name: "fap", "fapit"
-// or "falvolt", case-insensitively (so both the flag spellings and the
-// Method.String() forms parse).
-func ParseMethod(name string) (Method, error) {
-	return mitigation.ParseMethod(name)
-}
-
 // YieldConfigFromSpec resolves a yield spec section into the concrete
 // study configuration; zero fields take their documented defaults
 // (YieldSpec.Defaulted — the single definition the cmd flag defaults
@@ -32,7 +25,7 @@ func YieldConfigFromSpec(s *spec.Spec) (YieldConfig, error) {
 		return YieldConfig{}, fmt.Errorf("core: spec kind %q needs a yield section", s.Kind)
 	}
 	y := s.Yield.Defaulted()
-	m, err := ParseMethod(y.Method)
+	m, err := mitigation.ParseMethod(y.Method)
 	if err != nil {
 		return YieldConfig{}, err
 	}
@@ -41,7 +34,7 @@ func YieldConfigFromSpec(s *spec.Spec) (YieldConfig, error) {
 		Defects:   faults.DefectModel{MeanFaulty: y.MeanFaulty, Alpha: y.Alpha},
 		Clustered: y.Clustered,
 		Threshold: y.Threshold,
-		Mitigation: Config{
+		Mitigation: mitigation.Config{
 			Method: m, Epochs: y.MitEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		},
 		EvalSamples: y.Eval,

@@ -11,6 +11,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
@@ -45,7 +46,7 @@ type YieldConfig struct {
 	// is ignored: every die retrains on a private generator seeded
 	// Seed+die, so dies are independent trials whichever shard or lane
 	// runs them.
-	Mitigation Config
+	Mitigation mitigation.Config
 	// EvalSamples caps evaluation cost per die (0 = all test samples).
 	EvalSamples int
 	// Rng drives the population sampling (per-die defect counts and map
@@ -355,7 +356,7 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}
 	mcfg := w.cfg.Mitigation
 	mcfg.Rng = rand.New(rand.NewSource(w.cfg.Seed + int64(t.ID)))
-	mrep, err := Mitigate(w.model, w.arr, fm, w.deps.Train, w.eval, mcfg)
+	mrep, err := mitigation.Mitigate(w.model, w.arr, fm, w.deps.Train, w.eval, mcfg)
 	if err != nil {
 		return campaign.Result{}, err
 	}

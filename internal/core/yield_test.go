@@ -15,6 +15,7 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/tensor"
 )
@@ -27,8 +28,8 @@ func TestYieldStudyMechanics(t *testing.T) {
 		Chips:     6,
 		Defects:   faults.DefectModel{MeanFaulty: 20, Alpha: 1},
 		Threshold: 0.5,
-		// FaP salvage keeps the test fast (no retraining).
-		Mitigation:  Config{Method: FaP},
+		// mitigation.FaP salvage keeps the test fast (no retraining).
+		Mitigation:  mitigation.Config{Method: mitigation.FaP},
 		EvalSamples: 40,
 		Rng:         rand.New(rand.NewSource(42)),
 	}
@@ -64,7 +65,7 @@ func TestYieldStudyClustered(t *testing.T) {
 		Defects:     faults.DefectModel{MeanFaulty: 15, Alpha: 0.7},
 		Clustered:   true,
 		Threshold:   0.5,
-		Mitigation:  Config{Method: FaP},
+		Mitigation:  mitigation.Config{Method: mitigation.FaP},
 		EvalSamples: 24,
 		Rng:         rand.New(rand.NewSource(43)),
 	}
@@ -101,7 +102,7 @@ func yieldTestConfig() YieldConfig {
 		Chips:       6,
 		Defects:     faults.DefectModel{MeanFaulty: 20, Alpha: 1},
 		Threshold:   0.5,
-		Mitigation:  Config{Method: FaP},
+		Mitigation:  mitigation.Config{Method: mitigation.FaP},
 		EvalSamples: 32,
 		Seed:        42,
 	}

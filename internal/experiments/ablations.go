@@ -8,6 +8,7 @@ import (
 	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -108,8 +109,8 @@ func (s *Suite) AblationVthGradientForm() (*Figure, error) {
 			node.SetConfig(cfg)
 		}
 		arr := s.NewArray()
-		rep, err := core.Mitigate(model, arr, fm, bl.Data.Train, bl.TestSlice(s.Opt.EvalSamples), core.Config{
-			Method: core.FalVolt, Epochs: s.Opt.RetrainEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+		rep, err := mitigation.Mitigate(model, arr, fm, bl.Data.Train, bl.TestSlice(s.Opt.EvalSamples), mitigation.Config{
+			Method: mitigation.FalVolt, Epochs: s.Opt.RetrainEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 			Rng: rand.New(rand.NewSource(s.Opt.Seed + 70)),
 		})
 		if err != nil {

@@ -6,9 +6,9 @@ import (
 	"strconv"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/core"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
 )
@@ -147,14 +147,14 @@ func parsePolarity(s string) (faults.Polarity, error) {
 	return 0, fmt.Errorf("experiments: bad polarity tag %q", s)
 }
 
-func parseMethod(s string) (core.Method, error) {
+func parseMethod(s string) (mitigation.Method, error) {
 	switch s {
-	case core.FaP.String():
-		return core.FaP, nil
-	case core.FaPIT.String():
-		return core.FaPIT, nil
-	case core.FalVolt.String():
-		return core.FalVolt, nil
+	case mitigation.FaP.String():
+		return mitigation.FaP, nil
+	case mitigation.FaPIT.String():
+		return mitigation.FaPIT, nil
+	case mitigation.FalVolt.String():
+		return mitigation.FalVolt, nil
 	}
 	return 0, fmt.Errorf("experiments: bad method tag %q", s)
 }
@@ -547,8 +547,8 @@ func (s *Suite) runFig2Trial(t campaign.Trial) (campaign.Result, error) {
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	rep, err := s.mitigateJob(bl, fm, core.Config{
-		Method: core.FaPIT, Epochs: s.fig2Epochs(), FixedVth: vth,
+	rep, err := s.mitigateJob(bl, fm, mitigation.Config{
+		Method: mitigation.FaPIT, Epochs: s.fig2Epochs(), FixedVth: vth,
 		Rng: rand.New(rand.NewSource(t.Seed)),
 	})
 	if err != nil {
@@ -587,7 +587,7 @@ func (s *Suite) fig2Figure(results []campaign.Result) (*Figure, error) {
 }
 
 // mitigationMethods is the method order of the Fig. 6/7/8 study.
-var mitigationMethods = []core.Method{core.FaP, core.FaPIT, core.FalVolt}
+var mitigationMethods = []mitigation.Method{mitigation.FaP, mitigation.FaPIT, mitigation.FalVolt}
 
 func (s *Suite) mitigationTrials() []campaign.Trial {
 	var trials []campaign.Trial
@@ -595,7 +595,7 @@ func (s *Suite) mitigationTrials() []campaign.Trial {
 		for _, rate := range MitigationRates {
 			for _, m := range mitigationMethods {
 				j := len(trials)
-				track := rate == 0.30 && m != core.FaP
+				track := rate == 0.30 && m != mitigation.FaP
 				trials = append(trials, campaign.Trial{
 					ID:   j,
 					Key:  fmt.Sprintf("%s|%s|%s", name, ftag(rate), m),
@@ -633,7 +633,7 @@ func (s *Suite) runMitigationTrial(t campaign.Trial) (campaign.Result, error) {
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	rep, err := s.mitigateJob(bl, fm, core.Config{
+	rep, err := s.mitigateJob(bl, fm, mitigation.Config{
 		Method: method, Epochs: s.Opt.RetrainEpochs,
 		Rng: rand.New(rand.NewSource(t.Seed)),
 		// Curves for Fig. 8 at the paper's 30% operating point.
@@ -671,7 +671,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 		return nil, err
 	}
 	byKey := campaign.GroupByKey(results)
-	find := func(name string, rate float64, m core.Method) *campaign.Result {
+	find := func(name string, rate float64, m mitigation.Method) *campaign.Result {
 		rs := byKey[fmt.Sprintf("%s|%s|%s", name, ftag(rate), m)]
 		if len(rs) == 0 {
 			return nil
@@ -720,7 +720,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 			xsl[i] = float64(i)
 		}
 		for _, rate := range MitigationRates {
-			r := find(bl.Name, rate, core.FalVolt)
+			r := find(bl.Name, rate, mitigation.FalVolt)
 			if r == nil || len(r.Series["vth"]) != len(names) {
 				continue
 			}
@@ -739,7 +739,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 			XLabel: "epoch", YLabel: "accuracy",
 			Notes: []string{fmt.Sprintf("baseline accuracy %.3f", bl.Acc)},
 		}
-		for _, m := range []core.Method{core.FaPIT, core.FalVolt} {
+		for _, m := range []mitigation.Method{mitigation.FaPIT, mitigation.FalVolt} {
 			r := find(bl.Name, 0.30, m)
 			if r == nil {
 				continue

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/core"
+	"falvolt/internal/mitigation"
 )
 
 func TestNewSuiteFillsDefaults(t *testing.T) {
@@ -290,15 +290,15 @@ func TestCampaignShardsPartitionTrials(t *testing.T) {
 }
 
 func TestEpochsToReachTarget(t *testing.T) {
-	curve := []core.EpochPoint{
+	curve := []mitigation.EpochPoint{
 		{Epoch: 0, Accuracy: 0.3},
 		{Epoch: 1, Accuracy: 0.6},
 		{Epoch: 2, Accuracy: 0.9},
 	}
-	if e := core.EpochsToReachTarget(curve, 0.55); e != 1 {
+	if e := mitigation.EpochsToReachTarget(curve, 0.55); e != 1 {
 		t.Errorf("target 0.55 reached at %d, want 1", e)
 	}
-	if e := core.EpochsToReachTarget(curve, 0.95); e != -1 {
+	if e := mitigation.EpochsToReachTarget(curve, 0.95); e != -1 {
 		t.Errorf("unreached target should give -1, got %d", e)
 	}
 }

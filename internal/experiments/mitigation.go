@@ -4,8 +4,8 @@ import (
 	"math/rand"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/core"
 	"falvolt/internal/faults"
+	"falvolt/internal/mitigation"
 )
 
 // MitigationRates are the faulty-PE fractions of the mitigation study.
@@ -24,7 +24,7 @@ func (s *Suite) mitigationFaultMap(datasetIdx int, rate float64) (*faults.Map, e
 }
 
 // mitigateJob runs one Mitigate call on a private model copy.
-func (s *Suite) mitigateJob(bl *Baseline, fm *faults.Map, cfg core.Config) (*core.Report, error) {
+func (s *Suite) mitigateJob(bl *Baseline, fm *faults.Map, cfg mitigation.Config) (*mitigation.Report, error) {
 	model, err := bl.BuildModel()
 	if err != nil {
 		return nil, err
@@ -45,7 +45,7 @@ func (s *Suite) mitigateJob(bl *Baseline, fm *faults.Map, cfg core.Config) (*cor
 	}
 	cfg.Replicas = s.Opt.TrainReplicas
 	cfg.MicroBatch = s.Opt.TrainMicroBatch
-	return core.Mitigate(model, arr, fm, bl.Data.Train, test, cfg)
+	return mitigation.Mitigate(model, arr, fm, bl.Data.Train, test, cfg)
 }
 
 // Fig2 reproduces the motivational case study: retraining with a fixed

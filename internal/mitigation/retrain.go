@@ -14,9 +14,7 @@ import (
 )
 
 // The paper's retraining family (Algorithm 1). This engine moved here
-// verbatim from internal/core, which now aliases and delegates so the
-// historical core.Mitigate API — and every figure built on it — is
-// unchanged.
+// verbatim from internal/core; every figure built on it is unchanged.
 
 // Method selects the retraining-family strategy.
 type Method int
@@ -277,7 +275,7 @@ func installEngine(arr *systolic.Array, eng tensor.Backend) func() {
 // the engine entirely — no pruning, no retraining — and just deploys,
 // which keeps the zoo-wide no-op invariant (fault-rate 0 leaves
 // accuracy and spike counts bit-identical to baseline) without touching
-// core.Mitigate's semantics, which the yield and mitigation-study
+// Mitigate's semantics, which the yield and mitigation-study
 // campaigns depend on byte-for-byte.
 type retrainStrategy struct {
 	method Method

@@ -61,8 +61,7 @@ type run struct {
 	reassigned int
 }
 
-// shardState is one shard's scheduling state (the per-run analogue of
-// the single-run coordinator's table).
+// shardState is one shard's scheduling state within a run.
 type shardState struct {
 	label     string
 	trials    []campaign.Trial

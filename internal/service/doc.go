@@ -1,22 +1,27 @@
-// Package service is the campaign-as-a-service layer: one long-lived,
-// multi-tenant coordinator that multiplexes MANY concurrent experiment
-// runs over a single shared worker fleet, where internal/cluster's
-// Coordinator serves exactly one campaign and then exits.
+// Package service is the campaign control plane: one coordinator that
+// multiplexes experiment runs over a single shared worker fleet. It
+// runs in two shapes over the same machinery:
 //
-// The split of responsibilities between the two layers:
+//   - Service (`campaign service`) is long-lived and multi-tenant: a
+//     catalog that accepts specs over HTTP and schedules every admitted
+//     run until cancelled;
+//   - OneRun (`campaign serve`, and the -coordinator flag of cmd/yield
+//     and cmd/experiments) is a campaign.Runner: it admits exactly the
+//     trials campaign.Run hands it as the catalog's only run, streams
+//     each accepted result to the caller's sink exactly once, and exits
+//     once that run is done or failed — answering lease calls with the
+//     outcome for a short linger, so idle workers exit cleanly. Without
+//     a state dir it journals into a temporary one it deletes on exit.
 //
-//   - internal/cluster owns the mechanics of distributed execution: the
-//     wire protocol (register/lease/heartbeat/results), the generic
-//     lease table with heartbeat-renewed deadlines, the worker daemon
-//     (local shard checkpoints, error taxonomy, resume), and the
-//     single-run Coordinator that drops in as a campaign.Runner.
-//   - internal/service owns multi-tenancy policy on top of those
-//     mechanics: the run catalog (submit/list/get/watch/cancel, with
-//     spec.Spec Name/Labels annotations), per-run durability, the
-//     cross-run fair-share scheduler, admission-time re-planning, the
-//     autoscaling hooks, and bearer-token auth. It reuses — not forks —
-//     cluster's LeaseTable, protocol types and HTTP helpers, and
-//     campaign's WAL.
+// internal/cluster owns the mechanics underneath: the wire protocol,
+// the generic lease table with heartbeat-renewed deadlines, the worker
+// daemon, TLS. This package owns everything that decides what runs
+// where or must survive a restart: the run catalog (submit/list/get/
+// watch/cancel, with spec.Spec Name/Labels annotations), per-run
+// durability, the cross-run fair-share scheduler, admission-time
+// re-planning, the autoscaling hooks, and bearer-token auth. It reuses
+// cluster's LeaseTable, protocol types and HTTP helpers, and campaign's
+// WAL.
 //
 // # Run catalog and durability
 //
@@ -26,18 +31,24 @@
 //   - status.json — catalog metadata (name, labels, priority, state),
 //     rewritten atomically on every state transition, so a restarted
 //     service can list terminal runs without replaying anything;
-//   - wal.jsonl — the same coordinator WAL internal/cluster journals
-//     (shard table, lease lifecycle, every accepted result), so restart
-//     recovery for an in-flight run is exactly PR 5's replay, per run;
+//   - wal.jsonl — the run's write-ahead log (campaign.WAL: shard table,
+//     lease lifecycle, every accepted result), the one crash-recovery
+//     path: restart recovery replays it;
 //   - results.jsonl — written atomically when the run completes: a
 //     complete, ordinary checkpoint (header + results sorted by trial
 //     ID) that `campaign merge` consumes like any shard file, and that
-//     merges byte-identically to a single-process execution.
+//     merges byte-identically to a single-process execution. A
+//     OneRun's holds the results it delivered; trials its caller
+//     resumed from its own checkpoint live only there.
 //
 // A SIGKILLed service restarted on the same StateDir replays every
 // in-flight run's WAL, invalidates the leases that were open at the
 // crash, and carries on; workers re-register and resume from their
 // local per-(run, shard) checkpoints, so completed trials never re-run.
+// A OneRun restarted on its StateDir recovers its run the same way,
+// re-delivers journaled results its caller lost, and refuses a state
+// dir journaling a different spec. A run killed during admission,
+// before its journal header landed, is discarded and planned afresh.
 //
 // # Scheduling
 //
@@ -68,5 +79,6 @@
 //
 // Every endpoint — worker protocol and catalog alike — requires the
 // service's bearer token ("Authorization: Bearer <token>"), compared in
-// constant time. A service refuses to start without one.
+// constant time. A service, one-run or not, refuses to start without
+// one.
 package service

@@ -70,7 +70,6 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, cluster.RegisterResponse{
 		WorkerID:       id,
 		LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds(),
-		Service:        true,
 	})
 }
 
@@ -101,6 +100,12 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	ws := s.workerSeen(w, req.WorkerID)
 	if ws == nil {
 		return
+	}
+	if s.one != nil {
+		if resp, over := s.one.leaseOutcome(); over {
+			cluster.WriteJSON(w, resp)
+			return
+		}
 	}
 	s.sweepLocked()
 	if ws.drain && s.leases.Held(req.WorkerID) == 0 {
@@ -154,7 +159,6 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	cluster.WriteJSON(w, cluster.HeartbeatResponse{
 		OK:      s.leases.Renew(req.LeaseID),
-		Status:  cluster.StatusWait,
 		Drain:   ws.drain,
 		ScaleUp: s.scaleUpLocked(),
 	})
@@ -211,6 +215,10 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if s.one != nil {
+		cluster.WriteJSONError(w, http.StatusConflict, "this is a one-run service (`campaign serve`); submit specs to a `campaign service`")
+		return
+	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, cluster.MaxBodyBytes))
 	if err != nil {
 		cluster.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -25,12 +28,24 @@ import (
 // "balance:<path>" source).
 const accumulatedPlanner = "balance:accumulated"
 
+// HTTP server timeouts. ReadHeaderTimeout bounds how long a connection
+// may dribble in its request headers (a client that connects and sends
+// nothing is dropped); IdleTimeout bounds keep-alive connections
+// between requests. There is deliberately no WriteTimeout: a
+// `?watch=` long-poll holds its response open for up to 25s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Config configures a campaign service.
 type Config struct {
 	// Addr is the listen address (":9191", "127.0.0.1:0" for tests).
 	Addr string
 	// StateDir roots the service's durable state: a lock file plus one
-	// directory per run under <StateDir>/runs/. Required.
+	// directory per run under <StateDir>/runs/. Required by Service.Run;
+	// a OneRun without one uses a temporary directory it deletes on
+	// exit.
 	StateDir string
 	// Token is the bearer credential every endpoint requires. Required:
 	// a multi-tenant catalog must not be world-writable.
@@ -57,13 +72,16 @@ type Config struct {
 	TLSCert string
 	TLSKey  string
 	// Build constructs a campaign from an admitted spec (nil selects
-	// spec.Build with CacheDir and Log; tests inject counters here).
+	// spec.Build with CacheDir and Log; tests inject counters here). A
+	// OneRun ignores it: its campaign arrives already built.
 	Build func(s *spec.Spec) (*spec.Built, error)
 	// Log receives progress lines (nil silences).
 	Log io.Writer
 
 	// now overrides the clock in tests.
 	now func() time.Time
+	// linger overrides oneRunLinger in tests.
+	linger time.Duration
 }
 
 // workerState is one registered worker's fleet entry.
@@ -90,8 +108,9 @@ type Service struct {
 	wseq    int
 	rseq    int
 	watchCh chan struct{} // closed and replaced on every catalog change
-	dirLock *os.File
 	closed  bool
+	// one is non-nil in a one-run service (see OneRun).
+	one *oneRun
 }
 
 // New builds a campaign service.
@@ -101,6 +120,9 @@ func New(cfg Config) *Service {
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
+	}
+	if cfg.linger <= 0 {
+		cfg.linger = oneRunLinger
 	}
 	return &Service{
 		cfg:     cfg,
@@ -132,7 +154,8 @@ func (s *Service) buildFunc() func(*spec.Spec) (*spec.Built, error) {
 
 // Run recovers the catalog from StateDir, serves until ctx is
 // cancelled, then shuts down cleanly (in-flight runs stay journaled and
-// resume on the next start).
+// resume on the next start). A one-run service also returns once its
+// run is terminal, after lingering so idle workers observe the outcome.
 func (s *Service) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -146,8 +169,9 @@ func (s *Service) Run(ctx context.Context) error {
 	if err := os.MkdirAll(filepath.Join(s.cfg.StateDir, runsDirName), 0o755); err != nil {
 		return fmt.Errorf("service: state dir: %w", err)
 	}
-	// One service per state dir, enforced the same way the single-run
-	// coordinator does: an flock a SIGKILLed process releases by dying.
+	// One service per state dir: two journal writers would interleave
+	// records and double-serve runs. An flock (not a pid file), so a
+	// SIGKILLed service releases it by dying.
 	lock, err := os.OpenFile(filepath.Join(s.cfg.StateDir, "lock"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("service: state dir lock: %w", err)
@@ -156,7 +180,6 @@ func (s *Service) Run(ctx context.Context) error {
 		lock.Close()
 		return fmt.Errorf("service: state dir %s is already served (%w); stop the other service first", s.cfg.StateDir, err)
 	}
-	s.dirLock = lock
 	defer func() {
 		s.mu.Lock()
 		s.closed = true
@@ -173,6 +196,9 @@ func (s *Service) Run(ctx context.Context) error {
 	s.mu.Lock()
 	err = s.recoverLocked()
 	recovered := len(s.runs)
+	if err == nil && s.one != nil {
+		err = s.admitOneLocked()
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -194,30 +220,64 @@ func (s *Service) Run(ctx context.Context) error {
 	}
 	s.url = scheme + "://" + ln.Addr().String()
 	close(s.ready)
-	srv := &http.Server{Handler: s.mux()}
+	srv := &http.Server{Handler: s.mux(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	s.logf("service: listening on %s (state %s, lease TTL %v, %d runs recovered)\n",
 		s.url, s.cfg.StateDir, s.cfg.LeaseTTL, recovered)
 
-	var runErr error
-	select {
-	case <-ctx.Done():
-		runErr = ctx.Err()
-	case err := <-serveErr:
-		runErr = fmt.Errorf("service: server: %w", err)
-	}
+	runErr := s.await(ctx, serveErr)
+	// Bar handlers from run state before shutting down: Shutdown's grace
+	// can expire with a results POST still in flight, and once Run
+	// returns a one-run caller owns its result set and checkpoint again.
+	// Taking the mutex also waits out any handler inside recordRunLocked.
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	srv.Shutdown(shutdownCtx)
 	return runErr
 }
 
+// await blocks until ctx is cancelled, the server dies, or — in a
+// one-run service — the run is terminal; then it returns the outcome.
+// A one-run service keeps answering lease calls with that outcome for
+// the linger period first, so idle workers observe it from their next
+// poll instead of burning their retry budget against a dead socket.
+func (s *Service) await(ctx context.Context, serveErr <-chan error) error {
+	for {
+		s.mu.Lock()
+		ch := s.watchCh
+		var over bool
+		var outcome error
+		if s.one != nil {
+			over, outcome = s.one.outcome()
+		}
+		s.mu.Unlock()
+		if over {
+			select {
+			case <-time.After(s.cfg.linger):
+			case <-ctx.Done():
+			}
+			return outcome
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case err := <-serveErr:
+			return fmt.Errorf("service: server: %w", err)
+		case <-ch:
+		}
+	}
+}
+
 // recoverLocked rebuilds the catalog from <StateDir>/runs/*: terminal
 // runs are listed from their status.json (results.jsonl loaded for the
-// timing model), in-flight runs replay their WAL exactly as a restarted
-// single-run coordinator does — shard table from the journal, recorded
-// results replayed, open leases invalidated.
+// timing model), in-flight runs replay their WAL — shard table from the
+// journal, recorded results replayed, open leases invalidated. A
+// one-run service refuses a state dir journaling any other spec, and
+// resumes its run whatever state the previous life left it in.
 func (s *Service) recoverLocked() error {
 	s.leases = cluster.NewLeaseTable[runShard](s.cfg.LeaseTTL, s.cfg.now)
 	runsDir := filepath.Join(s.cfg.StateDir, runsDirName)
@@ -242,6 +302,10 @@ func (s *Service) recoverLocked() error {
 		if st.ID != e.Name() {
 			return fmt.Errorf("service: run dir %s holds status for %s", e.Name(), st.ID)
 		}
+		if s.one != nil && st.Fingerprint != s.one.fp {
+			return fmt.Errorf("service: state dir %s journals spec %s, but this campaign is %s — wrong -state dir or wrong configuration",
+				s.cfg.StateDir, st.Fingerprint, s.one.fp)
+		}
 		recs = append(recs, rec{st, dir})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].st.Seq < recs[j].st.Seq })
@@ -256,7 +320,7 @@ func (s *Service) recoverLocked() error {
 			dir: rc.dir, state: rc.st.State, failure: rc.st.Failure,
 			info: cluster.CampaignInfo{Campaign: rc.st.Kind, Trials: rc.st.Trials},
 		}
-		if r.terminal() {
+		if r.terminal() && s.one == nil {
 			// Listing needs only status.json; results.jsonl (if the run
 			// completed) feeds the timing model and the fetch endpoint.
 			if rc.st.State == RunDone {
@@ -268,6 +332,23 @@ func (s *Service) recoverLocked() error {
 			s.order = append(s.order, r.id)
 			continue
 		}
+		landed, err := walHeaderLanded(rc.dir)
+		if err != nil {
+			return fmt.Errorf("service: run %s: %w", r.id, err)
+		}
+		if !landed {
+			// Killed during admission, before the journal header was
+			// flushed: the run was never acknowledged and journaled
+			// nothing, so drop it rather than fail every restart.
+			s.logf("service: run %s never journaled its header (killed during admission); discarding it\n", r.id)
+			if err := os.RemoveAll(rc.dir); err != nil {
+				return fmt.Errorf("service: discard run %s: %w", r.id, err)
+			}
+			continue
+		}
+		// A no-op for in-flight catalog runs; a one-run service resumes
+		// its run even if the last life left it failed or cancelled.
+		r.state, r.failure = RunRunning, ""
 		g, err := s.recoverRunLocked(r)
 		if err != nil {
 			return fmt.Errorf("service: recover run %s: %w", r.id, err)
@@ -328,8 +409,30 @@ func (s *Service) pruneLocked() {
 	s.order = keep
 }
 
+// walHeaderLanded reports whether a run's WAL holds at least one
+// complete line, i.e. whether its header was ever durably journaled.
+func walHeaderLanded(dir string) (bool, error) {
+	f, err := os.Open(campaign.WALPath(dir))
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	if _, err := bufio.NewReader(f).ReadBytes('\n'); err == io.EOF {
+		return false, nil
+	} else if err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 // recoverRunLocked replays one in-flight run's WAL and returns its
-// journaled grant count (for the service-wide lease sequence).
+// journaled grant count (for the service-wide lease sequence). A
+// one-run service scopes the run to the trials its caller still needs:
+// journaled trials outside that set were resumed from the caller's
+// checkpoint since, and their results are not delivered again.
 func (s *Service) recoverRunLocked(r *run) (int, error) {
 	hdr, results, leaseEvents, err := campaign.ReadWAL(campaign.WALPath(r.dir))
 	if err != nil {
@@ -354,6 +457,9 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if s.one != nil {
+		trials = s.one.trials
+	}
 	r.built, r.info, r.trials = built, info, trials
 	r.specJSON = []byte(hdr.Spec)
 	r.recorded = make(map[int][]byte)
@@ -367,14 +473,17 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 	for i, ws := range hdr.Shards {
 		ps := campaign.PlannedShard{Label: ws.Label}
 		for _, id := range ws.Trials {
-			t, ok := byID[id]
-			if !ok {
-				return 0, fmt.Errorf("WAL shard %s names unknown trial %d", ws.Label, id)
-			}
 			if prev, dup := assigned[id]; dup {
 				return 0, fmt.Errorf("WAL assigns trial %d to both shard %s and %s", id, prev, ws.Label)
 			}
 			assigned[id] = ws.Label
+			t, ok := byID[id]
+			if !ok {
+				if s.one != nil {
+					continue // out of scope: already in the caller's checkpoint
+				}
+				return 0, fmt.Errorf("WAL shard %s names unknown trial %d", ws.Label, id)
+			}
 			ps.Trials = append(ps.Trials, t)
 		}
 		planned[i] = ps
@@ -385,7 +494,8 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 	}
 	r.installPlan(planned, plannerName)
 	if len(r.trialShard) != len(trials) {
-		return 0, fmt.Errorf("WAL shard table covers %d of %d trials", len(r.trialShard), len(trials))
+		return 0, fmt.Errorf("WAL shard table covers %d of %d pending trials (a one-run journal began after a checkpoint that no longer supplies the rest: restore that checkpoint or start a fresh state dir)",
+			len(r.trialShard), len(trials))
 	}
 	// Replay journaled results. r.wal is still nil, so recordRunLocked
 	// does not re-journal them; a replay that completes the run writes
@@ -420,8 +530,8 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 			}
 		}
 	}
-	s.logf("service: recovered run %s: %d journaled results, %d stale leases invalidated, %d/%d trials pending\n",
-		r.id, r.recovered, len(open), r.remaining, len(trials))
+	s.logf("service: recovered run %s: %d journaled results (%d re-delivered), %d stale leases invalidated, %d/%d trials pending\n",
+		r.id, len(results), r.recovered, len(open), r.remaining, len(trials))
 	return grants, nil
 }
 
@@ -430,79 +540,85 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 // built by the caller (outside the lock: builds can be slow and must
 // not stall worker heartbeats).
 func (s *Service) admit(req *SubmitRequest, sp *spec.Spec, built *spec.Built) (SubmitResponse, error) {
-	canonical, err := sp.Canonical()
-	if err != nil {
-		return SubmitResponse{}, err
-	}
-	fp, err := sp.Fingerprint()
-	if err != nil {
-		return SubmitResponse{}, err
-	}
-	info, err := cluster.InfoOf(built.Campaign)
-	if err != nil {
-		return SubmitResponse{}, err
-	}
 	trials, err := built.Campaign.Trials()
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	if len(trials) == 0 {
-		return SubmitResponse{}, fmt.Errorf("service: spec %s enumerates no trials", fp)
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return SubmitResponse{}, fmt.Errorf("service: shutting down")
 	}
+	// Admission is a planning boundary: the accumulated cross-run
+	// timing (if any) flows through the Planner seam for the new run...
+	var planner campaign.Planner = campaign.UniformPlanner{}
+	plannerName := "uniform"
+	if timing := s.timingLocked(); len(timing) > 0 {
+		planner = campaign.BalancedPlanner{Timing: timing}
+		plannerName = accumulatedPlanner
+	}
+	r, err := s.admitLocked(sp, built, trials, req.Priority, planner, plannerName)
+	if err != nil {
+		return SubmitResponse{}, err
+	}
+	// ...and back into any running run that has no leases outstanding.
+	s.replanIdleLocked(r.id)
+	s.bumpLocked()
+	return SubmitResponse{RunID: r.id, Fingerprint: r.fp, Trials: len(trials), Shards: len(r.shards)}, nil
+}
+
+// admitLocked creates a run over trials: its state directory, a shard
+// table from planner, status.json and the WAL header.
+func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaign.Trial,
+	priority int, planner campaign.Planner, plannerName string) (*run, error) {
+	canonical, err := sp.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	fp, err := sp.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	info, err := cluster.InfoOf(built.Campaign)
+	if err != nil {
+		return nil, err
+	}
+	if len(trials) == 0 {
+		return nil, fmt.Errorf("service: spec %s enumerates no trials", fp)
+	}
 	s.rseq++
 	r := &run{
 		id:  fmt.Sprintf("r%d-%s", s.rseq, fp[:8]),
 		seq: s.rseq, name: sp.Name, labels: sp.Labels, kind: sp.Kind,
-		priority: req.Priority, fp: fp, specJSON: canonical,
+		priority: priority, fp: fp, specJSON: canonical,
 		state: RunRunning, built: built, info: info, trials: trials,
 		recorded: make(map[int][]byte), remaining: len(trials),
 	}
 	r.dir = filepath.Join(s.cfg.StateDir, runsDirName, r.id)
 	if err := os.MkdirAll(r.dir, 0o755); err != nil {
-		return SubmitResponse{}, fmt.Errorf("service: run dir: %w", err)
-	}
-
-	// Admission is a planning boundary: the accumulated cross-run
-	// timing (if any) flows through the Planner seam for the new run...
-	timing := s.timingLocked()
-	var planner campaign.Planner = campaign.UniformPlanner{}
-	plannerName := "uniform"
-	if len(timing) > 0 {
-		planner = campaign.BalancedPlanner{Timing: timing}
-		plannerName = accumulatedPlanner
+		return nil, fmt.Errorf("service: run dir: %w", err)
 	}
 	planned, err := planner.Plan(trials, campaign.ResolveShards(s.cfg.Shards, cluster.DefaultShards, len(trials)))
 	if err != nil {
-		return SubmitResponse{}, err
+		return nil, err
 	}
 	r.installPlan(planned, plannerName)
-
 	if err := r.writeStatus(); err != nil {
-		return SubmitResponse{}, err
+		return nil, err
 	}
 	wal, err := campaign.CreateWAL(campaign.WALPath(r.dir), campaign.WALHeader{
 		Campaign: info.Campaign, Trials: info.Trials, Fingerprint: fp,
 		Spec: string(canonical), Planner: plannerName, Shards: r.walShards(),
 	})
 	if err != nil {
-		return SubmitResponse{}, err
+		return nil, err
 	}
 	r.wal = wal
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
 	s.logf("service: admitted run %s (%s, %d trials, %d shards, priority %d, planner %s)\n",
 		r.id, displayName(r), len(trials), len(r.shards), r.priority, plannerName)
-
-	// ...and back into any running run that has no leases outstanding.
-	s.replanIdleLocked(r.id)
-	s.bumpLocked()
-	return SubmitResponse{RunID: r.id, Fingerprint: fp, Trials: len(trials), Shards: len(r.shards)}, nil
+	return r, nil
 }
 
 // replanIdleLocked re-plans every running, currently-unleased run
@@ -540,9 +656,12 @@ func (s *Service) replanIdleLocked(excludeID string) {
 	}
 }
 
-// recordRunLocked folds one result into a run: exactly-once recording,
-// duplicate verification, journaling, shard bookkeeping, completion.
-// Mirrors the single-run coordinator's recordLocked, per run.
+// recordRunLocked folds one streamed (or WAL-replayed) result into a
+// run: exactly-once recording — and, in a one-run service, exactly-once
+// delivery to the caller's sink — duplicate verification, journaling,
+// shard bookkeeping, completion. It reports whether the result was
+// newly accepted (false for out-of-scope records and identical
+// duplicates).
 func (s *Service) recordRunLocked(r *run, res campaign.Result) (bool, error) {
 	shard, planned := r.trialShard[res.TrialID]
 	if !planned {
@@ -558,6 +677,16 @@ func (s *Service) recordRunLocked(r *run, res campaign.Result) (bool, error) {
 		}
 		return false, nil
 	}
+	if s.one != nil {
+		// Under the service lock: campaign.Runner requires serialized
+		// sink calls, and campaign.Run's sink only appends to the
+		// caller's result set and checkpoint.
+		if err := s.one.sink(res); err != nil {
+			return false, err
+		}
+	}
+	// Journal after the sink accepted: "in the WAL" means "delivered",
+	// so replay can re-deliver journaled results a one-run caller lost.
 	if r.wal != nil {
 		if err := r.wal.AppendResult(res); err != nil {
 			return false, fmt.Errorf("service: journal result for trial %d: %w", res.TrialID, err)
