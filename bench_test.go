@@ -213,35 +213,12 @@ func BenchmarkFig8CurveEpoch(b *testing.B) {
 	}
 }
 
-// benchBaselineTrainEpoch measures one epoch of fault-free training
-// (the §V-A baseline stage) on an explicit engine (nil = default).
-func benchBaselineTrainEpoch(b *testing.B, eng tensor.Backend) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.restore(b)
-		if _, err := snn.Train(f.model.Net, f.ds.Train[:48], snn.TrainConfig{
-			Epochs: 1, BatchSize: 16, LR: 0.01, Classes: 10,
-			Rng: rand.New(rand.NewSource(int64(i))), Engine: eng,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	f.model.Net.SetEngine(nil)
-}
-
-func BenchmarkBaselineTrainEpoch(b *testing.B)       { benchBaselineTrainEpoch(b, nil) }
-func BenchmarkBaselineTrainEpochSerial(b *testing.B) { benchBaselineTrainEpoch(b, tensor.Serial()) }
-func BenchmarkBaselineTrainEpochParallel(b *testing.B) {
-	benchBaselineTrainEpoch(b, tensor.NewParallel(0))
-}
-
-// benchBaselineTrainEpochReplicas measures the same epoch on the
-// data-parallel replica engine: each 48-sample batch splits into eight
-// 6-sample micro-batches dispatched over the engine's lanes, with
-// gradients reduced in fixed micro-batch order. The serial/parallel
-// pair isolates the lane speedup — both produce bit-identical weights.
+// benchBaselineTrainEpochReplicas measures one epoch of fault-free
+// training (the §V-A baseline stage) on the data-parallel replica
+// engine: each 48-sample batch splits into eight 6-sample micro-batches
+// dispatched over the engine's lanes, with gradients reduced in fixed
+// micro-batch order. The serial/parallel pair isolates the lane
+// speedup — both produce bit-identical weights.
 func benchBaselineTrainEpochReplicas(b *testing.B, eng tensor.Backend) {
 	f := getFixture(b)
 	b.ResetTimer()
@@ -268,7 +245,7 @@ func BenchmarkBaselineTrainEpochReplicasParallel(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass, dense bool, eng tensor.Backend) {
+func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass bool, eng tensor.Backend) {
 	arr := newArray(b, 64)
 	arr.SetEngine(eng)
 	if faulty {
@@ -278,7 +255,6 @@ func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass, dense
 		}
 		arr.SetBypass(bypass)
 	}
-	arr.SetDenseReference(dense)
 	rng := rand.New(rand.NewSource(21))
 	x := tensor.New(32, 256)
 	for i := range x.Data {
@@ -297,7 +273,7 @@ func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass, dense
 }
 
 func benchSystolicForward(b *testing.B, faulty, bypass bool, eng tensor.Backend) {
-	benchSystolicForwardAt(b, 0.3, faulty, bypass, false, eng)
+	benchSystolicForwardAt(b, 0.3, faulty, bypass, eng)
 }
 
 func BenchmarkSystolicForwardClean(b *testing.B)  { benchSystolicForward(b, false, false, nil) }
@@ -347,33 +323,19 @@ func BenchmarkSystolicForwardBitFlipParallel(b *testing.B) {
 	benchSystolicForwardBitFlip(b, tensor.NewParallel(0))
 }
 
-// Sparse vs Dense pairs: the event-list plane against the preserved
-// pre-change reference path, across spike densities. Sparse/Dense outputs
-// are bit-identical (see internal/systolic sparse_test.go); only the
-// wall-clock differs.
+// Spike-density sweep of the event-list plane: clean columns iterate
+// only over spikes, so wall-clock should track the density.
 func BenchmarkSystolicForwardCleanSparse10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, false, false, false, nil)
-}
-func BenchmarkSystolicForwardCleanDense10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, false, false, true, nil)
+	benchSystolicForwardAt(b, 0.1, false, false, nil)
 }
 func BenchmarkSystolicForwardCleanSparse100(b *testing.B) {
-	benchSystolicForwardAt(b, 1.0, false, false, false, nil)
-}
-func BenchmarkSystolicForwardCleanDense100(b *testing.B) {
-	benchSystolicForwardAt(b, 1.0, false, false, true, nil)
+	benchSystolicForwardAt(b, 1.0, false, false, nil)
 }
 func BenchmarkSystolicForwardFaultySparse10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, true, false, false, nil)
-}
-func BenchmarkSystolicForwardFaultyDense10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, true, false, true, nil)
+	benchSystolicForwardAt(b, 0.1, true, false, nil)
 }
 func BenchmarkSystolicForwardFaultySparse30(b *testing.B) {
-	benchSystolicForwardAt(b, 0.3, true, false, false, nil)
-}
-func BenchmarkSystolicForwardFaultyDense30(b *testing.B) {
-	benchSystolicForwardAt(b, 0.3, true, false, true, nil)
+	benchSystolicForwardAt(b, 0.3, true, false, nil)
 }
 
 // Salvage pair: one head-to-head benchmark cell through the pluggable

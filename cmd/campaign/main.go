@@ -345,6 +345,11 @@ func (c *config) spec() (*spec.Spec, error) {
 		}
 	case "selftest":
 		s.Selftest = &spec.SelftestSpec{Trials: c.trials, DelayMillis: c.delayMS}
+	case "faultsim", "falvolt":
+		// Their config flags live on the tools, which compile them into
+		// the spec this command runs.
+		return nil, fmt.Errorf("-c %s has no config flags here: compile its spec with `cmd/%s -dump-spec > %s.json` and pass -spec %s.json",
+			c.kind, c.kind, c.kind, c.kind)
 	case "faultmodel":
 		rates, err := parseRates(c.rates)
 		if err != nil {

@@ -4,10 +4,13 @@
 // and report the recovered accuracy and the optimized per-layer threshold
 // voltages.
 //
-// The flags compile into a declarative experiment spec (internal/spec,
-// kind "falvolt"): -dump-spec prints it and -spec runs from a spec
-// file, so a pipeline configuration is a reviewable JSON artifact like
-// every campaign's.
+// It is a thin shim over the declarative experiment spec
+// (internal/spec): the flags compile into a Spec of kind "falvolt",
+// -dump-spec prints it and -spec runs from a spec file. The run calls
+// the same internal/core functions as the registered "falvolt" campaign
+// kind's one trial (which `campaign run/serve/submit -spec` execute),
+// and adds what only a local run can: -save writes the mitigated
+// network and -vths=false drops the threshold table.
 //
 // Usage:
 //
@@ -19,18 +22,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"strings"
 
 	"falvolt/internal/core"
-	"falvolt/internal/datasets"
-	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
-	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/spec"
-	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
 )
 
@@ -104,107 +100,23 @@ func main() {
 }
 
 func run(s *spec.Spec, stateOut string, showVths bool) error {
-	p := s.Pipeline.Defaulted()
-	seed := s.Seed
-	arrayN, baseEpochs, epochs := p.Array, p.BaseEpochs, p.Epochs
-	trainN, testN := p.Train, p.Test
-
-	// Everything user-named is validated before any training happens, so
-	// a typo fails in milliseconds, not after the baseline epoch loop.
-	var mspec snn.ModelSpec
-	var gen func(datasets.Config) (*datasets.Dataset, error)
-	dcfg := datasets.Config{Train: trainN, Test: testN, Seed: seed}
-	dsName := strings.ToLower(p.Dataset)
-	switch dsName {
-	case "mnist":
-		mspec, gen = snn.MNISTSpec(), datasets.SyntheticMNIST
-		dcfg.T = mspec.T
-	case "nmnist":
-		mspec, gen = snn.NMNISTSpec(), datasets.SyntheticNMNIST
-		dcfg.T = mspec.T
-	case "dvsgesture":
-		mspec, gen = snn.DVSGestureSpec(), datasets.SyntheticDVSGesture
-		dcfg.H, dcfg.W, dcfg.T = mspec.InH, mspec.InW, mspec.T
-	default:
-		return fmt.Errorf("unknown dataset %q", p.Dataset)
-	}
-	method, err := mitigation.ParseMethod(p.Method)
+	deps, err := core.FalVoltBaseline(s, os.Stdout)
 	if err != nil {
 		return err
 	}
-	if p.Quick {
-		mspec.EncoderC = 4
-		if len(mspec.BlockC) > 2 {
-			mspec.InH, mspec.InW = 16, 16
-			mspec.BlockC = []int{8, 8, 16}
-			dcfg.H, dcfg.W = 16, 16
-		} else {
-			mspec.BlockC = []int{8, 8}
-		}
-		mspec.FCHidden = 32
-	}
-
-	fmt.Printf("dataset %s | model %s | array %dx%d | fault rate %.0f%% | method %s\n",
-		dsName, mspec.Name, arrayN, arrayN, p.Rate*100, method)
-
-	ds, err := gen(dcfg)
+	r, retrain, err := core.FalVoltTrial(deps, s)
 	if err != nil {
 		return err
 	}
-	model, err := snn.Build(mspec, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("training baseline (%d samples, %d epochs)...\n", len(ds.Train), baseEpochs)
-	baseAcc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-		Epochs: baseEpochs, LR: 0.02, Rng: rand.New(rand.NewSource(seed + 1)),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("baseline accuracy: %.3f\n", baseAcc)
-
-	arr, err := systolic.New(systolic.Config{
-		Rows: arrayN, Cols: arrayN, Format: fixed.Q16x16, Saturate: true,
-	})
-	if err != nil {
-		return err
-	}
-	fm, err := faults.GenerateRate(arrayN, arrayN, p.Rate, faults.GenSpec{
-		BitMode: faults.MSBBits, Pol: faults.StuckAt1, PolMode: faults.FixedPol,
-	}, rand.New(rand.NewSource(seed+2)))
-	if err != nil {
-		return err
-	}
-	fmt.Println(fm)
-
-	faultyAcc, err := core.EvaluateFaulty(model, arr, fm, ds.Test, false, 32)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("accuracy with unmitigated faults: %.3f\n", faultyAcc)
-
-	rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
-		Method: method, Epochs: epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
-		Rng: rand.New(rand.NewSource(seed + 3)),
-		Progress: func(epoch int, loss float64) {
-			fmt.Printf("  [%s] epoch %2d loss %.4f\n", method, epoch, loss)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("after %s: accuracy %.3f (pruned %.1f%% of weights, retrain %.1fs)\n",
-		method, rep.Accuracy, rep.PrunedFraction*100, rep.RetrainDuration.Seconds())
+	var names []string
 	if showVths {
-		fmt.Println("per-layer threshold voltages:")
-		for i, name := range model.SpikingNames {
-			fmt.Printf("  %-7s Vth = %.3f\n", name, rep.Vths[i])
-		}
+		names = deps.Model.SpikingNames
+	}
+	if err := core.WriteFalVolt(os.Stdout, s, r, retrain, names); err != nil {
+		return err
 	}
 	if stateOut != "" {
-		if err := snn.SaveStateFile(model.Net.State(), stateOut); err != nil {
+		if err := snn.SaveStateFile(deps.Model.Net.State(), stateOut); err != nil {
 			return err
 		}
 		fmt.Println("saved mitigated network state to", stateOut)

@@ -1,14 +1,16 @@
-// Command faultsim explores fault vulnerability of a systolic SNN
-// without any mitigation: sweep the stuck bit position, the number of
-// faulty PEs, the array size, or a pluggable fault model's rate ladder,
-// and report classification accuracy (the paper's Fig. 5 family) for
-// one dataset.
+// Command faultsim explores fault vulnerability of a systolic SNN:
+// sweep the stuck bit position, the number of faulty PEs, the array
+// size, or a pluggable fault model's rate ladder, and report
+// classification accuracy (the paper's Fig. 5 family) for one dataset.
 //
-// The flags compile into a declarative experiment spec (internal/spec,
-// kind "faultsim"): -dump-spec prints it and -spec runs from a spec
-// file. Dataset and sweep names are validated before any training
-// starts, so a typo fails immediately instead of after the baseline
-// epochs.
+// It is a thin shim over the declarative experiment spec
+// (internal/spec): the flags compile into a Spec of kind "faultsim",
+// -dump-spec prints it, -spec runs from a spec file, and the spec
+// registry builds the sweep as a campaign with one trial per (sweep
+// point × polarity × repeat) cell — the same campaign `campaign
+// run/serve/submit -spec` shard, checkpoint and distribute. Dataset and
+// sweep names are validated before any training starts, so a typo fails
+// immediately instead of after the baseline epochs.
 //
 // Usage:
 //
@@ -28,18 +30,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 
-	"falvolt/internal/core"
-	"falvolt/internal/datasets"
+	"falvolt/internal/campaign"
+	_ "falvolt/internal/core" // registers the faultsim kind
 	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
-	"falvolt/internal/mitigation"
-	"falvolt/internal/snn"
 	"falvolt/internal/spec"
-	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
 )
 
@@ -111,259 +108,17 @@ func main() {
 	if err := tensor.SetDefaultByName(s.Backend); err != nil {
 		fail(err)
 	}
-	if err := run(s); err != nil {
+	// Baseline progress is part of the report, so the build log goes to
+	// stdout ahead of the table.
+	built, err := spec.Build(s, spec.BuildOpts{Log: os.Stdout})
+	if err != nil {
 		fail(err)
 	}
-}
-
-func run(s *spec.Spec) error {
-	f := s.FaultSim.Defaulted()
-	seed := s.Seed
-	arrayN, nFaults, repeats := f.Array, f.Faults, f.Repeats
-	baseEpochs := f.EffectiveBaseEpochs()
-	trainN, testN := f.Train, f.Test
-	var bt spec.TrainSpec
-	if f.Training != nil {
-		bt = *f.Training
-	}
-	baseLoss, err := snn.LossByName(bt.Loss)
+	rr, err := campaign.Run(built.Campaign, campaign.Options{})
 	if err != nil {
-		return err
+		fail(err)
 	}
-	baseLR := bt.LR
-	if baseLR == 0 {
-		baseLR = 0.02
+	if err := built.Render(os.Stdout, rr.Results); err != nil {
+		fail(err)
 	}
-
-	// Validate every user-named knob before the (expensive) baseline
-	// training, so misconfiguration fails in milliseconds.
-	sweep := strings.ToLower(f.Sweep)
-	switch sweep {
-	case "bits", "count", "size", "model":
-	default:
-		return fmt.Errorf("unknown sweep %q (want bits | count | size | model)", f.Sweep)
-	}
-	var fmodel faults.FaultModel
-	if sweep == "model" {
-		mspec := f.Model
-		if mspec == nil {
-			mspec = &spec.FaultModelSpec{}
-		}
-		if err := mspec.Validate(); err != nil {
-			return err
-		}
-		var err error
-		if fmodel, err = mspec.FaultModel(); err != nil {
-			return err
-		}
-	}
-	mitSpec := f.Mitigate
-	if mitSpec != nil {
-		if err := mitSpec.Validate(); err != nil {
-			return err
-		}
-	}
-	var mspec snn.ModelSpec
-	var gen func(datasets.Config) (*datasets.Dataset, error)
-	dcfg := datasets.Config{Train: trainN, Test: testN, Seed: seed}
-	dsName := strings.ToLower(f.Dataset)
-	switch dsName {
-	case "mnist":
-		mspec, gen = snn.MNISTSpec(), datasets.SyntheticMNIST
-	case "nmnist":
-		mspec, gen = snn.NMNISTSpec(), datasets.SyntheticNMNIST
-	case "dvsgesture":
-		mspec, gen = snn.DVSGestureSpec(), datasets.SyntheticDVSGesture
-		mspec.InH, mspec.InW, mspec.BlockC = 16, 16, []int{8, 8, 16}
-		dcfg.H, dcfg.W = 16, 16
-	default:
-		return fmt.Errorf("unknown dataset %q", f.Dataset)
-	}
-	mspec.EncoderC, mspec.FCHidden = 4, 32
-	if len(mspec.BlockC) == 2 {
-		mspec.BlockC = []int{8, 8}
-	}
-	dcfg.T = mspec.T
-
-	ds, err := gen(dcfg)
-	if err != nil {
-		return err
-	}
-	model, err := snn.Build(mspec, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("training %s baseline...\n", dsName)
-	baseAcc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-		Epochs: baseEpochs, LR: baseLR, BatchSize: bt.Batch, ClipNorm: bt.ClipNorm,
-		Loss: baseLoss, Rng: rand.New(rand.NewSource(seed + 1)),
-		Replicas: bt.Replicas, MicroBatch: bt.MicroBatch,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("baseline accuracy %.3f\n", baseAcc)
-	if mitSpec != nil {
-		fmt.Printf("mitigating every deployment with %s\n", mitSpec.EffectiveKind())
-	}
-	fmt.Println()
-
-	// Fault-free snapshot: each salvaged measurement restores it before
-	// the strategy (possibly) retrains, so sweep points stay independent.
-	base := model.Net.State()
-	var mitTrial int64
-	salvaged := func(arr *systolic.Array, inject func() error) (float64, error) {
-		net := model.Net
-		net.Undeploy()
-		if err := net.LoadState(base); err != nil {
-			return 0, err
-		}
-		arr.ClearFaults()
-		arr.SetBypass(false)
-		if err := inject(); err != nil {
-			return 0, err
-		}
-		epochs := mitSpec.EffectiveEpochs()
-		if epochs == 0 {
-			epochs = 1
-		}
-		mt := mitSpec.TrainingOrZero()
-		batch, clip := mt.Batch, mt.ClipNorm
-		if batch == 0 {
-			batch = 16
-		}
-		// clipNorm 0 always means the paper's clip of 5 (the same
-		// sentinel as core.BaselineConfig): gradient clipping cannot be
-		// disabled from a spec, only retuned.
-		if clip == 0 {
-			clip = 5
-		}
-		mitTrial++
-		mit, err := mitigation.New(mitSpec.EffectiveKind(), mitigation.Options{
-			Train: ds.Train, Test: ds.Test, Epochs: epochs, BatchSize: batch,
-			LR: mitSpec.EffectiveLR(), ClipNorm: clip, FixedVth: mitSpec.Vth,
-			Rng:        rand.New(rand.NewSource(seed + 7919*mitTrial)),
-			BypassBit:  mitSpec.BypassBit,
-			Replicas:   mt.Replicas,
-			MicroBatch: mt.MicroBatch,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := mit.Apply(model, arr, arr.FaultMap()); err != nil {
-			return 0, err
-		}
-		acc := snn.EvaluateWith(nil, net, ds.Test, 32)
-		net.Undeploy()
-		arr.ClearFaults()
-		arr.SetBypass(false)
-		return acc, nil
-	}
-	evalMap := func(arr *systolic.Array, genMap func(rep int) (*faults.Map, error)) (float64, error) {
-		var sum float64
-		for r := 0; r < repeats; r++ {
-			fm, err := genMap(r)
-			if err != nil {
-				return 0, err
-			}
-			var acc float64
-			if mitSpec != nil {
-				acc, err = salvaged(arr, func() error { return arr.InjectFaults(fm) })
-			} else {
-				acc, err = core.EvaluateFaulty(model, arr, fm, ds.Test, false, 32)
-			}
-			if err != nil {
-				return 0, err
-			}
-			sum += acc
-		}
-		return sum / float64(repeats), nil
-	}
-	newArr := func(side int) (*systolic.Array, error) {
-		return systolic.New(systolic.Config{Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true})
-	}
-
-	switch sweep {
-	case "bits":
-		arr, err := newArr(arrayN)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-5s  %-8s  %-8s\n", "bit", "sa0", "sa1")
-		for bit := uint(0); bit <= 16; bit += 2 {
-			var accs [2]float64
-			for pi, pol := range []faults.Polarity{faults.StuckAt0, faults.StuckAt1} {
-				acc, err := evalMap(arr, func(rep int) (*faults.Map, error) {
-					return faults.Generate(arrayN, arrayN, faults.GenSpec{
-						NumFaulty: nFaults, BitMode: faults.FixedBit, Bit: bit, Pol: pol,
-					}, rand.New(rand.NewSource(seed+int64(1000*pi)+int64(bit*10)+int64(rep))))
-				})
-				if err != nil {
-					return err
-				}
-				accs[pi] = acc
-			}
-			fmt.Printf("%-5d  %-8.3f  %-8.3f\n", bit, accs[0], accs[1])
-		}
-	case "count":
-		arr, err := newArr(arrayN)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8s  %-8s\n", "faulty", "accuracy")
-		for _, n := range []int{0, 4, 8, 16, 32, 40, 48, 56, 64} {
-			acc, err := evalMap(arr, func(rep int) (*faults.Map, error) {
-				return faults.Generate(arrayN, arrayN, faults.GenSpec{
-					NumFaulty: n, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
-				}, rand.New(rand.NewSource(seed+int64(n*10+rep))))
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-8d  %-8.3f\n", n, acc)
-		}
-	case "size":
-		fmt.Printf("%-10s  %-8s\n", "totalPEs", "accuracy")
-		for _, side := range []int{4, 8, 16, 32, 256} {
-			arr, err := newArr(side)
-			if err != nil {
-				return err
-			}
-			acc, err := evalMap(arr, func(rep int) (*faults.Map, error) {
-				return faults.Generate(side, side, faults.GenSpec{
-					NumFaulty: nFaults, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
-				}, rand.New(rand.NewSource(seed+int64(side*10+rep))))
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-10d  %-8.3f\n", side*side, acc)
-		}
-	case "model":
-		arr, err := newArr(arrayN)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("model %s\n", fmodel.Name())
-		fmt.Printf("%-10s  %-8s\n", "rate", "accuracy")
-		for _, rate := range spec.DefaultFaultModelRates() {
-			var sum float64
-			for r := 0; r < repeats; r++ {
-				mseed := seed + int64(1e6*rate) + int64(r)
-				var acc float64
-				var err error
-				if mitSpec != nil {
-					acc, err = salvaged(arr, func() error { return fmodel.Inject(arr, rate, mseed) })
-				} else {
-					acc, err = core.EvaluateModelFaulty(model, arr, fmodel, rate, mseed, ds.Test, core.EvalOptions{BatchSize: 32})
-				}
-				if err != nil {
-					return err
-				}
-				sum += acc
-			}
-			fmt.Printf("%-10g  %-8.3f\n", rate, sum/float64(repeats))
-		}
-	}
-	return nil
 }

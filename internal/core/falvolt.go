@@ -94,43 +94,13 @@ func installEngine(arr *systolic.Array, eng tensor.Backend) func() {
 // accumulator faults — the Ablation-FaultSite experiment quantifies this.
 func EvaluateWeightFaulty(model *snn.Model, arr *systolic.Array, fm *faults.Map,
 	test []snn.Sample, bypass bool, batchSize int) (float64, error) {
-	return EvaluateWeightFaultyOpts(model, arr, fm, test, EvalOptions{Bypass: bypass, BatchSize: batchSize})
-}
-
-// EvaluateWeightFaultyOpts is EvaluateWeightFaulty with the full option
-// set.
-func EvaluateWeightFaultyOpts(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	test []snn.Sample, opt EvalOptions) (float64, error) {
 	arr.ClearFaults()
 	if err := arr.InjectWeightFaults(fm); err != nil {
 		return 0, fmt.Errorf("core: inject weight faults: %w", err)
 	}
-	arr.SetBypass(opt.Bypass)
-	restore := installEngine(arr, opt.Engine)
-	defer restore()
+	arr.SetBypass(bypass)
 	model.Net.Deploy(arr)
-	acc := snn.EvaluateWith(opt.Engine, model.Net, test, opt.BatchSize)
-	model.Net.Undeploy()
-	arr.ClearFaults()
-	return acc, nil
-}
-
-// EvaluateModelFaulty measures deployed test accuracy under an
-// arbitrary pluggable fault model at one (rate, seed) cell — the
-// model-agnostic generalization of EvaluateFaulty. Any previous fault
-// state is cleared first, and all fault state is cleared on return, so
-// one array can sweep many (model × rate × seed) cells.
-func EvaluateModelFaulty(model *snn.Model, arr *systolic.Array, fm faults.FaultModel,
-	rate float64, seed int64, test []snn.Sample, opt EvalOptions) (float64, error) {
-	arr.ClearFaults()
-	if err := fm.Inject(arr, rate, seed); err != nil {
-		return 0, fmt.Errorf("core: inject %s faults: %w", fm.Name(), err)
-	}
-	arr.SetBypass(opt.Bypass)
-	restore := installEngine(arr, opt.Engine)
-	defer restore()
-	model.Net.Deploy(arr)
-	acc := snn.EvaluateWith(opt.Engine, model.Net, test, opt.BatchSize)
+	acc := snn.EvaluateWith(nil, model.Net, test, batchSize)
 	model.Net.Undeploy()
 	arr.ClearFaults()
 	return acc, nil

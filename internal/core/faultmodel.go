@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
@@ -48,22 +47,19 @@ func FaultModelTrials(cfg spec.FaultModelCampaignSpec, seed int64) []campaign.Tr
 	return trials
 }
 
-// faultModelWorker is one lane's private state: a clean/faulty array
-// pair plus the deterministic workload (weights and spike input derived
-// from the campaign seed — identical on every lane, shard and worker
-// count, so only the trial's fault instance varies between cells).
-type faultModelWorker struct {
-	cfg    spec.FaultModelCampaignSpec
-	model  faults.FaultModel
-	clean  *systolic.Array
+// corruptionProbe is one lane's private state for the model-free kinds
+// (faultmodel, sitesweep): a faulty array plus a deterministic spiking
+// workload and its clean output, derived from the campaign seed —
+// identical on every lane, shard and worker count, so only the trial's
+// fault instance varies between cells.
+type corruptionProbe struct {
 	faulty *systolic.Array
 	wm     *systolic.Matrix
 	x      *tensor.Tensor
 	yClean *tensor.Tensor
 }
 
-func newFaultModelWorker(d spec.FaultModelCampaignSpec, model faults.FaultModel, seed int64) (campaign.Worker, error) {
-	side := d.Array
+func newCorruptionProbe(side, batch int, density float64, seed int64) (*corruptionProbe, error) {
 	mk := func() (*systolic.Array, error) {
 		return systolic.New(systolic.Config{
 			Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true,
@@ -87,38 +83,33 @@ func newFaultModelWorker(d spec.FaultModelCampaignSpec, model faults.FaultModel,
 	w := tensor.New(m, k)
 	w.RandNormal(rng, 0.5)
 	wm := systolic.QuantizeMatrix(w, fixed.Q16x16)
-	x := tensor.New(d.Batch, k)
+	x := tensor.New(batch, k)
 	xrng := rand.New(rand.NewSource(seed + 1))
 	for i := range x.Data {
-		if xrng.Float64() < d.Density {
+		if xrng.Float64() < density {
 			x.Data[i] = 1
 		}
 	}
-	fw := &faultModelWorker{cfg: d, model: model, clean: clean, faulty: faulty, wm: wm, x: x}
-	fw.yClean = clean.Forward(x, wm, true)
-	return fw, nil
+	return &corruptionProbe{faulty: faulty, wm: wm, x: x, yClean: clean.Forward(x, wm, true)}, nil
 }
 
-// RunTrial injects the trial's (rate, seed) cell and steps the faulty
-// array through the inference horizon, comparing each timestep's output
-// against the clean reference. Metrics accumulate in index order over
-// float64, so a trial's result is bit-identical wherever it runs.
-func (fw *faultModelWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
-	rate, err := strconv.ParseFloat(t.Tags["rate"], 64)
-	if err != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d: bad rate tag %q", t.ID, t.Tags["rate"])
-	}
-	fw.faulty.ClearFaults()
-	if err := fw.model.Inject(fw.faulty, rate, t.Seed); err != nil {
+// measure injects trial t's fault instance into the cleared faulty
+// array and steps it through the inference horizon, comparing each
+// timestep's output against the clean reference. Metrics accumulate in
+// index order over float64, so a trial's result is bit-identical
+// wherever it runs.
+func (p *corruptionProbe) measure(t campaign.Trial, timesteps int, inject func(*systolic.Array) error) (campaign.Result, error) {
+	p.faulty.ClearFaults()
+	if err := inject(p.faulty); err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 	}
 	var corrupt, total int
 	var sumAbs, maxAbs float64
-	for step := 0; step < fw.cfg.Timesteps; step++ {
-		fw.faulty.SetTimestep(step)
-		yf := fw.faulty.Forward(fw.x, fw.wm, true)
+	for step := 0; step < timesteps; step++ {
+		p.faulty.SetTimestep(step)
+		yf := p.faulty.Forward(p.x, p.wm, true)
 		for i := range yf.Data {
-			d := math.Abs(float64(yf.Data[i]) - float64(fw.yClean.Data[i]))
+			d := math.Abs(float64(yf.Data[i]) - float64(p.yClean.Data[i]))
 			total++
 			if d != 0 {
 				corrupt++
@@ -129,7 +120,7 @@ func (fw *faultModelWorker) RunTrial(t campaign.Trial) (campaign.Result, error) 
 			}
 		}
 	}
-	fw.faulty.ClearFaults()
+	p.faulty.ClearFaults()
 	return campaign.Result{
 		TrialID: t.ID,
 		Key:     t.Key,
@@ -159,7 +150,17 @@ func FaultModelCampaign(cfg spec.FaultModelCampaignSpec, seed int64) (campaign.C
 	}
 	trials := FaultModelTrials(d, seed)
 	return campaign.NewWithMeta("faultmodel", meta, trials, func(lane int) (campaign.Worker, error) {
-		return newFaultModelWorker(d, model, seed)
+		p, err := newCorruptionProbe(d.Array, d.Batch, d.Density, seed)
+		if err != nil {
+			return nil, err
+		}
+		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
+			rate, err := strconv.ParseFloat(t.Tags["rate"], 64)
+			if err != nil {
+				return campaign.Result{}, fmt.Errorf("core: trial %d: bad rate tag %q", t.ID, t.Tags["rate"])
+			}
+			return p.measure(t, d.Timesteps, func(a *systolic.Array) error { return model.Inject(a, rate, t.Seed) })
+		}), nil
 	}), nil
 }
 

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
@@ -111,93 +109,45 @@ func salvageMeta(d spec.SalvageCampaignSpec, seed int64, extra map[string]string
 	return m
 }
 
-// salvageCampaign implements campaign.Campaign and
-// campaign.MetaProvider, with the expensive resources (trained
-// baseline, arrays) built lazily on first worker use — planning trials,
-// and resuming a checkpoint that already covers every trial, never pay
-// for baseline training.
-type salvageCampaign struct {
-	d           spec.SalvageCampaignSpec
-	seed        int64
-	fingerprint map[string]string
-	build       func() (YieldDeps, error)
-
-	once sync.Once
-	deps YieldDeps
-	err  error
-}
-
 // SalvageCampaign builds the runnable campaign for a salvage section.
 // The baseline resources are shared with the yield study
 // (SyntheticYieldBuild): one trained model, its fault-free snapshot, a
-// clean array, and a BuildModel factory for parallel lanes.
+// clean array, and a BuildModel factory for parallel lanes. They are
+// built on first worker use, so planning trials, and resuming a
+// checkpoint that already covers every trial, never pay for baseline
+// training. Lane 0 reuses the shared model and array; further lanes
+// build private replicas via BuildModel.
 func SalvageCampaign(cfg spec.SalvageCampaignSpec, seed int64,
 	fingerprint map[string]string, build func() (YieldDeps, error)) (campaign.Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &salvageCampaign{
-		d: cfg.Defaulted(), seed: seed, fingerprint: fingerprint, build: build,
-	}, nil
-}
-
-// Name implements campaign.Campaign.
-func (c *salvageCampaign) Name() string { return "salvage" }
-
-// Meta implements campaign.MetaProvider.
-func (c *salvageCampaign) Meta() map[string]string {
-	return salvageMeta(c.d, c.seed, c.fingerprint)
-}
-
-// Trials implements campaign.Campaign without touching the resources.
-func (c *salvageCampaign) Trials() ([]campaign.Trial, error) {
-	return SalvageTrials(c.d, c.seed), nil
-}
-
-// NewWorker implements campaign.Campaign, building the resources once.
-// Lane 0 reuses the shared model and array; further lanes build private
-// replicas via BuildModel.
-func (c *salvageCampaign) NewWorker(lane int) (campaign.Worker, error) {
-	c.once.Do(func() {
-		deps, err := c.build()
+	d := cfg.Defaulted()
+	lazy := &lazyDeps{build: func() (YieldDeps, error) {
+		deps, err := build()
 		if err != nil {
-			c.err = err
-			return
+			return YieldDeps{}, err
 		}
-		acfg := deps.Arr.Config()
-		if acfg.Rows != c.d.Array || acfg.Cols != c.d.Array {
-			c.err = fmt.Errorf("core: salvage campaign built a %dx%d array, planned %dx%d",
-				acfg.Rows, acfg.Cols, c.d.Array, c.d.Array)
-			return
+		return deps, plannedArray("salvage", deps.Arr, d.Array, d.Array)
+	}}
+	meta := salvageMeta(d, seed, fingerprint)
+	return campaign.NewWithMeta("salvage", meta, SalvageTrials(d, seed), func(lane int) (campaign.Worker, error) {
+		deps, err := lazy.get()
+		if err != nil {
+			return nil, err
 		}
-		c.deps = deps
-	})
-	if c.err != nil {
-		return nil, c.err
-	}
-	w := &salvageWorker{c: c}
-	if lane == 0 {
-		w.model, w.arr = c.deps.Model, c.deps.Arr
+		w := &salvageWorker{d: d, deps: deps}
+		if w.model, w.arr, err = deps.lane(lane); err != nil {
+			return nil, err
+		}
 		return w, nil
-	}
-	if c.deps.BuildModel == nil {
-		return nil, fmt.Errorf("core: salvage campaign is single-lane (no BuildModel); run it on a serial runner")
-	}
-	m, err := c.deps.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	arr, err := systolic.New(c.deps.Arr.Config())
-	if err != nil {
-		return nil, err
-	}
-	w.model, w.arr = m, arr
-	return w, nil
+	}), nil
 }
 
 // salvageWorker processes cells on a private model+array pair.
 type salvageWorker struct {
-	c     *salvageCampaign
+	d     spec.SalvageCampaignSpec
+	deps  YieldDeps
 	model *snn.Model
 	arr   *systolic.Array
 }
@@ -205,7 +155,7 @@ type salvageWorker struct {
 // RunTrial implements campaign.Worker: one (model × rate × mitigation ×
 // repeat) cell.
 func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
-	d := w.c.d
+	d := w.d
 	rate, err := strconv.ParseFloat(t.Tags["rate"], 64)
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: bad rate tag %q", t.ID, t.Tags["rate"])
@@ -221,12 +171,9 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}
 
 	net := w.model.Net
-	net.Undeploy()
-	if err := net.LoadState(w.c.deps.Baseline); err != nil {
+	if err := w.deps.restore(w.model, w.arr); err != nil {
 		return campaign.Result{}, err
 	}
-	w.arr.ClearFaults()
-	w.arr.SetBypass(false)
 	if err := fmodel.Inject(w.arr, rate, t.Seed); err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: inject %s: %w", t.ID, fmodel.Name(), err)
 	}
@@ -234,41 +181,17 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	// Raw (unmitigated) accuracy on the faulty deployment, bypass off —
 	// the floor every strategy is measured against.
 	net.Deploy(w.arr)
-	rawAcc := snn.EvaluateWith(nil, net, w.c.deps.Test, d.Batch)
+	rawAcc := snn.EvaluateWith(nil, net, w.deps.Test, d.Batch)
 	net.Undeploy()
 
 	// Salvage: the strategy owns deployment, bypass and retraining. The
 	// concrete accumulator fault map (empty for bitflip/transient, whose
 	// fault state lives elsewhere on the array) rides along.
-	epochs := ms.EffectiveEpochs()
-	if epochs == 0 {
-		epochs = d.Epochs
-	}
 	lr := ms.EffectiveLR()
 	if lr == 0 {
 		lr = 0.01
 	}
-	mt := ms.TrainingOrZero()
-	batch, clip := mt.Batch, mt.ClipNorm
-	if batch == 0 {
-		batch = 16
-	}
-	if clip == 0 {
-		clip = 5
-	}
-	mit, err := mitigation.New(ms.EffectiveKind(), mitigation.Options{
-		Train:      w.c.deps.Train,
-		Test:       w.c.deps.Test,
-		Epochs:     epochs,
-		BatchSize:  batch,
-		LR:         lr,
-		ClipNorm:   clip,
-		FixedVth:   ms.Vth,
-		Rng:        rand.New(rand.NewSource(t.Seed + 1)),
-		BypassBit:  ms.BypassBit,
-		Replicas:   mt.Replicas,
-		MicroBatch: mt.MicroBatch,
-	})
+	mit, err := newMitigation(ms, d.Epochs, lr, w.deps, rand.New(rand.NewSource(t.Seed+1)))
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 	}
@@ -281,10 +204,10 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	// strategy left behind. Stats counters are order-independent
 	// integers, so the cycle count is bit-identical on every engine.
 	w.arr.ResetStats()
-	acc := snn.EvaluateWith(nil, net, w.c.deps.Test, d.Batch)
+	acc := snn.EvaluateWith(nil, net, w.deps.Test, d.Batch)
 	stats := w.arr.Stats()
 	perInf := 0.0
-	if n := len(w.c.deps.Test); n > 0 {
+	if n := len(w.deps.Test); n > 0 {
 		perInf = float64(stats.MACCycles) / float64(n)
 	}
 
@@ -308,10 +231,35 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}, nil
 }
 
-// SyntheticSalvageBuild adapts the canonical synthetic-MNIST baseline
-// (SyntheticYieldBuild — the same dataset, shrunk model and array every
-// distributed surface constructs bit-identically) to a salvage
-// campaign's knobs.
-func SyntheticSalvageBuild(d spec.SalvageCampaignSpec, seed int64, log io.Writer) func() (YieldDeps, error) {
-	return SyntheticYieldBuild(seed, d.BaseEpochs, d.Array, 0, log)
+// newMitigation builds ms's strategy over the baseline's data with the
+// knob defaults every salvage path shares: epochs 0 selects defEpochs,
+// batch 0 selects 16, and clip norm 0 selects the paper's clip of 5 (the
+// same sentinel as BaselineConfig: clipping cannot be disabled from a
+// spec, only retuned).
+func newMitigation(ms spec.MitigationSpec, defEpochs int, lr float64, deps YieldDeps, rng *rand.Rand) (mitigation.Mitigation, error) {
+	epochs := ms.EffectiveEpochs()
+	if epochs == 0 {
+		epochs = defEpochs
+	}
+	mt := ms.TrainingOrZero()
+	batch, clip := mt.Batch, mt.ClipNorm
+	if batch == 0 {
+		batch = 16
+	}
+	if clip == 0 {
+		clip = 5
+	}
+	return mitigation.New(ms.EffectiveKind(), mitigation.Options{
+		Train:      deps.Train,
+		Test:       deps.Test,
+		Epochs:     epochs,
+		BatchSize:  batch,
+		LR:         lr,
+		ClipNorm:   clip,
+		FixedVth:   ms.Vth,
+		Rng:        rng,
+		BypassBit:  ms.BypassBit,
+		Replicas:   mt.Replicas,
+		MicroBatch: mt.MicroBatch,
+	})
 }

@@ -3,17 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
-	"falvolt/internal/tensor"
 )
 
 // The "sitesweep" campaign kind: SpikeFI-style exhaustive single-site
@@ -72,105 +68,6 @@ func SiteSweepTrials(d spec.SiteSweepSpec, seed int64) ([]campaign.Trial, error)
 	return trials, nil
 }
 
-// siteSweepWorker is one lane's private clean/faulty array pair plus
-// the shared deterministic workload.
-type siteSweepWorker struct {
-	cfg    spec.SiteSweepSpec
-	clean  *systolic.Array
-	faulty *systolic.Array
-	wm     *systolic.Matrix
-	x      *tensor.Tensor
-	yClean *tensor.Tensor
-}
-
-func newSiteSweepWorker(d spec.SiteSweepSpec, seed int64) (campaign.Worker, error) {
-	side := d.Array
-	mk := func() (*systolic.Array, error) {
-		return systolic.New(systolic.Config{
-			Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true,
-			Engine: tensor.Serial(),
-		})
-	}
-	clean, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	faulty, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	// Ragged tiles, as in the faultmodel campaign: K > Rows exercises
-	// multi-tile accumulation, M > Cols exercises column reuse.
-	k := side + side/2 + 1
-	m := side + side/3 + 2
-	rng := rand.New(rand.NewSource(seed))
-	w := tensor.New(m, k)
-	w.RandNormal(rng, 0.5)
-	wm := systolic.QuantizeMatrix(w, fixed.Q16x16)
-	x := tensor.New(d.Batch, k)
-	xrng := rand.New(rand.NewSource(seed + 1))
-	for i := range x.Data {
-		if xrng.Float64() < d.Density {
-			x.Data[i] = 1
-		}
-	}
-	sw := &siteSweepWorker{cfg: d, clean: clean, faulty: faulty, wm: wm, x: x}
-	sw.yClean = clean.Forward(x, wm, true)
-	return sw, nil
-}
-
-// RunTrial injects the trial's single site and steps the faulty array
-// through the inference horizon, comparing against the clean reference.
-func (sw *siteSweepWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
-	row, err1 := strconv.Atoi(t.Tags["row"])
-	col, err2 := strconv.Atoi(t.Tags["col"])
-	bit, err3 := strconv.Atoi(t.Tags["bit"])
-	if err1 != nil || err2 != nil || err3 != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d has bad site tags %v", t.ID, t.Tags)
-	}
-	pol := faults.StuckAt0
-	if t.Tags["pol"] == "sa1" {
-		pol = faults.StuckAt1
-	}
-	fm, err := faults.SiteMap(sw.cfg.Array, sw.cfg.Array, faults.Site{
-		Row: row, Col: col, Bit: uint(bit), Pol: pol,
-	})
-	if err != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
-	}
-	sw.faulty.ClearFaults()
-	if err := sw.faulty.InjectFaults(fm); err != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
-	}
-	var corrupt, total int
-	var sumAbs, maxAbs float64
-	for step := 0; step < sw.cfg.Timesteps; step++ {
-		sw.faulty.SetTimestep(step)
-		yf := sw.faulty.Forward(sw.x, sw.wm, true)
-		for i := range yf.Data {
-			d := math.Abs(float64(yf.Data[i]) - float64(sw.yClean.Data[i]))
-			total++
-			if d != 0 {
-				corrupt++
-				sumAbs += d
-				if d > maxAbs {
-					maxAbs = d
-				}
-			}
-		}
-	}
-	sw.faulty.ClearFaults()
-	return campaign.Result{
-		TrialID: t.ID,
-		Key:     t.Key,
-		Metrics: map[string]float64{
-			"corrupt": float64(corrupt) / float64(total),
-			"mae":     sumAbs / float64(total),
-			"max":     maxAbs,
-		},
-	}, nil
-}
-
 // SiteSweepCampaign builds the runnable campaign for a siteSweep
 // section.
 func SiteSweepCampaign(cfg spec.SiteSweepSpec, seed int64) (campaign.Campaign, error) {
@@ -187,8 +84,33 @@ func SiteSweepCampaign(cfg spec.SiteSweepSpec, seed int64) (campaign.Campaign, e
 		"pols":   d.Pols,
 		"sample": strconv.Itoa(d.Sample),
 	}
+	// The workload is the faultmodel campaign's: ragged tiles over a
+	// seed-derived spiking input.
 	return campaign.NewWithMeta("sitesweep", meta, trials, func(lane int) (campaign.Worker, error) {
-		return newSiteSweepWorker(d, seed)
+		p, err := newCorruptionProbe(d.Array, d.Batch, d.Density, seed)
+		if err != nil {
+			return nil, err
+		}
+		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
+			row, err1 := strconv.Atoi(t.Tags["row"])
+			col, err2 := strconv.Atoi(t.Tags["col"])
+			bit, err3 := strconv.Atoi(t.Tags["bit"])
+			if err1 != nil || err2 != nil || err3 != nil {
+				return campaign.Result{}, fmt.Errorf("core: trial %d has bad site tags %v", t.ID, t.Tags)
+			}
+			pol := faults.StuckAt0
+			if t.Tags["pol"] == "sa1" {
+				pol = faults.StuckAt1
+			}
+			// One stuck bit on one PE, stepped through the horizon.
+			return p.measure(t, d.Timesteps, func(a *systolic.Array) error {
+				fm, err := faults.SiteMap(d.Array, d.Array, faults.Site{Row: row, Col: col, Bit: uint(bit), Pol: pol})
+				if err != nil {
+					return err
+				}
+				return a.InjectFaults(fm)
+			})
+		}), nil
 	}), nil
 }
 

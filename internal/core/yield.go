@@ -5,12 +5,9 @@ import (
 	"io"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
 	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
@@ -167,12 +164,6 @@ type yieldWorker struct {
 	eval  []snn.Sample
 }
 
-// yieldCampaign implements campaign.Campaign and campaign.MetaProvider.
-type yieldCampaign struct {
-	deps YieldDeps
-	cfg  YieldConfig
-}
-
 // YieldCampaign decomposes a yield study into a campaign: one trial per
 // simulated die. Run it with campaign.Run (shard/checkpoint as needed)
 // and fold the results with YieldFromResults.
@@ -183,16 +174,56 @@ func YieldCampaign(deps YieldDeps, cfg YieldConfig) (campaign.Campaign, error) {
 	if deps.Model == nil || deps.Baseline == nil || deps.Arr == nil {
 		return nil, fmt.Errorf("core: yield campaign needs model, baseline and array")
 	}
-	return &yieldCampaign{deps: deps, cfg: cfg}, nil
+	acfg := deps.Arr.Config()
+	return LazyYieldCampaign(acfg.Rows, acfg.Cols, cfg, deps.Fingerprint,
+		func() (YieldDeps, error) { return deps, nil })
 }
 
-// Name implements campaign.Campaign.
-func (c *yieldCampaign) Name() string { return "yield" }
+// LazyYieldCampaign is YieldCampaign with the expensive resources
+// (trained baseline, arrays) built by the callback on first NewWorker
+// call instead of up front: planning trials, and resuming a checkpoint
+// that already covers every trial, never pay for baseline training.
+// rows/cols give the array extent (needed for trial enumeration). Lane
+// 0 works on the built model and array; further lanes build private
+// replicas.
+func LazyYieldCampaign(rows, cols int, cfg YieldConfig, fingerprint map[string]string,
+	build func() (YieldDeps, error)) (campaign.Campaign, error) {
+	trials, err := YieldTrials(rows, cols, cfg)
+	if err != nil {
+		return nil, err
+	}
+	lazy := &lazyDeps{build: func() (YieldDeps, error) {
+		deps, err := build()
+		if err != nil {
+			return YieldDeps{}, err
+		}
+		return deps, plannedArray("yield", deps.Arr, rows, cols)
+	}}
+	meta := yieldMeta(rows, cols, cfg, fingerprint)
+	return campaign.NewWithMeta("yield", meta, trials, func(lane int) (campaign.Worker, error) {
+		deps, err := lazy.get()
+		if err != nil {
+			return nil, err
+		}
+		w := &yieldWorker{deps: deps, cfg: cfg, eval: deps.Test}
+		if cfg.EvalSamples > 0 && cfg.EvalSamples < len(deps.Test) {
+			w.eval = deps.Test[:cfg.EvalSamples]
+		}
+		if w.model, w.arr, err = deps.lane(lane); err != nil {
+			return nil, err
+		}
+		return w, nil
+	}), nil
+}
 
-// Meta implements campaign.MetaProvider.
-func (c *yieldCampaign) Meta() map[string]string {
-	acfg := c.deps.Arr.Config()
-	return yieldMeta(acfg.Rows, acfg.Cols, c.cfg, c.deps.Fingerprint)
+// plannedArray checks that a lazily built array has the extent its
+// campaign enumerated trials for.
+func plannedArray(kind string, arr *systolic.Array, rows, cols int) error {
+	if acfg := arr.Config(); acfg.Rows != rows || acfg.Cols != cols {
+		return fmt.Errorf("core: lazy %s campaign built a %dx%d array, planned %dx%d",
+			kind, acfg.Rows, acfg.Cols, rows, cols)
+	}
+	return nil
 }
 
 // yieldMeta fingerprints every result-affecting knob of a yield
@@ -219,104 +250,6 @@ func yieldMeta(rows, cols int, cfg YieldConfig, extra map[string]string) map[str
 		m[k] = v
 	}
 	return m
-}
-
-// Trials implements campaign.Campaign.
-func (c *yieldCampaign) Trials() ([]campaign.Trial, error) {
-	acfg := c.deps.Arr.Config()
-	return YieldTrials(acfg.Rows, acfg.Cols, c.cfg)
-}
-
-// NewWorker implements campaign.Campaign. Lane 0 reuses the caller's
-// model and array; further lanes build private replicas.
-func (c *yieldCampaign) NewWorker(lane int) (campaign.Worker, error) {
-	w := &yieldWorker{deps: c.deps, cfg: c.cfg}
-	w.eval = c.deps.Test
-	if c.cfg.EvalSamples > 0 && c.cfg.EvalSamples < len(c.deps.Test) {
-		w.eval = c.deps.Test[:c.cfg.EvalSamples]
-	}
-	if lane == 0 {
-		w.model, w.arr = c.deps.Model, c.deps.Arr
-		return w, nil
-	}
-	if c.deps.BuildModel == nil {
-		return nil, fmt.Errorf("core: yield campaign is single-lane (no BuildModel); run it on a serial runner")
-	}
-	m, err := c.deps.BuildModel()
-	if err != nil {
-		return nil, err
-	}
-	acfg := c.deps.Arr.Config()
-	arr, err := systolic.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	w.model, w.arr = m, arr
-	return w, nil
-}
-
-// lazyYieldCampaign defers resource construction to first worker use.
-type lazyYieldCampaign struct {
-	rows, cols  int
-	cfg         YieldConfig
-	fingerprint map[string]string
-	build       func() (YieldDeps, error)
-
-	once  sync.Once
-	inner *yieldCampaign
-	err   error
-}
-
-// LazyYieldCampaign is YieldCampaign with the expensive resources
-// (trained baseline, arrays) built by the callback on first NewWorker
-// call instead of up front: planning trials, and resuming a checkpoint
-// that already covers every trial, never pay for baseline training.
-// rows/cols give the array extent (needed for trial enumeration).
-func LazyYieldCampaign(rows, cols int, cfg YieldConfig, fingerprint map[string]string,
-	build func() (YieldDeps, error)) (campaign.Campaign, error) {
-	if err := validateYield(cfg); err != nil {
-		return nil, err
-	}
-	return &lazyYieldCampaign{rows: rows, cols: cols, cfg: cfg, fingerprint: fingerprint, build: build}, nil
-}
-
-// Name implements campaign.Campaign.
-func (c *lazyYieldCampaign) Name() string { return "yield" }
-
-// Meta implements campaign.MetaProvider (identical to the eager
-// campaign's, so eager and lazy shard files merge).
-func (c *lazyYieldCampaign) Meta() map[string]string {
-	return yieldMeta(c.rows, c.cols, c.cfg, c.fingerprint)
-}
-
-// Trials implements campaign.Campaign without touching the resources.
-func (c *lazyYieldCampaign) Trials() ([]campaign.Trial, error) {
-	return YieldTrials(c.rows, c.cols, c.cfg)
-}
-
-// NewWorker implements campaign.Campaign, building the resources once.
-// Runner lanes create workers sequentially per lane, but distinct lanes
-// may race here, so the first build is serialized by the campaign.
-func (c *lazyYieldCampaign) NewWorker(lane int) (campaign.Worker, error) {
-	c.once.Do(func() {
-		deps, err := c.build()
-		if err != nil {
-			c.err = err
-			return
-		}
-		deps.Fingerprint = c.fingerprint
-		acfg := deps.Arr.Config()
-		if acfg.Rows != c.rows || acfg.Cols != c.cols {
-			c.err = fmt.Errorf("core: lazy yield campaign built a %dx%d array, planned %dx%d",
-				acfg.Rows, acfg.Cols, c.rows, c.cols)
-			return
-		}
-		c.inner = &yieldCampaign{deps: deps, cfg: c.cfg}
-	})
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.inner.NewWorker(lane)
 }
 
 // RunTrial implements campaign.Worker: simulate one die.
@@ -433,51 +366,19 @@ func SyntheticYieldFingerprint(baseEpochs int) map[string]string {
 }
 
 // SyntheticYieldBuild returns the canonical baseline-build closure for
-// yield studies on the synthetic MNIST stand-in: dataset, reduced model
-// spec, baseline training, and the systolic array. It exists in one
-// place because cmd/yield and cmd/campaign must construct bit-identical
-// baselines for the SyntheticYieldFingerprint contract to hold — a
-// drift between two hand-copied closures would pass fingerprint
-// verification and only surface as a mid-campaign result conflict.
+// yield studies: syntheticBaseline's synthetic-MNIST case (320/128
+// samples, reduced model). cmd/yield and cmd/campaign both build through
+// it, so the SyntheticYieldFingerprint contract holds by construction.
 // Progress lines go to log (nil silences).
 func SyntheticYieldBuild(seed int64, baseEpochs, arrayN int, threshold float64, log io.Writer) func() (YieldDeps, error) {
-	logf := func(format string, args ...any) {
-		if log != nil {
-			fmt.Fprintf(log, format, args...)
-		}
-	}
 	return func() (YieldDeps, error) {
-		ds, err := datasets.SyntheticMNIST(datasets.Config{Train: 320, Test: 128, T: 4, Seed: seed})
+		logf(log, "training baseline...\n")
+		deps, acc, err := syntheticBaseline("mnist", 320, 128, true, arrayN, seed, BaselineConfig{Epochs: baseEpochs, LR: 0.02})
 		if err != nil {
 			return YieldDeps{}, err
 		}
-		spec := snn.MNISTSpec()
-		spec.EncoderC, spec.BlockC, spec.FCHidden = 4, []int{8, 8}, 32
-		buildModel := func() (*snn.Model, error) {
-			return snn.Build(spec, rand.New(rand.NewSource(seed)))
-		}
-		model, err := buildModel()
-		if err != nil {
-			return YieldDeps{}, err
-		}
-		logf("training baseline...\n")
-		baseAcc, err := TrainBaseline(model, ds.Train, ds.Test, BaselineConfig{
-			Epochs: baseEpochs, LR: 0.02, Rng: rand.New(rand.NewSource(seed + 1)),
-		})
-		if err != nil {
-			return YieldDeps{}, err
-		}
-		logf("baseline accuracy %.3f; shipping threshold %.2f\n", baseAcc, threshold)
-		arr, err := systolic.New(systolic.Config{Rows: arrayN, Cols: arrayN, Format: fixed.Q16x16, Saturate: true})
-		if err != nil {
-			return YieldDeps{}, err
-		}
-		// BuildModel lets the campaign evaluate dies on every engine
-		// lane concurrently instead of one at a time.
-		return YieldDeps{
-			Model: model, Baseline: model.Net.State(), Arr: arr,
-			Train: ds.Train, Test: ds.Test, BuildModel: buildModel,
-		}, nil
+		logf(log, "baseline accuracy %.3f; shipping threshold %.2f\n", acc, threshold)
+		return deps, nil
 	}
 }
 

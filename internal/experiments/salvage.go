@@ -114,7 +114,7 @@ func init() {
 		d := s.Salvage.Defaulted()
 		cam, err := core.SalvageCampaign(*s.Salvage, s.EffectiveSeed(),
 			core.SyntheticYieldFingerprint(d.BaseEpochs),
-			core.SyntheticSalvageBuild(d, s.EffectiveSeed(), opt.Log))
+			core.SyntheticYieldBuild(s.EffectiveSeed(), d.BaseEpochs, d.Array, 0, opt.Log))
 		if err != nil {
 			return nil, err
 		}

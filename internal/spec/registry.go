@@ -13,7 +13,8 @@ import (
 // The registry maps spec kinds to builders, so "spec -> runnable
 // campaign" construction exists in exactly one place per kind. Packages
 // that own a campaign register it from init: experiments registers the
-// figure sweeps, core registers "yield", this package registers
+// figure sweeps and "salvage", core registers "yield", "faultsim",
+// "falvolt", "faultmodel" and "sitesweep", this package registers
 // "selftest". Any binary that links the owning package can build the
 // kind — locally, at a coordinator, or at a spec-free cluster worker.
 

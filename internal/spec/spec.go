@@ -49,9 +49,9 @@ const Version = 1
 type Spec struct {
 	// Version is the schema version (see Version).
 	Version int `json:"version"`
-	// Kind names the campaign builder: "fig2", "fig5a", "fig5b",
-	// "fig5c", "mitigation", "yield", "selftest" (registry kinds), or
-	// the tool-private "falvolt" / "faultsim" pipelines.
+	// Kind names the registered campaign builder: "fig2", "fig5a",
+	// "fig5b", "fig5c", "mitigation", "yield", "selftest", "faultmodel",
+	// "salvage", "sitesweep", "faultsim" or "falvolt" (see Kinds).
 	Kind string `json:"kind"`
 	// Seed drives all randomness of the run. 0 means the default seed
 	// (7) for every kind — flag-compiled specs always pin it explicitly.
@@ -86,9 +86,11 @@ type Spec struct {
 	Yield *YieldSpec `json:"yield,omitempty"`
 	// Selftest configures the model-free synthetic smoke campaign.
 	Selftest *SelftestSpec `json:"selftest,omitempty"`
-	// Pipeline configures the single end-to-end run of cmd/falvolt.
+	// Pipeline configures the one-trial end-to-end pipeline (kind
+	// "falvolt", cmd/falvolt).
 	Pipeline *PipelineSpec `json:"pipeline,omitempty"`
-	// FaultSim configures the unmitigated sweeps of cmd/faultsim.
+	// FaultSim configures the vulnerability sweeps (kind "faultsim",
+	// cmd/faultsim).
 	FaultSim *FaultSimSpec `json:"faultsim,omitempty"`
 	// FaultModel configures the systolic-level fault-model
 	// characterization campaign (kind "faultmodel").
@@ -193,8 +195,8 @@ type SelftestSpec struct {
 	DelayMillis int `json:"delayMillis,omitempty"`
 }
 
-// PipelineSpec describes the single end-to-end FalVolt pipeline of
-// cmd/falvolt: train a baseline, inject one fault map, mitigate. Rate
+// PipelineSpec describes the one-trial end-to-end FalVolt pipeline
+// (kind "falvolt"): train a baseline, inject one fault map, mitigate. Rate
 // and Quick are taken literally (like YieldSpec.Clustered): an omitted
 // rate means a fault-free run, not the `falvolt` flag default of 0.30 —
 // flag-compiled specs always spell both out.
@@ -219,8 +221,8 @@ type PipelineSpec struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// FaultSimSpec describes an unmitigated vulnerability sweep of
-// cmd/faultsim.
+// FaultSimSpec describes a vulnerability sweep (kind "faultsim"), one
+// trial per (sweep point × polarity × repeat) cell.
 type FaultSimSpec struct {
 	// Dataset is "mnist", "nmnist" or "dvsgesture" ("" = "mnist").
 	Dataset string `json:"dataset,omitempty"`
@@ -606,7 +608,8 @@ func (s *Spec) EffectiveSeed() int64 {
 
 // sectionFor names the configuration section a kind consumes. Kinds
 // without a dedicated section (the figure campaigns, and any future
-// registry kind) use the suite section.
+// registry kind) use the suite section; "falvolt" reads the pipeline
+// section.
 func sectionFor(kind string) string {
 	switch kind {
 	case "yield":

@@ -72,8 +72,9 @@ func (w *Matrix) tilesFor(a *Array, needDeq bool) *weightTiles {
 // stored word: first the SRAM's bit-flips (addressed by the word's flat
 // index m*K+k — what the memory actually stores), then the destination
 // PE's weight-register stuck bits under the weight-stationary mapping
-// (w[m][k] lives in PE(k mod Rows, m mod Cols)). The dense reference
-// path applies the same two corruptions per element in the same order.
+// (w[m][k] lives in PE(k mod Rows, m mod Cols)). The scalar reference
+// model of the tests applies the same two corruptions per element in the
+// same order.
 func (w *Matrix) compileEffective(a *Array) []fixed.Word {
 	rows, cols := a.cfg.Rows, a.cfg.Cols
 	eff := make([]fixed.Word, len(w.Words))

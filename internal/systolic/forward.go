@@ -22,9 +22,9 @@ import (
 // forcing and no float64 round-trip in the loop.
 //
 // Every path accumulates each output word in the exact per-element order
-// of the dense reference (dense.go): skipping a zero add is exact because
-// AddSat(acc, 0) == AddWrap(acc, 0) == acc, and stuck-bit forcing of
-// faulty PEs is never skipped. The contract — bit-identical outputs,
+// of a textbook column walk (the tests' scalar reference model): skipping
+// a zero add is exact because AddSat(acc, 0) == AddWrap(acc, 0) == acc,
+// and stuck-bit forcing of faulty PEs is never skipped. The contract — bit-identical outputs,
 // Stats and spike counters across paths, engines and worker counts — is
 // what future SIMD backends must also satisfy.
 
@@ -104,7 +104,7 @@ func getSpikeBuf(n int) *[]uint64 {
 // each output word y[b][m] is still produced by one sequential chain of
 // accumulations in the serial order, so results (and all statistics) are
 // bit-identical on every engine, and — by the event-list construction
-// above — on the dense reference path. Concurrent Forward calls on one
+// above — to the per-element column walk. Concurrent Forward calls on one
 // Array are safe; statistics and spike counters merge atomically.
 func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor {
 	if x.Rank() != 2 {
@@ -120,11 +120,6 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 	numMTiles := (w.M + cols - 1) / cols
 	atomic.AddUint64(&a.stats.TilePasses, uint64(numKTiles*numMTiles))
 	atomic.AddUint64(&a.stats.MACCycles, uint64(numKTiles*numMTiles)*uint64(rows+cols+b-2))
-
-	if a.denseRef {
-		a.forwardDense(x, w, y, binary)
-		return y
-	}
 
 	scale := float32(w.Format.Scale())
 	format := a.cfg.Format

@@ -105,7 +105,7 @@ func NewColumn(weights []fixed.Word, saturate bool) *Column {
 }
 
 // Pass streams one spike vector down the column and returns the final
-// partial sum (the reference for Array.columnPass).
+// partial sum (the reference for one column pass of Array.Forward).
 func (c *Column) Pass(spikes []float32) fixed.Word {
 	var sum fixed.Word
 	for i, pe := range c.PEs {

@@ -12,20 +12,23 @@ import (
 )
 
 // This file property-tests the whole forward contract — every fault
-// model, both adder modes, both engines, both data planes — against
-// scalarForward, a from-scratch triple-loop model of the architecture
-// that shares no code with the production paths: masks are rebuilt from
-// the raw fault structures, bit forcing is reimplemented inline, and
-// tiles are walked in the plain textbook order. If the event-list
-// plane, the compiled tiles, the dense path and this model all agree
-// bit for bit, a bug would have to be replicated four independent ways
-// to hide.
+// model, both adder modes, both engines — against scalarForward, a
+// from-scratch triple-loop model of the architecture that shares no
+// code with the production path: masks are rebuilt from the raw fault
+// structures, bit forcing is reimplemented inline, and tiles are walked
+// in the plain textbook order. It also models the datapath statistics
+// and per-PE spike counters, so sparse_test.go checks the event-list
+// plane and the compiled tiles against it on all three. If those two and
+// this model agree bit for bit, a bug would have to be replicated three
+// independent ways to hide.
 
 // scalarForward computes y = forward(x, wm) for a rows x cols array
-// carrying the given fault state at timestep tstep.
+// carrying the given fault state at timestep tstep, together with the
+// Stats the pass charges and the spike counts it adds to each PE
+// (binary inputs only; indexed row*cols+col).
 func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
 	ts *faults.TransientSchedule, tstep int, bypass bool,
-	x *tensor.Tensor, wm *Matrix, binary bool) *tensor.Tensor {
+	x *tensor.Tensor, wm *Matrix, binary bool) (*tensor.Tensor, Stats, []uint64) {
 
 	rows, cols := cfg.Rows, cfg.Cols
 	n := rows * cols
@@ -83,6 +86,10 @@ func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
 	b := x.Shape[0]
 	y := tensor.New(b, wm.M)
 	scale := float32(wm.Format.Scale())
+	var st Stats
+	st.TilePasses = uint64(((wm.K + rows - 1) / rows) * ((wm.M + cols - 1) / cols))
+	st.MACCycles = st.TilePasses * uint64(rows+cols+b-2)
+	spikes := make([]uint64, n)
 	for bi := 0; bi < b; bi++ {
 		for m := 0; m < wm.M; m++ {
 			col := m % cols
@@ -95,11 +102,17 @@ func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
 				var acc fixed.Word
 				for k := k0; k < k1; k++ {
 					idx := (k%rows)*cols + col
+					xv := x.Data[bi*wm.K+k]
+					if binary && xv != 0 {
+						spikes[idx]++
+					}
 					if byp[idx] {
+						st.BypassedSteps++
 						continue
 					}
+					st.Accumulations++
 					var v fixed.Word
-					if xv := x.Data[bi*wm.K+k]; xv != 0 {
+					if xv != 0 {
 						w := wm.Words[m*wm.K+k]
 						if mem != nil {
 							w = mem.FlipWord(m*wm.K+k, w)
@@ -121,12 +134,12 @@ func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
 			y.Data[bi*wm.M+m] = float32(total) * scale
 		}
 	}
-	return y
+	return y, st, spikes
 }
 
 // TestForwardMatchesScalarReference injects each fault model through its
-// FaultModel seam at several rates and asserts the sparse and dense
-// planes both reproduce the scalar model bit for bit, across saturating
+// FaultModel seam at several rates and asserts Forward reproduces the
+// scalar model bit for bit, across saturating
 // and wraparound adders, serial and parallel engines, binary and analog
 // inputs, and timesteps before/during/after a transient burst.
 func TestForwardMatchesScalarReference(t *testing.T) {
@@ -151,42 +164,39 @@ func TestForwardMatchesScalarReference(t *testing.T) {
 			for _, sat := range []bool{true, false} {
 				for _, bypass := range []bool{false, true} {
 					for _, eng := range []tensor.Backend{tensor.Serial(), tensor.NewParallel(4)} {
-						for _, dense := range []bool{false, true} {
-							cfg := Config{Rows: rows, Cols: cols, Format: fixed.Q16x16, Saturate: sat, Engine: eng}
-							arr, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if err := mc.model.Inject(arr, rate, 1234); err != nil {
-								t.Fatal(err)
-							}
-							arr.SetBypass(bypass)
-							arr.SetDenseReference(dense)
-							// The scalar model reads the instance straight off
-							// the array's getters — the same structures Inject
-							// installed.
-							fm, mem, ts := arr.FaultMap(), arr.MemoryFaults(), arr.Transient()
-							wm := QuantizeMatrix(w, fixed.Q16x16)
-							steps := []int{0}
-							if ts != nil {
-								steps = []int{0, 1, 2, ts.Horizon() + 1}
-							}
-							for _, step := range steps {
-								arr.SetTimestep(step)
-								label := fmt.Sprintf("%s rate=%g sat=%v byp=%v eng=%s dense=%v t=%d",
-									mc.name, rate, sat, bypass, eng.Name(), dense, step)
-								for _, binary := range []bool{true, false} {
-									x := spikes
-									if !binary {
-										x = analog
-									}
-									got := arr.Forward(x, wm, binary)
-									want := scalarForward(cfg, fm, nil, mem, ts, step, bypass, x, wm, binary)
-									for i := range want.Data {
-										if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-											t.Fatalf("%s binary=%v: y[%d] = %v, scalar reference %v",
-												label, binary, i, got.Data[i], want.Data[i])
-										}
+						cfg := Config{Rows: rows, Cols: cols, Format: fixed.Q16x16, Saturate: sat, Engine: eng}
+						arr, err := New(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := mc.model.Inject(arr, rate, 1234); err != nil {
+							t.Fatal(err)
+						}
+						arr.SetBypass(bypass)
+						// The scalar model reads the instance straight off
+						// the array's getters — the same structures Inject
+						// installed.
+						fm, mem, ts := arr.FaultMap(), arr.MemoryFaults(), arr.Transient()
+						wm := QuantizeMatrix(w, fixed.Q16x16)
+						steps := []int{0}
+						if ts != nil {
+							steps = []int{0, 1, 2, ts.Horizon() + 1}
+						}
+						for _, step := range steps {
+							arr.SetTimestep(step)
+							label := fmt.Sprintf("%s rate=%g sat=%v byp=%v eng=%s t=%d",
+								mc.name, rate, sat, bypass, eng.Name(), step)
+							for _, binary := range []bool{true, false} {
+								x := spikes
+								if !binary {
+									x = analog
+								}
+								got := arr.Forward(x, wm, binary)
+								want, _, _ := scalarForward(cfg, fm, nil, mem, ts, step, bypass, x, wm, binary)
+								for i := range want.Data {
+									if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+										t.Fatalf("%s binary=%v: y[%d] = %v, scalar reference %v",
+											label, binary, i, got.Data[i], want.Data[i])
 									}
 								}
 							}
@@ -200,8 +210,8 @@ func TestForwardMatchesScalarReference(t *testing.T) {
 
 // TestForwardMatchesScalarReferenceStacked layers all three model
 // classes plus weight-register faults on one array — the worst case the
-// datapath supports — and checks the scalar model still agrees on both
-// planes and at every timestep around the burst.
+// datapath supports — and checks the scalar model still agrees at every
+// timestep around the burst.
 func TestForwardMatchesScalarReferenceStacked(t *testing.T) {
 	const rows, cols, b, k, m = 8, 8, 4, 24, 12
 	rng := rand.New(rand.NewSource(31))
@@ -218,37 +228,34 @@ func TestForwardMatchesScalarReferenceStacked(t *testing.T) {
 	}
 	for _, sat := range []bool{true, false} {
 		for _, bypass := range []bool{false, true} {
-			for _, dense := range []bool{false, true} {
-				cfg := Config{Rows: rows, Cols: cols, Format: fixed.Q16x16, Saturate: sat, Engine: tensor.Serial()}
-				arr, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+			cfg := Config{Rows: rows, Cols: cols, Format: fixed.Q16x16, Saturate: sat, Engine: tensor.Serial()}
+			arr, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stuck := faults.StuckAtModel{Gen: faults.GenSpec{BitMode: faults.RandomBit, PolMode: faults.RandomPol}}
+			flip := faults.BitFlipModel{Profile: faults.ProfileDecay}
+			trans := faults.TransientModel{Gen: faults.GenSpec{BitMode: faults.MSBBits, Pol: faults.StuckAt1}, Start: 1, MaxDuration: 3}
+			for _, inject := range []error{
+				stuck.Inject(arr, 0.25, 5),
+				flip.Inject(arr, 0.3, 6),
+				trans.Inject(arr, 0.25, 7),
+				arr.InjectWeightFaults(wfm),
+			} {
+				if inject != nil {
+					t.Fatal(inject)
 				}
-				stuck := faults.StuckAtModel{Gen: faults.GenSpec{BitMode: faults.RandomBit, PolMode: faults.RandomPol}}
-				flip := faults.BitFlipModel{Profile: faults.ProfileDecay}
-				trans := faults.TransientModel{Gen: faults.GenSpec{BitMode: faults.MSBBits, Pol: faults.StuckAt1}, Start: 1, MaxDuration: 3}
-				for _, inject := range []error{
-					stuck.Inject(arr, 0.25, 5),
-					flip.Inject(arr, 0.3, 6),
-					trans.Inject(arr, 0.25, 7),
-					arr.InjectWeightFaults(wfm),
-				} {
-					if inject != nil {
-						t.Fatal(inject)
-					}
-				}
-				arr.SetBypass(bypass)
-				arr.SetDenseReference(dense)
-				fm, mem, ts := arr.FaultMap(), arr.MemoryFaults(), arr.Transient()
-				for step := 0; step <= ts.Horizon()+1; step++ {
-					arr.SetTimestep(step)
-					got := arr.Forward(spikes, wm, true)
-					want := scalarForward(cfg, fm, wfm, mem, ts, step, bypass, spikes, wm, true)
-					for i := range want.Data {
-						if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-							t.Fatalf("sat=%v byp=%v dense=%v t=%d: y[%d] = %v, scalar reference %v",
-								sat, bypass, dense, step, i, got.Data[i], want.Data[i])
-						}
+			}
+			arr.SetBypass(bypass)
+			fm, mem, ts := arr.FaultMap(), arr.MemoryFaults(), arr.Transient()
+			for step := 0; step <= ts.Horizon()+1; step++ {
+				arr.SetTimestep(step)
+				got := arr.Forward(spikes, wm, true)
+				want, _, _ := scalarForward(cfg, fm, wfm, mem, ts, step, bypass, spikes, wm, true)
+				for i := range want.Data {
+					if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+						t.Fatalf("sat=%v byp=%v t=%d: y[%d] = %v, scalar reference %v",
+							sat, bypass, step, i, got.Data[i], want.Data[i])
 					}
 				}
 			}

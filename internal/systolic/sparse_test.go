@@ -11,37 +11,52 @@ import (
 	"falvolt/internal/tensor"
 )
 
-// assertForwardIdentical runs one Forward on the sparse array and the
-// dense-reference array and asserts bit-identical outputs, statistics and
-// per-PE spike counters.
-func assertForwardIdentical(t *testing.T, label string, sparse, dense *Array, x *tensor.Tensor, wm *Matrix, binary bool) {
-	t.Helper()
-	got := sparse.Forward(x, wm, binary)
-	want := dense.Forward(x, wm, binary)
-	for i := range want.Data {
-		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-			t.Fatalf("%s: y[%d] = %v, want %v", label, i, got.Data[i], want.Data[i])
-		}
-	}
-	if sparse.Stats() != dense.Stats() {
-		t.Fatalf("%s: stats %+v, want %+v", label, sparse.Stats(), dense.Stats())
-	}
-	rows, cols := sparse.cfg.Rows, sparse.cfg.Cols
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if sparse.SpikeCount(r, c) != dense.SpikeCount(r, c) {
-				t.Fatalf("%s: spikeCount(%d,%d) = %d, want %d",
-					label, r, c, sparse.SpikeCount(r, c), dense.SpikeCount(r, c))
-			}
-		}
-	}
+// scalarTally accumulates the scalar model's Stats and spike counts
+// across calls, as the array's own counters accumulate.
+type scalarTally struct {
+	stats  Stats
+	spikes []uint64
 }
 
-// TestSparseForwardMatchesDenseReference sweeps spike density × fault
+// assertMatchesScalar runs one Forward on a and asserts bit-identical
+// outputs against scalarForward on the fault state read straight off the
+// array's getters, plus the array's cumulative Stats and per-PE spike
+// counters against the tally. It returns the array's output.
+func assertMatchesScalar(t *testing.T, label string, a *Array, tally *scalarTally, x *tensor.Tensor, wm *Matrix, binary bool) *tensor.Tensor {
+	t.Helper()
+	got := a.Forward(x, wm, binary)
+	want, st, spikes := scalarForward(a.cfg, a.FaultMap(), a.WeightFaultMap(), a.MemoryFaults(),
+		a.Transient(), a.Timestep(), a.BypassEnabled(), x, wm, binary)
+	for i := range want.Data {
+		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+			t.Fatalf("%s: y[%d] = %v, scalar reference %v", label, i, got.Data[i], want.Data[i])
+		}
+	}
+	tally.stats.Accumulations += st.Accumulations
+	tally.stats.BypassedSteps += st.BypassedSteps
+	tally.stats.TilePasses += st.TilePasses
+	tally.stats.MACCycles += st.MACCycles
+	if a.Stats() != tally.stats {
+		t.Fatalf("%s: stats %+v, scalar reference %+v", label, a.Stats(), tally.stats)
+	}
+	if tally.spikes == nil {
+		tally.spikes = make([]uint64, len(spikes))
+	}
+	cols := a.cfg.Cols
+	for i, n := range spikes {
+		tally.spikes[i] += n
+		if c := a.SpikeCount(i/cols, i%cols); c != tally.spikes[i] {
+			t.Fatalf("%s: spikeCount(%d,%d) = %d, scalar reference %d", label, i/cols, i%cols, c, tally.spikes[i])
+		}
+	}
+	return got
+}
+
+// TestSparseForwardMatchesScalarReference sweeps spike density × fault
 // scenario × engine × saturation × shape, asserting the event-list sparse
-// forward is bit-identical to the pre-change dense reference path —
-// outputs, Stats and spike counters alike.
-func TestSparseForwardMatchesDenseReference(t *testing.T) {
+// forward is bit-identical to the scalar reference model — outputs, Stats
+// and spike counters alike.
+func TestSparseForwardMatchesScalarReference(t *testing.T) {
 	type scenario struct {
 		name           string
 		faults, wfault bool
@@ -109,58 +124,54 @@ func TestSparseForwardMatchesDenseReference(t *testing.T) {
 			w.RandNormal(rng, 0.5)
 			for _, sat := range []bool{true, false} {
 				for _, eng := range []tensor.Backend{tensor.Serial(), tensor.NewParallel(4)} {
-					mk := func(dense bool) *Array {
-						a, err := New(Config{
-							Rows: sh.rows, Cols: sh.cols, Format: fixed.Q16x16,
-							Saturate: sat, CountSpikes: true, Engine: eng,
-						})
-						if err != nil {
+					a, err := New(Config{
+						Rows: sh.rows, Cols: sh.cols, Format: fixed.Q16x16,
+						Saturate: sat, CountSpikes: true, Engine: eng,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fm != nil {
+						if err := a.InjectFaults(fm); err != nil {
 							t.Fatal(err)
 						}
-						if fm != nil {
-							if err := a.InjectFaults(fm); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if wfm != nil {
-							if err := a.InjectWeightFaults(wfm); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if mem != nil {
-							if err := a.InjectMemoryFaults(mem); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if ts != nil {
-							if err := a.InjectTransient(ts); err != nil {
-								t.Fatal(err)
-							}
-							// Land inside the strike window so the transient
-							// masks are live during the identity check.
-							a.SetTimestep(1)
-						}
-						a.SetBypass(sc.bypass)
-						a.SetDenseReference(dense)
-						return a
 					}
-					sparse, dense := mk(false), mk(true)
-					// One Matrix shared across both arrays and all
-					// densities: the compiled-tile cache must keep the
-					// two views (and the dense path's raw Words) apart.
+					if wfm != nil {
+						if err := a.InjectWeightFaults(wfm); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if mem != nil {
+						if err := a.InjectMemoryFaults(mem); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if ts != nil {
+						if err := a.InjectTransient(ts); err != nil {
+							t.Fatal(err)
+						}
+						// Land inside the strike window so the transient
+						// masks are live during the identity check.
+						a.SetTimestep(1)
+					}
+					a.SetBypass(sc.bypass)
+					var tally scalarTally
+					// One Matrix shared across all densities and both
+					// input modes: the compiled-tile cache must keep the
+					// binary and analog views apart.
 					wm := QuantizeMatrix(w, fixed.Q16x16)
 					for _, density := range densities {
 						label := fmt.Sprintf("%s %dx%d sat=%v eng=%s d=%.0f%%",
 							sc.name, sh.rows, sh.cols, sat, eng.Name(), 100*density)
 						spikes := randSpikeInput(rng, sh.b, sh.k, density)
-						assertForwardIdentical(t, label+" binary", sparse, dense, spikes, wm, true)
+						assertMatchesScalar(t, label+" binary", a, &tally, spikes, wm, true)
 						analog := randAnalogInput(rng, sh.b, sh.k)
 						for i := range analog.Data {
 							if rng.Float64() >= density {
 								analog.Data[i] = 0
 							}
 						}
-						assertForwardIdentical(t, label+" analog", sparse, dense, analog, wm, false)
+						assertMatchesScalar(t, label+" analog", a, &tally, analog, wm, false)
 					}
 				}
 			}
@@ -171,7 +182,7 @@ func TestSparseForwardMatchesDenseReference(t *testing.T) {
 // TestCompiledTilesRecompileOnFaultChange asserts the compiled weight-tile
 // cache is invalidated by every fault-state mutation: a Matrix first used
 // on a clean array must observe weight faults injected afterwards, their
-// clearing, and bypass toggles — matching the dense reference at each
+// clearing, and bypass toggles — matching the scalar reference at each
 // step.
 func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -195,16 +206,13 @@ func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sparse := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
-	dense := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
-	dense.SetDenseReference(true)
-
+	arr := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
+	var tally scalarTally
 	step := func(label string, mutate func(a *Array)) {
 		t.Helper()
-		mutate(sparse)
-		mutate(dense)
-		assertForwardIdentical(t, label+" binary", sparse, dense, x, wm, true)
-		assertForwardIdentical(t, label+" analog", sparse, dense, analog, wm, false)
+		mutate(arr)
+		assertMatchesScalar(t, label+" binary", arr, &tally, x, wm, true)
+		assertMatchesScalar(t, label+" analog", arr, &tally, analog, wm, false)
 	}
 	rates, err := faults.BitRates(faults.ProfileDecay, 0.2)
 	if err != nil {
@@ -253,7 +261,7 @@ func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 
 // TestTransientTimestepSweep drives an array with a soft-error schedule
 // through every timestep from before the burst to past its horizon,
-// asserting at each step that (1) sparse matches the dense reference bit
+// asserting at each step that (1) Forward matches the scalar reference bit
 // for bit, (2) steps outside every strike window reproduce the clean
 // output exactly, and (3) steps inside the burst corrupt it. It also
 // pins the SetTimestep contract: advancing time never recompiles weight
@@ -278,34 +286,23 @@ func TestTransientTimestepSweep(t *testing.T) {
 	}
 
 	sparse := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
-	dense := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
-	dense.SetDenseReference(true)
 	baseline := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, false)
 	clean := baseline.Forward(x, wm, true)
 
-	for _, a := range []*Array{sparse, dense} {
-		if err := a.InjectTransient(ts); err != nil {
-			t.Fatal(err)
-		}
+	if err := sparse.InjectTransient(ts); err != nil {
+		t.Fatal(err)
 	}
+	var tally scalarTally
 	genBefore := sparse.gen.Load()
 	for step := 0; step <= ts.Horizon()+1; step++ {
 		sparse.SetTimestep(step)
-		dense.SetTimestep(step)
 		label := fmt.Sprintf("t=%d", step)
-		got := sparse.Forward(x, wm, true)
-		want := dense.Forward(x, wm, true)
+		got := assertMatchesScalar(t, label, sparse, &tally, x, wm, true)
 		same := true
-		for i := range want.Data {
-			if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
-				t.Fatalf("%s: sparse y[%d] = %v, dense reference %v", label, i, got.Data[i], want.Data[i])
-			}
+		for i := range got.Data {
 			if math.Float32bits(clean.Data[i]) != math.Float32bits(got.Data[i]) {
 				same = false
 			}
-		}
-		if sparse.Stats() != dense.Stats() {
-			t.Fatalf("%s: stats %+v, want %+v", label, sparse.Stats(), dense.Stats())
 		}
 		if active := ts.ActiveCount(step) > 0; active == same {
 			t.Fatalf("%s: %d active strikes but output unchanged=%v", label, ts.ActiveCount(step), same)

@@ -60,7 +60,7 @@ type Array struct {
 
 	// EFFECTIVE per-PE accumulator fault state at the current timestep:
 	// the permanent bits plus any transient strikes active right now.
-	// All datapath loops (dense and sparse) read only these.
+	// All datapath loops read only these.
 	orMask     []uint32 // bits forced high
 	clearMask  []uint32 // bits forced low
 	faulty     []bool   // any effective stuck bit on this PE (either register)
@@ -86,8 +86,7 @@ type Array struct {
 	wmap    *faults.Map
 
 	// Weight-SRAM bit-flips (faults.BitFlipModel): applied to stored
-	// words on the compiled-tile path (compile.go) and per element on
-	// the dense reference path.
+	// words on the compiled-tile path (compile.go).
 	mem *faults.MemoryFaults
 
 	// Transient soft-error schedule (faults.TransientModel) and the
@@ -116,10 +115,6 @@ type Array struct {
 	// does NOT bump it: transient strikes hit accumulator outputs only,
 	// never the stored weights, so tiles stay valid across timesteps.
 	gen atomic.Uint64
-
-	// denseRef forces the pre-event-list scalar forward path; see
-	// SetDenseReference.
-	denseRef bool
 
 	// Internal spike counters (one per PE), active when cfg.CountSpikes.
 	spikeCount []uint64
@@ -268,9 +263,9 @@ func (a *Array) WeightFaultMap() *faults.Map { return a.wmap }
 // InjectMemoryFaults installs weight-SRAM bit-flips: every stored
 // weight word is read through the instance's per-(word, bit) flip
 // decisions. Flips are applied where the accelerator actually stores
-// weights — the compiled-tile path (and per element on the dense
-// reference path) — replacing any previous memory faults. Other fault
-// classes are kept; use ClearFaults to remove everything.
+// weights — the compiled-tile path — replacing any previous memory
+// faults. Other fault classes are kept; use ClearFaults to remove
+// everything.
 func (a *Array) InjectMemoryFaults(m *faults.MemoryFaults) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -453,13 +448,6 @@ func (a *Array) refresh() {
 	a.gen.Add(1)
 }
 
-// SetDenseReference forces the pre-event-list dense scalar forward path,
-// which walks every PE of every column. It is kept as the bit-identity
-// reference for the sparse data plane: equivalence tests and the
-// Dense/Sparse benchmark pairs run the same Forward contract on both
-// paths. Production code never needs it.
-func (a *Array) SetDenseReference(on bool) { a.denseRef = on }
-
 // SpikeCount returns the internal spike counter of PE (row, col); zero if
 // counting is disabled.
 func (a *Array) SpikeCount(row, col int) uint64 {
@@ -520,13 +508,6 @@ func (ps *passStats) mergeInto(s *Stats) {
 	if ps.bypassedSteps != 0 {
 		atomic.AddUint64(&s.BypassedSteps, ps.bypassedSteps)
 	}
-}
-
-func (a *Array) add(x, y fixed.Word) fixed.Word {
-	if a.cfg.Saturate {
-		return fixed.AddSat(x, y)
-	}
-	return fixed.AddWrap(x, y)
 }
 
 // PERowCol returns the PE coordinates that hold weight w[m][k] under the
