@@ -1,0 +1,52 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"falvolt/internal/campaign"
+	"falvolt/internal/spec"
+)
+
+// TestFigureKindGoldens runs the Fig. 5 kinds and the shared Fig. 6/7/8
+// mitigation study at a tiny configuration through the spec registry
+// (spec.Build, campaign.Run, Render) and byte-compares the rendered
+// figures with testdata/<kind>.golden. The first line of each golden is
+// the `campaign run` command that produced the rest. Every kind is built
+// from one spec base, so they share one suite and the three baselines
+// train once.
+func TestFigureKindGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three baselines")
+	}
+	for _, kind := range []string{"fig5a", "fig5b", "fig5c", "mitigation"} {
+		t.Run(kind, func(t *testing.T) {
+			s := &spec.Spec{
+				Version: spec.Version, Kind: kind, Seed: 7,
+				Suite: &spec.SuiteSpec{Quick: true, Array: 16, Epochs: 1, Repeats: 1, Eval: 16},
+			}
+			built, err := spec.Build(s, spec.BuildOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := campaign.Run(built.Campaign, campaign.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := built.Render(&got, rr.Results); err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", kind+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want, _ := bytes.Cut(golden, []byte("\n"))
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s figures drifted from golden:\n--- got ---\n%s--- want ---\n%s", kind, got.Bytes(), want)
+			}
+		})
+	}
+}
