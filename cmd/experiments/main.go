@@ -9,6 +9,12 @@
 // registry, a figure launched here, resumed by cmd/campaign, and
 // finished by remote workers is one and the same campaign.
 //
+// Every selected figure campaign runs one way — built from its spec and
+// executed by campaign.Run — and -fig filters the printed figures in
+// every mode, so -fig 7 prints only Fig. 7 even though Fig. 6, 7 and 8
+// come from one shared mitigation study. An unknown -fig name is a
+// usage error (exit 2) that lists the valid names.
+//
 // The figure sweeps run as campaigns (internal/campaign): -checkpoint
 // makes them resumable, and -shard splits one campaign across processes
 // whose partial JSONL files merge bit-identically with `campaign merge`.
@@ -38,6 +44,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -82,15 +89,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
+	want, err := parseFigs(*figs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
-	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
-
-	// figCampaigns maps -fig names to their backing campaigns ("" = not
-	// campaign-backed). Fig. 6/7/8 share the "mitigation" study.
+	// figCampaigns maps -fig names to their backing campaigns. Fig. 6/7/8
+	// share the "mitigation" study.
 	figCampaigns := []struct{ fig, camp string }{
 		{"2", "fig2"}, {"5a", "fig5a"}, {"5b", "fig5b"}, {"5c", "fig5c"},
 		{"6", "mitigation"}, {"7", "mitigation"}, {"8", "mitigation"},
@@ -116,7 +121,6 @@ func main() {
 		base = loaded
 		// A spec names one campaign; narrow the selection to its figures.
 		want = map[string]bool{}
-		all = false
 		for _, fc := range figCampaigns {
 			if fc.camp == loaded.Kind {
 				want[fc.fig] = true
@@ -131,17 +135,17 @@ func main() {
 		s.Kind = camp
 		return &s
 	}
+	// camps are the selected figures' campaigns, each once, in figure
+	// order.
+	var camps []string
+	for _, fc := range figCampaigns {
+		if want[fc.fig] && !slices.Contains(camps, fc.camp) {
+			camps = append(camps, fc.camp)
+		}
+	}
 
 	if *dumpSpec {
 		// Dumping needs exactly one campaign: -fig 5a (or a loaded spec).
-		var camps []string
-		seen := map[string]bool{}
-		for _, fc := range figCampaigns {
-			if selected(fc.fig) && !seen[fc.camp] {
-				seen[fc.camp] = true
-				camps = append(camps, fc.camp)
-			}
-		}
 		if len(camps) != 1 {
 			failTop(fmt.Errorf("-dump-spec needs -fig naming exactly one campaign-backed figure (got %d campaigns)", len(camps)))
 		}
@@ -197,17 +201,17 @@ func main() {
 	}
 	// runCampaign builds the named campaign from its spec and executes
 	// it with the shard/checkpoint options — on remote workers when
-	// -coordinator is set — returning the built renderers alongside.
-	runCampaign := func(name string) (*spec.Built, *campaign.RunResult, error) {
+	// -coordinator is set.
+	runCampaign := func(name string) (*campaign.RunResult, error) {
 		s := specFor(name)
 		built, err := spec.Build(s, bopt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		copt := campaign.Options{Context: ctx, Shard: shard}
 		if *ckptDir != "" {
 			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			copt.Checkpoint = shardFile(name)
 		}
@@ -219,83 +223,51 @@ func main() {
 		if *verbose {
 			copt.Log = os.Stderr
 		}
-		rr, err := campaign.Run(built.Campaign, copt)
-		return built, rr, err
+		return campaign.Run(built.Campaign, copt)
 	}
 
 	if !shard.IsWhole() {
 		// Shard mode: execute the selected campaigns' subsets and leave
 		// figure assembly to `campaign merge` over all shard files.
-		ran := map[string]bool{}
-		for _, fc := range figCampaigns {
-			if !selected(fc.fig) || ran[fc.camp] {
-				continue
-			}
-			ran[fc.camp] = true
-			_, rr, err := runCampaign(fc.camp)
+		for _, camp := range camps {
+			rr, err := runCampaign(camp)
 			if err != nil {
-				fail(fc.camp, err)
+				fail(camp, err)
 			}
 			fmt.Printf("campaign %s shard %s: %d/%d trials complete -> %s\n",
-				fc.camp, shard, len(rr.Results), rr.Planned, shardFile(fc.camp))
+				camp, shard, len(rr.Results), rr.Planned, shardFile(camp))
 		}
-		if selected("baseline") || want["ablations"] {
+		if want["baseline"] || want["ablations"] {
 			fmt.Fprintln(os.Stderr, "experiments: baseline/ablations are not sharded; run them without -shard")
 		}
 		return
 	}
 
-	run := func(name string, fn func() error) {
-		if !selected(name) {
-			return
-		}
-		if err := fn(); err != nil {
-			fail(name, err)
-		}
-	}
-	// printCampaign runs a campaign-backed figure with checkpointing and
-	// prints its figures (used when -checkpoint is set; otherwise the
-	// plain Fig* methods below run the campaign in memory).
-	printCampaign := func(camp string) error {
-		built, rr, err := runCampaign(camp)
-		if err != nil {
-			return err
-		}
-		return built.Render(os.Stdout, rr.Results)
-	}
-
-	run("baseline", func() error {
+	if want["baseline"] {
 		fig, err := suite.Baselines()
 		if err != nil {
-			return err
+			fail("baseline", err)
 		}
 		fig.Print(os.Stdout)
-		return nil
-	})
-	if *ckptDir != "" || *coordArg != "" {
-		// Checkpointed or distributed whole-campaign mode: run each
-		// selected campaign (with resume, and/or on remote workers) and
-		// print its figures. Fig. 6/7/8 print together.
-		ran := map[string]bool{}
-		for _, fc := range figCampaigns {
-			if !selected(fc.fig) || ran[fc.camp] {
-				continue
-			}
-			ran[fc.camp] = true
-			if err := printCampaign(fc.camp); err != nil {
-				fail(fc.camp, err)
+	}
+	// Each selected campaign runs once (with resume, and/or on remote
+	// workers); of its figures only the selected ones print.
+	for _, camp := range camps {
+		rr, err := runCampaign(camp)
+		if err != nil {
+			fail(camp, err)
+		}
+		figs, err := suite.Figures(camp, rr.Results)
+		if err != nil {
+			fail(camp, err)
+		}
+		for _, f := range figs {
+			// Figure IDs are "Fig<name>" or "Fig<name>-<dataset>".
+			if name, _, _ := strings.Cut(strings.TrimPrefix(f.ID, "Fig"), "-"); want[name] {
+				f.Print(os.Stdout)
 			}
 		}
-	} else {
-		run("2", func() error { return printFig(suite.Fig2()) })
-		run("5a", func() error { return printFig(suite.Fig5a()) })
-		run("5b", func() error { return printFig(suite.Fig5b()) })
-		run("5c", func() error { return printFig(suite.Fig5c()) })
-		run("6", func() error { return printFigs(suite.Fig6()) })
-		run("7", func() error { return printFig(suite.Fig7()) })
-		run("8", func() error { return printFigs(suite.Fig8()) })
 	}
-	// Ablations are opt-in only (not part of "all").
 	if want["ablations"] {
 		figs, err := suite.Ablations()
 		if err != nil {
@@ -307,20 +279,26 @@ func main() {
 	}
 }
 
-func printFig(f *experiments.Figure, err error) error {
-	if err != nil {
-		return err
-	}
-	f.Print(os.Stdout)
-	return nil
-}
+// figureNames are the -fig names in print order; "all" selects every one
+// but the opt-in "ablations".
+var figureNames = []string{"baseline", "2", "5a", "5b", "5c", "6", "7", "8", "ablations"}
 
-func printFigs(figs []*experiments.Figure, err error) error {
-	if err != nil {
-		return err
+// parseFigs resolves a comma-separated -fig list into the selected
+// figure names, rejecting names it does not know.
+func parseFigs(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(f))
+		switch {
+		case name == "all":
+			for _, n := range figureNames[:len(figureNames)-1] {
+				want[n] = true
+			}
+		case slices.Contains(figureNames, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("-fig: unknown figure %q (valid: all, %s)", name, strings.Join(figureNames, ", "))
+		}
 	}
-	for _, f := range figs {
-		f.Print(os.Stdout)
-	}
-	return nil
+	return want, nil
 }

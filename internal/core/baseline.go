@@ -114,9 +114,9 @@ func (l *lazyDeps) get() (YieldDeps, error) {
 	return l.deps, l.err
 }
 
-// lane returns the model and array a runner lane works on: lane 0 reuses
+// Lane returns the model and array a runner lane works on: lane 0 reuses
 // the shared pair, further lanes get private replicas from BuildModel.
-func (d YieldDeps) lane(lane int) (*snn.Model, *systolic.Array, error) {
+func (d YieldDeps) Lane(lane int) (*snn.Model, *systolic.Array, error) {
 	if lane == 0 {
 		return d.Model, d.Arr, nil
 	}
@@ -134,9 +134,9 @@ func (d YieldDeps) lane(lane int) (*snn.Model, *systolic.Array, error) {
 	return m, arr, nil
 }
 
-// restore returns model and arr to the fault-free baseline: undeployed,
+// Restore returns model and arr to the fault-free baseline: undeployed,
 // baseline weights, no faults, bypass off.
-func (d YieldDeps) restore(model *snn.Model, arr *systolic.Array) error {
+func (d YieldDeps) Restore(model *snn.Model, arr *systolic.Array) error {
 	model.Net.Undeploy()
 	arr.ClearFaults()
 	arr.SetBypass(false)

@@ -34,56 +34,20 @@ import (
 	"falvolt/internal/tensor"
 )
 
-// EvalOptions configures a faulty-array evaluation.
-type EvalOptions struct {
-	// Bypass selects whether faulty PEs are bypassed (pruned
-	// contribution, no corruption) or left corrupting.
-	Bypass bool
-	// BatchSize is the evaluation batch size (0 selects 32).
-	BatchSize int
-	// Engine is the compute backend for the evaluation. When nil, the
-	// network's and array's own engines apply (tensor.Default() if those
-	// are unset too). When non-nil it is installed on both for the
-	// duration and restored afterwards.
-	Engine tensor.Backend
-}
-
 // EvaluateFaulty measures test accuracy of an unmitigated model deployed
 // on an array with the given fault map — the vulnerability analysis path
 // (Fig. 5 family). The model's float weights are not modified; the
 // deployment is removed before returning.
 func EvaluateFaulty(model *snn.Model, arr *systolic.Array, fm *faults.Map,
 	test []snn.Sample, bypass bool, batchSize int) (float64, error) {
-	return EvaluateFaultyOpts(model, arr, fm, test, EvalOptions{Bypass: bypass, BatchSize: batchSize})
-}
-
-// EvaluateFaultyOpts is EvaluateFaulty with the full option set. A
-// non-nil Engine is installed on the network and the array for the
-// duration of the evaluation (previous engines restored), so every
-// layer of the deployed compute runs on it.
-func EvaluateFaultyOpts(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	test []snn.Sample, opt EvalOptions) (float64, error) {
 	if err := arr.InjectFaults(fm); err != nil {
 		return 0, fmt.Errorf("core: inject faults: %w", err)
 	}
-	arr.SetBypass(opt.Bypass)
-	restore := installEngine(arr, opt.Engine)
-	defer restore()
+	arr.SetBypass(bypass)
 	model.Net.Deploy(arr)
-	acc := snn.EvaluateWith(opt.Engine, model.Net, test, opt.BatchSize)
+	acc := snn.EvaluateWith(nil, model.Net, test, batchSize)
 	model.Net.Undeploy()
 	return acc, nil
-}
-
-// installEngine routes the array through eng (when non-nil), returning a
-// restore function.
-func installEngine(arr *systolic.Array, eng tensor.Backend) func() {
-	if eng == nil {
-		return func() {}
-	}
-	prev := arr.Config().Engine
-	arr.SetEngine(eng)
-	return func() { arr.SetEngine(prev) }
 }
 
 // EvaluateWeightFaulty is EvaluateFaulty for stuck bits in the PE weight

@@ -148,33 +148,21 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 		return deps, nil
 	}}
 
-	// Each lane works on a private model and one array per side.
 	newWorker := func(lane int) (campaign.Worker, error) {
 		deps, err := lazy.get()
 		if err != nil {
 			return nil, err
 		}
-		model, arr, err := deps.lane(lane)
+		model, arr, err := deps.Lane(lane)
 		if err != nil {
 			return nil, err
 		}
-		arrs := map[int]*systolic.Array{arr.Config().Rows: arr}
+		cl := NewCellLane(deps, model, arr)
 		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
 			if t.ID < 0 || t.ID >= len(cells) {
 				return campaign.Result{}, fmt.Errorf("core: faultsim trial %d out of range", t.ID)
 			}
-			cell := cells[t.ID]
-			arr, ok := arrs[cell.side]
-			if !ok {
-				cfg := deps.Arr.Config()
-				cfg.Rows, cfg.Cols = cell.side, cell.side
-				var err error
-				if arr, err = systolic.New(cfg); err != nil {
-					return campaign.Result{}, err
-				}
-				arrs[cell.side] = arr
-			}
-			acc, err := runFaultSimCell(deps, model, arr, cell, fmodel, f.Mitigate, t.Seed, seed+7919*int64(t.ID+1))
+			acc, err := cl.run(cells[t.ID], fmodel, f.Mitigate, t.Seed, seed+7919*int64(t.ID+1))
 			if err != nil {
 				return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 			}
@@ -205,12 +193,43 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 	return &spec.Built{Campaign: campaign.New("faultsim", trials, newWorker), Render: render}, nil
 }
 
-// runFaultSimCell measures one cell on a restored baseline: inject the
-// instance addressed by faultSeed, salvage it when ms is set (retraining
-// rng from mitSeed), and evaluate.
-func runFaultSimCell(deps YieldDeps, model *snn.Model, arr *systolic.Array, cell faultSimCell,
-	fmodel faults.FaultModel, ms *spec.MitigationSpec, faultSeed, mitSeed int64) (float64, error) {
-	if err := deps.restore(model, arr); err != nil {
+// CellLane is one runner lane's evaluator of faultsim cells: a model,
+// one array per side (the lane's own array, plus any other side a cell
+// asks for, built on first use) and the baseline both return to before
+// every cell.
+type CellLane struct {
+	deps  YieldDeps
+	model *snn.Model
+	arrs  map[int]*systolic.Array
+}
+
+// NewCellLane wraps a lane's model and array (see YieldDeps.Lane).
+func NewCellLane(deps YieldDeps, model *snn.Model, arr *systolic.Array) *CellLane {
+	return &CellLane{deps: deps, model: model, arrs: map[int]*systolic.Array{arr.Config().Rows: arr}}
+}
+
+// StuckAt measures the unmitigated baseline on a side x side array
+// carrying the stuck-at map gen draws from seed.
+func (l *CellLane) StuckAt(side int, gen faults.GenSpec, seed int64) (float64, error) {
+	return l.run(faultSimCell{side: side, gen: gen}, nil, nil, seed, 0)
+}
+
+// run measures one cell on a restored baseline: inject the instance
+// addressed by faultSeed, salvage it when ms is set (retraining rng from
+// mitSeed), and evaluate.
+func (l *CellLane) run(cell faultSimCell, fmodel faults.FaultModel, ms *spec.MitigationSpec,
+	faultSeed, mitSeed int64) (float64, error) {
+	arr, ok := l.arrs[cell.side]
+	if !ok {
+		cfg := l.deps.Arr.Config()
+		cfg.Rows, cfg.Cols = cell.side, cell.side
+		var err error
+		if arr, err = systolic.New(cfg); err != nil {
+			return 0, err
+		}
+		l.arrs[cell.side] = arr
+	}
+	if err := l.deps.Restore(l.model, arr); err != nil {
 		return 0, err
 	}
 	if fmodel != nil {
@@ -218,7 +237,8 @@ func runFaultSimCell(deps YieldDeps, model *snn.Model, arr *systolic.Array, cell
 			return 0, err
 		}
 	} else {
-		fm, err := faults.Generate(cell.side, cell.side, cell.gen, rand.New(rand.NewSource(faultSeed)))
+		acfg := arr.Config()
+		fm, err := faults.Generate(acfg.Rows, acfg.Cols, cell.gen, rand.New(rand.NewSource(faultSeed)))
 		if err != nil {
 			return 0, err
 		}
@@ -227,18 +247,18 @@ func runFaultSimCell(deps YieldDeps, model *snn.Model, arr *systolic.Array, cell
 		}
 	}
 	if ms != nil {
-		mit, err := newMitigation(*ms, 1, ms.EffectiveLR(), deps, rand.New(rand.NewSource(mitSeed)))
+		mit, err := newMitigation(*ms, 1, ms.EffectiveLR(), l.deps, rand.New(rand.NewSource(mitSeed)))
 		if err != nil {
 			return 0, err
 		}
-		if _, err := mit.Apply(model, arr, arr.FaultMap()); err != nil {
+		if _, err := mit.Apply(l.model, arr, arr.FaultMap()); err != nil {
 			return 0, fmt.Errorf("%s: %w", mit.Name(), err)
 		}
 	} else {
-		model.Net.Deploy(arr)
+		l.model.Net.Deploy(arr)
 	}
-	acc := snn.EvaluateWith(nil, model.Net, deps.Test, 32)
-	model.Net.Undeploy()
+	acc := snn.EvaluateWith(nil, l.model.Net, l.deps.Test, 32)
+	l.model.Net.Undeploy()
 	arr.ClearFaults()
 	arr.SetBypass(false)
 	return acc, nil

@@ -137,7 +137,7 @@ func SalvageCampaign(cfg spec.SalvageCampaignSpec, seed int64,
 			return nil, err
 		}
 		w := &salvageWorker{d: d, deps: deps}
-		if w.model, w.arr, err = deps.lane(lane); err != nil {
+		if w.model, w.arr, err = deps.Lane(lane); err != nil {
 			return nil, err
 		}
 		return w, nil
@@ -171,7 +171,7 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}
 
 	net := w.model.Net
-	if err := w.deps.restore(w.model, w.arr); err != nil {
+	if err := w.deps.Restore(w.model, w.arr); err != nil {
 		return campaign.Result{}, err
 	}
 	if err := fmodel.Inject(w.arr, rate, t.Seed); err != nil {

@@ -209,7 +209,7 @@ func LazyYieldCampaign(rows, cols int, cfg YieldConfig, fingerprint map[string]s
 		if cfg.EvalSamples > 0 && cfg.EvalSamples < len(deps.Test) {
 			w.eval = deps.Test[:cfg.EvalSamples]
 		}
-		if w.model, w.arr, err = deps.lane(lane); err != nil {
+		if w.model, w.arr, err = deps.Lane(lane); err != nil {
 			return nil, err
 		}
 		return w, nil
@@ -275,9 +275,7 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	if err := w.model.Net.LoadState(w.deps.Baseline); err != nil {
 		return campaign.Result{}, err
 	}
-	rawAcc, err := EvaluateFaultyOpts(w.model, w.arr, fm, w.eval, EvalOptions{
-		BatchSize: 32, Engine: w.cfg.Mitigation.Engine,
-	})
+	rawAcc, err := EvaluateFaulty(w.model, w.arr, fm, w.eval, false, 32)
 	if err != nil {
 		return campaign.Result{}, err
 	}

@@ -96,11 +96,8 @@ func (s *Suite) AblationVthGradientForm() (*Figure, error) {
 	}
 	forms := []bool{false, true}
 	accs, err := runLocal("ablation-vth-grad", len(forms), func(i int) (float64, error) {
-		model, err := bl.BuildModel()
+		model, arr, err := bl.replica()
 		if err != nil {
-			return 0, err
-		}
-		if err := model.Net.LoadState(bl.State); err != nil {
 			return 0, err
 		}
 		for _, node := range model.Net.SpikingLayers() {
@@ -108,8 +105,7 @@ func (s *Suite) AblationVthGradientForm() (*Figure, error) {
 			cfg.PaperVthGrad = forms[i]
 			node.SetConfig(cfg)
 		}
-		arr := s.NewArray()
-		rep, err := mitigation.Mitigate(model, arr, fm, bl.Data.Train, bl.TestSlice(s.Opt.EvalSamples), mitigation.Config{
+		rep, err := mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, mitigation.Config{
 			Method: mitigation.FalVolt, Epochs: s.Opt.RetrainEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 			Rng: rand.New(rand.NewSource(s.Opt.Seed + 70)),
 		})
@@ -139,29 +135,26 @@ func (s *Suite) AblationBypass() (*Figure, error) {
 	}
 	rates := []float64{0.10, 0.30, 0.60}
 	var raw, bypass []float64
-	ws, err := s.newWorkers(bl, 1)
+	model, arr, err := bl.replica()
 	if err != nil {
 		return nil, err
 	}
-	w := ws[0]
-	test := bl.TestSlice(s.Opt.EvalSamples)
-	for i, rate := range rates {
+	for _, rate := range rates {
 		fm, err := s.mitigationFaultMap(0, rate)
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.EvaluateFaulty(w.model, w.arr, fm, test, false, 32)
+		r, err := core.EvaluateFaulty(model, arr, fm, bl.Test, false, 32)
 		if err != nil {
 			return nil, err
 		}
-		b, err := core.EvaluateFaulty(w.model, w.arr, fm, test, true, 32)
+		b, err := core.EvaluateFaulty(model, arr, fm, bl.Test, true, 32)
 		if err != nil {
 			return nil, err
 		}
 		raw = append(raw, r)
 		bypass = append(bypass, b)
 		s.logf("ablation bypass rate %.0f%%: raw %.3f bypass %.3f\n", rate*100, r, b)
-		_ = i
 	}
 	fig.Series = append(fig.Series,
 		Series{Label: "corrupting", X: rates, Y: raw},
@@ -184,11 +177,8 @@ func (s *Suite) AblationQFormat() (*Figure, error) {
 	}
 	formats := []fixed.Format{fixed.Q24x8, fixed.Q16x16, fixed.Q8x24}
 	accs, err := runLocal("ablation-qformat", len(formats), func(i int) (float64, error) {
-		model, err := bl.BuildModel()
+		model, _, err := bl.replica()
 		if err != nil {
-			return 0, err
-		}
-		if err := model.Net.LoadState(bl.State); err != nil {
 			return 0, err
 		}
 		arr, err := systolic.New(systolic.Config{
@@ -198,7 +188,7 @@ func (s *Suite) AblationQFormat() (*Figure, error) {
 			return 0, err
 		}
 		model.Net.Deploy(arr)
-		acc := snn.Evaluate(model.Net, bl.TestSlice(s.Opt.EvalSamples), 32)
+		acc := snn.Evaluate(model.Net, bl.Test, 32)
 		s.logf("ablation qformat %v: %.3f\n", formats[i], acc)
 		return acc, nil
 	})
@@ -265,12 +255,10 @@ func (s *Suite) AblationFaultSite() (*Figure, error) {
 		Notes: []string{"equal fault maps (MSB sa1), no mitigation"},
 	}
 	counts := []int{4, 8, 16, 32}
-	ws, err := s.newWorkers(bl, 1)
+	model, arr, err := bl.replica()
 	if err != nil {
 		return nil, err
 	}
-	w := ws[0]
-	test := bl.TestSlice(s.Opt.EvalSamples)
 	var accAcc, wAcc []float64
 	for i, n := range counts {
 		fm, err := faults.Generate(s.Opt.ArrayRows, s.Opt.ArrayCols, faults.GenSpec{
@@ -279,11 +267,11 @@ func (s *Suite) AblationFaultSite() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := core.EvaluateFaulty(w.model, w.arr, fm, test, false, 32)
+		a, err := core.EvaluateFaulty(model, arr, fm, bl.Test, false, 32)
 		if err != nil {
 			return nil, err
 		}
-		b, err := core.EvaluateWeightFaulty(w.model, w.arr, fm, test, false, 32)
+		b, err := core.EvaluateWeightFaulty(model, arr, fm, bl.Test, false, 32)
 		if err != nil {
 			return nil, err
 		}

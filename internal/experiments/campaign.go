@@ -6,11 +6,7 @@ import (
 	"strconv"
 
 	"falvolt/internal/campaign"
-	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
 	"falvolt/internal/mitigation"
-	"falvolt/internal/snn"
-	"falvolt/internal/systolic"
 )
 
 // Campaign adapters: every figure sweep decomposes into a deterministic
@@ -38,12 +34,8 @@ func (s *Suite) Campaign(name string) (campaign.Campaign, error) {
 		return campaign.NewWithMeta(name, meta, s.fig2Trials(), func(lane int) (campaign.Worker, error) {
 			return campaign.WorkerFunc(s.runFig2Trial), nil
 		}), nil
-	case "fig5a":
-		return campaign.NewWithMeta(name, meta, s.fig5aTrials(), s.vulnWorkerFactory(s.runFig5aTrial)), nil
-	case "fig5b":
-		return campaign.NewWithMeta(name, meta, s.fig5bTrials(), s.vulnWorkerFactory(s.runFig5bTrial)), nil
-	case "fig5c":
-		return campaign.NewWithMeta(name, meta, s.fig5cTrials(), s.vulnWorkerFactory(s.runFig5cTrial)), nil
+	case "fig5a", "fig5b", "fig5c":
+		return s.fig5Campaign(name), nil
 	case "mitigation":
 		return campaign.NewWithMeta(name, meta, s.mitigationTrials(), func(lane int) (campaign.Worker, error) {
 			return campaign.WorkerFunc(s.runMitigationTrial), nil
@@ -65,30 +57,6 @@ func (s *Suite) campaignMeta() map[string]string {
 	}
 }
 
-// RunCampaign executes the named campaign (or a shard of it) and
-// returns its results; the campaign.Options select shard, checkpoint
-// and runner.
-func (s *Suite) RunCampaign(name string, opt campaign.Options) (*campaign.RunResult, error) {
-	c, err := s.Campaign(name)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Log == nil {
-		opt.Log = s.Opt.Log
-	}
-	return campaign.Run(c, opt)
-}
-
-// campaignFigures runs the named campaign to completion in-process and
-// assembles its figures — the path behind the Fig* convenience methods.
-func (s *Suite) campaignFigures(name string) ([]*Figure, error) {
-	rr, err := s.RunCampaign(name, campaign.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return s.Figures(name, rr.Results)
-}
-
 // Figures assembles the named campaign's figures from merged results
 // (complete coverage required). For "mitigation" the order is the
 // paper's: Fig. 6 per dataset, Fig. 7, Fig. 8 per dataset.
@@ -97,25 +65,11 @@ func (s *Suite) Figures(name string, results []campaign.Result) ([]*Figure, erro
 	case "fig2":
 		f, err := s.fig2Figure(results)
 		return wrapFigure(f, err)
-	case "fig5a":
-		f, err := s.fig5aFigure(results)
-		return wrapFigure(f, err)
-	case "fig5b":
-		f, err := s.fig5bFigure(results)
-		return wrapFigure(f, err)
-	case "fig5c":
-		f, err := s.fig5cFigure(results)
+	case "fig5a", "fig5b", "fig5c":
+		f, err := s.fig5Figure(name, results)
 		return wrapFigure(f, err)
 	case "mitigation":
-		r, err := s.mitigationFigures(results)
-		if err != nil {
-			return nil, err
-		}
-		var out []*Figure
-		out = append(out, r.fig6...)
-		out = append(out, r.fig7)
-		out = append(out, r.fig8...)
-		return out, nil
+		return s.mitigationFigures(results)
 	}
 	return nil, fmt.Errorf("experiments: unknown campaign %q", name)
 }
@@ -135,28 +89,6 @@ func (s *Suite) datasetNames() []string {
 		names = append(names, p.name)
 	}
 	return names
-}
-
-func parsePolarity(s string) (faults.Polarity, error) {
-	switch s {
-	case "sa0":
-		return faults.StuckAt0, nil
-	case "sa1":
-		return faults.StuckAt1, nil
-	}
-	return 0, fmt.Errorf("experiments: bad polarity tag %q", s)
-}
-
-func parseMethod(s string) (mitigation.Method, error) {
-	switch s {
-	case mitigation.FaP.String():
-		return mitigation.FaP, nil
-	case mitigation.FaPIT.String():
-		return mitigation.FaPIT, nil
-	case mitigation.FalVolt.String():
-		return mitigation.FalVolt, nil
-	}
-	return 0, fmt.Errorf("experiments: bad method tag %q", s)
 }
 
 func atoiTag(t campaign.Trial, key string) (int, error) {
@@ -179,314 +111,6 @@ func atofTag(t campaign.Trial, key string) (float64, error) {
 // recovers the identical bits, keeping seed arithmetic like
 // int64(rate*1000) exact across processes).
 func ftag(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// --- vulnerability campaigns (Fig. 5a/5b/5c) ---
-
-// fig5aFaultyPEs is the fixed faulty-PE count of the Fig. 5a sweep.
-const fig5aFaultyPEs = 16
-
-// fig5cFaultyPEs is the fixed faulty-PE count of the Fig. 5c sweep.
-const fig5cFaultyPEs = 4
-
-// vulnJob is one (dataset, polarity) series of Fig. 5a, or one dataset
-// series of Fig. 5b/5c.
-type vulnJob struct {
-	ds  string
-	pol faults.Polarity
-}
-
-func (s *Suite) fig5aJobs() []vulnJob {
-	var jobs []vulnJob
-	for _, name := range s.datasetNames() {
-		for _, pol := range []faults.Polarity{faults.StuckAt0, faults.StuckAt1} {
-			jobs = append(jobs, vulnJob{ds: name, pol: pol})
-		}
-	}
-	return jobs
-}
-
-func (s *Suite) fig5aTrials() []campaign.Trial {
-	var trials []campaign.Trial
-	for j, jb := range s.fig5aJobs() {
-		for i, bit := range Fig5aBits {
-			for rep := 0; rep < s.Opt.Repeats; rep++ {
-				trials = append(trials, campaign.Trial{
-					ID:   len(trials),
-					Key:  fmt.Sprintf("%s-%s|%d", jb.pol, jb.ds, bit),
-					Seed: s.Opt.Seed + int64(j*1000+i*10+rep),
-					Tags: map[string]string{
-						"dataset": jb.ds, "pol": jb.pol.String(),
-						"bit": strconv.Itoa(int(bit)), "rep": strconv.Itoa(rep),
-					},
-				})
-			}
-		}
-	}
-	return trials
-}
-
-func (s *Suite) fig5bTrials() []campaign.Trial {
-	var trials []campaign.Trial
-	for j, name := range s.datasetNames() {
-		for i, count := range Fig5bCounts {
-			for rep := 0; rep < s.Opt.Repeats; rep++ {
-				trials = append(trials, campaign.Trial{
-					ID:   len(trials),
-					Key:  fmt.Sprintf("%s|%d", name, count),
-					Seed: s.Opt.Seed + int64(j*1000+i*10+rep),
-					Tags: map[string]string{
-						"dataset": name, "count": strconv.Itoa(count), "rep": strconv.Itoa(rep),
-					},
-				})
-			}
-		}
-	}
-	return trials
-}
-
-func (s *Suite) fig5cTrials() []campaign.Trial {
-	var trials []campaign.Trial
-	for j, name := range s.datasetNames() {
-		for i, side := range Fig5cSides {
-			for rep := 0; rep < s.Opt.Repeats; rep++ {
-				trials = append(trials, campaign.Trial{
-					ID:   len(trials),
-					Key:  fmt.Sprintf("%s|%d", name, side),
-					Seed: s.Opt.Seed + int64(j*1000+i*10+rep),
-					Tags: map[string]string{
-						"dataset": name, "side": strconv.Itoa(side), "rep": strconv.Itoa(rep),
-					},
-				})
-			}
-		}
-	}
-	return trials
-}
-
-// vulnWorker is one lane's private state for the vulnerability
-// campaigns: per-dataset model replicas plus per-side arrays (Fig. 5c).
-// Results are bit-identical whichever lane evaluates a trial, because
-// every replica restores the same baseline snapshot.
-type vulnWorker struct {
-	s     *Suite
-	evals map[string]*evalWorker
-	tests map[string][]snn.Sample
-	arrs  map[int]*systolic.Array
-}
-
-func (s *Suite) vulnWorkerFactory(run func(*vulnWorker, campaign.Trial) (campaign.Result, error)) func(int) (campaign.Worker, error) {
-	return func(lane int) (campaign.Worker, error) {
-		w := &vulnWorker{
-			s:     s,
-			evals: make(map[string]*evalWorker),
-			tests: make(map[string][]snn.Sample),
-			arrs:  make(map[int]*systolic.Array),
-		}
-		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
-			return run(w, t)
-		}), nil
-	}
-}
-
-// eval returns the lane-private worker for a dataset, training the
-// shared baseline on first use (suite-wide, mutex-guarded).
-func (w *vulnWorker) eval(ds string) (*evalWorker, []snn.Sample, error) {
-	if ew, ok := w.evals[ds]; ok {
-		return ew, w.tests[ds], nil
-	}
-	bl, err := w.s.Dataset(ds)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := bl.BuildModel()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.Net.LoadState(bl.State); err != nil {
-		return nil, nil, err
-	}
-	ew := &evalWorker{model: m, arr: w.s.NewArray()}
-	w.evals[ds] = ew
-	w.tests[ds] = bl.TestSlice(w.s.Opt.EvalSamples)
-	return ew, w.tests[ds], nil
-}
-
-// arrFor returns the lane-private side x side array (Fig. 5c).
-func (w *vulnWorker) arrFor(side int) *systolic.Array {
-	if a, ok := w.arrs[side]; ok {
-		return a
-	}
-	a := systolic.MustNew(systolic.Config{
-		Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true,
-	})
-	w.arrs[side] = a
-	return a
-}
-
-func (s *Suite) runFig5aTrial(w *vulnWorker, t campaign.Trial) (campaign.Result, error) {
-	ew, test, err := w.eval(t.Tags["dataset"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	bit, err := atoiTag(t, "bit")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	pol, err := parsePolarity(t.Tags["pol"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	fm, err := faults.Generate(s.Opt.ArrayRows, s.Opt.ArrayCols, faults.GenSpec{
-		NumFaulty: fig5aFaultyPEs, BitMode: faults.FixedBit, Bit: uint(bit),
-		Pol: pol, PolMode: faults.FixedPol,
-	}, rand.New(rand.NewSource(t.Seed)))
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	acc, err := faultyAccuracy(ew, fm, test)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	s.logf("fig5a %s %s bit %d rep %s: %.3f\n", t.Tags["dataset"], pol, bit, t.Tags["rep"], acc)
-	return campaign.Result{TrialID: t.ID, Key: t.Key, Metrics: map[string]float64{"acc": acc}}, nil
-}
-
-func (s *Suite) runFig5bTrial(w *vulnWorker, t campaign.Trial) (campaign.Result, error) {
-	ew, test, err := w.eval(t.Tags["dataset"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	count, err := atoiTag(t, "count")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	fm, err := faults.Generate(s.Opt.ArrayRows, s.Opt.ArrayCols, faults.GenSpec{
-		NumFaulty: count, BitMode: faults.MSBBits,
-		Pol: faults.StuckAt1, PolMode: faults.FixedPol,
-	}, rand.New(rand.NewSource(t.Seed)))
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	acc, err := faultyAccuracy(ew, fm, test)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	s.logf("fig5b %s n=%d rep %s: %.3f\n", t.Tags["dataset"], count, t.Tags["rep"], acc)
-	return campaign.Result{TrialID: t.ID, Key: t.Key, Metrics: map[string]float64{"acc": acc}}, nil
-}
-
-func (s *Suite) runFig5cTrial(w *vulnWorker, t campaign.Trial) (campaign.Result, error) {
-	ew, test, err := w.eval(t.Tags["dataset"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	side, err := atoiTag(t, "side")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	fm, err := faults.Generate(side, side, faults.GenSpec{
-		NumFaulty: fig5cFaultyPEs, BitMode: faults.MSBBits,
-		Pol: faults.StuckAt1, PolMode: faults.FixedPol,
-	}, rand.New(rand.NewSource(t.Seed)))
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	sideWorker := &evalWorker{model: ew.model, arr: w.arrFor(side)}
-	acc, err := faultyAccuracy(sideWorker, fm, test)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	s.logf("fig5c %s %dx%d rep %s: %.3f\n", t.Tags["dataset"], side, side, t.Tags["rep"], acc)
-	return campaign.Result{TrialID: t.ID, Key: t.Key, Metrics: map[string]float64{"acc": acc}}, nil
-}
-
-func (s *Suite) fig5aFigure(results []campaign.Result) (*Figure, error) {
-	accs := campaign.GroupMean(results, "acc")
-	fig := &Figure{
-		ID: "Fig5a", Title: "Accuracy vs fault bit location",
-		XLabel: "bit", YLabel: "accuracy",
-		Notes: []string{
-			fmt.Sprintf("%d faulty PEs on a %dx%d array, averaged over %d fault maps",
-				fig5aFaultyPEs, s.Opt.ArrayRows, s.Opt.ArrayCols, s.Opt.Repeats),
-		},
-	}
-	xs := make([]float64, len(Fig5aBits))
-	for i, b := range Fig5aBits {
-		xs[i] = float64(b)
-	}
-	for _, jb := range s.fig5aJobs() {
-		ys := make([]float64, len(Fig5aBits))
-		for i, bit := range Fig5aBits {
-			key := fmt.Sprintf("%s-%s|%d", jb.pol, jb.ds, bit)
-			acc, ok := accs[key]
-			if !ok {
-				return nil, fmt.Errorf("experiments: fig5a results missing %q (incomplete merge?)", key)
-			}
-			ys[i] = acc
-		}
-		fig.Series = append(fig.Series, Series{
-			Label: fmt.Sprintf("%s-%s", jb.pol, jb.ds), X: xs, Y: ys,
-		})
-	}
-	return fig, nil
-}
-
-func (s *Suite) fig5bFigure(results []campaign.Result) (*Figure, error) {
-	accs := campaign.GroupMean(results, "acc")
-	fig := &Figure{
-		ID: "Fig5b", Title: "Accuracy vs number of faulty PEs",
-		XLabel: "faultyPEs", YLabel: "accuracy",
-		Notes: []string{
-			fmt.Sprintf("MSB (bits 24-31) stuck-at-1 faults on a %dx%d array, %d maps/point",
-				s.Opt.ArrayRows, s.Opt.ArrayCols, s.Opt.Repeats),
-		},
-	}
-	xs := make([]float64, len(Fig5bCounts))
-	for i, c := range Fig5bCounts {
-		xs[i] = float64(c)
-	}
-	for _, name := range s.datasetNames() {
-		ys := make([]float64, len(Fig5bCounts))
-		for i, count := range Fig5bCounts {
-			key := fmt.Sprintf("%s|%d", name, count)
-			acc, ok := accs[key]
-			if !ok {
-				return nil, fmt.Errorf("experiments: fig5b results missing %q (incomplete merge?)", key)
-			}
-			ys[i] = acc
-		}
-		fig.Series = append(fig.Series, Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
-}
-
-func (s *Suite) fig5cFigure(results []campaign.Result) (*Figure, error) {
-	accs := campaign.GroupMean(results, "acc")
-	fig := &Figure{
-		ID: "Fig5c", Title: "Accuracy vs size of systolic array",
-		XLabel: "totalPEs", YLabel: "accuracy",
-		Notes: []string{
-			fmt.Sprintf("%d faulty PEs (MSB stuck-at-1), %d maps/point", fig5cFaultyPEs, s.Opt.Repeats),
-		},
-	}
-	xs := make([]float64, len(Fig5cSides))
-	for i, side := range Fig5cSides {
-		xs[i] = float64(side * side)
-	}
-	for _, name := range s.datasetNames() {
-		ys := make([]float64, len(Fig5cSides))
-		for i, side := range Fig5cSides {
-			key := fmt.Sprintf("%s|%d", name, side)
-			acc, ok := accs[key]
-			if !ok {
-				return nil, fmt.Errorf("experiments: fig5c results missing %q (incomplete merge?)", key)
-			}
-			ys[i] = acc
-		}
-		fig.Series = append(fig.Series, Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
-}
 
 // --- mitigation campaigns (Fig. 2 and the shared Fig. 6/7/8 study) ---
 
@@ -625,7 +249,7 @@ func (s *Suite) runMitigationTrial(t campaign.Trial) (campaign.Result, error) {
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	method, err := parseMethod(t.Tags["method"])
+	method, err := mitigation.ParseMethod(t.Tags["method"])
 	if err != nil {
 		return campaign.Result{}, err
 	}
@@ -662,10 +286,11 @@ func (s *Suite) runMitigationTrial(t campaign.Trial) (campaign.Result, error) {
 	return res, nil
 }
 
-// mitigationFigures assembles Fig. 6/7/8 from merged study results. It
-// needs the trained baselines (layer names, baseline accuracies) — in a
+// mitigationFigures assembles Fig. 6/7/8 from merged study results, in
+// paper order: Fig. 6 per dataset, Fig. 7, Fig. 8 per dataset. It needs
+// the trained baselines (layer names, baseline accuracies) — in a
 // merge-only process use Options.CacheDir to avoid retraining.
-func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults, error) {
+func (s *Suite) mitigationFigures(results []campaign.Result) ([]*Figure, error) {
 	bls, err := s.AllDatasets()
 	if err != nil {
 		return nil, err
@@ -678,7 +303,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 		}
 		return &rs[0]
 	}
-	res := &mitigationResults{}
+	var fig6, fig8 []*Figure
 
 	// Fig. 7: accuracy per method per rate, one series per (dataset, method).
 	fig7 := &Figure{
@@ -703,7 +328,6 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 			})
 		}
 	}
-	res.fig7 = fig7
 
 	// Fig. 6: FalVolt's optimized per-layer thresholds, one figure per
 	// dataset (hidden layers only, as the paper reports).
@@ -728,7 +352,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 				Label: fmt.Sprintf("%.0f%%", rate*100), X: xsl, Y: r.Series["vth"][1:],
 			})
 		}
-		res.fig6 = append(res.fig6, fig)
+		fig6 = append(fig6, fig)
 	}
 
 	// Fig. 8: convergence curves at 30% faults, one figure per dataset.
@@ -750,9 +374,9 @@ func (s *Suite) mitigationFigures(results []campaign.Result) (*mitigationResults
 				Y:     append([]float64(nil), r.Series["curveAcc"]...),
 			})
 		}
-		res.fig8 = append(res.fig8, fig)
+		fig8 = append(fig8, fig)
 	}
-	return res, nil
+	return append(append(fig6, fig7), fig8...), nil
 }
 
 // --- in-memory campaigns for small sweeps (ablations) ---

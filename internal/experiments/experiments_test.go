@@ -245,7 +245,10 @@ func TestCampaignTrialEnumeration(t *testing.T) {
 // remain comparable with pre-campaign runs.
 func TestFig5aTrialSeedsMatchLegacyFormula(t *testing.T) {
 	s := NewSuite(QuickOptions())
-	trials := s.fig5aTrials()
+	trials, err := s.fig5Campaign("fig5a").Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantLen := 6 * len(Fig5aBits) * s.Opt.Repeats
 	if len(trials) != wantLen {
 		t.Fatalf("fig5a enumerates %d trials, want %d", len(trials), wantLen)

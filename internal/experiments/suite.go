@@ -2,13 +2,19 @@
 // the motivational fixed-threshold sweeps (Fig. 2), the stuck-at fault
 // vulnerability analysis (Fig. 5a–c), the optimized per-layer threshold
 // voltages (Fig. 6), the mitigation comparison (Fig. 7) and the
-// convergence curves (Fig. 8). Each harness produces a Figure value whose
-// Print output is the table of series behind the corresponding plot.
+// convergence curves (Fig. 8). Each figure is a Figure value whose Print
+// output is the table of series behind the corresponding plot.
 //
 // The Suite lazily trains one baseline PLIF-SNN per dataset (synthetic
 // MNIST, N-MNIST, DVS Gesture — see internal/datasets) and snapshots it so
 // every experiment starts from the same fault-free weights, mirroring the
 // paper's tool flow (Fig. 4).
+//
+// Every figure runs as a registered campaign kind on core's trial
+// plumbing: a baseline carries a core.YieldDeps, so lanes take private
+// replicas through its Lane and Restore, and each Fig. 5 trial is one
+// stuck-at cell measured by core.CellLane, the runner behind the
+// faultsim kind. Suite.Figures folds a campaign's results into figures.
 package experiments
 
 import (
@@ -77,16 +83,26 @@ func QuickOptions() Options {
 	}
 }
 
-// Baseline is a trained fault-free model with its snapshot and data.
+// Baseline is a trained fault-free model: its dataset name, its accuracy
+// on the full test set, and the lane resources core's campaigns run on.
+// Test holds the first Options.EvalSamples test samples, the slice every
+// deployed evaluation uses.
 type Baseline struct {
-	Name  string
-	Model *snn.Model
-	State *snn.NetworkState
-	Data  *datasets.Dataset
-	Acc   float64
-	// BuildModel constructs a structurally identical fresh model (for
-	// parallel workers that need private copies).
-	BuildModel func() (*snn.Model, error)
+	Name string
+	Acc  float64
+	core.YieldDeps
+}
+
+// replica returns a private model and array restored to the baseline.
+// Figure code never works on the shared Model and Arr, because a suite
+// is shared by every campaign built from an equivalent spec; Lane hands
+// private replicas to every lane above 0.
+func (b *Baseline) replica() (*snn.Model, *systolic.Array, error) {
+	model, arr, err := b.Lane(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return model, arr, b.Restore(model, arr)
 }
 
 // Suite owns lazily trained baselines and experiment-wide configuration.
@@ -95,11 +111,6 @@ type Suite struct {
 
 	mu        sync.Mutex
 	baselines map[string]*Baseline
-
-	// Cached Fig. 6/7/8 results (one shared computation).
-	mitOnce sync.Once
-	mitRes  *mitigationResults
-	mitErr  error
 }
 
 // NewSuite builds a suite; zero-valued options are filled from defaults.
@@ -252,12 +263,18 @@ func (s *Suite) trainBaseline(p datasetPlan) (*Baseline, error) {
 		return nil, fmt.Errorf("experiments: build %s: %w", p.name, err)
 	}
 
-	b := &Baseline{Name: p.name, Model: model, Data: ds, BuildModel: buildModel}
+	test := ds.Test
+	if n := s.Opt.EvalSamples; n > 0 && n < len(test) {
+		test = test[:n]
+	}
+	b := &Baseline{Name: p.name, YieldDeps: core.YieldDeps{
+		Model: model, Arr: s.NewArray(), Train: ds.Train, Test: test, BuildModel: buildModel,
+	}}
 
 	if path := s.cachePath(p.name); path != "" {
 		if st, err := snn.LoadStateFile(path); err == nil {
 			if err := model.Net.LoadState(st); err == nil {
-				b.State = st
+				b.Baseline = st
 				b.Acc = snn.Evaluate(model.Net, ds.Test, 32)
 				s.logf("loaded cached %s baseline (acc %.3f)\n", p.name, b.Acc)
 				return b, nil
@@ -275,10 +292,10 @@ func (s *Suite) trainBaseline(p datasetPlan) (*Baseline, error) {
 		return nil, fmt.Errorf("experiments: train %s: %w", p.name, err)
 	}
 	b.Acc = acc
-	b.State = model.Net.State()
+	b.Baseline = model.Net.State()
 	s.logf("%s baseline accuracy %.3f (%.1fs)\n", p.name, acc, time.Since(start).Seconds())
 	if path := s.cachePath(p.name); path != "" {
-		if err := snn.SaveStateFile(b.State, path); err != nil {
+		if err := snn.SaveStateFile(b.Baseline, path); err != nil {
 			s.logf("warning: cache write failed: %v\n", err)
 		}
 	}
@@ -308,19 +325,4 @@ func (s *Suite) cachePath(name string) string {
 		mb = fmt.Sprintf("-mb%d", s.Opt.TrainMicroBatch)
 	}
 	return filepath.Join(s.Opt.CacheDir, fmt.Sprintf("%s-%s-seed%d%s-t2.gob", name, mode, s.Opt.Seed, mb))
-}
-
-// Restore loads the baseline snapshot back into the model and removes any
-// deployment, returning the model ready for a fresh experiment.
-func (b *Baseline) Restore() error {
-	b.Model.Net.Undeploy()
-	return b.Model.Net.LoadState(b.State)
-}
-
-// TestSlice returns up to n test samples (all if n <= 0).
-func (b *Baseline) TestSlice(n int) []snn.Sample {
-	if n <= 0 || n >= len(b.Data.Test) {
-		return b.Data.Test
-	}
-	return b.Data.Test[:n]
 }
