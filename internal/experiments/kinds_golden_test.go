@@ -10,18 +10,18 @@ import (
 	"falvolt/internal/spec"
 )
 
-// TestFigureKindGoldens runs the Fig. 5 kinds and the shared Fig. 6/7/8
-// mitigation study at a tiny configuration through the spec registry
-// (spec.Build, campaign.Run, Render) and byte-compares the rendered
-// figures with testdata/<kind>.golden. The first line of each golden is
-// the `campaign run` command that produced the rest. Every kind is built
-// from one spec base, so they share one suite and the three baselines
-// train once.
+// TestFigureKindGoldens runs the Fig. 2 and Fig. 5 kinds and the shared
+// Fig. 6/7/8 mitigation study at a tiny configuration through the spec
+// registry (spec.Build, campaign.Run, Render) and byte-compares the
+// rendered figures with testdata/<kind>.golden. The first line of each
+// golden is the `campaign run` command that produced the rest. Every
+// kind is built from one spec base, so they share one suite and the
+// three baselines train once.
 func TestFigureKindGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three baselines")
 	}
-	for _, kind := range []string{"fig5a", "fig5b", "fig5c", "mitigation"} {
+	for _, kind := range []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation"} {
 		t.Run(kind, func(t *testing.T) {
 			s := &spec.Spec{
 				Version: spec.Version, Kind: kind, Seed: 7,
