@@ -226,6 +226,12 @@ func ReadCheckpoint(path string) (Header, []Result, error) {
 	if err != nil {
 		return Header{}, nil, fmt.Errorf("campaign: read checkpoint: %w", err)
 	}
+	return readCheckpoint(data, path)
+}
+
+// readCheckpoint is ReadCheckpoint over an already-loaded file; path
+// only names the source in errors.
+func readCheckpoint(data []byte, path string) (Header, []Result, error) {
 	recs, err := decodeJSONL[record](data, "checkpoint", path)
 	if err != nil {
 		return Header{}, nil, err

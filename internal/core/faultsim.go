@@ -9,6 +9,7 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
+	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
@@ -124,9 +125,6 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 			}
 		}
 	}
-	if _, _, _, err := syntheticSetup(f.Dataset, f.Train, f.Test, true, seed); err != nil {
-		return nil, err
-	}
 	var bt spec.TrainSpec
 	if f.Training != nil {
 		bt = *f.Training
@@ -135,12 +133,20 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	lazy := &lazyDeps{build: func() (YieldDeps, error) {
-		logf(opt.Log, "training %s baseline...\n", strings.ToLower(f.Dataset))
-		deps, acc, err := syntheticBaseline(f.Dataset, f.Train, f.Test, true, f.Array, seed, BaselineConfig{
+	plan := BaselinePlan{
+		Dataset: f.Dataset, Quick: true, Train: f.Train, Test: f.Test,
+		ModelSeed: seed, TrainSeed: seed + 1, DataSeed: seed, Array: f.Array,
+		Config: BaselineConfig{
 			Epochs: f.EffectiveBaseEpochs(), LR: bt.LR, BatchSize: bt.Batch, ClipNorm: bt.ClipNorm,
 			Loss: loss, Replicas: bt.Replicas, MicroBatch: bt.MicroBatch,
-		})
+		},
+	}
+	if _, err := plan.ModelSpec(); err != nil {
+		return nil, err
+	}
+	lazy := &lazyDeps{build: func() (YieldDeps, error) {
+		logf(opt.Log, "training %s baseline...\n", strings.ToLower(f.Dataset))
+		deps, acc, err := plan.Build("", nil)
 		if err != nil {
 			return YieldDeps{}, err
 		}
@@ -214,22 +220,49 @@ func (l *CellLane) StuckAt(side int, gen faults.GenSpec, seed int64) (float64, e
 	return l.run(faultSimCell{side: side, gen: gen}, nil, nil, seed, 0)
 }
 
+// Mitigate runs mitigation.Mitigate with cfg on the lane's baseline,
+// restored on its array of fm's side, and returns the report: final
+// accuracy, pruned fraction, Vths and, with cfg.TrackCurve, the Fig. 8
+// curve. The lane's model and array are clean afterwards.
+func (l *CellLane) Mitigate(fm *faults.Map, cfg mitigation.Config) (*mitigation.Report, error) {
+	arr, err := l.restored(fm.Rows)
+	if err != nil {
+		return nil, err
+	}
+	defer l.clean(arr)
+	return mitigation.Mitigate(l.model, arr, fm, l.deps.Train, l.deps.Test, cfg)
+}
+
+// restored returns the lane's side x side array, built on first use,
+// with the model back at the fault-free baseline.
+func (l *CellLane) restored(side int) (*systolic.Array, error) {
+	arr, ok := l.arrs[side]
+	if !ok {
+		cfg := l.deps.Arr.Config()
+		cfg.Rows, cfg.Cols = side, side
+		var err error
+		if arr, err = systolic.New(cfg); err != nil {
+			return nil, err
+		}
+		l.arrs[side] = arr
+	}
+	return arr, l.deps.Restore(l.model, arr)
+}
+
+// clean undeploys the model and clears arr's faults and bypass.
+func (l *CellLane) clean(arr *systolic.Array) {
+	l.model.Net.Undeploy()
+	arr.ClearFaults()
+	arr.SetBypass(false)
+}
+
 // run measures one cell on a restored baseline: inject the instance
 // addressed by faultSeed, salvage it when ms is set (retraining rng from
 // mitSeed), and evaluate.
 func (l *CellLane) run(cell faultSimCell, fmodel faults.FaultModel, ms *spec.MitigationSpec,
 	faultSeed, mitSeed int64) (float64, error) {
-	arr, ok := l.arrs[cell.side]
-	if !ok {
-		cfg := l.deps.Arr.Config()
-		cfg.Rows, cfg.Cols = cell.side, cell.side
-		var err error
-		if arr, err = systolic.New(cfg); err != nil {
-			return 0, err
-		}
-		l.arrs[cell.side] = arr
-	}
-	if err := l.deps.Restore(l.model, arr); err != nil {
+	arr, err := l.restored(cell.side)
+	if err != nil {
 		return 0, err
 	}
 	if fmodel != nil {
@@ -258,9 +291,7 @@ func (l *CellLane) run(cell faultSimCell, fmodel faults.FaultModel, ms *spec.Mit
 		l.model.Net.Deploy(arr)
 	}
 	acc := snn.EvaluateWith(nil, l.model.Net, l.deps.Test, 32)
-	l.model.Net.Undeploy()
-	arr.ClearFaults()
-	arr.SetBypass(false)
+	l.clean(arr)
 	return acc, nil
 }
 

@@ -21,33 +21,38 @@ import (
 // the same three functions directly, so it can also save the mitigated
 // network.
 
-// pipelineSection returns the defaulted pipeline section and the run
-// seed, validating the dataset and method names before any training.
-func pipelineSection(s *spec.Spec) (spec.PipelineSpec, int64, mitigation.Method, snn.ModelSpec, error) {
+// pipelineSection returns the defaulted pipeline section, the run seed
+// and the baseline plan, validating the dataset and method names before
+// any training.
+func pipelineSection(s *spec.Spec) (spec.PipelineSpec, int64, mitigation.Method, BaselinePlan, error) {
 	if s.Pipeline == nil {
-		return spec.PipelineSpec{}, 0, 0, snn.ModelSpec{}, fmt.Errorf("core: spec kind %q needs a pipeline section", s.Kind)
+		return spec.PipelineSpec{}, 0, 0, BaselinePlan{}, fmt.Errorf("core: spec kind %q needs a pipeline section", s.Kind)
 	}
-	p := s.Pipeline.Defaulted()
-	mspec, _, _, err := syntheticSetup(p.Dataset, p.Train, p.Test, p.Quick, 0)
-	if err != nil {
-		return p, 0, 0, mspec, err
+	p, seed := s.Pipeline.Defaulted(), s.EffectiveSeed()
+	plan := BaselinePlan{
+		Dataset: p.Dataset, Quick: p.Quick, Train: p.Train, Test: p.Test,
+		ModelSeed: seed, TrainSeed: seed + 1, DataSeed: seed, Array: p.Array,
+		Config: BaselineConfig{Epochs: p.BaseEpochs, LR: 0.02},
+	}
+	if _, err := plan.ModelSpec(); err != nil {
+		return p, 0, 0, plan, err
 	}
 	method, err := mitigation.ParseMethod(p.Method)
-	return p, s.EffectiveSeed(), method, mspec, err
+	return p, seed, method, plan, err
 }
 
 // FalVoltBaseline builds the pipeline's trained baseline, writing the
 // run header and training progress to log (nil silences).
 func FalVoltBaseline(s *spec.Spec, log io.Writer) (YieldDeps, error) {
-	p, seed, method, mspec, err := pipelineSection(s)
+	p, _, method, plan, err := pipelineSection(s)
 	if err != nil {
 		return YieldDeps{}, err
 	}
+	mspec, _ := plan.ModelSpec()
 	logf(log, "dataset %s | model %s | array %dx%d | fault rate %.0f%% | method %s\n",
 		strings.ToLower(p.Dataset), mspec.Name, p.Array, p.Array, p.Rate*100, method)
 	logf(log, "training baseline (%d samples, %d epochs)...\n", p.Train, p.BaseEpochs)
-	deps, acc, err := syntheticBaseline(p.Dataset, p.Train, p.Test, p.Quick, p.Array, seed,
-		BaselineConfig{Epochs: p.BaseEpochs, LR: 0.02})
+	deps, acc, err := plan.Build("", nil)
 	if err != nil {
 		return YieldDeps{}, err
 	}
@@ -129,10 +134,11 @@ func WriteFalVolt(w io.Writer, s *spec.Spec, r campaign.Result, retrain time.Dur
 
 func init() {
 	spec.Register("falvolt", func(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
-		_, seed, _, mspec, err := pipelineSection(s)
+		_, seed, _, plan, err := pipelineSection(s)
 		if err != nil {
 			return nil, err
 		}
+		mspec, _ := plan.ModelSpec()
 		// The report names the thresholds by spiking layer; building the
 		// untrained model is cheap and needs no baseline.
 		model, err := snn.Build(mspec, rand.New(rand.NewSource(seed)))

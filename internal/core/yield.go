@@ -271,8 +271,7 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}
 
 	// Discard-based flow: raw faulty accuracy.
-	w.model.Net.Undeploy()
-	if err := w.model.Net.LoadState(w.deps.Baseline); err != nil {
+	if err := w.deps.Restore(w.model, w.arr); err != nil {
 		return campaign.Result{}, err
 	}
 	rawAcc, err := EvaluateFaulty(w.model, w.arr, fm, w.eval, false, 32)
@@ -281,8 +280,7 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	}
 
 	// Salvage flow: per-die mitigation on a die-seeded generator.
-	w.model.Net.Undeploy()
-	if err := w.model.Net.LoadState(w.deps.Baseline); err != nil {
+	if err := w.deps.Restore(w.model, w.arr); err != nil {
 		return campaign.Result{}, err
 	}
 	mcfg := w.cfg.Mitigation
@@ -364,14 +362,18 @@ func SyntheticYieldFingerprint(baseEpochs int) map[string]string {
 }
 
 // SyntheticYieldBuild returns the canonical baseline-build closure for
-// yield studies: syntheticBaseline's synthetic-MNIST case (320/128
-// samples, reduced model). cmd/yield and cmd/campaign both build through
+// yield studies: the quick synthetic-MNIST baseline plan (320/128
+// samples). cmd/yield and cmd/campaign both build through
 // it, so the SyntheticYieldFingerprint contract holds by construction.
 // Progress lines go to log (nil silences).
 func SyntheticYieldBuild(seed int64, baseEpochs, arrayN int, threshold float64, log io.Writer) func() (YieldDeps, error) {
 	return func() (YieldDeps, error) {
 		logf(log, "training baseline...\n")
-		deps, acc, err := syntheticBaseline("mnist", 320, 128, true, arrayN, seed, BaselineConfig{Epochs: baseEpochs, LR: 0.02})
+		deps, acc, err := BaselinePlan{
+			Dataset: "mnist", Quick: true, Train: 320, Test: 128,
+			ModelSeed: seed, TrainSeed: seed + 1, DataSeed: seed, Array: arrayN,
+			Config: BaselineConfig{Epochs: baseEpochs, LR: 0.02},
+		}.Build("", nil)
 		if err != nil {
 			return YieldDeps{}, err
 		}

@@ -25,15 +25,14 @@ type ablationScale struct {
 }
 
 func (s *Suite) ablationScale() ablationScale {
-	if s.Opt.Quick {
+	if s.Spec.Quick {
 		return ablationScale{train: 200, test: 96, epochs: 8, t: 4}
 	}
 	return ablationScale{train: 480, test: 192, epochs: 14, t: 4}
 }
 
 func (s *Suite) ablationSpec() snn.ModelSpec {
-	spec := snn.MNISTSpec()
-	spec.EncoderC, spec.BlockC, spec.FCHidden = 4, []int{8, 8}, 32
+	spec, _ := core.BaselinePlan{Dataset: "mnist", Quick: true}.ModelSpec()
 	return spec
 }
 
@@ -43,7 +42,7 @@ func (s *Suite) ablationSpec() snn.ModelSpec {
 func (s *Suite) AblationSurrogateWidth() (*Figure, error) {
 	sc := s.ablationScale()
 	ds, err := datasets.SyntheticMNIST(datasets.Config{
-		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Opt.Seed + 50,
+		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Seed + 50,
 	})
 	if err != nil {
 		return nil, err
@@ -57,13 +56,13 @@ func (s *Suite) AblationSurrogateWidth() (*Figure, error) {
 	accs, err := runLocal("ablation-surrogate-width", len(widths), func(i int) (float64, error) {
 		spec := s.ablationSpec()
 		spec.Neuron.Width = widths[i]
-		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Opt.Seed+60)))
+		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Seed+60)))
 		if err != nil {
 			return 0, err
 		}
 		acc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Opt.Seed + 61)),
-			Replicas: s.Opt.TrainReplicas, MicroBatch: s.Opt.TrainMicroBatch,
+			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Seed + 61)),
+			Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
 		})
 		if err != nil {
 			return 0, err
@@ -106,8 +105,8 @@ func (s *Suite) AblationVthGradientForm() (*Figure, error) {
 			node.SetConfig(cfg)
 		}
 		rep, err := mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, mitigation.Config{
-			Method: mitigation.FalVolt, Epochs: s.Opt.RetrainEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
-			Rng: rand.New(rand.NewSource(s.Opt.Seed + 70)),
+			Method: mitigation.FalVolt, Epochs: s.Spec.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+			Rng: rand.New(rand.NewSource(s.Seed + 70)),
 		})
 		if err != nil {
 			return 0, err
@@ -182,7 +181,7 @@ func (s *Suite) AblationQFormat() (*Figure, error) {
 			return 0, err
 		}
 		arr, err := systolic.New(systolic.Config{
-			Rows: s.Opt.ArrayRows, Cols: s.Opt.ArrayCols, Format: formats[i], Saturate: true,
+			Rows: s.Spec.Array, Cols: s.Spec.Array, Format: formats[i], Saturate: true,
 		})
 		if err != nil {
 			return 0, err
@@ -204,7 +203,7 @@ func (s *Suite) AblationQFormat() (*Figure, error) {
 func (s *Suite) AblationLIFvsPLIF() (*Figure, error) {
 	sc := s.ablationScale()
 	ds, err := datasets.SyntheticMNIST(datasets.Config{
-		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Opt.Seed + 51,
+		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Seed + 51,
 	})
 	if err != nil {
 		return nil, err
@@ -218,13 +217,13 @@ func (s *Suite) AblationLIFvsPLIF() (*Figure, error) {
 	accs, err := runLocal("ablation-lif-plif", len(variants), func(i int) (float64, error) {
 		spec := s.ablationSpec()
 		spec.Neuron.LearnTau = variants[i]
-		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Opt.Seed+62)))
+		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Seed+62)))
 		if err != nil {
 			return 0, err
 		}
 		acc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Opt.Seed + 63)),
-			Replicas: s.Opt.TrainReplicas, MicroBatch: s.Opt.TrainMicroBatch,
+			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Seed + 63)),
+			Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
 		})
 		if err != nil {
 			return 0, err
@@ -261,9 +260,9 @@ func (s *Suite) AblationFaultSite() (*Figure, error) {
 	}
 	var accAcc, wAcc []float64
 	for i, n := range counts {
-		fm, err := faults.Generate(s.Opt.ArrayRows, s.Opt.ArrayCols, faults.GenSpec{
+		fm, err := faults.Generate(s.Spec.Array, s.Spec.Array, faults.GenSpec{
 			NumFaulty: n, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
-		}, rand.New(rand.NewSource(s.Opt.Seed+int64(80+i))))
+		}, rand.New(rand.NewSource(s.Seed+int64(80+i))))
 		if err != nil {
 			return nil, err
 		}

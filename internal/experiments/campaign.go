@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/core"
 	"falvolt/internal/mitigation"
 )
 
@@ -28,32 +29,74 @@ func CampaignNames() []string {
 
 // Campaign returns the named sweep as a campaign.
 func (s *Suite) Campaign(name string) (campaign.Campaign, error) {
-	meta := s.campaignMeta()
+	var trials []campaign.Trial
+	var cells []laneCell
 	switch name {
 	case "fig2":
-		return campaign.NewWithMeta(name, meta, s.fig2Trials(), func(lane int) (campaign.Worker, error) {
-			return campaign.WorkerFunc(s.runFig2Trial), nil
-		}), nil
+		trials, cells = s.fig2Trials()
 	case "fig5a", "fig5b", "fig5c":
-		return s.fig5Campaign(name), nil
+		trials, cells = s.fig5Trials(name)
 	case "mitigation":
-		return campaign.NewWithMeta(name, meta, s.mitigationTrials(), func(lane int) (campaign.Worker, error) {
-			return campaign.WorkerFunc(s.runMitigationTrial), nil
-		}), nil
+		trials, cells = s.mitigationTrials()
+	default:
+		return nil, fmt.Errorf("experiments: unknown campaign %q (want one of %v)", name, CampaignNames())
 	}
-	return nil, fmt.Errorf("experiments: unknown campaign %q (want one of %v)", name, CampaignNames())
+	return s.cellCampaign(name, trials, cells), nil
+}
+
+// laneCell is what one trial measures: the dataset whose baseline it
+// runs on, and the measurement it takes on that dataset's lane. The
+// measurement fills the result's metrics and series; the runner stamps
+// its trial ID and key.
+type laneCell struct {
+	ds      string
+	measure func(cl *core.CellLane, t campaign.Trial) (campaign.Result, error)
+}
+
+// cellCampaign runs kind's trials, trial t measuring cells[t.ID], on
+// lanes that hold one core.CellLane per dataset, each on a private
+// replica built on the lane's first trial of that dataset.
+func (s *Suite) cellCampaign(kind string, trials []campaign.Trial, cells []laneCell) campaign.Campaign {
+	return campaign.NewWithMeta(kind, s.campaignMeta(), trials, func(int) (campaign.Worker, error) {
+		lanes := map[string]*core.CellLane{}
+		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
+			if t.ID < 0 || t.ID >= len(cells) {
+				return campaign.Result{}, fmt.Errorf("experiments: %s trial %d out of range", kind, t.ID)
+			}
+			c := cells[t.ID]
+			cl, ok := lanes[c.ds]
+			if !ok {
+				bl, err := s.Dataset(c.ds)
+				if err != nil {
+					return campaign.Result{}, err
+				}
+				model, arr, err := bl.replica()
+				if err != nil {
+					return campaign.Result{}, err
+				}
+				cl = core.NewCellLane(bl.YieldDeps, model, arr)
+				lanes[c.ds] = cl
+			}
+			res, err := c.measure(cl, t)
+			if err != nil {
+				return campaign.Result{}, err
+			}
+			res.TrialID, res.Key = t.ID, t.Key
+			return res, nil
+		}), nil
+	})
 }
 
 // campaignMeta fingerprints the options that determine trial semantics;
 // checkpoints refuse to resume or merge across differing fingerprints.
 func (s *Suite) campaignMeta() map[string]string {
 	return map[string]string{
-		"quick":   strconv.FormatBool(s.Opt.Quick),
-		"seed":    strconv.FormatInt(s.Opt.Seed, 10),
-		"array":   fmt.Sprintf("%dx%d", s.Opt.ArrayRows, s.Opt.ArrayCols),
-		"repeats": strconv.Itoa(s.Opt.Repeats),
-		"epochs":  strconv.Itoa(s.Opt.RetrainEpochs),
-		"eval":    strconv.Itoa(s.Opt.EvalSamples),
+		"quick":   strconv.FormatBool(s.Spec.Quick),
+		"seed":    strconv.FormatInt(s.Seed, 10),
+		"array":   fmt.Sprintf("%dx%d", s.Spec.Array, s.Spec.Array),
+		"repeats": strconv.Itoa(s.Spec.Repeats),
+		"epochs":  strconv.Itoa(s.Spec.Epochs),
+		"eval":    strconv.Itoa(s.Spec.Eval),
 	}
 }
 
@@ -81,35 +124,8 @@ func wrapFigure(f *Figure, err error) ([]*Figure, error) {
 	return []*Figure{f}, nil
 }
 
-// datasetNames returns the suite's dataset names in plan order without
-// training anything.
-func (s *Suite) datasetNames() []string {
-	var names []string
-	for _, p := range s.plans() {
-		names = append(names, p.name)
-	}
-	return names
-}
-
-func atoiTag(t campaign.Trial, key string) (int, error) {
-	v, err := strconv.Atoi(t.Tags[key])
-	if err != nil {
-		return 0, fmt.Errorf("experiments: trial %d has bad %s tag %q", t.ID, key, t.Tags[key])
-	}
-	return v, nil
-}
-
-func atofTag(t campaign.Trial, key string) (float64, error) {
-	v, err := strconv.ParseFloat(t.Tags[key], 64)
-	if err != nil {
-		return 0, fmt.Errorf("experiments: trial %d has bad %s tag %q", t.ID, key, t.Tags[key])
-	}
-	return v, nil
-}
-
-// ftag round-trips a float through its shortest decimal form (ParseFloat
-// recovers the identical bits, keeping seed arithmetic like
-// int64(rate*1000) exact across processes).
+// ftag spells a float in its shortest decimal form, as trial keys and
+// tags carry it.
 func ftag(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // --- mitigation campaigns (Fig. 2 and the shared Fig. 6/7/8 study) ---
@@ -122,15 +138,18 @@ var fig2Rates = []float64{0.30, 0.60}
 
 // fig2Epochs is the reduced retraining budget of the sweep.
 func (s *Suite) fig2Epochs() int {
-	epochs := s.Opt.RetrainEpochs / 2
+	epochs := s.Spec.Epochs / 2
 	if epochs < 2 {
 		epochs = 2
 	}
 	return epochs
 }
 
-func (s *Suite) fig2Trials() []campaign.Trial {
+// fig2Trials enumerates the sweep — dataset, rate, then Vth, seeded
+// Seed + ID — with the FaPIT cell each trial retrains.
+func (s *Suite) fig2Trials() ([]campaign.Trial, []laneCell) {
 	var trials []campaign.Trial
+	var cells []laneCell
 	for d, name := range fig2Datasets {
 		for _, rate := range fig2Rates {
 			for _, vth := range Fig2Vths {
@@ -138,48 +157,19 @@ func (s *Suite) fig2Trials() []campaign.Trial {
 				trials = append(trials, campaign.Trial{
 					ID:   j,
 					Key:  fmt.Sprintf("%s@%.0f%%|%.2f", name, rate*100, vth),
-					Seed: s.Opt.Seed + int64(j),
+					Seed: s.Seed + int64(j),
 					Tags: map[string]string{
 						"dataset": name, "dsidx": strconv.Itoa(d),
 						"rate": ftag(rate), "vth": ftag(vth),
 					},
 				})
+				cells = append(cells, s.mitigatedCell(name, d, rate, false, mitigation.Config{
+					Method: mitigation.FaPIT, Epochs: s.fig2Epochs(), FixedVth: vth,
+				}))
 			}
 		}
 	}
-	return trials
-}
-
-func (s *Suite) runFig2Trial(t campaign.Trial) (campaign.Result, error) {
-	bl, err := s.Dataset(t.Tags["dataset"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	dsIdx, err := atoiTag(t, "dsidx")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	rate, err := atofTag(t, "rate")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	vth, err := atofTag(t, "vth")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	fm, err := s.mitigationFaultMap(dsIdx, rate)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	rep, err := s.mitigateJob(bl, fm, mitigation.Config{
-		Method: mitigation.FaPIT, Epochs: s.fig2Epochs(), FixedVth: vth,
-		Rng: rand.New(rand.NewSource(t.Seed)),
-	})
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	s.logf("fig2 %s rate %.0f%% vth %.2f: %.3f\n", bl.Name, rate*100, vth, rep.Accuracy)
-	return campaign.Result{TrialID: t.ID, Key: t.Key, Metrics: map[string]float64{"acc": rep.Accuracy}}, nil
+	return trials, cells
 }
 
 func (s *Suite) fig2Figure(results []campaign.Result) (*Figure, error) {
@@ -213,9 +203,14 @@ func (s *Suite) fig2Figure(results []campaign.Result) (*Figure, error) {
 // mitigationMethods is the method order of the Fig. 6/7/8 study.
 var mitigationMethods = []mitigation.Method{mitigation.FaP, mitigation.FaPIT, mitigation.FalVolt}
 
-func (s *Suite) mitigationTrials() []campaign.Trial {
+// mitigationTrials enumerates the study — dataset, rate, then method,
+// seeded Seed + 17·ID — with the cell each trial mitigates. Curves for
+// Fig. 8 are tracked at the paper's 30% operating point.
+func (s *Suite) mitigationTrials() ([]campaign.Trial, []laneCell) {
 	var trials []campaign.Trial
-	for d, name := range s.datasetNames() {
+	var cells []laneCell
+	for d, p := range s.plans() {
+		name := p.name
 		for _, rate := range MitigationRates {
 			for _, m := range mitigationMethods {
 				j := len(trials)
@@ -223,73 +218,67 @@ func (s *Suite) mitigationTrials() []campaign.Trial {
 				trials = append(trials, campaign.Trial{
 					ID:   j,
 					Key:  fmt.Sprintf("%s|%s|%s", name, ftag(rate), m),
-					Seed: s.Opt.Seed + int64(j*17),
+					Seed: s.Seed + int64(j*17),
 					Tags: map[string]string{
 						"dataset": name, "dsidx": strconv.Itoa(d),
 						"rate": ftag(rate), "method": m.String(),
 						"curve": strconv.FormatBool(track),
 					},
 				})
+				cells = append(cells, s.mitigatedCell(name, d, rate, true, mitigation.Config{
+					Method: m, Epochs: s.Spec.Epochs, TrackCurve: track, CurveEvalSize: s.Spec.Eval,
+				}))
 			}
 		}
 	}
-	return trials
+	return trials, cells
 }
 
-func (s *Suite) runMitigationTrial(t campaign.Trial) (campaign.Result, error) {
-	bl, err := s.Dataset(t.Tags["dataset"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	dsIdx, err := atoiTag(t, "dsidx")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	rate, err := atofTag(t, "rate")
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	method, err := mitigation.ParseMethod(t.Tags["method"])
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	fm, err := s.mitigationFaultMap(dsIdx, rate)
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	rep, err := s.mitigateJob(bl, fm, mitigation.Config{
-		Method: method, Epochs: s.Opt.RetrainEpochs,
-		Rng: rand.New(rand.NewSource(t.Seed)),
-		// Curves for Fig. 8 at the paper's 30% operating point.
-		TrackCurve:    t.Tags["curve"] == "true",
-		CurveEvalSize: s.Opt.EvalSamples,
-	})
-	if err != nil {
-		return campaign.Result{}, err
-	}
-	s.logf("fig7 %s %s rate %.0f%%: acc %.3f (pruned %.1f%%)\n",
-		bl.Name, method, rate*100, rep.Accuracy, rep.PrunedFraction*100)
-	res := campaign.Result{
-		TrialID: t.ID, Key: t.Key,
-		Metrics: map[string]float64{"acc": rep.Accuracy, "pruned": rep.PrunedFraction},
-		Series:  map[string][]float64{"vth": rep.Vths},
-	}
-	if len(rep.Curve) > 0 {
-		var es, ls, as []float64
-		for _, p := range rep.Curve {
-			es = append(es, float64(p.Epoch))
-			ls = append(ls, p.Loss)
-			as = append(as, p.Accuracy)
+// mitigatedCell retrains dataset ds (the dsIdx-th) with cfg against
+// the fault map every method shares at (ds, rate), on the retraining
+// recipe every figure trial shares and a generator seeded from the
+// trial. A study cell (Fig. 6/7/8) records the pruned fraction, the
+// Vths and any Fig. 8 curve beside the accuracy; a Fig. 2 cell records
+// the accuracy alone.
+func (s *Suite) mitigatedCell(ds string, dsIdx int, rate float64, study bool, cfg mitigation.Config) laneCell {
+	cfg.BatchSize, cfg.LR, cfg.ClipNorm = 16, 0.01, 5
+	cfg.Replicas, cfg.MicroBatch = s.Spec.Training.Replicas, s.Spec.Training.MicroBatch
+	return laneCell{ds: ds, measure: func(cl *core.CellLane, t campaign.Trial) (campaign.Result, error) {
+		fm, err := s.mitigationFaultMap(dsIdx, rate)
+		if err != nil {
+			return campaign.Result{}, err
 		}
-		res.Series["curveEpoch"], res.Series["curveLoss"], res.Series["curveAcc"] = es, ls, as
-	}
-	return res, nil
+		cfg := cfg
+		cfg.Rng = rand.New(rand.NewSource(t.Seed))
+		rep, err := cl.Mitigate(fm, cfg)
+		if err != nil {
+			return campaign.Result{}, err
+		}
+		s.logf("%s %s: acc %.3f (pruned %.1f%%)\n", cfg.Method, t.Key, rep.Accuracy, rep.PrunedFraction*100)
+		res := campaign.Result{Metrics: map[string]float64{"acc": rep.Accuracy}}
+		if !study {
+			return res, nil
+		}
+		res.Metrics["pruned"] = rep.PrunedFraction
+		res.Series = map[string][]float64{"vth": rep.Vths}
+		if len(rep.Curve) > 0 {
+			var es, ls, as []float64
+			for _, p := range rep.Curve {
+				es = append(es, float64(p.Epoch))
+				ls = append(ls, p.Loss)
+				as = append(as, p.Accuracy)
+			}
+			res.Series["curveEpoch"], res.Series["curveLoss"], res.Series["curveAcc"] = es, ls, as
+		}
+		return res, nil
+	}}
 }
 
 // mitigationFigures assembles Fig. 6/7/8 from merged study results, in
 // paper order: Fig. 6 per dataset, Fig. 7, Fig. 8 per dataset. It needs
 // the trained baselines (layer names, baseline accuracies) — in a
-// merge-only process use Options.CacheDir to avoid retraining.
+// merge-only process set Suite.CacheDir (the -cache flag) to avoid
+// retraining.
 func (s *Suite) mitigationFigures(results []campaign.Result) ([]*Figure, error) {
 	bls, err := s.AllDatasets()
 	if err != nil {
@@ -309,7 +298,7 @@ func (s *Suite) mitigationFigures(results []campaign.Result) ([]*Figure, error) 
 	fig7 := &Figure{
 		ID: "Fig7", Title: "Mitigation comparison: FaP vs FaPIT vs FalVolt",
 		XLabel: "faultRate", YLabel: "accuracy",
-		Notes: []string{fmt.Sprintf("%d retrain epochs, MSB sa1 fault maps shared across methods", s.Opt.RetrainEpochs)},
+		Notes: []string{fmt.Sprintf("%d retrain epochs, MSB sa1 fault maps shared across methods", s.Spec.Epochs)},
 	}
 	xs := append([]float64(nil), MitigationRates...)
 	for _, bl := range bls {

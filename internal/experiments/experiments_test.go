@@ -9,43 +9,30 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/mitigation"
+	"falvolt/internal/spec"
 )
 
-func TestNewSuiteFillsDefaults(t *testing.T) {
-	s := NewSuite(Options{})
-	if s.Opt.ArrayRows != 64 || s.Opt.ArrayCols != 64 {
-		t.Errorf("default array %dx%d, want 64x64", s.Opt.ArrayRows, s.Opt.ArrayCols)
+// quickSuite is the quick-mode suite every enumeration test shares;
+// nothing here trains unless a test asks for a baseline.
+func quickSuite(t *testing.T) *Suite {
+	t.Helper()
+	s, err := SuiteFromSpec(&spec.Spec{Version: spec.Version, Kind: "fig2", Seed: 7,
+		Suite: &spec.SuiteSpec{Quick: true}}, spec.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Opt.Repeats != 8 {
-		t.Errorf("default repeats %d, want 8", s.Opt.Repeats)
-	}
-	if s.Opt.RetrainEpochs != 20 {
-		t.Errorf("default retrain epochs %d, want 20", s.Opt.RetrainEpochs)
-	}
-	if s.Opt.Seed == 0 {
-		t.Error("seed should default non-zero")
-	}
-}
-
-func TestQuickOptionsSmaller(t *testing.T) {
-	q, d := QuickOptions(), DefaultOptions()
-	if !q.Quick {
-		t.Error("QuickOptions must set Quick")
-	}
-	if q.Repeats >= d.Repeats || q.RetrainEpochs >= d.RetrainEpochs {
-		t.Error("quick mode should use fewer repeats and epochs")
-	}
+	return s
 }
 
 func TestUnknownDatasetErrors(t *testing.T) {
-	s := NewSuite(QuickOptions())
+	s := quickSuite(t)
 	if _, err := s.Dataset("imagenet"); err == nil {
 		t.Error("unknown dataset should error")
 	}
 }
 
 func TestPlansCoverPaperDatasets(t *testing.T) {
-	s := NewSuite(QuickOptions())
+	s := quickSuite(t)
 	var names []string
 	for _, p := range s.plans() {
 		names = append(names, p.name)
@@ -57,7 +44,7 @@ func TestPlansCoverPaperDatasets(t *testing.T) {
 }
 
 func TestMitigationFaultMapDeterministicAndRated(t *testing.T) {
-	s := NewSuite(QuickOptions())
+	s := quickSuite(t)
 	a, err := s.mitigationFaultMap(1, 0.30)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +190,7 @@ var errBoom = fmt.Errorf("boom")
 // every suite campaign without training anything: enumeration is pure
 // (identical across calls), IDs are dense, and seeds/keys are stable.
 func TestCampaignTrialEnumeration(t *testing.T) {
-	s := NewSuite(QuickOptions())
+	s := quickSuite(t)
 	for _, name := range CampaignNames() {
 		c, err := s.Campaign(name)
 		if err != nil {
@@ -244,20 +231,24 @@ func TestCampaignTrialEnumeration(t *testing.T) {
 // fig5a sweep: seeds must stay Seed + j*1000 + i*10 + rep so results
 // remain comparable with pre-campaign runs.
 func TestFig5aTrialSeedsMatchLegacyFormula(t *testing.T) {
-	s := NewSuite(QuickOptions())
-	trials, err := s.fig5Campaign("fig5a").Trials()
+	s := quickSuite(t)
+	c, err := s.Campaign("fig5a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLen := 6 * len(Fig5aBits) * s.Opt.Repeats
+	trials, err := c.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLen := 6 * len(Fig5aBits) * s.Spec.Repeats
 	if len(trials) != wantLen {
 		t.Fatalf("fig5a enumerates %d trials, want %d", len(trials), wantLen)
 	}
 	id := 0
 	for j := 0; j < 6; j++ {
 		for i := range Fig5aBits {
-			for rep := 0; rep < s.Opt.Repeats; rep++ {
-				want := s.Opt.Seed + int64(j*1000+i*10+rep)
+			for rep := 0; rep < s.Spec.Repeats; rep++ {
+				want := s.Seed + int64(j*1000+i*10+rep)
 				if trials[id].Seed != want {
 					t.Fatalf("trial %d seed %d, want %d", id, trials[id].Seed, want)
 				}
@@ -270,7 +261,7 @@ func TestFig5aTrialSeedsMatchLegacyFormula(t *testing.T) {
 // TestCampaignShardsPartitionTrials: interleaved shards cover every
 // trial exactly once for each suite campaign.
 func TestCampaignShardsPartitionTrials(t *testing.T) {
-	s := NewSuite(QuickOptions())
+	s := quickSuite(t)
 	for _, name := range CampaignNames() {
 		c, err := s.Campaign(name)
 		if err != nil {

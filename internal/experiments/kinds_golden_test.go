@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,18 +17,14 @@ import (
 // rendered figures with testdata/<kind>.golden. The first line of each
 // golden is the `campaign run` command that produced the rest. Every
 // kind is built from one spec base, so they share one suite and the
-// three baselines train once.
+// three baselines train once, into the cache the cache tests reload.
 func TestFigureKindGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three baselines")
 	}
 	for _, kind := range []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation"} {
 		t.Run(kind, func(t *testing.T) {
-			s := &spec.Spec{
-				Version: spec.Version, Kind: kind, Seed: 7,
-				Suite: &spec.SuiteSpec{Quick: true, Array: 16, Epochs: 1, Repeats: 1, Eval: 16},
-			}
-			built, err := spec.Build(s, spec.BuildOpts{})
+			built, err := spec.Build(goldenSpec(kind), spec.BuildOpts{CacheDir: goldenCache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,4 +46,29 @@ func TestFigureKindGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenSpec is the configuration the figure goldens pin: the tiny
+// quick suite of `campaign run -c <kind> -quick -array 16 -repeats 1
+// -eval 16 -epochs 1`.
+func goldenSpec(kind string) *spec.Spec {
+	return &spec.Spec{
+		Version: spec.Version, Kind: kind, Seed: 7,
+		Suite: &spec.SuiteSpec{Quick: true, Array: 16, Epochs: 1, Repeats: 1, Eval: 16},
+	}
+}
+
+// goldenCache is the baseline cache directory of the golden suite.
+var goldenCache string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "experiments-cache")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	goldenCache = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }

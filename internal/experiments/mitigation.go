@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"falvolt/internal/faults"
-	"falvolt/internal/mitigation"
 )
 
 // MitigationRates are the faulty-PE fractions of the mitigation study.
@@ -17,27 +16,7 @@ var Fig2Vths = []float64{0.45, 0.5, 0.55, 0.7}
 // (dataset, rate) cell so the comparison is apples-to-apples: worst-case
 // MSB stuck-at-1 faults, rate fraction of PEs.
 func (s *Suite) mitigationFaultMap(datasetIdx int, rate float64) (*faults.Map, error) {
-	return faults.GenerateRate(s.Opt.ArrayRows, s.Opt.ArrayCols, rate, faults.GenSpec{
+	return faults.GenerateRate(s.Spec.Array, s.Spec.Array, rate, faults.GenSpec{
 		BitMode: faults.MSBBits, Pol: faults.StuckAt1, PolMode: faults.FixedPol,
-	}, rand.New(rand.NewSource(s.Opt.Seed+int64(4000+datasetIdx*100)+int64(rate*1000))))
-}
-
-// mitigateJob runs one Mitigate call on a private model copy.
-func (s *Suite) mitigateJob(bl *Baseline, fm *faults.Map, cfg mitigation.Config) (*mitigation.Report, error) {
-	model, arr, err := bl.replica()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.01
-	}
-	if cfg.ClipNorm == 0 {
-		cfg.ClipNorm = 5
-	}
-	cfg.Replicas = s.Opt.TrainReplicas
-	cfg.MicroBatch = s.Opt.TrainMicroBatch
-	return mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, cfg)
+	}, rand.New(rand.NewSource(s.Seed+int64(4000+datasetIdx*100)+int64(rate*1000))))
 }

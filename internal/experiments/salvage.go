@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"falvolt/internal/campaign"
@@ -118,24 +117,8 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		figures := func(results []campaign.Result) ([]*Figure, error) {
+		return figureBuilt(cam, func(results []campaign.Result) ([]*Figure, error) {
 			return SalvageFigures(d, results)
-		}
-		return &spec.Built{
-			Campaign: cam,
-			Render: func(w io.Writer, results []campaign.Result) error {
-				figs, err := figures(results)
-				if err != nil {
-					return err
-				}
-				for _, f := range figs {
-					f.Print(w)
-				}
-				return nil
-			},
-			JSON: func(results []campaign.Result) (any, error) {
-				return figures(results)
-			},
-		}, nil
+		}), nil
 	})
 }

@@ -21,66 +21,33 @@ var (
 	suiteCache   = map[string]*Suite{}
 )
 
-// SuiteFromSpec resolves a spec's suite section into a Suite, applying
-// the mode defaults (DefaultOptions, or QuickOptions when Quick is set)
-// for zero values, exactly like the historical cmd flags. Suites are
-// cached per resolved configuration (including the cache directory):
-// repeated builds from equivalent specs return the same Suite and
-// therefore share trained baselines. The log writer is fixed by
-// whichever build populated the cache entry first — execution detail,
-// never results.
+// SuiteFromSpec resolves a spec's suite section into a Suite, its zero
+// values defaulted by spec.SuiteSpec.Defaulted. Suites are cached per
+// resolved configuration (including the cache directory): repeated
+// builds from equivalent specs return the same Suite and therefore share
+// trained baselines. The log writer is fixed by whichever build
+// populated the cache entry first — execution detail, never results.
 func SuiteFromSpec(s *spec.Spec, opt spec.BuildOpts) (*Suite, error) {
-	ss := s.Suite
-	if ss == nil {
+	if s.Suite == nil {
 		return nil, fmt.Errorf("experiments: spec kind %q needs a suite section", s.Kind)
 	}
-	o := DefaultOptions()
-	if ss.Quick {
-		o = QuickOptions()
-	}
-	o.Seed = s.EffectiveSeed()
-	if ss.Array > 0 {
-		o.ArrayRows, o.ArrayCols = ss.Array, ss.Array
-	}
-	if e := ss.RetrainEpochs(); e > 0 {
-		o.RetrainEpochs = e
-	}
-	if ss.Repeats > 0 {
-		o.Repeats = ss.Repeats
-	}
-	if ss.Eval > 0 {
-		o.EvalSamples = ss.Eval
-	}
-	if ss.Training != nil {
-		o.TrainReplicas = ss.Training.Replicas
-		o.TrainMicroBatch = ss.Training.MicroBatch
-		// Mirror TrainSpec.canonical(): the suite trains at the shared
-		// default batch, so a micro-batch covering the whole batch is
-		// the same one-micro-batch partition as unset — normalize it so
-		// the suite cache key (and disk baseline filename) agree with
-		// the spec's fingerprint identity.
-		if o.TrainMicroBatch >= spec.DefaultBatch {
-			o.TrainMicroBatch = 0
-		}
-	}
-	o.CacheDir = opt.CacheDir
-	o.Log = opt.Log
-	// TrainReplicas is execution-only and excluded from the key, like
-	// the log writer: equivalent specs that differ only in replica
+	d := s.Suite.Defaulted()
+	// Training replicas are execution-only and excluded from the key,
+	// like the log writer: equivalent specs that differ only in replica
 	// count share one Suite, and the first build's lane count wins.
 	// This is sound because snn.Train routes EVERY configuration —
 	// replicas 0 included — through the replica engine, whose results
 	// (dropout included) are bit-identical at any lane count
 	// (snn.TestTrainDefaultConfigIsReplicaEngine). The micro-batch
 	// partition changes results and is part of the key.
-	key := fmt.Sprintf("quick=%v seed=%d array=%dx%d repeats=%d epochs=%d eval=%d micro=%d cache=%q",
-		o.Quick, o.Seed, o.ArrayRows, o.ArrayCols, o.Repeats, o.RetrainEpochs, o.EvalSamples, o.TrainMicroBatch, o.CacheDir)
+	key := fmt.Sprintf("quick=%v seed=%d array=%d repeats=%d epochs=%d eval=%d micro=%d cache=%q",
+		d.Quick, s.EffectiveSeed(), d.Array, d.Repeats, d.Epochs, d.Eval, d.Training.MicroBatch, opt.CacheDir)
 	suiteCacheMu.Lock()
 	defer suiteCacheMu.Unlock()
 	if su, ok := suiteCache[key]; ok {
 		return su, nil
 	}
-	su := NewSuite(o)
+	su := &Suite{Spec: d, Seed: s.EffectiveSeed(), CacheDir: opt.CacheDir, Log: opt.Log, baselines: map[string]*Baseline{}}
 	suiteCache[key] = su
 	return su, nil
 }
@@ -104,9 +71,14 @@ func buildFigureCampaign(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) 
 		return nil, err
 	}
 	kind := s.Kind
-	figures := func(results []campaign.Result) ([]*Figure, error) {
+	return figureBuilt(cam, func(results []campaign.Result) ([]*Figure, error) {
 		return suite.Figures(kind, results)
-	}
+	}), nil
+}
+
+// figureBuilt is a registered figure kind: cam, rendered as the figures
+// its results fold into, printed in order or as JSON.
+func figureBuilt(cam campaign.Campaign, figures func([]campaign.Result) ([]*Figure, error)) *spec.Built {
 	return &spec.Built{
 		Campaign: cam,
 		Render: func(w io.Writer, results []campaign.Result) error {
@@ -122,5 +94,5 @@ func buildFigureCampaign(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) 
 		JSON: func(results []campaign.Result) (any, error) {
 			return figures(results)
 		},
-	}, nil
+	}
 }

@@ -5,88 +5,37 @@
 // convergence curves (Fig. 8). Each figure is a Figure value whose Print
 // output is the table of series behind the corresponding plot.
 //
-// The Suite lazily trains one baseline PLIF-SNN per dataset (synthetic
-// MNIST, N-MNIST, DVS Gesture — see internal/datasets) and snapshots it so
-// every experiment starts from the same fault-free weights, mirroring the
-// paper's tool flow (Fig. 4).
+// The Suite lazily builds one baseline PLIF-SNN per dataset (synthetic
+// MNIST, N-MNIST, DVS Gesture — see internal/datasets) from a
+// core.BaselinePlan, so every experiment starts from the same fault-free
+// weights, mirroring the paper's tool flow (Fig. 4). This package keeps
+// only the trial and figure layout.
 //
 // Every figure runs as a registered campaign kind on core's trial
-// plumbing: a baseline carries a core.YieldDeps, so lanes take private
-// replicas through its Lane and Restore, and each Fig. 5 trial is one
-// stuck-at cell measured by core.CellLane, the runner behind the
-// faultsim kind. Suite.Figures folds a campaign's results into figures.
+// plumbing: each runner lane holds one core.CellLane per dataset, on a
+// private replica of its baseline. A Fig. 5 trial is one stuck-at cell
+// (CellLane.StuckAt); a Fig. 2 or Fig. 6/7/8 trial is one mitigated cell
+// (CellLane.Mitigate). Suite.Figures folds a campaign's results into
+// figures.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"falvolt/internal/core"
-	"falvolt/internal/datasets"
-	"falvolt/internal/fixed"
 	"falvolt/internal/snn"
+	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
 )
 
-// Options scales the experiment suite.
-type Options struct {
-	// Quick selects reduced model/dataset sizes that run in minutes on a
-	// laptop; the default (false) uses the larger configuration.
-	Quick bool
-	// Seed drives all randomness.
-	Seed int64
-	// ArrayRows/Cols give the accelerator grid. The default 64x64 is the
-	// "paper-proportional" array for the scaled-down models: like the
-	// paper's 256x256 under its full-size networks, every row and column
-	// is exercised by at least one layer (see DESIGN.md).
-	ArrayRows, ArrayCols int
-	// CacheDir, when set, persists trained baselines between runs.
-	CacheDir string
-	// Log receives progress lines (nil silences).
-	Log io.Writer
-	// Repeats is the number of distinct fault maps averaged per
-	// vulnerability point (paper: 8). Quick default: 3.
-	Repeats int
-	// RetrainEpochs is the mitigation retraining budget (Fig. 6–8).
-	RetrainEpochs int
-	// EvalSamples caps how many test samples deployed-array evaluations
-	// use (0 = all).
-	EvalSamples int
-	// TrainReplicas and TrainMicroBatch configure the data-parallel
-	// replica training engine for baseline training and mitigation
-	// retraining (see snn.TrainConfig; every configuration runs that
-	// engine — zero means one lane). Replica count never changes
-	// results, only wall-clock; the micro-batch size changes the
-	// loss-averaging partition and therefore results.
-	TrainReplicas   int
-	TrainMicroBatch int
-}
-
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options {
-	return Options{
-		Seed: 7, ArrayRows: 64, ArrayCols: 64,
-		Repeats: 8, RetrainEpochs: 20,
-	}
-}
-
-// QuickOptions returns the reduced configuration used by tests and benches.
-func QuickOptions() Options {
-	return Options{
-		Quick: true, Seed: 7, ArrayRows: 64, ArrayCols: 64,
-		Repeats: 3, RetrainEpochs: 6, EvalSamples: 64,
-	}
-}
-
 // Baseline is a trained fault-free model: its dataset name, its accuracy
 // on the full test set, and the lane resources core's campaigns run on.
-// Test holds the first Options.EvalSamples test samples, the slice every
-// deployed evaluation uses.
+// Test holds the first Spec.Eval test samples, the slice every deployed
+// evaluation uses.
 type Baseline struct {
 	Name string
 	Acc  float64
@@ -106,107 +55,57 @@ func (b *Baseline) replica() (*snn.Model, *systolic.Array, error) {
 }
 
 // Suite owns lazily trained baselines and experiment-wide configuration.
+// Build it with SuiteFromSpec.
 type Suite struct {
-	Opt Options
+	// Spec is the defaulted suite section (spec.SuiteSpec.Defaulted).
+	Spec spec.SuiteSpec
+	// Seed drives all randomness.
+	Seed int64
+	// CacheDir, when set, persists trained baselines between runs.
+	CacheDir string
+	// Log receives progress lines (nil silences).
+	Log io.Writer
 
 	mu        sync.Mutex
 	baselines map[string]*Baseline
 }
 
-// NewSuite builds a suite; zero-valued options are filled from defaults.
-func NewSuite(opt Options) *Suite {
-	def := DefaultOptions()
-	if opt.ArrayRows == 0 {
-		opt.ArrayRows = def.ArrayRows
-	}
-	if opt.ArrayCols == 0 {
-		opt.ArrayCols = def.ArrayCols
-	}
-	if opt.Repeats == 0 {
-		opt.Repeats = def.Repeats
-	}
-	if opt.RetrainEpochs == 0 {
-		opt.RetrainEpochs = def.RetrainEpochs
-	}
-	if opt.Seed == 0 {
-		opt.Seed = def.Seed
-	}
-	return &Suite{Opt: opt, baselines: make(map[string]*Baseline)}
-}
-
 func (s *Suite) logf(format string, args ...any) {
-	if s.Opt.Log != nil {
-		fmt.Fprintf(s.Opt.Log, format, args...)
+	if s.Log != nil {
+		fmt.Fprintf(s.Log, format, args...)
 	}
 }
 
-// NewArray constructs the suite's accelerator.
-func (s *Suite) NewArray() *systolic.Array {
-	return systolic.MustNew(systolic.Config{
-		Rows: s.Opt.ArrayRows, Cols: s.Opt.ArrayCols,
-		Format: fixed.Q16x16, Saturate: true,
-	})
+// suitePlan is one of the suite's baselines: its display name and plan.
+type suitePlan struct {
+	name string
+	plan core.BaselinePlan
 }
 
-// datasetPlan bundles the generation and model parameters of one dataset.
-type datasetPlan struct {
-	name       string
-	spec       snn.ModelSpec
-	data       datasets.Config
-	epochs     int
-	lr         float64
-	genData    func(datasets.Config) (*datasets.Dataset, error)
-	quickSpec  func(*snn.ModelSpec)
-	quickData  func(*datasets.Config)
-	quickEpoch int
-}
-
-func (s *Suite) plans() []datasetPlan {
-	return []datasetPlan{
-		{
-			name:   "MNIST",
-			spec:   snn.MNISTSpec(),
-			data:   datasets.Config{Train: 640, Test: 256, T: 4, Seed: s.Opt.Seed},
-			epochs: 20, lr: 0.02,
-			genData: datasets.SyntheticMNIST,
-			quickSpec: func(m *snn.ModelSpec) {
-				m.EncoderC, m.BlockC, m.FCHidden = 4, []int{8, 8}, 32
+// plans lists the suite's baselines in figure order. Quick mode keeps
+// core's reduced shapes and shortens N-MNIST and DVS Gesture to 5 and 6
+// timesteps.
+func (s *Suite) plans() []suitePlan {
+	pick := func(quick, full int) int {
+		if s.Spec.Quick {
+			return quick
+		}
+		return full
+	}
+	plan := func(dataset string, i int64, t, train, test, epochs int) core.BaselinePlan {
+		return core.BaselinePlan{
+			Dataset: dataset, Quick: s.Spec.Quick, T: t, Train: train, Test: test,
+			ModelSeed: s.Seed + 99, TrainSeed: s.Seed + 7, DataSeed: s.Seed + i, Array: s.Spec.Array,
+			Config: core.BaselineConfig{
+				Epochs: epochs, LR: 0.02,
+				Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
 			},
-			quickData:  func(c *datasets.Config) { c.Train, c.Test = 320, 128 },
-			quickEpoch: 12,
-		},
-		{
-			name:   "N-MNIST",
-			spec:   snn.NMNISTSpec(),
-			data:   datasets.Config{Train: 640, Test: 256, T: 8, Seed: s.Opt.Seed + 1},
-			epochs: 20, lr: 0.02,
-			genData: datasets.SyntheticNMNIST,
-			quickSpec: func(m *snn.ModelSpec) {
-				m.EncoderC, m.BlockC, m.FCHidden = 4, []int{8, 8}, 32
-				m.T = 5
-			},
-			quickData:  func(c *datasets.Config) { c.Train, c.Test, c.T = 320, 128, 5 },
-			quickEpoch: 12,
-		},
-		{
-			name:   "DVSGesture",
-			spec:   snn.DVSGestureSpec(),
-			data:   datasets.Config{Train: 440, Test: 176, H: 32, W: 32, T: 8, Seed: s.Opt.Seed + 2},
-			epochs: 30, lr: 0.02,
-			genData: datasets.SyntheticDVSGesture,
-			quickSpec: func(m *snn.ModelSpec) {
-				// Quick mode shrinks the gesture pipeline to 16x16 input
-				// with three conv blocks (full mode keeps the paper's five).
-				m.InH, m.InW = 16, 16
-				m.EncoderC, m.BlockC, m.FCHidden = 4, []int{8, 8, 16}, 32
-				m.T = 6
-			},
-			quickData: func(c *datasets.Config) {
-				c.H, c.W = 16, 16
-				c.Train, c.Test, c.T = 220, 88, 6
-			},
-			quickEpoch: 16,
-		},
+		}
+	}
+	return []suitePlan{
+		{"MNIST", plan("mnist", 0, 0, pick(320, 640), pick(128, 256), pick(12, 20))},
+		{"N-MNIST", plan("nmnist", 1, pick(5, 0), pick(320, 640), pick(128, 256), pick(12, 20))},
+		{"DVSGesture", plan("dvsgesture", 2, pick(6, 0), pick(220, 440), pick(88, 176), pick(16, 30))},
 	}
 }
 
@@ -219,14 +118,19 @@ func (s *Suite) Dataset(name string) (*Baseline, error) {
 		return b, nil
 	}
 	for _, p := range s.plans() {
-		if p.name == name {
-			b, err := s.trainBaseline(p)
-			if err != nil {
-				return nil, err
-			}
-			s.baselines[name] = b
-			return b, nil
+		if p.name != name {
+			continue
 		}
+		deps, acc, err := p.plan.Build(s.cachePath(name), s.Log)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s baseline: %w", name, err)
+		}
+		if n := s.Spec.Eval; n > 0 && n < len(deps.Test) {
+			deps.Test = deps.Test[:n]
+		}
+		b := &Baseline{Name: name, Acc: acc, YieldDeps: deps}
+		s.baselines[name] = b
+		return b, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown dataset %q", name)
 }
@@ -244,85 +148,29 @@ func (s *Suite) AllDatasets() ([]*Baseline, error) {
 	return out, nil
 }
 
-func (s *Suite) trainBaseline(p datasetPlan) (*Baseline, error) {
-	spec, dcfg, epochs := p.spec, p.data, p.epochs
-	if s.Opt.Quick {
-		p.quickSpec(&spec)
-		p.quickData(&dcfg)
-		epochs = p.quickEpoch
-	}
-	ds, err := p.genData(dcfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generate %s: %w", p.name, err)
-	}
-	buildModel := func() (*snn.Model, error) {
-		return snn.Build(spec, rand.New(rand.NewSource(s.Opt.Seed+99)))
-	}
-	model, err := buildModel()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build %s: %w", p.name, err)
-	}
-
-	test := ds.Test
-	if n := s.Opt.EvalSamples; n > 0 && n < len(test) {
-		test = test[:n]
-	}
-	b := &Baseline{Name: p.name, YieldDeps: core.YieldDeps{
-		Model: model, Arr: s.NewArray(), Train: ds.Train, Test: test, BuildModel: buildModel,
-	}}
-
-	if path := s.cachePath(p.name); path != "" {
-		if st, err := snn.LoadStateFile(path); err == nil {
-			if err := model.Net.LoadState(st); err == nil {
-				b.Baseline = st
-				b.Acc = snn.Evaluate(model.Net, ds.Test, 32)
-				s.logf("loaded cached %s baseline (acc %.3f)\n", p.name, b.Acc)
-				return b, nil
-			}
-		}
-	}
-
-	s.logf("training %s baseline (%d samples, %d epochs)...\n", p.name, len(ds.Train), epochs)
-	start := time.Now()
-	acc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-		Epochs: epochs, LR: p.lr, Rng: rand.New(rand.NewSource(s.Opt.Seed + 7)),
-		Replicas: s.Opt.TrainReplicas, MicroBatch: s.Opt.TrainMicroBatch,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: train %s: %w", p.name, err)
-	}
-	b.Acc = acc
-	b.Baseline = model.Net.State()
-	s.logf("%s baseline accuracy %.3f (%.1fs)\n", p.name, acc, time.Since(start).Seconds())
-	if path := s.cachePath(p.name); path != "" {
-		if err := snn.SaveStateFile(b.Baseline, path); err != nil {
-			s.logf("warning: cache write failed: %v\n", err)
-		}
-	}
-	return b, nil
-}
-
+// cachePath is the cache file of the named baseline ("" = no cache).
 func (s *Suite) cachePath(name string) string {
-	if s.Opt.CacheDir == "" {
+	if s.CacheDir == "" {
 		return ""
 	}
-	if err := os.MkdirAll(s.Opt.CacheDir, 0o755); err != nil {
+	if err := os.MkdirAll(s.CacheDir, 0o755); err != nil {
+		s.logf("warning: baseline cache disabled: %v\n", err)
 		return ""
 	}
 	mode := "full"
-	if s.Opt.Quick {
+	if s.Spec.Quick {
 		mode = "quick"
 	}
 	// The filename keys every result-affecting training knob: the
 	// micro-batch partition changes trained weights, so variants must
-	// not share a cached baseline (TrainReplicas is execution-only and
+	// not share a cached baseline (Replicas is execution-only and
 	// rightly absent). The "t2" revision marks the unified replica
 	// trainer — dropout masks now derive from the training rng instead
 	// of the layers' own streams, so baselines cached by the pre-t2
 	// serial loop are not comparable and must retrain.
 	mb := ""
-	if s.Opt.TrainMicroBatch > 0 {
-		mb = fmt.Sprintf("-mb%d", s.Opt.TrainMicroBatch)
+	if m := s.Spec.Training.MicroBatch; m > 0 {
+		mb = fmt.Sprintf("-mb%d", m)
 	}
-	return filepath.Join(s.Opt.CacheDir, fmt.Sprintf("%s-%s-seed%d%s-t2.gob", name, mode, s.Opt.Seed, mb))
+	return filepath.Join(s.CacheDir, fmt.Sprintf("%s-%s-seed%d%s-t2.gob", name, mode, s.Seed, mb))
 }

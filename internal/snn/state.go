@@ -2,8 +2,10 @@ package snn
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"falvolt/internal/tensor"
 )
@@ -136,15 +138,28 @@ func (n *Network) LoadState(st *NetworkState) error {
 	return nil
 }
 
-// SaveStateFile writes a snapshot to path with encoding/gob.
+// SaveStateFile writes a snapshot to path with encoding/gob,
+// crash-safely: the bytes go to a temp file in the same directory, are
+// fsynced and closed, and the temp file is renamed over path. A killed
+// or failed write never leaves a truncated snapshot at path.
 func SaveStateFile(st *NetworkState, path string) error {
-	f, err := os.Create(path)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("snn: save state: %w", err)
 	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(st); err != nil {
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := gob.NewEncoder(tmp).Encode(st); err != nil {
+		tmp.Close()
 		return fmt.Errorf("snn: encode state: %w", err)
+	}
+	// CreateTemp's private 0600 would survive the rename; keep the
+	// conventional 0644 a plain create gave.
+	err = errors.Join(tmp.Sync(), tmp.Chmod(0o644), tmp.Close())
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		return fmt.Errorf("snn: save state: %w", err)
 	}
 	return nil
 }

@@ -104,13 +104,15 @@ type Spec struct {
 }
 
 // SuiteSpec scales the experiment suite behind the figure campaigns.
-// Zero values select the mode defaults (experiments.DefaultOptions, or
-// QuickOptions when Quick is set), matching the 0-means-default
-// semantics the cmd flags always had.
+// Zero values select the mode defaults (see Defaulted), matching the
+// 0-means-default semantics the cmd flags always had.
 type SuiteSpec struct {
 	// Quick selects the reduced model/dataset sizes.
 	Quick bool `json:"quick,omitempty"`
-	// Array is the systolic array side (NxN); 0 = default (64).
+	// Array is the systolic array side (NxN); 0 = default (64), the
+	// paper-proportional array for the scaled-down models: like the
+	// paper's 256x256 under its full-size networks, every row and
+	// column is exercised by at least one layer (see DESIGN.md).
 	Array int `json:"array,omitempty"`
 	// Epochs is the mitigation retraining budget (0 = mode default).
 	Epochs int `json:"epochs,omitempty"`
@@ -146,13 +148,37 @@ func (ss *SuiteSpec) validateTraining() error {
 	return nil
 }
 
-// RetrainEpochs resolves the suite's retraining budget from whichever
-// knob is set (0 = mode default).
-func (ss *SuiteSpec) RetrainEpochs() int {
-	if ss.Training != nil && ss.Training.Epochs > 0 {
-		return ss.Training.Epochs
+// Defaulted returns a copy with every zero field replaced by its mode
+// default: array 64, repeats 8 (the paper's; quick 3), retraining
+// epochs 20 (quick 6, either knob) and all test samples per evaluation
+// (quick 64). Training is always set on the copy, never shared with the
+// source; a micro-batch covering the suite's whole DefaultBatch is the
+// partition of an unset one and is cleared, as in canonical().
+func (ss SuiteSpec) Defaulted() SuiteSpec {
+	t := TrainSpec{}
+	if ss.Training != nil {
+		t = *ss.Training
 	}
-	return ss.Epochs
+	if t.Epochs > 0 {
+		ss.Epochs, t.Epochs = t.Epochs, 0
+	}
+	if t.MicroBatch >= DefaultBatch {
+		t.MicroBatch = 0
+	}
+	ss.Training = &t
+	def := func(v *int, full, quick int) {
+		if *v == 0 {
+			*v = full
+			if ss.Quick {
+				*v = quick
+			}
+		}
+	}
+	def(&ss.Array, 64, 64)
+	def(&ss.Repeats, 8, 3)
+	def(&ss.Epochs, 20, 6)
+	def(&ss.Eval, 0, 64)
+	return ss
 }
 
 // YieldSpec describes a manufacturing-yield study population and its

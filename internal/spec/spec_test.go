@@ -480,3 +480,71 @@ func TestZeroSeedMeansDefault(t *testing.T) {
 		t.Fatal("seed 0 does not resolve to the default seed")
 	}
 }
+
+// TestSuiteSpecDefaulted pins the figure suite's mode defaults: zero
+// fields take them, explicit fields survive, training.epochs stands in
+// for epochs, and a micro-batch covering the whole default batch
+// normalizes to unset.
+func TestSuiteSpecDefaulted(t *testing.T) {
+	tr := func(epochs, micro, replicas int) *spec.TrainSpec {
+		return &spec.TrainSpec{Epochs: epochs, MicroBatch: micro, Replicas: replicas}
+	}
+	cases := []struct {
+		name string
+		in   spec.SuiteSpec
+		want spec.SuiteSpec // Training nil: want the zero section
+	}{
+		{"full zero", spec.SuiteSpec{},
+			spec.SuiteSpec{Array: 64, Repeats: 8, Epochs: 20, Eval: 0}},
+		{"quick zero", spec.SuiteSpec{Quick: true},
+			spec.SuiteSpec{Quick: true, Array: 64, Repeats: 3, Epochs: 6, Eval: 64}},
+		{"full explicit", spec.SuiteSpec{Array: 16, Repeats: 2, Epochs: 4, Eval: 32},
+			spec.SuiteSpec{Array: 16, Repeats: 2, Epochs: 4, Eval: 32}},
+		{"quick explicit", spec.SuiteSpec{Quick: true, Array: 16, Repeats: 1, Epochs: 1, Eval: 16},
+			spec.SuiteSpec{Quick: true, Array: 16, Repeats: 1, Epochs: 1, Eval: 16}},
+		{"training epochs alias", spec.SuiteSpec{Quick: true, Training: tr(9, 0, 0)},
+			spec.SuiteSpec{Quick: true, Array: 64, Repeats: 3, Epochs: 9, Eval: 64}},
+		{"micro-batch 16 is the whole batch", spec.SuiteSpec{Training: tr(0, 16, 2)},
+			spec.SuiteSpec{Array: 64, Repeats: 8, Epochs: 20, Training: tr(0, 0, 2)}},
+		{"micro-batch 32 covers the batch", spec.SuiteSpec{Quick: true, Training: tr(0, 32, 0)},
+			spec.SuiteSpec{Quick: true, Array: 64, Repeats: 3, Epochs: 6, Eval: 64}},
+		{"micro-batch 8 partitions", spec.SuiteSpec{Training: tr(3, 8, 0)},
+			spec.SuiteSpec{Array: 64, Repeats: 8, Epochs: 3, Training: tr(0, 8, 0)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := c.in
+			if c.in.Training != nil {
+				cp := *c.in.Training
+				src.Training = &cp
+			}
+			got := c.in.Defaulted()
+			if got.Training == nil {
+				t.Fatal("Defaulted left Training nil")
+			}
+			want := c.want
+			if want.Training == nil {
+				want.Training = &spec.TrainSpec{}
+			}
+			if *got.Training != *want.Training {
+				t.Errorf("training = %+v, want %+v", *got.Training, *want.Training)
+			}
+			got.Training, want.Training = nil, nil
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Errorf("Defaulted() = %+v, want %+v", got, want)
+			}
+			if c.in.Training != nil && *c.in.Training != *src.Training {
+				t.Error("Defaulted mutated the source training section")
+			}
+		})
+	}
+	// Quick mode is the smaller configuration.
+	full, quick := spec.SuiteSpec{}.Defaulted(), spec.SuiteSpec{Quick: true}.Defaulted()
+	if !quick.Quick || quick.Repeats >= full.Repeats || quick.Epochs >= full.Epochs {
+		t.Errorf("quick %+v should keep Quick and use fewer repeats and epochs than full %+v", quick, full)
+	}
+	// The suite's seed is the spec's: zero means the non-zero default.
+	if (&spec.Spec{Kind: "fig2", Suite: &spec.SuiteSpec{}}).EffectiveSeed() == 0 {
+		t.Error("a zero seed should default non-zero")
+	}
+}

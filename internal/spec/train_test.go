@@ -247,13 +247,13 @@ func TestTrainSpecResolution(t *testing.T) {
 	if m.EffectiveEpochs() != 4 || m.EffectiveLR() != 0.01 {
 		t.Errorf("training knobs: got epochs %d lr %v", m.EffectiveEpochs(), m.EffectiveLR())
 	}
-	ss := spec.SuiteSpec{Epochs: 6}
-	if ss.RetrainEpochs() != 6 {
-		t.Errorf("suite legacy epochs: got %d", ss.RetrainEpochs())
+	ss := spec.SuiteSpec{Epochs: 6}.Defaulted()
+	if ss.Epochs != 6 {
+		t.Errorf("suite legacy epochs: got %d", ss.Epochs)
 	}
-	ss = spec.SuiteSpec{Training: &spec.TrainSpec{Epochs: 9}}
-	if ss.RetrainEpochs() != 9 {
-		t.Errorf("suite training epochs: got %d", ss.RetrainEpochs())
+	ss = spec.SuiteSpec{Training: &spec.TrainSpec{Epochs: 9}}.Defaulted()
+	if ss.Epochs != 9 {
+		t.Errorf("suite training epochs: got %d", ss.Epochs)
 	}
 	f := spec.FaultSimSpec{}
 	if f.EffectiveBaseEpochs() != 12 {
