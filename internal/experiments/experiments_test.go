@@ -24,6 +24,44 @@ func quickSuite(t *testing.T) *Suite {
 	return s
 }
 
+// suiteFrom builds the suite of a fig2 spec with the given seed and
+// suite section.
+func suiteFrom(t *testing.T, seed int64, ss spec.SuiteSpec) *Suite {
+	t.Helper()
+	s, err := SuiteFromSpec(&spec.Spec{Version: spec.Version, Kind: "fig2", Seed: seed,
+		Suite: &ss}, spec.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestNewSuiteFillsDefaults(t *testing.T) {
+	s := suiteFrom(t, 0, spec.SuiteSpec{})
+	if s.Spec.Array != 64 {
+		t.Errorf("default array %dx%d, want 64x64", s.Spec.Array, s.Spec.Array)
+	}
+	if s.Spec.Repeats != 8 {
+		t.Errorf("default repeats %d, want 8", s.Spec.Repeats)
+	}
+	if s.Spec.Epochs != 20 {
+		t.Errorf("default retrain epochs %d, want 20", s.Spec.Epochs)
+	}
+	if s.Seed == 0 {
+		t.Error("seed should default non-zero")
+	}
+}
+
+func TestQuickOptionsSmaller(t *testing.T) {
+	q, d := suiteFrom(t, 0, spec.SuiteSpec{Quick: true}), suiteFrom(t, 0, spec.SuiteSpec{})
+	if !q.Spec.Quick {
+		t.Error("a quick suite must keep Quick")
+	}
+	if q.Spec.Repeats >= d.Spec.Repeats || q.Spec.Epochs >= d.Spec.Epochs {
+		t.Error("quick mode should use fewer repeats and epochs")
+	}
+}
+
 func TestUnknownDatasetErrors(t *testing.T) {
 	s := quickSuite(t)
 	if _, err := s.Dataset("imagenet"); err == nil {
