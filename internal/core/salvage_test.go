@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"falvolt/internal/campaign"
@@ -149,5 +151,55 @@ func TestSalvageCampaignShardMergeBitIdentical(t *testing.T) {
 		if r.Metrics["epochs"] != 0 {
 			t.Errorf("trial %d: non-retraining strategy spent %v epochs", r.TrialID, r.Metrics["epochs"])
 		}
+	}
+}
+
+// TestSalvageCampaignGolden pins every per-trial metric of a tiny
+// salvage grid — each fault model against each mitigation kind — on the
+// shared harness, printed with exact float digits. Regenerate with
+//
+//	go test ./internal/core/ -run SalvageCampaignGolden -update
+func TestSalvageCampaignGolden(t *testing.T) {
+	h := newHarness(t)
+	cfg := spec.SalvageCampaignSpec{
+		Models: []string{"stuckat", "bitflip", "transient"},
+		Mitigations: []spec.MitigationSpec{
+			{Kind: "fap"}, {Kind: "falvolt", Epochs: 1}, {Kind: "respawn"}, {Kind: "rescuesnn"}, {Kind: "softsnn"},
+		},
+		Rates:   []float64{0.1},
+		Repeats: 1,
+		Array:   16,
+		Epochs:  1,
+		Batch:   16,
+	}
+	c, err := SalvageCampaign(cfg, 42, nil, salvageTestBuild(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := campaign.Run(c, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, r := range rr.Results {
+		fmt.Fprintf(&got, "%d %s", r.TrialID, r.Key)
+		for _, m := range []string{"raw", "acc", "epochs", "pruned", "remapped", "bypassed", "clamped", "mac"} {
+			fmt.Fprintf(&got, " %s=%s", m, strconv.FormatFloat(r.Metrics[m], 'g', -1, 64))
+		}
+		got.WriteByte('\n')
+	}
+	golden := filepath.Join("testdata", "salvage.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("salvage metrics drifted from golden:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
 	}
 }

@@ -72,3 +72,40 @@ func TestMain(m *testing.M) {
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
+
+// TestAblationsGolden byte-compares the printed Suite.Ablations figures
+// of the golden suite with testdata/ablations.golden, whose first line
+// is the `experiments` command that prints the rest. Regenerate with
+//
+//	go test ./internal/experiments/ -run AblationsGolden -update
+func TestAblationsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the ablation models")
+	}
+	s, err := SuiteFromSpec(goldenSpec("fig2"), spec.BuildOpts{CacheDir: goldenCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := s.Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.NewBufferString("# experiments -quick -fig ablations -array 16 -eval 16 -epochs 1\n")
+	for _, f := range figs {
+		f.Print(got)
+	}
+	golden := filepath.Join("testdata", "ablations.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("ablation figures drifted from golden:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	}
+}
