@@ -71,6 +71,19 @@ func (f *fixture) restore(b *testing.B) {
 	}
 }
 
+// lane wraps the fixture's model and arr in a core.CellLane over the
+// benchmark's 48 training and 24 test samples.
+func (f *fixture) lane(arr *systolic.Array) *core.CellLane {
+	return core.NewCellLane(core.YieldDeps{
+		Model: f.model, Baseline: f.state, Arr: arr, Train: f.ds.Train[:48], Test: f.ds.Test[:24],
+	}, f.model, arr)
+}
+
+// injector places fm on the array.
+func injector(fm *faults.Map) func(*systolic.Array) error {
+	return func(arr *systolic.Array) error { return arr.InjectFaults(fm) }
+}
+
 func newArray(b *testing.B, side int) *systolic.Array {
 	b.Helper()
 	arr, err := systolic.New(systolic.Config{Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true})
@@ -112,47 +125,28 @@ func BenchmarkFig2FixedVthRetrainEpoch(b *testing.B) {
 // BenchmarkFig5aBitPoint measures one (bit, polarity) point of Fig. 5a:
 // a faulty-array evaluation with stuck bit 16.
 func BenchmarkFig5aBitPoint(b *testing.B) {
-	f := getFixture(b)
-	f.restore(b)
-	arr := newArray(b, 32)
 	fm, err := faults.Generate(32, 32, faults.GenSpec{
 		NumFaulty: 16, BitMode: faults.FixedBit, Bit: 16, Pol: faults.StuckAt1,
 	}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateFaulty(f.model, arr, fm, f.ds.Test[:24], false, 24); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFaulty(b, fm)
 }
 
 // BenchmarkFig5bCountPoint measures one fault-count point of Fig. 5b.
-func BenchmarkFig5bCountPoint(b *testing.B) {
-	f := getFixture(b)
-	f.restore(b)
-	arr := newArray(b, 32)
-	fm := msbFaults(b, 32, 8, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateFaulty(f.model, arr, fm, f.ds.Test[:24], false, 24); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig5bCountPoint(b *testing.B) { benchFaulty(b, msbFaults(b, 32, 8, 12)) }
 
 // BenchmarkFig5cArraySizePoint measures one array-size point of Fig. 5c
 // (the small-array end, where fault recurrence is heaviest).
-func BenchmarkFig5cArraySizePoint(b *testing.B) {
-	f := getFixture(b)
-	f.restore(b)
-	arr := newArray(b, 8)
-	fm := msbFaults(b, 8, 4, 13)
+func BenchmarkFig5cArraySizePoint(b *testing.B) { benchFaulty(b, msbFaults(b, 8, 4, 13)) }
+
+// benchFaulty measures one unmitigated Fig. 5 cell carrying fm.
+func benchFaulty(b *testing.B, fm *faults.Map) {
+	cl := getFixture(b).lane(newArray(b, fm.Rows))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateFaulty(f.model, arr, fm, f.ds.Test[:24], false, 24); err != nil {
+		if _, err := cl.Faulty(fm.Rows, injector(fm)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,20 +334,14 @@ func BenchmarkSystolicForwardFaultySparse30(b *testing.B) {
 
 // Salvage pair: one head-to-head benchmark cell through the pluggable
 // mitigation seam — a zero-retraining strategy (respawn's remap) and a
-// retraining one (falvolt, one epoch). Restore → inject → Apply →
-// evaluate, exactly the salvage campaign's RunTrial shape.
+// retraining one (falvolt, one epoch) — on the salvage campaign's cell,
+// without its raw pass.
 func benchSalvage(b *testing.B, mitSpec spec.MitigationSpec, epochs int) {
 	f := getFixture(b)
-	arr := newArray(b, 32)
+	cl := f.lane(newArray(b, 32))
 	fm := msbFaults(b, 32, 200, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.restore(b)
-		arr.ClearFaults()
-		arr.SetBypass(false)
-		if err := arr.InjectFaults(fm); err != nil {
-			b.Fatal(err)
-		}
 		mit, err := mitigation.New(mitSpec.EffectiveKind(), mitigation.Options{
 			Train: f.ds.Train[:48], Test: f.ds.Test[:24],
 			Epochs: epochs, BatchSize: 16, LR: 0.01, ClipNorm: 5,
@@ -362,11 +350,9 @@ func benchSalvage(b *testing.B, mitSpec spec.MitigationSpec, epochs int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mit.Apply(f.model, arr, arr.FaultMap()); err != nil {
+		if _, err := cl.Salvage(32, injector(fm), mit, false, 24); err != nil {
 			b.Fatal(err)
 		}
-		snn.EvaluateWith(nil, f.model.Net, f.ds.Test[:24], 24)
-		f.model.Net.Undeploy()
 	}
 }
 

@@ -13,12 +13,8 @@ import (
 	"math/rand"
 
 	"falvolt/internal/core"
-	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
-	"falvolt/internal/fixed"
 	"falvolt/internal/mitigation"
-	"falvolt/internal/snn"
-	"falvolt/internal/systolic"
 )
 
 func main() {
@@ -26,27 +22,19 @@ func main() {
 	const side = 64
 	const faultRate = 0.30
 
-	ds, err := datasets.SyntheticMNIST(datasets.Config{Train: 320, Test: 128, T: 4, Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec := snn.MNISTSpec()
-	spec.EncoderC, spec.BlockC, spec.FCHidden = 4, []int{8, 8}, 32
-	model, err := snn.Build(spec, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("training baseline...")
-	baseAcc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-		Epochs: 12, LR: 0.02, Rng: rand.New(rand.NewSource(seed + 1)),
-	})
+	deps, baseAcc, err := core.BaselinePlan{
+		Dataset: "mnist", Quick: true, Train: 320, Test: 128,
+		ModelSeed: seed, TrainSeed: seed + 1, DataSeed: seed, Array: side,
+		Config: core.BaselineConfig{Epochs: 12, LR: 0.02},
+	}.Build("", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline := model.Net.State()
 	fmt.Printf("baseline accuracy %.3f\n", baseAcc)
+	// Every method starts from the restored baseline on the lane.
+	lane := core.NewCellLane(deps, deps.Model, deps.Arr)
 
-	arr := systolic.MustNew(systolic.Config{Rows: side, Cols: side, Format: fixed.Q16x16, Saturate: true})
 	fm, err := faults.GenerateRate(side, side, faultRate, faults.GenSpec{
 		BitMode: faults.MSBBits, Pol: faults.StuckAt1, PolMode: faults.FixedPol,
 	}, rand.New(rand.NewSource(seed+2)))
@@ -57,11 +45,7 @@ func main() {
 
 	target := baseAcc - 0.05 // "close to baseline" recovery target
 	for _, method := range []mitigation.Method{mitigation.FaP, mitigation.FaPIT, mitigation.FalVolt} {
-		model.Net.Undeploy()
-		if err := model.Net.LoadState(baseline); err != nil {
-			log.Fatal(err)
-		}
-		rep, err := mitigation.Mitigate(model, arr, fm, ds.Train, ds.Test, mitigation.Config{
+		rep, err := lane.Mitigate(fm, mitigation.Config{
 			Method: method, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 			TrackCurve: true, CurveEvalSize: 64,
 			Rng: rand.New(rand.NewSource(seed + 3)),

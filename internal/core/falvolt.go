@@ -20,55 +20,18 @@
 //
 // The Algorithm-1 engine itself lives in internal/mitigation
 // (mitigation.Mitigate), where it is one strategy among several in the
-// salvage zoo; this package holds the faulty-array evaluation paths and
-// the campaigns built on them.
+// salvage zoo. This package holds the baseline plan, the one fault cell
+// (CellLane: restore the baseline, inject a fault instance, deploy or
+// salvage, evaluate) and the campaigns built on it.
 package core
 
 import (
 	"fmt"
 	"math/rand"
 
-	"falvolt/internal/faults"
 	"falvolt/internal/snn"
-	"falvolt/internal/systolic"
 	"falvolt/internal/tensor"
 )
-
-// EvaluateFaulty measures test accuracy of an unmitigated model deployed
-// on an array with the given fault map — the vulnerability analysis path
-// (Fig. 5 family). The model's float weights are not modified; the
-// deployment is removed before returning.
-func EvaluateFaulty(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	test []snn.Sample, bypass bool, batchSize int) (float64, error) {
-	if err := arr.InjectFaults(fm); err != nil {
-		return 0, fmt.Errorf("core: inject faults: %w", err)
-	}
-	arr.SetBypass(bypass)
-	model.Net.Deploy(arr)
-	acc := snn.EvaluateWith(nil, model.Net, test, batchSize)
-	model.Net.Undeploy()
-	return acc, nil
-}
-
-// EvaluateWeightFaulty is EvaluateFaulty for stuck bits in the PE weight
-// registers instead of the accumulator outputs (an extension to the
-// paper's accumulator-output fault model; both registers exist in the
-// Fig. 3a datapath). Weight-register faults only corrupt when a spike
-// gates the faulty weight in, so at equal counts they are milder than
-// accumulator faults — the Ablation-FaultSite experiment quantifies this.
-func EvaluateWeightFaulty(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	test []snn.Sample, bypass bool, batchSize int) (float64, error) {
-	arr.ClearFaults()
-	if err := arr.InjectWeightFaults(fm); err != nil {
-		return 0, fmt.Errorf("core: inject weight faults: %w", err)
-	}
-	arr.SetBypass(bypass)
-	model.Net.Deploy(arr)
-	acc := snn.EvaluateWith(nil, model.Net, test, batchSize)
-	model.Net.Undeploy()
-	arr.ClearFaults()
-	return acc, nil
-}
 
 // BaselineConfig controls baseline (fault-free) training. Zero values
 // select the paper's defaults: batch 16, LR 0.02, gradient clip 5, a

@@ -99,11 +99,22 @@ func worstCaseFaults(t *testing.T, rows, cols, n int, seed int64) *faults.Map {
 	return fm
 }
 
+// TestEvaluateFaultyCorruptsAccuracy measures unmitigated deployments
+// on CellLane.Faulty, and checks that a lane is clean after a mitigated
+// cell: the same Faulty cell then equals it on a fresh lane.
 func TestEvaluateFaultyCorruptsAccuracy(t *testing.T) {
 	h := newHarness(t)
 	fm := worstCaseFaults(t, 16, 16, 64, 1) // 25% of PEs, high bit sa1
+	inject := func(bypass bool) func(*systolic.Array) error {
+		return func(arr *systolic.Array) error {
+			arr.SetBypass(bypass)
+			return arr.InjectFaults(fm)
+		}
+	}
+	deps := yieldTestDeps(t, h)
+	cl := NewCellLane(deps, h.model, h.arr)
 
-	faultyAcc, err := EvaluateFaulty(h.model, h.arr, fm, h.test, false, 32)
+	faultyAcc, err := cl.Faulty(16, inject(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +122,33 @@ func TestEvaluateFaultyCorruptsAccuracy(t *testing.T) {
 		t.Errorf("25%% MSB sa1 faults barely moved accuracy: baseline %.2f, faulty %.2f", h.baseAcc, faultyAcc)
 	}
 
-	bypassAcc, err := EvaluateFaulty(h.model, h.arr, fm, h.test, true, 32)
+	bypassAcc, err := cl.Faulty(16, inject(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bypassAcc < faultyAcc-0.05 {
 		t.Errorf("bypass should not be clearly worse than corruption: bypass %.2f, faulty %.2f", bypassAcc, faultyAcc)
+	}
+
+	if _, err := cl.Mitigate(fm, mitigation.Config{
+		Method: mitigation.FalVolt, Epochs: 1, LR: 0.01, Rng: rand.New(rand.NewSource(3)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := cl.Faulty(16, inject(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, arr, err := deps.Lane(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCellLane(deps, model, arr).Faulty(16, inject(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != fresh || reused != faultyAcc {
+		t.Errorf("Faulty after Mitigate on one lane = %v, on a fresh lane %v, before %v", reused, fresh, faultyAcc)
 	}
 }
 

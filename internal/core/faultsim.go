@@ -9,7 +9,6 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
-	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
@@ -119,6 +118,10 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 	var cells []faultSimCell // per trial ID
 	for _, row := range rows {
 		for _, cell := range row.cells {
+			if n := cell.gen.NumFaulty; fmodel == nil && (n < 0 || n > cell.side*cell.side) {
+				return nil, fmt.Errorf("core: faultsim point %s: cannot place %d faults in a %dx%d array",
+					cell.key, n, cell.side, cell.side)
+			}
 			for rep := 0; rep < f.Repeats; rep++ {
 				trials = append(trials, campaign.Trial{ID: len(trials), Key: cell.key, Seed: cell.seed + int64(rep)})
 				cells = append(cells, cell)
@@ -168,7 +171,7 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 			if t.ID < 0 || t.ID >= len(cells) {
 				return campaign.Result{}, fmt.Errorf("core: faultsim trial %d out of range", t.ID)
 			}
-			acc, err := cl.run(cells[t.ID], fmodel, f.Mitigate, t.Seed, seed+7919*int64(t.ID+1))
+			acc, err := faultSimTrial(cl, cells[t.ID], fmodel, f.Mitigate, t.Seed, seed+7919*int64(t.ID+1))
 			if err != nil {
 				return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 			}
@@ -199,100 +202,25 @@ func buildFaultSim(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 	return &spec.Built{Campaign: campaign.New("faultsim", trials, newWorker), Render: render}, nil
 }
 
-// CellLane is one runner lane's evaluator of faultsim cells: a model,
-// one array per side (the lane's own array, plus any other side a cell
-// asks for, built on first use) and the baseline both return to before
-// every cell.
-type CellLane struct {
-	deps  YieldDeps
-	model *snn.Model
-	arrs  map[int]*systolic.Array
-}
-
-// NewCellLane wraps a lane's model and array (see YieldDeps.Lane).
-func NewCellLane(deps YieldDeps, model *snn.Model, arr *systolic.Array) *CellLane {
-	return &CellLane{deps: deps, model: model, arrs: map[int]*systolic.Array{arr.Config().Rows: arr}}
-}
-
-// StuckAt measures the unmitigated baseline on a side x side array
-// carrying the stuck-at map gen draws from seed.
-func (l *CellLane) StuckAt(side int, gen faults.GenSpec, seed int64) (float64, error) {
-	return l.run(faultSimCell{side: side, gen: gen}, nil, nil, seed, 0)
-}
-
-// Mitigate runs mitigation.Mitigate with cfg on the lane's baseline,
-// restored on its array of fm's side, and returns the report: final
-// accuracy, pruned fraction, Vths and, with cfg.TrackCurve, the Fig. 8
-// curve. The lane's model and array are clean afterwards.
-func (l *CellLane) Mitigate(fm *faults.Map, cfg mitigation.Config) (*mitigation.Report, error) {
-	arr, err := l.restored(fm.Rows)
-	if err != nil {
-		return nil, err
-	}
-	defer l.clean(arr)
-	return mitigation.Mitigate(l.model, arr, fm, l.deps.Train, l.deps.Test, cfg)
-}
-
-// restored returns the lane's side x side array, built on first use,
-// with the model back at the fault-free baseline.
-func (l *CellLane) restored(side int) (*systolic.Array, error) {
-	arr, ok := l.arrs[side]
-	if !ok {
-		cfg := l.deps.Arr.Config()
-		cfg.Rows, cfg.Cols = side, side
-		var err error
-		if arr, err = systolic.New(cfg); err != nil {
-			return nil, err
-		}
-		l.arrs[side] = arr
-	}
-	return arr, l.deps.Restore(l.model, arr)
-}
-
-// clean undeploys the model and clears arr's faults and bypass.
-func (l *CellLane) clean(arr *systolic.Array) {
-	l.model.Net.Undeploy()
-	arr.ClearFaults()
-	arr.SetBypass(false)
-}
-
-// run measures one cell on a restored baseline: inject the instance
-// addressed by faultSeed, salvage it when ms is set (retraining rng from
-// mitSeed), and evaluate.
-func (l *CellLane) run(cell faultSimCell, fmodel faults.FaultModel, ms *spec.MitigationSpec,
+// faultSimTrial measures one cell on cl: inject the instance addressed
+// by faultSeed (fmodel's at the cell's rate, else the cell's stuck-at
+// map) and evaluate, salvaged first when ms is set (retraining rng from
+// mitSeed).
+func faultSimTrial(cl *CellLane, cell faultSimCell, fmodel faults.FaultModel, ms *spec.MitigationSpec,
 	faultSeed, mitSeed int64) (float64, error) {
-	arr, err := l.restored(cell.side)
+	inject := stuckAt(cell.gen, faultSeed)
+	if fmodel != nil {
+		inject = func(arr *systolic.Array) error { return fmodel.Inject(arr, cell.rate, faultSeed) }
+	}
+	if ms == nil {
+		return cl.Faulty(cell.side, inject)
+	}
+	mit, err := newMitigation(*ms, 1, ms.EffectiveLR(), cl.deps, rand.New(rand.NewSource(mitSeed)))
 	if err != nil {
 		return 0, err
 	}
-	if fmodel != nil {
-		if err := fmodel.Inject(arr, cell.rate, faultSeed); err != nil {
-			return 0, err
-		}
-	} else {
-		acfg := arr.Config()
-		fm, err := faults.Generate(acfg.Rows, acfg.Cols, cell.gen, rand.New(rand.NewSource(faultSeed)))
-		if err != nil {
-			return 0, err
-		}
-		if err := arr.InjectFaults(fm); err != nil {
-			return 0, err
-		}
-	}
-	if ms != nil {
-		mit, err := newMitigation(*ms, 1, ms.EffectiveLR(), l.deps, rand.New(rand.NewSource(mitSeed)))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := mit.Apply(l.model, arr, arr.FaultMap()); err != nil {
-			return 0, fmt.Errorf("%s: %w", mit.Name(), err)
-		}
-	} else {
-		l.model.Net.Deploy(arr)
-	}
-	acc := snn.EvaluateWith(nil, l.model.Net, l.deps.Test, 32)
-	l.clean(arr)
-	return acc, nil
+	s, err := cl.Salvage(cell.side, inject, mit, false, 32)
+	return s.Acc, err
 }
 
 func init() { spec.Register("faultsim", buildFaultSim) }

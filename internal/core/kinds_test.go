@@ -133,3 +133,24 @@ func TestFalVoltKindGolden(t *testing.T) {
 		t.Fatalf("falvolt output:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestFaultSimRejectsImpossibleCells: a stuck-at cell asking for more
+// faulty PEs than its array holds fails at build time, before any
+// training, and the error names the sweep point.
+func TestFaultSimRejectsImpossibleCells(t *testing.T) {
+	for _, tc := range []struct {
+		sweep         string
+		array, faults int
+		point         string
+	}{
+		{"size", 16, 17, "side=4"},
+		{"count", 4, 4, "faulty=32"},
+	} {
+		s := faultSimSpec(tc.sweep)
+		s.FaultSim.Array, s.FaultSim.Faults = tc.array, tc.faults
+		if _, err := spec.Build(s, spec.BuildOpts{}); err == nil || !strings.Contains(err.Error(), tc.point) {
+			t.Errorf("%s sweep (array %d, faults %d): err = %v, want a build error naming %s",
+				tc.sweep, tc.array, tc.faults, err, tc.point)
+		}
+	}
+}

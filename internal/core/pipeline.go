@@ -12,6 +12,7 @@ import (
 	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/spec"
+	"falvolt/internal/systolic"
 )
 
 // The "falvolt" campaign kind: the paper's tool flow (Fig. 4) end to
@@ -68,12 +69,13 @@ func pipelineFaultMap(p spec.PipelineSpec, seed int64) (*faults.Map, error) {
 	}, rand.New(rand.NewSource(seed+2)))
 }
 
-// FalVoltTrial runs the pipeline's one trial on a built baseline,
-// leaving deps.Model mitigated. The result carries the unmitigated
-// ("raw") and mitigated ("acc") accuracies, the pruned fraction, and the
-// per-epoch retraining losses and per-layer thresholds as series. The
-// retraining wall-clock time is returned beside it, never inside it, so
-// reruns of the trial merge bit-identically.
+// FalVoltTrial runs the pipeline's one trial on a lane over a built
+// baseline, leaving deps.Model undeployed with the mitigated weights.
+// The result carries the unmitigated ("raw") and mitigated ("acc")
+// accuracies, the pruned fraction, and the per-epoch retraining losses
+// and per-layer thresholds as series. The retraining wall-clock time is
+// returned beside it, never inside it, so reruns of the trial merge
+// bit-identically.
 func FalVoltTrial(deps YieldDeps, s *spec.Spec) (campaign.Result, time.Duration, error) {
 	p, seed, method, _, err := pipelineSection(s)
 	if err != nil {
@@ -83,12 +85,13 @@ func FalVoltTrial(deps YieldDeps, s *spec.Spec) (campaign.Result, time.Duration,
 	if err != nil {
 		return campaign.Result{}, 0, err
 	}
-	raw, err := EvaluateFaulty(deps.Model, deps.Arr, fm, deps.Test, false, 32)
+	cl := NewCellLane(deps, deps.Model, deps.Arr)
+	raw, err := cl.Faulty(p.Array, func(arr *systolic.Array) error { return arr.InjectFaults(fm) })
 	if err != nil {
 		return campaign.Result{}, 0, err
 	}
 	var losses []float64
-	rep, err := mitigation.Mitigate(deps.Model, deps.Arr, fm, deps.Train, deps.Test, mitigation.Config{
+	rep, err := cl.Mitigate(fm, mitigation.Config{
 		Method: method, Epochs: p.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng:      rand.New(rand.NewSource(seed + 3)),
 		Progress: func(_ int, loss float64) { losses = append(losses, loss) },

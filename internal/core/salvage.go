@@ -9,7 +9,6 @@ import (
 	"falvolt/internal/campaign"
 	"falvolt/internal/faults"
 	"falvolt/internal/mitigation"
-	"falvolt/internal/snn"
 	"falvolt/internal/spec"
 	"falvolt/internal/systolic"
 )
@@ -136,26 +135,19 @@ func SalvageCampaign(cfg spec.SalvageCampaignSpec, seed int64,
 		if err != nil {
 			return nil, err
 		}
-		w := &salvageWorker{d: d, deps: deps}
-		if w.model, w.arr, err = deps.Lane(lane); err != nil {
+		model, arr, err := deps.Lane(lane)
+		if err != nil {
 			return nil, err
 		}
-		return w, nil
+		cl := NewCellLane(deps, model, arr)
+		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
+			return salvageTrial(cl, d, t)
+		}), nil
 	}), nil
 }
 
-// salvageWorker processes cells on a private model+array pair.
-type salvageWorker struct {
-	d     spec.SalvageCampaignSpec
-	deps  YieldDeps
-	model *snn.Model
-	arr   *systolic.Array
-}
-
-// RunTrial implements campaign.Worker: one (model × rate × mitigation ×
-// repeat) cell.
-func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
-	d := w.d
+// salvageTrial runs one (model × rate × mitigation × repeat) cell on cl.
+func salvageTrial(cl *CellLane, d spec.SalvageCampaignSpec, t campaign.Trial) (campaign.Result, error) {
 	rate, err := strconv.ParseFloat(t.Tags["rate"], 64)
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: bad rate tag %q", t.ID, t.Tags["rate"])
@@ -169,64 +161,35 @@ func (w *salvageWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 	}
-
-	net := w.model.Net
-	if err := w.deps.Restore(w.model, w.arr); err != nil {
-		return campaign.Result{}, err
-	}
-	if err := fmodel.Inject(w.arr, rate, t.Seed); err != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d: inject %s: %w", t.ID, fmodel.Name(), err)
-	}
-
-	// Raw (unmitigated) accuracy on the faulty deployment, bypass off —
-	// the floor every strategy is measured against.
-	net.Deploy(w.arr)
-	rawAcc := snn.EvaluateWith(nil, net, w.deps.Test, d.Batch)
-	net.Undeploy()
-
-	// Salvage: the strategy owns deployment, bypass and retraining. The
-	// concrete accumulator fault map (empty for bitflip/transient, whose
-	// fault state lives elsewhere on the array) rides along.
 	lr := ms.EffectiveLR()
 	if lr == 0 {
 		lr = 0.01
 	}
-	mit, err := newMitigation(ms, d.Epochs, lr, w.deps, rand.New(rand.NewSource(t.Seed+1)))
+	mit, err := newMitigation(ms, d.Epochs, lr, cl.deps, rand.New(rand.NewSource(t.Seed+1)))
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 	}
-	out, err := mit.Apply(w.model, w.arr, w.arr.FaultMap())
+	inject := func(arr *systolic.Array) error { return fmodel.Inject(arr, rate, t.Seed) }
+	// Raw accuracy (bypass off) is the floor every strategy is measured
+	// against; the strategy then owns deployment, bypass and retraining.
+	s, err := cl.Salvage(d.Array, inject, mit, true, d.Batch)
 	if err != nil {
-		return campaign.Result{}, fmt.Errorf("core: trial %d: %s: %w", t.ID, mit.Name(), err)
+		return campaign.Result{}, fmt.Errorf("core: trial %d: %w", t.ID, err)
 	}
-
-	// Salvaged accuracy and per-inference overhead on the deployment the
-	// strategy left behind. Stats counters are order-independent
-	// integers, so the cycle count is bit-identical on every engine.
-	w.arr.ResetStats()
-	acc := snn.EvaluateWith(nil, net, w.deps.Test, d.Batch)
-	stats := w.arr.Stats()
-	perInf := 0.0
-	if n := len(w.deps.Test); n > 0 {
-		perInf = float64(stats.MACCycles) / float64(n)
-	}
-
-	net.Undeploy()
-	w.arr.ClearFaults()
-	w.arr.SetBypass(false)
+	out := s.Outcome
 	return campaign.Result{
 		TrialID: t.ID,
 		Key:     t.Key,
 		Metrics: map[string]float64{
-			"raw":       rawAcc,
-			"acc":       acc,
-			"recovered": acc - rawAcc,
+			"raw":       s.Raw,
+			"acc":       s.Acc,
+			"recovered": s.Acc - s.Raw,
 			"epochs":    float64(out.RetrainEpochs),
 			"pruned":    out.PrunedFraction,
 			"remapped":  float64(out.RemappedLayers),
 			"bypassed":  float64(out.BypassedPEs),
 			"clamped":   float64(out.ClampedLayers),
-			"mac":       perInf,
+			"mac":       s.MAC,
 		},
 	}, nil
 }

@@ -155,15 +155,6 @@ type YieldDeps struct {
 	Fingerprint map[string]string
 }
 
-// yieldWorker processes dies on a private model+array pair.
-type yieldWorker struct {
-	deps  YieldDeps
-	cfg   YieldConfig
-	model *snn.Model
-	arr   *systolic.Array
-	eval  []snn.Sample
-}
-
 // YieldCampaign decomposes a yield study into a campaign: one trial per
 // simulated die. Run it with campaign.Run (shard/checkpoint as needed)
 // and fold the results with YieldFromResults.
@@ -205,14 +196,17 @@ func LazyYieldCampaign(rows, cols int, cfg YieldConfig, fingerprint map[string]s
 		if err != nil {
 			return nil, err
 		}
-		w := &yieldWorker{deps: deps, cfg: cfg, eval: deps.Test}
-		if cfg.EvalSamples > 0 && cfg.EvalSamples < len(deps.Test) {
-			w.eval = deps.Test[:cfg.EvalSamples]
-		}
-		if w.model, w.arr, err = deps.Lane(lane); err != nil {
+		model, arr, err := deps.Lane(lane)
+		if err != nil {
 			return nil, err
 		}
-		return w, nil
+		if cfg.EvalSamples > 0 && cfg.EvalSamples < len(deps.Test) {
+			deps.Test = deps.Test[:cfg.EvalSamples]
+		}
+		cl := NewCellLane(deps, model, arr)
+		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
+			return yieldDie(cl, rows, cols, cfg, t)
+		}), nil
 	}), nil
 }
 
@@ -252,15 +246,16 @@ func yieldMeta(rows, cols int, cfg YieldConfig, extra map[string]string) map[str
 	return m
 }
 
-// RunTrial implements campaign.Worker: simulate one die.
-func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
+// yieldDie simulates one die on cl: draw its fault map, then measure
+// it unmitigated and after the salvage policy, which retrains on a
+// die-seeded generator.
+func yieldDie(cl *CellLane, rows, cols int, cfg YieldConfig, t campaign.Trial) (campaign.Result, error) {
 	n, err := strconv.Atoi(t.Tags["faulty"])
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: die %d has bad faulty tag %q", t.ID, t.Tags["faulty"])
 	}
 	res := campaign.Result{TrialID: t.ID, Key: t.Key}
-	rows, cols := w.arr.Config().Rows, w.arr.Config().Cols
-	fm, err := w.dieFaultMap(rows, cols, n, rand.New(rand.NewSource(t.Seed)))
+	fm, err := dieFaultMap(rows, cols, n, cfg.Clustered, rand.New(rand.NewSource(t.Seed)))
 	if err != nil {
 		return campaign.Result{}, fmt.Errorf("core: die %d: %w", t.ID, err)
 	}
@@ -269,23 +264,13 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 		res.Metrics = map[string]float64{"faulty": 0}
 		return res, nil
 	}
-
-	// Discard-based flow: raw faulty accuracy.
-	if err := w.deps.Restore(w.model, w.arr); err != nil {
-		return campaign.Result{}, err
-	}
-	rawAcc, err := EvaluateFaulty(w.model, w.arr, fm, w.eval, false, 32)
+	rawAcc, err := cl.Faulty(rows, func(arr *systolic.Array) error { return arr.InjectFaults(fm) })
 	if err != nil {
 		return campaign.Result{}, err
 	}
-
-	// Salvage flow: per-die mitigation on a die-seeded generator.
-	if err := w.deps.Restore(w.model, w.arr); err != nil {
-		return campaign.Result{}, err
-	}
-	mcfg := w.cfg.Mitigation
-	mcfg.Rng = rand.New(rand.NewSource(w.cfg.Seed + int64(t.ID)))
-	mrep, err := mitigation.Mitigate(w.model, w.arr, fm, w.deps.Train, w.eval, mcfg)
+	mcfg := cfg.Mitigation
+	mcfg.Rng = rand.New(rand.NewSource(cfg.Seed + int64(t.ID)))
+	mrep, err := cl.Mitigate(fm, mcfg)
 	if err != nil {
 		return campaign.Result{}, err
 	}
@@ -299,11 +284,11 @@ func (w *yieldWorker) RunTrial(t campaign.Trial) (campaign.Result, error) {
 }
 
 // dieFaultMap draws one die's fault map from its trial seed.
-func (w *yieldWorker) dieFaultMap(rows, cols, n int, rng *rand.Rand) (*faults.Map, error) {
+func dieFaultMap(rows, cols, n int, clustered bool, rng *rand.Rand) (*faults.Map, error) {
 	if n == 0 {
 		return faults.NewMap(rows, cols), nil
 	}
-	if w.cfg.Clustered {
+	if clustered {
 		clusters := 1 + n/8
 		return faults.GenerateClustered(rows, cols, faults.ClusterSpec{
 			Clusters: clusters, MeanSize: (n + clusters - 1) / clusters,

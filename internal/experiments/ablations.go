@@ -134,7 +134,7 @@ func (s *Suite) AblationBypass() (*Figure, error) {
 	}
 	rates := []float64{0.10, 0.30, 0.60}
 	var raw, bypass []float64
-	model, arr, err := bl.replica()
+	cl, err := bl.lane()
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +143,17 @@ func (s *Suite) AblationBypass() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := core.EvaluateFaulty(model, arr, fm, bl.Test, false, 32)
+		inject := func(bypass bool) func(*systolic.Array) error {
+			return func(arr *systolic.Array) error {
+				arr.SetBypass(bypass)
+				return arr.InjectFaults(fm)
+			}
+		}
+		r, err := cl.Faulty(fm.Rows, inject(false))
 		if err != nil {
 			return nil, err
 		}
-		b, err := core.EvaluateFaulty(model, arr, fm, bl.Test, true, 32)
+		b, err := cl.Faulty(fm.Rows, inject(true))
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +260,7 @@ func (s *Suite) AblationFaultSite() (*Figure, error) {
 		Notes: []string{"equal fault maps (MSB sa1), no mitigation"},
 	}
 	counts := []int{4, 8, 16, 32}
-	model, arr, err := bl.replica()
+	cl, err := bl.lane()
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +272,11 @@ func (s *Suite) AblationFaultSite() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := core.EvaluateFaulty(model, arr, fm, bl.Test, false, 32)
+		a, err := cl.Faulty(s.Spec.Array, func(arr *systolic.Array) error { return arr.InjectFaults(fm) })
 		if err != nil {
 			return nil, err
 		}
-		b, err := core.EvaluateWeightFaulty(model, arr, fm, bl.Test, false, 32)
+		b, err := cl.Faulty(s.Spec.Array, func(arr *systolic.Array) error { return arr.InjectWeightFaults(fm) })
 		if err != nil {
 			return nil, err
 		}

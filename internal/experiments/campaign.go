@@ -70,11 +70,9 @@ func (s *Suite) cellCampaign(kind string, trials []campaign.Trial, cells []laneC
 				if err != nil {
 					return campaign.Result{}, err
 				}
-				model, arr, err := bl.replica()
-				if err != nil {
+				if cl, err = bl.lane(); err != nil {
 					return campaign.Result{}, err
 				}
-				cl = core.NewCellLane(bl.YieldDeps, model, arr)
 				lanes[c.ds] = cl
 			}
 			res, err := c.measure(cl, t)

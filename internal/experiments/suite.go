@@ -54,6 +54,16 @@ func (b *Baseline) replica() (*snn.Model, *systolic.Array, error) {
 	return model, arr, b.Restore(model, arr)
 }
 
+// lane returns a core.CellLane on a private replica of the baseline,
+// which the lane restores before every cell.
+func (b *Baseline) lane() (*core.CellLane, error) {
+	model, arr, err := b.Lane(1)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewCellLane(b.YieldDeps, model, arr), nil
+}
+
 // Suite owns lazily trained baselines and experiment-wide configuration.
 // Build it with SuiteFromSpec.
 type Suite struct {
