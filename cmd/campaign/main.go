@@ -1,8 +1,12 @@
 // Command campaign plans, runs, distributes and merges sharded
 // fault-sweep campaigns: the figure sweeps of cmd/experiments (fig2,
-// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study) and the
-// manufacturing-yield study of cmd/yield, decomposed into deterministic
-// seed-addressed trials by internal/campaign.
+// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study), the
+// manufacturing-yield study (-c yield), the Fig. 5-family
+// vulnerability sweeps (-c faultsim) and the fault-model, salvage and
+// site-sweep studies, decomposed into deterministic seed-addressed
+// trials by internal/campaign. It is the flag front end of every
+// campaign kind but falvolt, whose cmd/falvolt also saves the mitigated
+// network.
 //
 // Every subcommand is a thin shim over a declarative experiment spec
 // (internal/spec): config flags compile into a Spec, -dump-spec prints
@@ -21,6 +25,8 @@
 //	campaign run  -c fig5a -quick -shard 0/2 -o a.jsonl   # run one shard
 //	campaign run  -c fig5a -quick -shard 1/2 -o b.jsonl   # run the other
 //	campaign merge a.jsonl b.jsonl                     # assemble figures
+//	campaign run  -c yield -chips 40 -mit-epochs 6 -o y.jsonl   # yield study
+//	campaign run  -c faultsim -sweep count -dataset nmnist      # Fig. 5 sweep
 //
 // Distributed mode replaces manual sharding with a one-run campaign
 // service (internal/service) that leases shards to worker daemons over
@@ -69,8 +75,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -80,54 +89,67 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/cluster"
+	"falvolt/internal/faults"
 	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 
-	// Register the figure ("fig2", "fig5a-c", "mitigation") and "yield"
-	// campaign kinds with the spec registry.
+	// Register the figure ("fig2", "fig5a-c", "mitigation") and core
+	// ("yield", "faultsim", ...) campaign kinds with the spec registry.
 	_ "falvolt/internal/core"
 	_ "falvolt/internal/experiments"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "plan":
-		err = planCmd(os.Args[2:])
-	case "run":
-		err = runCmd(os.Args[2:])
-	case "serve":
-		err = serveCmd(os.Args[2:])
-	case "service":
-		err = serviceCmd(os.Args[2:])
-	case "submit":
-		err = submitCmd(os.Args[2:])
-	case "runs":
-		err = runsCmd(os.Args[2:])
-	case "drain":
-		err = drainCmd(os.Args[2:])
-	case "work":
-		err = workCmd(os.Args[2:])
-	case "merge":
-		err = mergeCmd(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "campaign: unknown subcommand %q\n\n", os.Args[1])
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: campaign <plan|run|serve|service|submit|runs|drain|work|merge> [flags]
+// app carries the streams every subcommand writes to, so the whole
+// command runs in-process under test.
+type app struct {
+	stdout, stderr io.Writer
+}
+
+// usageError is a command-line mistake (bad flag, stray argument,
+// missing required flag): run exits 2 for it, 1 for a failed run.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run executes one `campaign <subcommand> [flags]` invocation and
+// returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	a := &app{stdout: stdout, stderr: stderr}
+	subcommands := map[string]func([]string) error{
+		"plan": a.plan, "run": a.run, "serve": a.serve, "service": a.service,
+		"submit": a.submit, "runs": a.runs, "drain": a.drain, "work": a.work,
+		"merge": a.merge,
+	}
+	if len(args) == 0 {
+		a.usage()
+		return 2
+	}
+	sub, ok := subcommands[args[0]]
+	if !ok {
+		if h := args[0]; h != "-h" && h != "--help" && h != "help" {
+			fmt.Fprintf(stderr, "campaign: unknown subcommand %q\n\n", h)
+		}
+		a.usage()
+		return 2
+	}
+	err := sub(args[1:])
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "campaign:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+func (a *app) usage() {
+	fmt.Fprintf(a.stderr, `usage: campaign <plan|run|serve|service|submit|runs|drain|work|merge> [flags]
 
   plan  -c <kind> [-balance src] [-shards N] [config flags]
                                             print the deterministic trial list as JSON
@@ -169,15 +191,26 @@ exit). -token flags fall back to the CAMPAIGN_TOKEN environment variable.
 
 campaign kinds: %s
 `, strings.Join(spec.Kinds(), " "))
-	os.Exit(2)
 }
 
-// noPositional rejects stray arguments after flag parsing: a typo like
-// `campaign run fig5a` must fail with usage, not silently run defaults.
-func noPositional(fs *flag.FlagSet) error {
+// flagSet returns a subcommand's flag set: parse errors come back to
+// run instead of exiting, and usage goes to the command's stderr.
+func (a *app) flagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(a.stderr)
+	return fs
+}
+
+// parse parses a subcommand's flags and rejects stray arguments: a typo
+// like `campaign run fig5a` must fail with usage, not silently run
+// defaults.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if fs.NArg() > 0 {
 		fs.Usage()
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
 	}
 	return nil
 }
@@ -207,7 +240,8 @@ type config struct {
 	evalN   int
 	cache   string
 
-	// Yield campaign options.
+	// Yield campaign options (-mit-epochs and -base-epochs are shared
+	// with salvage and faultsim).
 	chips      int
 	meanFaulty float64
 	alpha      float64
@@ -235,9 +269,23 @@ type config struct {
 	bits   string
 	pols   string
 	sample int
+
+	// Faultsim campaign options (-model, -array, -repeats, -mit-epochs
+	// and -base-epochs are shared).
+	dataset  string
+	sweep    string
+	faults   int
+	train    int
+	test     int
+	mitigate string
+
+	// fs is the flag set the options were parsed from, which tells
+	// flags given on the command line from their defaults.
+	fs *flag.FlagSet
 }
 
 func addConfigFlags(fs *flag.FlagSet, c *config) {
+	c.fs = fs
 	fs.StringVar(&c.specPath, "spec", "", "experiment spec JSON file (replaces the config flags; \"-\" reads stdin)")
 	fs.BoolVar(&c.dump, "dump-spec", false, "print the spec compiled from the flags and exit")
 	fs.StringVar(&c.kind, "c", "", "campaign kind: "+strings.Join(spec.Kinds(), " | "))
@@ -247,12 +295,12 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.BoolVar(&c.quick, "quick", false, "reduced model/dataset sizes (figure campaigns)")
 	fs.IntVar(&c.arrayN, "array", 64, "systolic array side (NxN)")
 	fs.IntVar(&c.epochs, "epochs", 0, "retraining epochs (0 = default for mode)")
-	fs.IntVar(&c.repeats, "repeats", 0, "fault maps averaged per vulnerability point (0 = default)")
+	fs.IntVar(&c.repeats, "repeats", 0, "fault maps averaged per vulnerability point (0 = default; faultsim defaults to 3)")
 	fs.IntVar(&c.evalN, "eval", 0, "test samples per deployed evaluation (0 = default)")
 	fs.StringVar(&c.cache, "cache", "", "directory for baseline snapshots (reused across shards)")
-	// Yield flag defaults come from the one definition of the yield
-	// defaults (spec.YieldSpec.Defaulted), shared with cmd/yield and
-	// the spec builder.
+	// Yield and faultsim flag defaults come from the one definition of
+	// each kind's defaults (spec.YieldSpec.Defaulted and
+	// spec.FaultSimSpec.Defaulted), shared with the spec builders.
 	ydef := spec.YieldSpec{}.Defaulted()
 	fs.IntVar(&c.chips, "chips", ydef.Chips, "yield: number of simulated dies")
 	fs.Float64Var(&c.meanFaulty, "mean-faulty", ydef.MeanFaulty, "yield: mean faulty PEs per die")
@@ -260,11 +308,11 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.BoolVar(&c.clustered, "clustered", true, "yield: spatially clustered fault maps")
 	fs.Float64Var(&c.threshold, "threshold", ydef.Threshold, "yield: minimum shipping accuracy")
 	fs.StringVar(&c.method, "method", ydef.Method, "yield: salvage policy fap | fapit | falvolt")
-	fs.IntVar(&c.mitEpochs, "mit-epochs", ydef.MitEpochs, "yield: retraining epochs per salvaged die")
-	fs.IntVar(&c.baseEp, "base-epochs", ydef.BaseEpochs, "yield: baseline training epochs")
+	fs.IntVar(&c.mitEpochs, "mit-epochs", ydef.MitEpochs, "yield: retraining epochs per salvaged die; faultsim: per -mitigate salvage (unset = 0, which retrains 1)")
+	fs.IntVar(&c.baseEp, "base-epochs", ydef.BaseEpochs, "yield/salvage/faultsim: baseline training epochs")
 	fs.IntVar(&c.trials, "trials", 24, "selftest: synthetic trial count")
 	fs.IntVar(&c.delayMS, "delay", 0, "selftest: artificial per-trial delay in ms (scheduling smoke tests)")
-	fs.StringVar(&c.model, "model", "", "faultmodel: fault model stuckat | bitflip | transient (\"\" = stuckat)")
+	fs.StringVar(&c.model, "model", "", "faultmodel, faultsim -sweep model: fault model "+strings.Join(faults.ModelNames(), " | ")+" (\"\" = stuckat)")
 	fs.StringVar(&c.rates, "rates", "", "faultmodel/salvage: comma-separated rate ladder (\"\" = default)")
 	fs.IntVar(&c.timesteps, "timesteps", 0, "faultmodel/sitesweep: inference horizon per trial (0 = default)")
 	fs.Float64Var(&c.density, "density", 0, "faultmodel/sitesweep: input spike density (0 = default)")
@@ -273,6 +321,30 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.StringVar(&c.bits, "bits", "", "sitesweep: comma-separated stuck bit positions (\"\" = every word bit)")
 	fs.StringVar(&c.pols, "pols", "", "sitesweep: stuck-at polarity both | sa0 | sa1 (\"\" = both)")
 	fs.IntVar(&c.sample, "sample", 0, "sitesweep: seed-addressed random site subset (0 = exhaustive)")
+	fdef := spec.FaultSimSpec{}.Defaulted()
+	fs.StringVar(&c.dataset, "dataset", fdef.Dataset, "faultsim: mnist | nmnist | dvsgesture")
+	fs.StringVar(&c.sweep, "sweep", fdef.Sweep, "faultsim: bits | count | size | model")
+	fs.IntVar(&c.faults, "faults", fdef.Faults, "faultsim: faulty PEs for bits/size sweeps")
+	fs.IntVar(&c.train, "train", fdef.Train, "faultsim: training samples")
+	fs.IntVar(&c.test, "test", fdef.Test, "faultsim: test samples")
+	fs.StringVar(&c.mitigate, "mitigate", "", "faultsim: salvage each deployment with this mitigation before measuring: "+strings.Join(spec.MitigationKinds(), " | ")+" (\"\" = unmitigated)")
+}
+
+// given reports whether the named flag was set on the command line.
+func (c *config) given(name string) bool {
+	set := false
+	c.fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// intOr returns an int flag's value if it was given, else def: a flag
+// shared by several kinds defaults to one kind's value, and another
+// kind that wants its own default resolves it here.
+func (c *config) intOr(name string, v, def int) int {
+	if c.given(name) {
+		return v
+	}
+	return def
 }
 
 // parseRates parses the -rates ladder ("0.01,0.05,0.1").
@@ -283,7 +355,7 @@ func parseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, f := range strings.Split(s, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, fmt.Errorf("bad -rates entry %q", f)
 		}
 		rates = append(rates, r)
@@ -345,11 +417,26 @@ func (c *config) spec() (*spec.Spec, error) {
 		}
 	case "selftest":
 		s.Selftest = &spec.SelftestSpec{Trials: c.trials, DelayMillis: c.delayMS}
-	case "faultsim", "falvolt":
-		// Their config flags live on the tools, which compile them into
+	case "faultsim":
+		// Shared flags default to other kinds' values (-repeats to 0,
+		// -mit-epochs to yield's 4), so faultsim resolves its own
+		// defaults for the ones not given.
+		fdef := spec.FaultSimSpec{}.Defaulted()
+		s.FaultSim = &spec.FaultSimSpec{
+			Dataset: c.dataset, Sweep: c.sweep, Array: c.intOr("array", c.arrayN, fdef.Array),
+			Faults: c.faults, Repeats: c.intOr("repeats", c.repeats, fdef.Repeats),
+			BaseEpochs: c.intOr("base-epochs", c.baseEp, fdef.BaseEpochs), Train: c.train, Test: c.test,
+		}
+		if c.model != "" {
+			s.FaultSim.Model = &spec.FaultModelSpec{Kind: c.model}
+		}
+		if c.mitigate != "" {
+			s.FaultSim.Mitigate = &spec.MitigationSpec{Kind: c.mitigate, Epochs: c.intOr("mit-epochs", c.mitEpochs, 0)}
+		}
+	case "falvolt":
+		// Its config flags live on cmd/falvolt, which compiles them into
 		// the spec this command runs.
-		return nil, fmt.Errorf("-c %s has no config flags here: compile its spec with `cmd/%s -dump-spec > %s.json` and pass -spec %s.json",
-			c.kind, c.kind, c.kind, c.kind)
+		return nil, errors.New("-c falvolt has no config flags here: compile its spec with `cmd/falvolt -dump-spec > falvolt.json` and pass -spec falvolt.json")
 	case "faultmodel":
 		rates, err := parseRates(c.rates)
 		if err != nil {
@@ -401,49 +488,43 @@ func (c *config) spec() (*spec.Spec, error) {
 	return s, nil
 }
 
-// buildOpts assembles the execution-local builder resources.
-func (c *config) buildOpts() spec.BuildOpts {
-	opt := spec.BuildOpts{CacheDir: c.cache}
-	if c.verbose {
-		opt.Log = os.Stderr
-	}
-	return opt
-}
-
 // prepare resolves the spec and, unless -dump-spec short-circuits,
 // applies the backend and builds the campaign. A nil Built with nil
 // error means the spec was dumped and the subcommand should exit.
-func (c *config) prepare() (*spec.Spec, *spec.Built, error) {
+func (a *app) prepare(c *config) (*spec.Spec, *spec.Built, error) {
 	s, err := c.spec()
 	if err != nil {
 		return nil, nil, err
 	}
 	if c.dump {
-		return s, nil, s.Dump(os.Stdout)
+		return s, nil, s.Dump(a.stdout)
 	}
 	if err := tensor.SetDefaultByName(s.Backend); err != nil {
 		return nil, nil, err
 	}
-	built, err := spec.Build(s, c.buildOpts())
+	opt := spec.BuildOpts{CacheDir: c.cache}
+	if c.verbose {
+		opt.Log = a.stderr
+	}
+	built, err := spec.Build(s, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	return s, built, nil
 }
 
-func planCmd(args []string) error {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+func (a *app) plan(args []string) error {
+	fs := a.flagSet("plan")
 	var c config
 	var (
 		balance = fs.String("balance", "", "plan load-aware shards from this timing source (a checkpoint, WAL, or state dir)")
 		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = serve's default)")
 	)
 	addConfigFlags(fs, &c)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	s, built, err := c.prepare()
+	s, built, err := a.prepare(&c)
 	if err != nil || built == nil {
 		return err
 	}
@@ -456,20 +537,20 @@ func planCmd(args []string) error {
 	// (nor demand the timing file on a machine that only wants the
 	// trial list).
 	if *balance != "" || *shards > 0 {
-		return printShardPlan(s, trials, plannerName(s, *balance), *shards)
+		return a.printShardPlan(s, trials, plannerName(s, *balance), *shards)
 	}
 	b, err := json.MarshalIndent(trials, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(b))
-	fmt.Fprintf(os.Stderr, "%d trials (spec %s)\n", len(trials), fingerprintOf(s))
+	fmt.Fprintln(a.stdout, string(b))
+	fmt.Fprintf(a.stderr, "%d trials (spec %s)\n", len(trials), fingerprintOf(s))
 	return nil
 }
 
 // printShardPlan renders the shard table `serve` would plan —
 // the dry-run view of -shards / -balance.
-func printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards int) error {
+func (a *app) printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards int) error {
 	planner, err := campaign.PlannerByName(name)
 	if err != nil {
 		return err
@@ -495,12 +576,12 @@ func printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards i
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(b))
+	fmt.Fprintln(a.stdout, string(b))
 	kind := name
 	if kind == "" {
 		kind = "uniform"
 	}
-	fmt.Fprintf(os.Stderr, "%d trials in %d shards (planner %s, spec %s)\n",
+	fmt.Fprintf(a.stderr, "%d trials in %d shards (planner %s, spec %s)\n",
 		len(trials), len(planned), kind, fingerprintOf(s))
 	return nil
 }
@@ -514,8 +595,8 @@ func plannerName(s *spec.Spec, balanceFlag string) string {
 	return s.Planner
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func (a *app) run(args []string) error {
+	fs := a.flagSet("run")
 	var c config
 	var (
 		out      = fs.String("o", "", "checkpoint/output JSONL (default <kind>-shard<i>of<n>.jsonl)")
@@ -523,11 +604,10 @@ func runCmd(args []string) error {
 		maxNew   = fs.Int("max", 0, "max new trials this sitting (0 = unlimited)")
 	)
 	addConfigFlags(fs, &c)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	s, built, err := c.prepare()
+	s, built, err := a.prepare(&c)
 	if err != nil || built == nil {
 		return err
 	}
@@ -542,27 +622,27 @@ func runCmd(args []string) error {
 	defer stop()
 	opt := campaign.Options{Context: ctx, Shard: shard, Checkpoint: *out, MaxNew: *maxNew}
 	if c.verbose {
-		opt.Log = os.Stderr
+		opt.Log = a.stderr
 	}
 	rr, err := campaign.Run(built.Campaign, opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "campaign %s shard %s: %d/%d trials complete (%d resumed, %d run) -> %s\n",
+	fmt.Fprintf(a.stderr, "campaign %s shard %s: %d/%d trials complete (%d resumed, %d run) -> %s\n",
 		s.Kind, shard, len(rr.Results), rr.Planned, rr.Resumed, rr.Executed, *out)
 	if !rr.Complete {
-		fmt.Fprintln(os.Stderr, "partial: rerun the same command to resume")
+		fmt.Fprintln(a.stderr, "partial: rerun the same command to resume")
 		return nil
 	}
 	if !shard.IsWhole() {
-		fmt.Fprintf(os.Stderr, "shard complete: merge all shard files with `campaign merge`\n")
+		fmt.Fprintf(a.stderr, "shard complete: merge all shard files with `campaign merge`\n")
 		return nil
 	}
-	return built.Render(os.Stdout, rr.Results)
+	return built.Render(a.stdout, rr.Results)
 }
 
-func serveCmd(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func (a *app) serve(args []string) error {
+	fs := a.flagSet("serve")
 	var c config
 	var (
 		addr     = fs.String("addr", ":9090", "listen address")
@@ -576,15 +656,14 @@ func serveCmd(args []string) error {
 		tlsKey   = fs.String("tls-key", "", "PEM private key for -tls-cert")
 	)
 	addConfigFlags(fs, &c)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	tok := resolveToken(*token)
-	if tok == "" && !c.dump {
-		return fmt.Errorf("serve needs a bearer token for its workers: pass -token or set $CAMPAIGN_TOKEN")
+	tok, err := needToken("serve", *token)
+	if err != nil && !c.dump {
+		return err
 	}
-	s, built, err := c.prepare()
+	s, built, err := a.prepare(&c)
 	if err != nil || built == nil {
 		return err
 	}
@@ -606,7 +685,7 @@ func serveCmd(args []string) error {
 	defer stop()
 	one := service.NewOneRun(service.Config{
 		Addr: *addr, StateDir: *state, Token: tok, Shards: *shards, LeaseTTL: *leaseTTL,
-		TLSCert: *tlsCert, TLSKey: *tlsKey, Log: os.Stderr,
+		TLSCert: *tlsCert, TLSKey: *tlsKey, Log: a.stderr,
 	}, s, pn)
 	// One startup line with everything an operator needs to point
 	// workers (and debug a wrong flag): the RESOLVED listen address —
@@ -621,10 +700,10 @@ func serveCmd(args []string) error {
 		if planDesc == "" {
 			planDesc = "uniform"
 		}
-		fmt.Fprintf(os.Stderr, "serve: listening on %s (state %s, planner %s, spec %s)\n",
+		fmt.Fprintf(a.stderr, "serve: listening on %s (state %s, planner %s, spec %s)\n",
 			one.URL(), stateDesc, planDesc, fingerprintOf(s))
 	}()
-	opt := campaign.Options{Context: ctx, Runner: one, Checkpoint: *out, Log: os.Stderr}
+	opt := campaign.Options{Context: ctx, Runner: one, Checkpoint: *out, Log: a.stderr}
 	rr, err := campaign.Run(built.Campaign, opt)
 	if err != nil {
 		return err
@@ -633,15 +712,15 @@ func serveCmd(args []string) error {
 		// Nothing was pending, so the runner — and thus the HTTP server
 		// — never started; workers pointed here will see connection
 		// refused, not StatusDone.
-		fmt.Fprintf(os.Stderr, "checkpoint %s already complete: no service was started; stop any waiting workers\n", *out)
+		fmt.Fprintf(a.stderr, "checkpoint %s already complete: no service was started; stop any waiting workers\n", *out)
 	}
-	fmt.Fprintf(os.Stderr, "campaign %s: %d/%d trials complete -> %s\n",
+	fmt.Fprintf(a.stderr, "campaign %s: %d/%d trials complete -> %s\n",
 		s.Kind, len(rr.Results), rr.Planned, *out)
-	return built.Render(os.Stdout, rr.Results)
+	return built.Render(a.stdout, rr.Results)
 }
 
-func workCmd(args []string) error {
-	fs := flag.NewFlagSet("work", flag.ExitOnError)
+func (a *app) work(args []string) error {
+	fs := a.flagSet("work")
 	var (
 		coord   = fs.String("coordinator", "", "base URL of a `campaign serve` or `campaign service` (http://host:port)")
 		token   = fs.String("token", "", "bearer token the service requires (default $CAMPAIGN_TOKEN)")
@@ -652,12 +731,15 @@ func workCmd(args []string) error {
 		tlsCA   = fs.String("tls-ca", "", "PEM CA bundle for an https:// service with a private certificate")
 		backend = fs.String("backend", "", tensor.BackendFlagDoc)
 	)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *coord == "" {
-		return fmt.Errorf("work needs -coordinator <url>")
+		return usageError{fmt.Errorf("work needs -coordinator <url>")}
+	}
+	tok, err := needToken("work", *token)
+	if err != nil {
+		return err
 	}
 	if err := tensor.SetDefaultByName(*backend); err != nil {
 		return err
@@ -667,18 +749,18 @@ func workCmd(args []string) error {
 	// No campaign configuration here, by design: every lease grant ships
 	// its run's canonical spec and the worker builds from it.
 	w := cluster.NewWorker(cluster.WorkerConfig{
-		Coordinator: *coord, Token: resolveToken(*token), Name: *name,
+		Coordinator: *coord, Token: tok, Name: *name,
 		CheckpointDir: *ckptDir, CacheDir: *cache, Poll: *poll,
-		TLSCA: *tlsCA, Log: os.Stderr,
+		TLSCA: *tlsCA, Log: a.stderr,
 	})
 	return w.Run(ctx)
 }
 
-// serviceCmd runs the long-lived multi-tenant coordinator: a catalog of
+// service runs the long-lived multi-tenant coordinator: a catalog of
 // submitted runs fair-shared across one worker fleet, durable across
 // its own restarts (internal/service).
-func serviceCmd(args []string) error {
-	fs := flag.NewFlagSet("service", flag.ExitOnError)
+func (a *app) service(args []string) error {
+	fs := a.flagSet("service")
 	var (
 		addr     = fs.String("addr", ":9191", "service listen address")
 		state    = fs.String("state", "", "state directory (required): a lock file plus one WAL-journaled directory per run")
@@ -691,12 +773,15 @@ func serviceCmd(args []string) error {
 		tlsKey   = fs.String("tls-key", "", "PEM private key for -tls-cert")
 		backend  = fs.String("backend", "", tensor.BackendFlagDoc)
 	)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *state == "" {
-		return fmt.Errorf("service needs -state <dir>")
+		return usageError{fmt.Errorf("service needs -state <dir>")}
+	}
+	tok, err := needToken("service", *token)
+	if err != nil {
+		return err
 	}
 	abs, err := ensureStateDir(*state)
 	if err != nil {
@@ -708,18 +793,18 @@ func serviceCmd(args []string) error {
 	ctx, stop := sigCtx()
 	defer stop()
 	svc := service.New(service.Config{
-		Addr: *addr, StateDir: abs, Token: resolveToken(*token),
+		Addr: *addr, StateDir: abs, Token: tok,
 		Shards: *shards, LeaseTTL: *leaseTTL, CacheDir: *cache,
-		Retain: *retain, TLSCert: *tlsCert, TLSKey: *tlsKey, Log: os.Stderr,
+		Retain: *retain, TLSCert: *tlsCert, TLSKey: *tlsKey, Log: a.stderr,
 	})
 	return svc.Run(ctx)
 }
 
-// submitCmd compiles a spec exactly like plan/run/serve and posts it to
+// submit compiles a spec exactly like plan/run/serve and posts it to
 // a campaign service. The run ID — the handle for `campaign runs` — is
 // the only thing printed to stdout, so shells can capture it.
-func submitCmd(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+func (a *app) submit(args []string) error {
+	fs := a.flagSet("submit")
 	var c config
 	labels := labelFlags{}
 	var (
@@ -731,8 +816,7 @@ func submitCmd(args []string) error {
 	)
 	fs.Var(labels, "label", "catalog label k=v (repeatable; merged over the spec's labels)")
 	addConfigFlags(fs, &c)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	s, err := c.spec()
@@ -751,10 +835,14 @@ func submitCmd(args []string) error {
 		}
 	}
 	if c.dump {
-		return s.Dump(os.Stdout)
+		return s.Dump(a.stdout)
 	}
 	if *svcURL == "" {
-		return fmt.Errorf("submit needs -service <url>")
+		return usageError{fmt.Errorf("submit needs -service <url>")}
+	}
+	tok, err := needToken("submit", *token)
+	if err != nil {
+		return err
 	}
 	enc, err := s.Encode()
 	if err != nil {
@@ -762,7 +850,7 @@ func submitCmd(args []string) error {
 	}
 	// The service builds and validates the spec on admission; no local
 	// build here — the submitting machine may lack the dataset/caches.
-	cl, err := service.NewClientTLS(*svcURL, resolveToken(*token), *tlsCA)
+	cl, err := service.NewClientTLS(*svcURL, tok, *tlsCA)
 	if err != nil {
 		return err
 	}
@@ -770,16 +858,16 @@ func submitCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "submitted %s: %d trials in %d shards (spec %s)\n",
+	fmt.Fprintf(a.stderr, "submitted %s: %d trials in %d shards (spec %s)\n",
 		resp.RunID, resp.Trials, resp.Shards, resp.Fingerprint)
-	fmt.Println(resp.RunID)
+	fmt.Fprintln(a.stdout, resp.RunID)
 	return nil
 }
 
-// runsCmd is the catalog viewer: list all runs, or inspect / watch /
+// runs is the catalog viewer: list all runs, or inspect / watch /
 // cancel one and fetch its completed results.
-func runsCmd(args []string) error {
-	fs := flag.NewFlagSet("runs", flag.ExitOnError)
+func (a *app) runs(args []string) error {
+	fs := a.flagSet("runs")
 	var (
 		svcURL = fs.String("service", "", "campaign service base URL (http://host:port)")
 		token  = fs.String("token", "", "bearer token (default $CAMPAIGN_TOKEN)")
@@ -789,14 +877,17 @@ func runsCmd(args []string) error {
 		cancel = fs.Bool("cancel", false, "with -id: cancel the run (idempotent)")
 		out    = fs.String("o", "", "with -id: save the completed run's checkpoint JSONL here (mergeable)")
 	)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *svcURL == "" {
-		return fmt.Errorf("runs needs -service <url>")
+		return usageError{fmt.Errorf("runs needs -service <url>")}
 	}
-	cl, err := service.NewClientTLS(*svcURL, resolveToken(*token), *tlsCA)
+	tok, err := needToken("runs", *token)
+	if err != nil {
+		return err
+	}
+	cl, err := service.NewClientTLS(*svcURL, tok, *tlsCA)
 	if err != nil {
 		return err
 	}
@@ -810,7 +901,7 @@ func runsCmd(args []string) error {
 			if name == "" {
 				name = "-"
 			}
-			fmt.Printf("%s\t%s\t%d/%d\tprio %d\t%s\t%s\n",
+			fmt.Fprintf(a.stdout, "%s\t%s\t%d/%d\tprio %d\t%s\t%s\n",
 				r.ID, r.State, r.Done, r.Trials, r.Priority, r.Kind, name)
 		}
 		return nil
@@ -831,7 +922,7 @@ func runsCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(b))
+	fmt.Fprintln(a.stdout, string(b))
 	if *out != "" {
 		if sum.State != service.RunDone {
 			return fmt.Errorf("run %s is %s; results exist only for done runs", *id, sum.State)
@@ -843,29 +934,32 @@ func runsCmd(args []string) error {
 		if err := campaign.WriteFileAtomic(*out, data); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "run %s results -> %s\n", *id, *out)
+		fmt.Fprintf(a.stderr, "run %s results -> %s\n", *id, *out)
 	}
 	return nil
 }
 
-// drainCmd gracefully retires workers: each finishes its current shard,
+// drain gracefully retires workers: each finishes its current shard,
 // then exits instead of leasing more.
-func drainCmd(args []string) error {
-	fs := flag.NewFlagSet("drain", flag.ExitOnError)
+func (a *app) drain(args []string) error {
+	fs := a.flagSet("drain")
 	var (
 		svcURL = fs.String("service", "", "campaign service base URL (http://host:port)")
 		token  = fs.String("token", "", "bearer token (default $CAMPAIGN_TOKEN)")
 		tlsCA  = fs.String("tls-ca", "", "PEM CA bundle for an https:// service with a private certificate")
 		worker = fs.String("worker", "", "worker ID or display name to drain")
 	)
-	fs.Parse(args)
-	if err := noPositional(fs); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *svcURL == "" || *worker == "" {
-		return fmt.Errorf("drain needs -service <url> and -worker <id|name>")
+		return usageError{fmt.Errorf("drain needs -service <url> and -worker <id|name>")}
 	}
-	cl, err := service.NewClientTLS(*svcURL, resolveToken(*token), *tlsCA)
+	tok, err := needToken("drain", *token)
+	if err != nil {
+		return err
+	}
+	cl, err := service.NewClientTLS(*svcURL, tok, *tlsCA)
 	if err != nil {
 		return err
 	}
@@ -873,7 +967,7 @@ func drainCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "draining %d worker(s)\n", resp.Drained)
+	fmt.Fprintf(a.stderr, "draining %d worker(s)\n", resp.Drained)
 	return nil
 }
 
@@ -897,13 +991,18 @@ func (l labelFlags) Set(s string) error {
 	return nil
 }
 
-// resolveToken falls back to the CAMPAIGN_TOKEN environment variable so
-// tokens stay out of shell history and process listings.
-func resolveToken(flagValue string) string {
-	if flagValue != "" {
-		return flagValue
+// needToken resolves cmd's -token flag, falling back to the
+// CAMPAIGN_TOKEN environment variable so tokens stay out of shell
+// history and process listings. Every service requires a bearer token,
+// so a command without one fails before it starts or connects.
+func needToken(cmd, flagValue string) (string, error) {
+	if flagValue == "" {
+		flagValue = os.Getenv("CAMPAIGN_TOKEN")
 	}
-	return os.Getenv("CAMPAIGN_TOKEN")
+	if flagValue == "" {
+		return "", usageError{fmt.Errorf("%s needs a bearer token: pass -token or set $CAMPAIGN_TOKEN", cmd)}
+	}
+	return flagValue, nil
 }
 
 // ensureStateDir resolves a -state flag to an absolute, writable
@@ -926,8 +1025,8 @@ func ensureStateDir(dir string) (string, error) {
 	return abs, nil
 }
 
-func mergeCmd(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
+func (a *app) merge(args []string) error {
+	fs := a.flagSet("merge")
 	var (
 		cache   = fs.String("cache", "", "baseline snapshot dir (avoids retraining for mitigation merges)")
 		jsonOut = fs.String("json", "", "also write merged figures/report as JSON to this file (atomic)")
@@ -935,10 +1034,12 @@ func mergeCmd(args []string) error {
 		backend = fs.String("backend", "", tensor.BackendFlagDoc)
 		verbose = fs.Bool("v", false, "progress logging")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if fs.NArg() == 0 {
 		fs.Usage()
-		return fmt.Errorf("merge needs at least one checkpoint file")
+		return usageError{fmt.Errorf("merge needs at least one checkpoint file")}
 	}
 	if err := tensor.SetDefaultByName(*backend); err != nil {
 		return err
@@ -951,10 +1052,10 @@ func mergeCmd(args []string) error {
 		return fmt.Errorf("merged results cover %d/%d trials (missing ids start at %d); run the remaining shards first",
 			len(results), header.Trials, missing[0])
 	}
-	fmt.Fprintf(os.Stderr, "merged %d files: campaign %s, %d trials\n", fs.NArg(), header.Campaign, len(results))
+	fmt.Fprintf(a.stderr, "merged %d files: campaign %s, %d trials\n", fs.NArg(), header.Campaign, len(results))
 	// Per-key wall-clock: where this campaign's compute actually went
 	// (the load-aware shard-sizing signal).
-	campaign.WriteTimingSummary(os.Stderr, results)
+	campaign.WriteTimingSummary(a.stderr, results)
 
 	// The checkpoint header carries the canonical spec, so the merge
 	// rebuilds the exact campaign — and its renderers — with no
@@ -967,7 +1068,7 @@ func mergeCmd(args []string) error {
 	}
 	opt := spec.BuildOpts{CacheDir: *cache}
 	if *verbose {
-		opt.Log = os.Stderr
+		opt.Log = a.stderr
 	}
 	built, err := spec.Build(s, opt)
 	if err != nil {
@@ -978,9 +1079,9 @@ func mergeCmd(args []string) error {
 		if err := campaign.WriteCheckpointAtomic(*outFile, header, results); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "merged checkpoint -> %s\n", *outFile)
+		fmt.Fprintf(a.stderr, "merged checkpoint -> %s\n", *outFile)
 	}
-	if err := built.Render(os.Stdout, results); err != nil {
+	if err := built.Render(a.stdout, results); err != nil {
 		return err
 	}
 	if *jsonOut != "" {

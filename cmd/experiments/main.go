@@ -15,26 +15,18 @@
 // come from one shared mitigation study. An unknown -fig name is a
 // usage error (exit 2) that lists the valid names.
 //
-// The figure sweeps run as campaigns (internal/campaign): -checkpoint
-// makes them resumable, and -shard splits one campaign across processes
-// whose partial JSONL files merge bit-identically with `campaign merge`.
-// -coordinator serves each selected campaign from a one-run campaign
-// service to remote spec-free worker daemons (`campaign work
-// -coordinator <url>`), authenticated by the bearer token in
-// $CAMPAIGN_TOKEN, instead of running trials locally.
+// The figure sweeps run as campaigns (internal/campaign), and
+// -checkpoint makes them resumable. To split one figure campaign across
+// processes or hosts, run its kind with cmd/campaign: `campaign run -c
+// fig5a -quick -shard i/n -o …` then `campaign merge`, or `campaign
+// serve -c fig5a -quick` for remote workers.
 //
 // Usage:
 //
 //	experiments -quick                 # reduced sizes, minutes on a laptop
 //	experiments -fig 5b,7              # subset of figures
 //	experiments -cache .cache          # reuse trained baselines across runs
-//	experiments -quick -fig 5a -shard 0/2 -checkpoint out/   # half the sweep
-//	experiments -quick -fig 5a -shard 1/2 -checkpoint out/   # other half
-//	campaign merge out/fig5a-shard*.jsonl                    # assembled figure
-//
-//	export CAMPAIGN_TOKEN=...                                # on every host
-//	experiments -quick -fig 5a -coordinator :9090            # distributed
-//	campaign work -coordinator http://host:9090              # each worker
+//	experiments -quick -checkpoint out/   # resume after an interruption
 package main
 
 import (
@@ -50,7 +42,6 @@ import (
 
 	"falvolt/internal/campaign"
 	"falvolt/internal/experiments"
-	"falvolt/internal/service"
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 )
@@ -69,9 +60,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "progress logging")
 		specPath = flag.String("spec", "", "experiment spec JSON file (replaces the config flags and selects its kind's figure; \"-\" reads stdin)")
 		dumpSpec = flag.Bool("dump-spec", false, "print the spec of the single selected campaign and exit")
-		shardArg = flag.String("shard", "", "run the i-th of n interleaved trial subsets of each figure campaign (i/n)")
-		ckptDir  = flag.String("checkpoint", "", "directory for per-campaign JSONL checkpoints (resume + shard partials)")
-		coordArg = flag.String("coordinator", "", "serve each selected campaign to remote spec-free workers on this listen address (host:port), authenticated by $CAMPAIGN_TOKEN; workers run `campaign work -coordinator <url>`")
+		ckptDir  = flag.String("checkpoint", "", "directory for per-campaign JSONL checkpoints (resume after an interruption)")
 	)
 	flag.Parse()
 
@@ -116,7 +105,10 @@ func main() {
 			failTop(err)
 		}
 		if loaded.Suite == nil {
-			failTop(fmt.Errorf("spec kind %q carries no suite section; run it with its own tool", loaded.Kind))
+			failTop(fmt.Errorf("spec kind %q carries no suite section; run it with `campaign run -spec`", loaded.Kind))
+		}
+		if loaded.Shard != "" {
+			failTop(fmt.Errorf("spec shard %s: run sharded figure campaigns with `campaign run -spec`", loaded.Shard))
 		}
 		base = loaded
 		// A spec names one campaign; narrow the selection to its figures.
@@ -158,28 +150,6 @@ func main() {
 	if err := tensor.SetDefaultByName(base.Backend); err != nil {
 		failTop(err)
 	}
-	shard, err := campaign.ParseShard(*shardArg)
-	if err != nil {
-		failTop(err)
-	}
-	if shard.IsWhole() && base.Shard != "" {
-		if shard, err = campaign.ParseShard(base.Shard); err != nil {
-			failTop(err)
-		}
-	}
-	if !shard.IsWhole() && *ckptDir == "" {
-		failTop(fmt.Errorf("-shard needs -checkpoint so the partial results can be merged"))
-	}
-	if *coordArg != "" && !shard.IsWhole() {
-		failTop(fmt.Errorf("-coordinator shards each campaign itself; drop -shard"))
-	}
-	if strings.Contains(*coordArg, "://") {
-		failTop(fmt.Errorf("-coordinator here is a listen address (host:port), got URL %q; the URL form belongs on `campaign work -coordinator`", *coordArg))
-	}
-	token := os.Getenv("CAMPAIGN_TOKEN")
-	if *coordArg != "" && token == "" {
-		failTop(fmt.Errorf("-coordinator needs a bearer token for its workers in $CAMPAIGN_TOKEN"))
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -195,52 +165,25 @@ func main() {
 		failTop(err)
 	}
 
-	shardFile := func(name string) string {
-		return filepath.Join(*ckptDir,
-			fmt.Sprintf("%s-shard%dof%d.jsonl", name, shard.Index, max(shard.Count, 1)))
-	}
 	// runCampaign builds the named campaign from its spec and executes
-	// it with the shard/checkpoint options — on remote workers when
-	// -coordinator is set.
+	// it, resuming from its checkpoint under -checkpoint (named like
+	// `campaign run`'s default file for the whole campaign).
 	runCampaign := func(name string) (*campaign.RunResult, error) {
-		s := specFor(name)
-		built, err := spec.Build(s, bopt)
+		built, err := spec.Build(specFor(name), bopt)
 		if err != nil {
 			return nil, err
 		}
-		copt := campaign.Options{Context: ctx, Shard: shard}
+		copt := campaign.Options{Context: ctx}
 		if *ckptDir != "" {
 			if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 				return nil, err
 			}
-			copt.Checkpoint = shardFile(name)
-		}
-		if *coordArg != "" {
-			// One single-use service per campaign; sequential
-			// campaigns reuse the same listen address.
-			copt.Runner = service.NewOneRun(service.Config{Addr: *coordArg, Token: token, Log: os.Stderr}, s, "")
+			copt.Checkpoint = filepath.Join(*ckptDir, name+"-shard0of1.jsonl")
 		}
 		if *verbose {
 			copt.Log = os.Stderr
 		}
 		return campaign.Run(built.Campaign, copt)
-	}
-
-	if !shard.IsWhole() {
-		// Shard mode: execute the selected campaigns' subsets and leave
-		// figure assembly to `campaign merge` over all shard files.
-		for _, camp := range camps {
-			rr, err := runCampaign(camp)
-			if err != nil {
-				fail(camp, err)
-			}
-			fmt.Printf("campaign %s shard %s: %d/%d trials complete -> %s\n",
-				camp, shard, len(rr.Results), rr.Planned, shardFile(camp))
-		}
-		if want["baseline"] || want["ablations"] {
-			fmt.Fprintln(os.Stderr, "experiments: baseline/ablations are not sharded; run them without -shard")
-		}
-		return
 	}
 
 	if want["baseline"] {
@@ -250,8 +193,8 @@ func main() {
 		}
 		fig.Print(os.Stdout)
 	}
-	// Each selected campaign runs once (with resume, and/or on remote
-	// workers); of its figures only the selected ones print.
+	// Each selected campaign runs once (with resume); of its figures only
+	// the selected ones print.
 	for _, camp := range camps {
 		rr, err := runCampaign(camp)
 		if err != nil {

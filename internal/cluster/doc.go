@@ -4,8 +4,7 @@
 // plans runs, leases their shards and folds results back is
 // internal/service — as a long-lived multi-run catalog (`campaign
 // service`) or as a one-run service that implements campaign.Runner
-// (`campaign serve`, and the -coordinator flag of cmd/yield and
-// cmd/experiments). Any sweep that runs on the in-process PoolRunner
+// (`campaign serve`). Any sweep that runs on the in-process PoolRunner
 // runs on a fleet by swapping the runner.
 //
 // Determinism guarantee: distribution never changes results. Every

@@ -12,8 +12,8 @@ import (
 	"falvolt/internal/spec"
 )
 
-// The faultsim and falvolt kinds must print what cmd/faultsim and
-// cmd/falvolt printed before the tools became spec shims. Each golden
+// The faultsim and falvolt kinds must print what the faultsim and
+// falvolt tools printed before they became spec shims. Each golden
 // under testdata/ is the stdout of the pre-registry tool, its first line
 // the command that produced it; the tests run the equivalent spec
 // through spec.Build + campaign.Run with the build log and the report

@@ -8,18 +8,18 @@ import (
 	"falvolt/internal/faults"
 	"falvolt/internal/mitigation"
 	"falvolt/internal/spec"
+	"falvolt/internal/systolic"
 )
 
 // Spec-registry integration: "yield" is constructible from a declarative
-// spec.Spec, so cmd/yield, cmd/campaign and cluster workers all build
-// bit-identical yield campaigns from the same canonical bytes — the
-// hand-copied flag plumbing that once had to agree across tools is gone.
+// spec.Spec, so `campaign run/serve/merge` and cluster workers all build
+// bit-identical yield campaigns from the same canonical bytes.
 
 // YieldConfigFromSpec resolves a yield spec section into the concrete
 // study configuration; zero fields take their documented defaults
 // (YieldSpec.Defaulted — the single definition the cmd flag defaults
 // also come from). The +2 seed offset keeps the die population aligned
-// with the historical cmd/yield enumeration.
+// with the historical yield-tool enumeration.
 func YieldConfigFromSpec(s *spec.Spec) (YieldConfig, error) {
 	if s.Yield == nil {
 		return YieldConfig{}, fmt.Errorf("core: spec kind %q needs a yield section", s.Kind)
@@ -66,7 +66,10 @@ func init() {
 				if err != nil {
 					return err
 				}
-				_, err = fmt.Fprintln(w, rep)
+				lat, en := systolic.ReexecutionOverhead()
+				_, err = fmt.Fprintf(w, "%s\nfault-free dies: %d/%d; salvage policy: %s (%d epochs)\n"+
+					"for comparison, redundant re-execution would cost %.2fx latency and %.2fx energy on every inference, forever\n",
+					rep, rep.FaultFree, rep.Chips, cfg.Mitigation.Method, cfg.Mitigation.Epochs, lat, en)
 				return err
 			},
 			JSON: func(results []campaign.Result) (any, error) {

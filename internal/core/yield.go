@@ -336,9 +336,9 @@ func YieldFromResults(results []campaign.Result, chips int, threshold float64) (
 
 // SyntheticYieldFingerprint is the provenance metadata for the shared
 // synthetic-MNIST yield baseline: the knobs SyntheticYieldBuild bakes
-// in that YieldConfig cannot see. cmd/yield and cmd/campaign both
-// record it, so their shard files and cluster workers interoperate iff
-// the baseline setup matches.
+// in that YieldConfig cannot see. Every yield campaign records it, so
+// shard files and cluster workers interoperate iff the baseline setup
+// matches.
 func SyntheticYieldFingerprint(baseEpochs int) map[string]string {
 	return map[string]string{
 		"base-epochs": strconv.Itoa(baseEpochs),
@@ -348,8 +348,8 @@ func SyntheticYieldFingerprint(baseEpochs int) map[string]string {
 
 // SyntheticYieldBuild returns the canonical baseline-build closure for
 // yield studies: the quick synthetic-MNIST baseline plan (320/128
-// samples). cmd/yield and cmd/campaign both build through
-// it, so the SyntheticYieldFingerprint contract holds by construction.
+// samples). The yield kind builds through it, so the
+// SyntheticYieldFingerprint contract holds by construction.
 // Progress lines go to log (nil silences).
 func SyntheticYieldBuild(seed int64, baseEpochs, arrayN int, threshold float64, log io.Writer) func() (YieldDeps, error) {
 	return func() (YieldDeps, error) {

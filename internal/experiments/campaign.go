@@ -12,7 +12,7 @@ import (
 
 // Campaign adapters: every figure sweep decomposes into a deterministic
 // list of seed-addressed campaign.Trials, so any figure can run sharded
-// across processes (cmd/experiments -shard, cmd/campaign run) and the
+// across processes (`campaign run -shard`, `campaign serve`) and the
 // merged results are bit-identical to a single-process run. Trial keys
 // are "series|x" addresses; repeats share a key and are averaged in
 // trial-ID order by the figure assemblers.

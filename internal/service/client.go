@@ -46,8 +46,14 @@ func NewClientTLS(base, token, caFile string) (*Client, error) {
 	return cl, nil
 }
 
+// maxResponseBytes bounds every response body the client reads, like
+// the worker client's cluster.MaxBodyBytes.
+var maxResponseBytes int64 = cluster.MaxBodyBytes
+
 // do sends one request and decodes the JSON response into out (skipped
-// when out is nil). Non-2xx responses surface the server's message.
+// when out is nil; a *[]byte receives the raw body). Non-2xx responses
+// surface the server's message, and a body over maxResponseBytes is an
+// error, never a truncated read.
 func (c *Client) do(method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -70,9 +76,12 @@ func (c *Client) do(method, path string, in, out any) error {
 		return fmt.Errorf("service: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return fmt.Errorf("service: read %s response: %w", path, err)
+	}
+	if int64(len(data)) > maxResponseBytes {
+		return fmt.Errorf("service: %s response exceeds %d bytes", path, maxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
@@ -84,7 +93,11 @@ func (c *Client) do(method, path string, in, out any) error {
 		}
 		return fmt.Errorf("service: %s: HTTP %d", path, resp.StatusCode)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *[]byte:
+		*out = data
 		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
@@ -130,31 +143,9 @@ func (c *Client) Watch(id string) (RunSummary, error) {
 // Results fetches a completed run's checkpoint JSONL (header plus
 // results sorted by trial ID) — mergeable like any shard file.
 func (c *Client) Results(id string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.base+"/v1/runs/"+url.PathEscape(id)+"/results", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+c.token)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("service: fetch results: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("service: read results: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.Unmarshal(data, &e)
-		if e.Error != "" {
-			return nil, fmt.Errorf("service: fetch results: %s (HTTP %d)", e.Error, resp.StatusCode)
-		}
-		return nil, fmt.Errorf("service: fetch results: HTTP %d", resp.StatusCode)
-	}
-	return data, nil
+	var data []byte
+	err := c.do("GET", "/v1/runs/"+url.PathEscape(id)+"/results", nil, &data)
+	return data, err
 }
 
 // Cancel cancels a run (idempotent) and returns its summary.

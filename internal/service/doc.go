@@ -5,13 +5,13 @@
 //   - Service (`campaign service`) is long-lived and multi-tenant: a
 //     catalog that accepts specs over HTTP and schedules every admitted
 //     run until cancelled;
-//   - OneRun (`campaign serve`, and the -coordinator flag of cmd/yield
-//     and cmd/experiments) is a campaign.Runner: it admits exactly the
-//     trials campaign.Run hands it as the catalog's only run, streams
-//     each accepted result to the caller's sink exactly once, and exits
-//     once that run is done or failed — answering lease calls with the
-//     outcome for a short linger, so idle workers exit cleanly. Without
-//     a state dir it journals into a temporary one it deletes on exit.
+//   - OneRun (`campaign serve`) is a campaign.Runner: it admits
+//     exactly the trials campaign.Run hands it as the catalog's only
+//     run, streams each accepted result to the caller's sink exactly
+//     once, and exits once that run is done or failed — answering lease
+//     calls with the outcome for a short linger, so idle workers exit
+//     cleanly. Without a state dir it journals into a temporary one it
+//     deletes on exit.
 //
 // internal/cluster owns the mechanics underneath: the wire protocol,
 // the generic lease table with heartbeat-renewed deadlines, the worker

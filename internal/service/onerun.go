@@ -16,8 +16,7 @@ import (
 const oneRunLinger = time.Second
 
 // OneRun is a campaign service that serves exactly one run, then exits:
-// the distributed campaign.Runner behind `campaign serve` and the
-// -coordinator flags of cmd/yield and cmd/experiments. Run admits the
+// the distributed campaign.Runner behind `campaign serve`. Run admits the
 // trials campaign.Run hands it as the catalog's only run, streams each
 // accepted result to the sink exactly once, and returns when that run
 // is terminal. Everything else — leases, scheduling, the per-run WAL

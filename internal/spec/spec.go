@@ -90,7 +90,7 @@ type Spec struct {
 	// "falvolt", cmd/falvolt).
 	Pipeline *PipelineSpec `json:"pipeline,omitempty"`
 	// FaultSim configures the vulnerability sweeps (kind "faultsim",
-	// cmd/faultsim).
+	// `campaign run -c faultsim`).
 	FaultSim *FaultSimSpec `json:"faultsim,omitempty"`
 	// FaultModel configures the systolic-level fault-model
 	// characterization campaign (kind "faultmodel").
@@ -183,7 +183,7 @@ func (ss SuiteSpec) Defaulted() SuiteSpec {
 
 // YieldSpec describes a manufacturing-yield study population and its
 // salvage policy. Zero values select the documented defaults (the
-// historical cmd/yield flag defaults), except Clustered, which is a
+// `campaign -c yield` flag defaults), except Clustered, which is a
 // plain bool: a spec that wants clustered defect maps must say so.
 type YieldSpec struct {
 	// Chips is the number of simulated dies (0 = 12).
@@ -270,7 +270,7 @@ type FaultSimSpec struct {
 	Test  int `json:"test,omitempty"`
 	// Mitigate, when set, salvages the deployment with the selected
 	// strategy before each measurement instead of sweeping unmitigated
-	// (`faultsim -mitigate`). Omitted on old specs, so historical
+	// (`campaign run -c faultsim -mitigate`). Omitted on old specs, so historical
 	// fingerprints are unchanged.
 	Mitigate *MitigationSpec `json:"mitigate,omitempty"`
 	// Training is the unified training section for the baseline loop.
@@ -311,8 +311,8 @@ func (f *FaultSimSpec) EffectiveBaseEpochs() int {
 
 // Defaulted returns a copy with every zero field replaced by its
 // documented default. It is THE definition of the yield defaults:
-// builders resolve through it and the cmd tools register their flag
-// defaults from it, so the three surfaces cannot drift. (Clustered is a
+// builders resolve through it and cmd/campaign registers its flag
+// defaults from it, so the two surfaces cannot drift. (Clustered is a
 // literal bool and stays as written; the flags default it to true.)
 func (y YieldSpec) Defaulted() YieldSpec {
 	def := func(v *int, d int) {

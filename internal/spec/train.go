@@ -4,7 +4,7 @@ import "fmt"
 
 // TrainSpec is the unified training section: every spec surface that
 // configures a gradient-descent loop — the figure suite's retraining,
-// a mitigation strategy's retraining, cmd/faultsim's baseline — points
+// a mitigation strategy's retraining, the faultsim kind's baseline — points
 // its training knobs at one shape instead of growing ad-hoc per-kind
 // fields. Zero values defer to the consuming loop's documented
 // defaults, and each consumer validates strictly: a knob the loop
@@ -52,7 +52,7 @@ type TrainSpec struct {
 
 // DefaultBatch is the global batch size every consuming loop falls back
 // to when Batch is 0 — the paper's batch of 16, shared by
-// core.BaselineConfig, mitigation retraining and cmd/faultsim. It is
+// core.BaselineConfig, mitigation retraining and the faultsim kind. It is
 // the batch MicroBatch is validated against (and normalized by) when
 // the spec leaves Batch unset.
 const DefaultBatch = 16
