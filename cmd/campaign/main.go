@@ -1,12 +1,12 @@
 // Command campaign plans, runs, distributes and merges sharded
 // fault-sweep campaigns: the figure sweeps of cmd/experiments (fig2,
-// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study), the
-// manufacturing-yield study (-c yield), the Fig. 5-family
-// vulnerability sweeps (-c faultsim) and the fault-model, salvage and
-// site-sweep studies, decomposed into deterministic seed-addressed
-// trials by internal/campaign. It is the flag front end of every
-// campaign kind but falvolt, whose cmd/falvolt also saves the mitigated
-// network.
+// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study, the
+// "ablations"), the manufacturing-yield study (-c yield), the Fig.
+// 5-family vulnerability sweeps (-c faultsim) and the fault-model,
+// salvage and site-sweep studies, decomposed into deterministic
+// seed-addressed trials by internal/campaign. It is the flag front end
+// of every campaign kind but falvolt, whose cmd/falvolt also saves the
+// mitigated network.
 //
 // Every subcommand is a thin shim over a declarative experiment spec
 // (internal/spec): config flags compile into a Spec, -dump-spec prints
@@ -94,8 +94,9 @@ import (
 	"falvolt/internal/spec"
 	"falvolt/internal/tensor"
 
-	// Register the figure ("fig2", "fig5a-c", "mitigation") and core
-	// ("yield", "faultsim", ...) campaign kinds with the spec registry.
+	// Register the figure ("fig2", "fig5a-c", "mitigation",
+	// "ablations") and core ("yield", "faultsim", ...) campaign kinds
+	// with the spec registry.
 	_ "falvolt/internal/core"
 	_ "falvolt/internal/experiments"
 )

@@ -1,6 +1,8 @@
 // Command experiments regenerates every figure of the paper's evaluation
 // (Fig. 2, 5a–c, 6, 7, 8 and the §V-A baselines) on the synthetic-dataset
-// reproduction, printing each figure's data series as a table.
+// reproduction, printing each figure's data series as a table. -fig
+// ablations adds the six design-choice ablations (the "ablations"
+// campaign kind), which "all" leaves out.
 //
 // The flags compile into declarative experiment specs (internal/spec),
 // one per selected figure campaign: -dump-spec prints the spec of a
@@ -9,11 +11,12 @@
 // registry, a figure launched here, resumed by cmd/campaign, and
 // finished by remote workers is one and the same campaign.
 //
-// Every selected figure campaign runs one way — built from its spec and
-// executed by campaign.Run — and -fig filters the printed figures in
-// every mode, so -fig 7 prints only Fig. 7 even though Fig. 6, 7 and 8
-// come from one shared mitigation study. An unknown -fig name is a
-// usage error (exit 2) that lists the valid names.
+// Every selected figure campaign, the ablations included, runs one way
+// — built from its spec and executed by campaign.Run — and -fig filters
+// the printed figures in every mode, so -fig 7 prints only Fig. 7 even
+// though Fig. 6, 7 and 8 come from one shared mitigation study. An
+// unknown -fig name is a usage error (exit 2) that lists the valid
+// names.
 //
 // The figure sweeps run as campaigns (internal/campaign), and
 // -checkpoint makes them resumable. To split one figure campaign across
@@ -88,6 +91,7 @@ func main() {
 	figCampaigns := []struct{ fig, camp string }{
 		{"2", "fig2"}, {"5a", "fig5a"}, {"5b", "fig5b"}, {"5c", "fig5c"},
 		{"6", "mitigation"}, {"7", "mitigation"}, {"8", "mitigation"},
+		{"ablations", "ablations"},
 	}
 
 	// base is the suite configuration every selected campaign shares;
@@ -158,8 +162,8 @@ func main() {
 		bopt.Log = os.Stderr
 	}
 	// The suite behind the campaigns: SuiteFromSpec caches per
-	// configuration, so the registry builders below and the direct
-	// baseline/ablation harnesses share one set of trained baselines.
+	// configuration, so the registry builders below and the baseline
+	// figure share one set of trained baselines.
 	suite, err := experiments.SuiteFromSpec(base, bopt)
 	if err != nil {
 		failTop(err)
@@ -205,19 +209,11 @@ func main() {
 			fail(camp, err)
 		}
 		for _, f := range figs {
-			// Figure IDs are "Fig<name>" or "Fig<name>-<dataset>".
-			if name, _, _ := strings.Cut(strings.TrimPrefix(f.ID, "Fig"), "-"); want[name] {
+			// Figure IDs are "Fig<name>" or "Fig<name>-<dataset>"; every
+			// "Ablation-<name>" figure belongs to -fig ablations.
+			if name, _, _ := strings.Cut(strings.TrimPrefix(f.ID, "Fig"), "-"); want[name] || camp == "ablations" {
 				f.Print(os.Stdout)
 			}
-		}
-	}
-	if want["ablations"] {
-		figs, err := suite.Ablations()
-		if err != nil {
-			fail("ablations", err)
-		}
-		for _, f := range figs {
-			f.Print(os.Stdout)
 		}
 	}
 }

@@ -30,6 +30,8 @@ type BaselinePlan struct {
 	// T overrides the model's and the data's timesteps (0 keeps the
 	// model spec's).
 	T int
+	// Neuron, when set, replaces the model spec's neuron config.
+	Neuron *snn.NeuronConfig
 	// Train and Test are the generated split sizes.
 	Train, Test int
 	// ModelSeed draws the initial weights, TrainSeed the training
@@ -67,6 +69,9 @@ func (p BaselinePlan) setup() (snn.ModelSpec, datasets.Config, func(datasets.Con
 	}
 	if p.T > 0 {
 		mspec.T = p.T
+	}
+	if p.Neuron != nil {
+		mspec.Neuron = *p.Neuron
 	}
 	dcfg := datasets.Config{Train: p.Train, Test: p.Test, T: mspec.T, Seed: p.DataSeed}
 	if dvs {

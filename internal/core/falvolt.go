@@ -30,13 +30,11 @@ import (
 	"math/rand"
 
 	"falvolt/internal/snn"
-	"falvolt/internal/tensor"
 )
 
 // BaselineConfig controls baseline (fault-free) training. Zero values
-// select the paper's defaults: batch 16, LR 0.02, gradient clip 5, a
-// single training lane on the process-default engine, and silence
-// (install a Hooks.Progress printer to observe the loss curve).
+// select the paper's defaults: batch 16, LR 0.02, gradient clip 5 and a
+// single training lane on the network's engine.
 type BaselineConfig struct {
 	// Epochs is the training budget.
 	Epochs int
@@ -55,16 +53,12 @@ type BaselineConfig struct {
 	Loss snn.Loss
 	// Rng drives batch shuffling.
 	Rng *rand.Rand
-	// Engine is the compute backend (nil keeps the network's engine).
-	Engine tensor.Backend
 	// Replicas and MicroBatch configure the data-parallel replica
 	// training engine (see snn.TrainConfig; every configuration runs
 	// that engine — zero replicas means one lane). Replica count never
 	// changes results, only wall-clock.
 	Replicas   int
 	MicroBatch int
-	// Hooks observe the loop; the zero value trains silently.
-	Hooks snn.TrainHooks
 }
 
 // TrainBaseline trains a freshly built model to its fault-free baseline
@@ -87,10 +81,8 @@ func TrainBaseline(model *snn.Model, train, test []snn.Sample, cfg BaselineConfi
 		ClipNorm:   cfg.ClipNorm,
 		Loss:       cfg.Loss,
 		Rng:        cfg.Rng,
-		Engine:     cfg.Engine,
 		Replicas:   cfg.Replicas,
 		MicroBatch: cfg.MicroBatch,
-		Hooks:      cfg.Hooks,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: baseline training: %w", err)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"falvolt/internal/campaign"
 	"falvolt/internal/core"
-	"falvolt/internal/datasets"
 	"falvolt/internal/faults"
 	"falvolt/internal/fixed"
 	"falvolt/internal/mitigation"
@@ -13,304 +13,244 @@ import (
 	"falvolt/internal/systolic"
 )
 
-// Ablations of the design choices called out in DESIGN.md §5. Each runs a
-// small controlled comparison on the MNIST pipeline and reports accuracy;
-// none is a paper figure, but together they justify the defaults.
+// The "ablations" campaign: small controlled comparisons on the MNIST
+// pipeline behind the reproduction's design choices (the eq. (2)
+// surrogate width, PLIF, the eq. (4) Vth gradient, the Fig. 3b bypass
+// mux, the accumulator Q-format and the faulty register). None is a
+// paper figure, but together they justify the defaults. Each x value of
+// each ablation is one trial; its cells keep fixed seeds derived from
+// the suite seed, so the trials carry none.
 
-// ablationScale bundles the reduced training setup ablations share.
-type ablationScale struct {
-	train, test int
-	epochs      int
-	t           int
+// ablation lays out one ablation figure: its frame, the plotted x
+// values, the series every trial reports one value for, the dataset
+// whose lane its cells measure on ("" builds no lane) and the cell
+// measuring the i-th x value.
+type ablation struct {
+	fig    Figure
+	xs     []float64
+	series []string
+	ds     string
+	cell   func(cl *core.CellLane, i int) ([]float64, error)
 }
 
-func (s *Suite) ablationScale() ablationScale {
-	if s.Spec.Quick {
-		return ablationScale{train: 200, test: 96, epochs: 8, t: 4}
+// key is the trial key of the i-th x value: the figure ID and the x
+// value's tick, or its shortest decimal form.
+func (a ablation) key(i int) string {
+	if a.fig.XTicks != nil {
+		return a.fig.ID + "|" + a.fig.XTicks[i]
 	}
-	return ablationScale{train: 480, test: 192, epochs: 14, t: 4}
+	return a.fig.ID + "|" + ftag(a.xs[i])
 }
 
-func (s *Suite) ablationSpec() snn.ModelSpec {
-	spec, _ := core.BaselinePlan{Dataset: "mnist", Quick: true}.ModelSpec()
-	return spec
-}
-
-// AblationSurrogateWidth compares training with the paper's exact width-1
-// triangular surrogate against the default width-2 (which keeps the
-// resting state inside the gradient support).
-func (s *Suite) AblationSurrogateWidth() (*Figure, error) {
-	sc := s.ablationScale()
-	ds, err := datasets.SyntheticMNIST(datasets.Config{
-		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Seed + 50,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "Ablation-SurrogateWidth", Title: "Triangular surrogate support width",
-		XLabel: "width", YLabel: "accuracy",
-		Notes: []string{"same data, init and epochs; width 1 is the paper's exact eq. (2)"},
-	}
+// ablations lists the ablations in figure order.
+func (s *Suite) ablations() []ablation {
 	widths := []float64{1.0, 1.5, 2.0, 3.0}
-	accs, err := runLocal("ablation-surrogate-width", len(widths), func(i int) (float64, error) {
-		spec := s.ablationSpec()
-		spec.Neuron.Width = widths[i]
-		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Seed+60)))
-		if err != nil {
-			return 0, err
-		}
-		acc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Seed + 61)),
-			Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
-		})
-		if err != nil {
-			return 0, err
-		}
-		s.logf("ablation width %.1f: %.3f\n", widths[i], acc)
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, Series{Label: "accuracy", X: widths, Y: accs})
-	return fig, nil
-}
-
-// AblationVthGradientForm compares FalVolt retraining with the exact
-// autodiff threshold gradient against the paper's closed-form eq. (4).
-func (s *Suite) AblationVthGradientForm() (*Figure, error) {
-	bl, err := s.Dataset("MNIST")
-	if err != nil {
-		return nil, err
-	}
-	fm, err := s.mitigationFaultMap(0, 0.30)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "Ablation-VthGrad", Title: "Threshold-voltage gradient form (FalVolt, 30% faults)",
-		XLabel: "form", YLabel: "accuracy",
-		XTicks: []string{"exact-autodiff", "paper-eq4"},
-	}
-	forms := []bool{false, true}
-	accs, err := runLocal("ablation-vth-grad", len(forms), func(i int) (float64, error) {
-		model, arr, err := bl.replica()
-		if err != nil {
-			return 0, err
-		}
-		for _, node := range model.Net.SpikingLayers() {
-			cfg := node.Config()
-			cfg.PaperVthGrad = forms[i]
-			node.SetConfig(cfg)
-		}
-		rep, err := mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, mitigation.Config{
-			Method: mitigation.FalVolt, Epochs: s.Spec.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
-			Rng: rand.New(rand.NewSource(s.Seed + 70)),
-		})
-		if err != nil {
-			return 0, err
-		}
-		s.logf("ablation vth-grad paperForm=%v: %.3f\n", forms[i], rep.Accuracy)
-		return rep.Accuracy, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, Series{Label: "accuracy", X: []float64{0, 1}, Y: accs})
-	return fig, nil
-}
-
-// AblationBypass compares faulty inference with and without the bypass
-// multiplexer at equal fault maps (FaP with bypass vs raw corruption).
-func (s *Suite) AblationBypass() (*Figure, error) {
-	bl, err := s.Dataset("MNIST")
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "Ablation-Bypass", Title: "Bypass mux vs raw corruption (no retraining)",
-		XLabel: "faultRate", YLabel: "accuracy",
-	}
 	rates := []float64{0.10, 0.30, 0.60}
-	var raw, bypass []float64
-	cl, err := bl.lane()
-	if err != nil {
-		return nil, err
-	}
-	for _, rate := range rates {
-		fm, err := s.mitigationFaultMap(0, rate)
-		if err != nil {
-			return nil, err
-		}
-		inject := func(bypass bool) func(*systolic.Array) error {
-			return func(arr *systolic.Array) error {
+	formats := []fixed.Format{fixed.Q24x8, fixed.Q16x16, fixed.Q8x24}
+	counts := []float64{4, 8, 16, 32}
+	acc := []string{"accuracy"}
+	return []ablation{{
+		fig: Figure{
+			ID: "Ablation-SurrogateWidth", Title: "Triangular surrogate support width",
+			XLabel: "width", YLabel: "accuracy",
+			Notes: []string{"same data, init and epochs; width 1 is the paper's exact eq. (2)"},
+		},
+		xs: widths, series: acc,
+		cell: s.trainedCell(50, 60, 61, func(n *snn.NeuronConfig, i int) { n.Width = widths[i] }),
+	}, {
+		fig: Figure{
+			ID: "Ablation-VthGrad", Title: "Threshold-voltage gradient form (FalVolt, 30% faults)",
+			XLabel: "form", YLabel: "accuracy",
+			XTicks: []string{"exact-autodiff", "paper-eq4"},
+		},
+		xs: []float64{0, 1}, series: acc,
+		cell: func(_ *core.CellLane, i int) ([]float64, error) {
+			fm, err := s.mitigationFaultMap(0, 0.30)
+			if err != nil {
+				return nil, err
+			}
+			bl, model, arr, err := s.mnistReplica()
+			if err != nil {
+				return nil, err
+			}
+			for _, node := range model.Net.SpikingLayers() {
+				cfg := node.Config()
+				cfg.PaperVthGrad = i == 1
+				node.SetConfig(cfg)
+			}
+			rep, err := mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, mitigation.Config{
+				Method: mitigation.FalVolt, Epochs: s.Spec.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+				Rng: rand.New(rand.NewSource(s.Seed + 70)),
+			})
+			if err != nil {
+				return nil, err
+			}
+			return []float64{rep.Accuracy}, nil
+		},
+	}, {
+		fig: Figure{
+			ID: "Ablation-Bypass", Title: "Bypass mux vs raw corruption (no retraining)",
+			XLabel: "faultRate", YLabel: "accuracy",
+		},
+		xs: rates, series: []string{"corrupting", "bypassed"}, ds: "MNIST",
+		cell: func(cl *core.CellLane, i int) ([]float64, error) {
+			fm, err := s.mitigationFaultMap(0, rates[i])
+			if err != nil {
+				return nil, err
+			}
+			return faultyPair(cl, fm.Rows, func(arr *systolic.Array, bypass bool) error {
 				arr.SetBypass(bypass)
 				return arr.InjectFaults(fm)
+			})
+		},
+	}, {
+		fig: Figure{
+			ID: "Ablation-QFormat", Title: "PE accumulator fixed-point format (fault-free deployment)",
+			XLabel: "format", YLabel: "accuracy",
+			XTicks: []string{"Q24.8", "Q16.16", "Q8.24"},
+		},
+		xs: []float64{0, 1, 2}, series: acc,
+		cell: func(_ *core.CellLane, i int) ([]float64, error) {
+			bl, model, _, err := s.mnistReplica()
+			if err != nil {
+				return nil, err
 			}
-		}
-		r, err := cl.Faulty(fm.Rows, inject(false))
-		if err != nil {
-			return nil, err
-		}
-		b, err := cl.Faulty(fm.Rows, inject(true))
-		if err != nil {
-			return nil, err
-		}
-		raw = append(raw, r)
-		bypass = append(bypass, b)
-		s.logf("ablation bypass rate %.0f%%: raw %.3f bypass %.3f\n", rate*100, r, b)
-	}
-	fig.Series = append(fig.Series,
-		Series{Label: "corrupting", X: rates, Y: raw},
-		Series{Label: "bypassed", X: rates, Y: bypass},
-	)
-	return fig, nil
+			arr, err := systolic.New(systolic.Config{
+				Rows: s.Spec.Array, Cols: s.Spec.Array, Format: formats[i], Saturate: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			model.Net.Deploy(arr)
+			return []float64{snn.Evaluate(model.Net, bl.Test, 32)}, nil
+		},
+	}, {
+		fig: Figure{
+			ID: "Ablation-LIFvsPLIF", Title: "Frozen vs learnable membrane time constant",
+			XLabel: "variant", YLabel: "accuracy",
+			XTicks: []string{"LIF", "PLIF"},
+		},
+		xs: []float64{0, 1}, series: acc,
+		cell: s.trainedCell(51, 62, 63, func(n *snn.NeuronConfig, i int) { n.LearnTau = i == 1 }),
+	}, {
+		// Accumulator faults corrupt every passing partial sum; weight
+		// faults only fire when a spike gates the corrupted weight, so
+		// they are milder.
+		fig: Figure{
+			ID: "Ablation-FaultSite", Title: "Accumulator vs weight-register stuck-at faults",
+			XLabel: "faultyPEs", YLabel: "accuracy",
+			Notes: []string{"equal fault maps (MSB sa1), no mitigation"},
+		},
+		xs: counts, series: []string{"accumulator", "weight-register"}, ds: "MNIST",
+		cell: func(cl *core.CellLane, i int) ([]float64, error) {
+			fm, err := faults.Generate(s.Spec.Array, s.Spec.Array, faults.GenSpec{
+				NumFaulty: int(counts[i]), BitMode: faults.MSBBits, Pol: faults.StuckAt1,
+			}, rand.New(rand.NewSource(s.Seed+int64(80+i))))
+			if err != nil {
+				return nil, err
+			}
+			return faultyPair(cl, s.Spec.Array, func(arr *systolic.Array, weight bool) error {
+				if weight {
+					return arr.InjectWeightFaults(fm)
+				}
+				return arr.InjectFaults(fm)
+			})
+		},
+	}}
 }
 
-// AblationQFormat compares deployed fault-free accuracy across PE
-// accumulator Q-formats (quantization sensitivity of the datapath).
-func (s *Suite) AblationQFormat() (*Figure, error) {
+// trainedCell trains a fresh quick-shape MNIST model on a reduced
+// dataset, its neuron config edited by neuron for the i-th x value, and
+// reports its test accuracy. The data, model and training seeds are the
+// suite seed plus the given offsets.
+func (s *Suite) trainedCell(data, model, train int64, neuron func(*snn.NeuronConfig, int)) func(*core.CellLane, int) ([]float64, error) {
+	return func(_ *core.CellLane, i int) ([]float64, error) {
+		nTrain, nTest, epochs := 480, 192, 14
+		if s.Spec.Quick {
+			nTrain, nTest, epochs = 200, 96, 8
+		}
+		n := snn.DefaultNeuronConfig()
+		neuron(&n, i)
+		_, acc, err := core.BaselinePlan{
+			Dataset: "mnist", Quick: true, T: 4, Train: nTrain, Test: nTest,
+			ModelSeed: s.Seed + model, TrainSeed: s.Seed + train, DataSeed: s.Seed + data,
+			Array: s.Spec.Array, Neuron: &n,
+			Config: core.BaselineConfig{
+				Epochs: epochs, LR: 0.02,
+				Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
+			},
+		}.Build("", s.Log)
+		return []float64{acc}, err
+	}
+}
+
+// mnistReplica returns the MNIST baseline and a private replica of it.
+func (s *Suite) mnistReplica() (*Baseline, *snn.Model, *systolic.Array, error) {
 	bl, err := s.Dataset("MNIST")
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	fig := &Figure{
-		ID: "Ablation-QFormat", Title: "PE accumulator fixed-point format (fault-free deployment)",
-		XLabel: "format", YLabel: "accuracy",
-		XTicks: []string{"Q24.8", "Q16.16", "Q8.24"},
-	}
-	formats := []fixed.Format{fixed.Q24x8, fixed.Q16x16, fixed.Q8x24}
-	accs, err := runLocal("ablation-qformat", len(formats), func(i int) (float64, error) {
-		model, _, err := bl.replica()
-		if err != nil {
-			return 0, err
-		}
-		arr, err := systolic.New(systolic.Config{
-			Rows: s.Spec.Array, Cols: s.Spec.Array, Format: formats[i], Saturate: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		model.Net.Deploy(arr)
-		acc := snn.Evaluate(model.Net, bl.Test, 32)
-		s.logf("ablation qformat %v: %.3f\n", formats[i], acc)
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, Series{Label: "accuracy", X: []float64{0, 1, 2}, Y: accs})
-	return fig, nil
+	model, arr, err := bl.replica()
+	return bl, model, arr, err
 }
 
-// AblationLIFvsPLIF compares plain LIF (frozen time constant) against the
-// PLIF learnable time constant used by the paper's architecture.
-func (s *Suite) AblationLIFvsPLIF() (*Figure, error) {
-	sc := s.ablationScale()
-	ds, err := datasets.SyntheticMNIST(datasets.Config{
-		Train: sc.train, Test: sc.test, T: sc.t, Seed: s.Seed + 51,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "Ablation-LIFvsPLIF", Title: "Frozen vs learnable membrane time constant",
-		XLabel: "variant", YLabel: "accuracy",
-		XTicks: []string{"LIF", "PLIF"},
-	}
-	variants := []bool{false, true}
-	accs, err := runLocal("ablation-lif-plif", len(variants), func(i int) (float64, error) {
-		spec := s.ablationSpec()
-		spec.Neuron.LearnTau = variants[i]
-		model, err := snn.Build(spec, rand.New(rand.NewSource(s.Seed+62)))
-		if err != nil {
-			return 0, err
-		}
-		acc, err := core.TrainBaseline(model, ds.Train, ds.Test, core.BaselineConfig{
-			Epochs: sc.epochs, LR: 0.02, Rng: rand.New(rand.NewSource(s.Seed + 63)),
-			Replicas: s.Spec.Training.Replicas, MicroBatch: s.Spec.Training.MicroBatch,
-		})
-		if err != nil {
-			return 0, err
-		}
-		s.logf("ablation learnTau=%v: %.3f\n", variants[i], acc)
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, Series{Label: "accuracy", X: []float64{0, 1}, Y: accs})
-	return fig, nil
-}
-
-// AblationFaultSite compares stuck-at faults in the accumulator output
-// register (the paper's model) against faults in the weight register at
-// equal counts and bit positions. Accumulator faults corrupt every
-// passing partial sum; weight faults only fire when a spike gates the
-// corrupted weight, so they are milder.
-func (s *Suite) AblationFaultSite() (*Figure, error) {
-	bl, err := s.Dataset("MNIST")
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: "Ablation-FaultSite", Title: "Accumulator vs weight-register stuck-at faults",
-		XLabel: "faultyPEs", YLabel: "accuracy",
-		Notes: []string{"equal fault maps (MSB sa1), no mitigation"},
-	}
-	counts := []int{4, 8, 16, 32}
-	cl, err := bl.lane()
-	if err != nil {
-		return nil, err
-	}
-	var accAcc, wAcc []float64
-	for i, n := range counts {
-		fm, err := faults.Generate(s.Spec.Array, s.Spec.Array, faults.GenSpec{
-			NumFaulty: n, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
-		}, rand.New(rand.NewSource(s.Seed+int64(80+i))))
+// faultyPair measures the lane's baseline unmitigated twice on its
+// side x side array, injecting with variant false, then true.
+func faultyPair(cl *core.CellLane, side int, inject func(arr *systolic.Array, variant bool) error) ([]float64, error) {
+	var out []float64
+	for _, v := range []bool{false, true} {
+		acc, err := cl.Faulty(side, func(arr *systolic.Array) error { return inject(arr, v) })
 		if err != nil {
 			return nil, err
 		}
-		a, err := cl.Faulty(s.Spec.Array, func(arr *systolic.Array) error { return arr.InjectFaults(fm) })
-		if err != nil {
-			return nil, err
-		}
-		b, err := cl.Faulty(s.Spec.Array, func(arr *systolic.Array) error { return arr.InjectWeightFaults(fm) })
-		if err != nil {
-			return nil, err
-		}
-		accAcc = append(accAcc, a)
-		wAcc = append(wAcc, b)
-		s.logf("ablation fault-site n=%d: accumulator %.3f weight %.3f\n", n, a, b)
-	}
-	xs := make([]float64, len(counts))
-	for i, n := range counts {
-		xs[i] = float64(n)
-	}
-	fig.Series = append(fig.Series,
-		Series{Label: "accumulator", X: xs, Y: accAcc},
-		Series{Label: "weight-register", X: xs, Y: wAcc},
-	)
-	return fig, nil
-}
-
-// Ablations runs every ablation and returns their figures.
-func (s *Suite) Ablations() ([]*Figure, error) {
-	var out []*Figure
-	for _, fn := range []func() (*Figure, error){
-		s.AblationSurrogateWidth,
-		s.AblationVthGradientForm,
-		s.AblationBypass,
-		s.AblationQFormat,
-		s.AblationLIFvsPLIF,
-		s.AblationFaultSite,
-	} {
-		fig, err := fn()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation: %w", err)
-		}
-		out = append(out, fig)
+		out = append(out, acc)
 	}
 	return out, nil
+}
+
+// ablationTrials enumerates every ablation's x values in figure order,
+// with the cell each trial measures.
+func (s *Suite) ablationTrials() ([]campaign.Trial, []laneCell) {
+	var trials []campaign.Trial
+	var cells []laneCell
+	for _, ab := range s.ablations() {
+		for i := range ab.xs {
+			trials = append(trials, campaign.Trial{ID: len(trials), Key: ab.key(i)})
+			cells = append(cells, laneCell{ds: ab.ds, measure: func(cl *core.CellLane, t campaign.Trial) (campaign.Result, error) {
+				ys, err := ab.cell(cl, i)
+				if err != nil {
+					return campaign.Result{}, err
+				}
+				res := campaign.Result{Metrics: map[string]float64{}}
+				for k, label := range ab.series {
+					res.Metrics[label] = ys[k]
+				}
+				s.logf("ablations %s: %v\n", t.Key, res.Metrics)
+				return res, nil
+			}})
+		}
+	}
+	return trials, cells
+}
+
+// ablationFigures folds merged ablation results into the six figures.
+func (s *Suite) ablationFigures(results []campaign.Result) ([]*Figure, error) {
+	byKey := campaign.GroupByKey(results)
+	var figs []*Figure
+	for _, ab := range s.ablations() {
+		fig := ab.fig
+		for _, label := range ab.series {
+			ys := make([]float64, len(ab.xs))
+			for i := range ab.xs {
+				rs := byKey[ab.key(i)]
+				if len(rs) == 0 {
+					return nil, fmt.Errorf("experiments: ablations results missing %q (incomplete merge?)", ab.key(i))
+				}
+				ys[i] = rs[0].Metrics[label]
+			}
+			fig.Series = append(fig.Series, Series{Label: label, X: ab.xs, Y: ys})
+		}
+		figs = append(figs, &fig)
+	}
+	return figs, nil
 }

@@ -22,9 +22,10 @@ import (
 // lazily on first use.
 
 // CampaignNames lists the campaign-backed sweeps, in figure order.
-// "mitigation" is the shared Fig. 6/7/8 study.
+// "mitigation" is the shared Fig. 6/7/8 study; "ablations" the six
+// design-choice ablations.
 func CampaignNames() []string {
-	return []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation"}
+	return []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation", "ablations"}
 }
 
 // Campaign returns the named sweep as a campaign.
@@ -38,6 +39,8 @@ func (s *Suite) Campaign(name string) (campaign.Campaign, error) {
 		trials, cells = s.fig5Trials(name)
 	case "mitigation":
 		trials, cells = s.mitigationTrials()
+	case "ablations":
+		trials, cells = s.ablationTrials()
 	default:
 		return nil, fmt.Errorf("experiments: unknown campaign %q (want one of %v)", name, CampaignNames())
 	}
@@ -45,17 +48,17 @@ func (s *Suite) Campaign(name string) (campaign.Campaign, error) {
 }
 
 // laneCell is what one trial measures: the dataset whose baseline it
-// runs on, and the measurement it takes on that dataset's lane. The
-// measurement fills the result's metrics and series; the runner stamps
-// its trial ID and key.
+// runs on, and the measurement it takes on that dataset's lane. A cell
+// naming no dataset gets no lane (a nil one). The measurement fills the
+// result's metrics and series; the runner stamps its trial ID and key.
 type laneCell struct {
 	ds      string
 	measure func(cl *core.CellLane, t campaign.Trial) (campaign.Result, error)
 }
 
 // cellCampaign runs kind's trials, trial t measuring cells[t.ID], on
-// lanes that hold one core.CellLane per dataset, each on a private
-// replica built on the lane's first trial of that dataset.
+// lanes that hold one core.CellLane per named dataset, each on a
+// private replica built on the lane's first trial of that dataset.
 func (s *Suite) cellCampaign(kind string, trials []campaign.Trial, cells []laneCell) campaign.Campaign {
 	return campaign.NewWithMeta(kind, s.campaignMeta(), trials, func(int) (campaign.Worker, error) {
 		lanes := map[string]*core.CellLane{}
@@ -65,7 +68,7 @@ func (s *Suite) cellCampaign(kind string, trials []campaign.Trial, cells []laneC
 			}
 			c := cells[t.ID]
 			cl, ok := lanes[c.ds]
-			if !ok {
+			if !ok && c.ds != "" {
 				bl, err := s.Dataset(c.ds)
 				if err != nil {
 					return campaign.Result{}, err
@@ -111,6 +114,8 @@ func (s *Suite) Figures(name string, results []campaign.Result) ([]*Figure, erro
 		return wrapFigure(f, err)
 	case "mitigation":
 		return s.mitigationFigures(results)
+	case "ablations":
+		return s.ablationFigures(results)
 	}
 	return nil, fmt.Errorf("experiments: unknown campaign %q", name)
 }
@@ -364,34 +369,4 @@ func (s *Suite) mitigationFigures(results []campaign.Result) ([]*Figure, error) 
 		fig8 = append(fig8, fig)
 	}
 	return append(append(fig6, fig7), fig8...), nil
-}
-
-// --- in-memory campaigns for small sweeps (ablations) ---
-
-// runLocal executes n single-value trials through the campaign engine
-// on the process-default runner and returns the values in trial order —
-// the replacement for the ad-hoc parallel loops the ablations used.
-func runLocal(name string, n int, run func(i int) (float64, error)) ([]float64, error) {
-	trials := make([]campaign.Trial, n)
-	for i := range trials {
-		trials[i] = campaign.Trial{ID: i, Key: fmt.Sprintf("%s/%d", name, i)}
-	}
-	c := campaign.New(name, trials, func(lane int) (campaign.Worker, error) {
-		return campaign.WorkerFunc(func(t campaign.Trial) (campaign.Result, error) {
-			v, err := run(t.ID)
-			if err != nil {
-				return campaign.Result{}, err
-			}
-			return campaign.Result{TrialID: t.ID, Key: t.Key, Metrics: map[string]float64{"value": v}}, nil
-		}), nil
-	})
-	rr, err := campaign.Run(c, campaign.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for _, r := range rr.Results {
-		out[r.TrialID] = r.Metrics["value"]
-	}
-	return out, nil
 }

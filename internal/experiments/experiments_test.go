@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"falvolt/internal/campaign"
@@ -176,53 +174,45 @@ func TestFigurePrintRaggedSeries(t *testing.T) {
 	}
 }
 
-func TestRunLocalCoversAllIndices(t *testing.T) {
-	var hits [57]int32
-	vals, err := runLocal("cover", len(hits), func(i int) (float64, error) {
-		atomic.AddInt32(&hits[i], 1)
-		return float64(i) * 2, nil
-	})
+// TestAblationFiguresNameMissingTrial: folding ablation results that
+// lack one trial fails with the missing trial's key, and the complete
+// set folds into the six figures in order. Nothing trains.
+func TestAblationFiguresNameMissingTrial(t *testing.T) {
+	s := quickSuite(t)
+	c, err := s.Campaign("ablations")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d executed %d times", i, h)
-		}
-		if vals[i] != float64(i)*2 {
-			t.Fatalf("value %d = %v", i, vals[i])
-		}
-	}
-	// n smaller than worker count.
-	var single int32
-	if _, err := runLocal("single", 1, func(i int) (float64, error) {
-		atomic.AddInt32(&single, 1)
-		return 0, nil
-	}); err != nil {
+	trials, err := c.Trials()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if single != 1 {
-		t.Errorf("single job executed %d times", single)
+	if len(trials) != 18 {
+		t.Fatalf("ablations enumerate %d trials, want 18", len(trials))
 	}
-	// n == 0 is a no-op.
-	if _, err := runLocal("empty", 0, func(i int) (float64, error) {
-		t.Error("should not run")
-		return 0, nil
-	}); err != nil {
+	var results []campaign.Result
+	for _, tr := range trials {
+		results = append(results, campaign.Result{TrialID: tr.ID, Key: tr.Key, Metrics: map[string]float64{
+			"accuracy": 0.5, "corrupting": 0.25, "bypassed": 0.75, "accumulator": 0.125, "weight-register": 1,
+		}})
+	}
+	figs, err := s.Figures("ablations", results)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Errors propagate.
-	if _, err := runLocal("failing", 3, func(i int) (float64, error) {
-		if i == 1 {
-			return 0, errBoom
-		}
-		return 0, nil
-	}); err == nil {
-		t.Error("runLocal should surface trial errors")
+	var ids []string
+	for _, f := range figs {
+		ids = append(ids, f.ID)
+	}
+	want := "Ablation-SurrogateWidth,Ablation-VthGrad,Ablation-Bypass,Ablation-QFormat,Ablation-LIFvsPLIF,Ablation-FaultSite"
+	if strings.Join(ids, ",") != want {
+		t.Errorf("ablation figures %v, want %s", ids, want)
+	}
+	missing := trials[7].Key
+	if _, err := s.Figures("ablations", append(results[:7:7], results[8:]...)); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("folding without trial %q: error %v, want one naming it", missing, err)
 	}
 }
-
-var errBoom = fmt.Errorf("boom")
 
 // TestCampaignTrialEnumeration checks the sharding preconditions of
 // every suite campaign without training anything: enumeration is pure

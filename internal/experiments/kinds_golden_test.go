@@ -11,18 +11,19 @@ import (
 	"falvolt/internal/spec"
 )
 
-// TestFigureKindGoldens runs the Fig. 2 and Fig. 5 kinds and the shared
-// Fig. 6/7/8 mitigation study at a tiny configuration through the spec
-// registry (spec.Build, campaign.Run, Render) and byte-compares the
-// rendered figures with testdata/<kind>.golden. The first line of each
-// golden is the `campaign run` command that produced the rest. Every
-// kind is built from one spec base, so they share one suite and the
-// three baselines train once, into the cache the cache tests reload.
+// TestFigureKindGoldens runs the Fig. 2 and Fig. 5 kinds, the shared
+// Fig. 6/7/8 mitigation study and the ablations at a tiny configuration
+// through the spec registry (spec.Build, campaign.Run, Render) and
+// byte-compares the rendered figures with testdata/<kind>.golden. The
+// first line of each golden is the command that produced the rest.
+// Every kind is built from one spec base, so they share one suite and
+// the three baselines train once, into the cache the cache tests
+// reload.
 func TestFigureKindGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three baselines")
 	}
-	for _, kind := range []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation"} {
+	for _, kind := range []string{"fig2", "fig5a", "fig5b", "fig5c", "mitigation", "ablations"} {
 		t.Run(kind, func(t *testing.T) {
 			built, err := spec.Build(goldenSpec(kind), spec.BuildOpts{CacheDir: goldenCache})
 			if err != nil {
@@ -71,41 +72,4 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
-}
-
-// TestAblationsGolden byte-compares the printed Suite.Ablations figures
-// of the golden suite with testdata/ablations.golden, whose first line
-// is the `experiments` command that prints the rest. Regenerate with
-//
-//	go test ./internal/experiments/ -run AblationsGolden -update
-func TestAblationsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains the ablation models")
-	}
-	s, err := SuiteFromSpec(goldenSpec("fig2"), spec.BuildOpts{CacheDir: goldenCache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	figs, err := s.Ablations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := bytes.NewBufferString("# experiments -quick -fig ablations -array 16 -eval 16 -epochs 1\n")
-	for _, f := range figs {
-		f.Print(got)
-	}
-	golden := filepath.Join("testdata", "ablations.golden")
-	if *update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("ablation figures drifted from golden:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
-	}
 }

@@ -9,12 +9,13 @@ import (
 	"falvolt/internal/spec"
 )
 
-// Spec-registry integration: every figure campaign (fig2, fig5a-c, and
-// the shared Fig. 6/7/8 "mitigation" study) is constructible from a
-// declarative spec.Spec. Identically configured specs share one Suite
-// per process, so a tool that runs several figure campaigns — or a
-// cluster worker leasing shards of different figures of the same sweep
-// configuration — trains each dataset baseline exactly once.
+// Spec-registry integration: every figure campaign (fig2, fig5a-c, the
+// shared Fig. 6/7/8 "mitigation" study and the "ablations") is
+// constructible from a declarative spec.Spec. Identically configured
+// specs share one Suite per process, so a tool that runs several figure
+// campaigns — or a cluster worker leasing shards of different figures
+// of the same sweep configuration — trains each dataset baseline
+// exactly once.
 
 var (
 	suiteCacheMu sync.Mutex

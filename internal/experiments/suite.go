@@ -2,8 +2,9 @@
 // the motivational fixed-threshold sweeps (Fig. 2), the stuck-at fault
 // vulnerability analysis (Fig. 5a–c), the optimized per-layer threshold
 // voltages (Fig. 6), the mitigation comparison (Fig. 7) and the
-// convergence curves (Fig. 8). Each figure is a Figure value whose Print
-// output is the table of series behind the corresponding plot.
+// convergence curves (Fig. 8), plus six ablations of the reproduction's
+// design choices. Each figure is a Figure value whose Print output is
+// the table of series behind the corresponding plot.
 //
 // The Suite lazily builds one baseline PLIF-SNN per dataset (synthetic
 // MNIST, N-MNIST, DVS Gesture — see internal/datasets) from a
@@ -15,8 +16,10 @@
 // plumbing: each runner lane holds one core.CellLane per dataset, on a
 // private replica of its baseline. A Fig. 5 trial is one stuck-at cell
 // (CellLane.StuckAt); a Fig. 2 or Fig. 6/7/8 trial is one mitigated cell
-// (CellLane.Mitigate). Suite.Figures folds a campaign's results into
-// figures.
+// (CellLane.Mitigate). An ablation trial is a Faulty cell, a
+// core.BaselinePlan trained with a neuron-config override (no lane), or
+// a measurement on a replica of the MNIST baseline. Suite.Figures folds
+// a campaign's results into figures.
 package experiments
 
 import (

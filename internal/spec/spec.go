@@ -50,8 +50,9 @@ type Spec struct {
 	// Version is the schema version (see Version).
 	Version int `json:"version"`
 	// Kind names the registered campaign builder: "fig2", "fig5a",
-	// "fig5b", "fig5c", "mitigation", "yield", "selftest", "faultmodel",
-	// "salvage", "sitesweep", "faultsim" or "falvolt" (see Kinds).
+	// "fig5b", "fig5c", "mitigation", "ablations", "yield", "selftest",
+	// "faultmodel", "salvage", "sitesweep", "faultsim" or "falvolt" (see
+	// Kinds).
 	Kind string `json:"kind"`
 	// Seed drives all randomness of the run. 0 means the default seed
 	// (7) for every kind — flag-compiled specs always pin it explicitly.

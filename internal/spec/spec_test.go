@@ -39,7 +39,7 @@ func representative() map[string]*spec.Spec {
 	}
 	out := map[string]*spec.Spec{
 		"fig2": suite("fig2"), "fig5a": suite("fig5a"), "fig5b": suite("fig5b"),
-		"fig5c": suite("fig5c"), "mitigation": suite("mitigation"),
+		"fig5c": suite("fig5c"), "mitigation": suite("mitigation"), "ablations": suite("ablations"),
 		"yield": {
 			Version: spec.Version, Kind: "yield", Seed: 7,
 			Yield: &spec.YieldSpec{
