@@ -58,8 +58,8 @@ func main() {
 	}
 	fmt.Printf("unmitigated on faulty array: %.3f\n", faulty)
 
-	rep, err := lane.Mitigate(fm, mitigation.Config{
-		Method: mitigation.FalVolt, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+	rep, err := lane.Mitigate(fm, mitigation.FalVolt, mitigation.Options{
+		Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng: rand.New(rand.NewSource(seed + 3)),
 	})
 	if err != nil {

@@ -45,8 +45,8 @@ func main() {
 
 	target := baseAcc - 0.05 // "close to baseline" recovery target
 	for _, method := range []mitigation.Method{mitigation.FaP, mitigation.FaPIT, mitigation.FalVolt} {
-		rep, err := lane.Mitigate(fm, mitigation.Config{
-			Method: method, Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+		rep, err := lane.Mitigate(fm, method, mitigation.Options{
+			Epochs: 10, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 			TrackCurve: true, CurveEvalSize: 64,
 			Rng: rand.New(rand.NewSource(seed + 3)),
 		})

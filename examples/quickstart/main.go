@@ -56,8 +56,8 @@ func main() {
 
 	// 3. FalVolt: prune the weights mapped to faulty PEs, bypass those
 	//    PEs, retrain the rest while learning each layer's threshold.
-	rep, err := lane.Mitigate(fm, mitigation.Config{
-		Method: mitigation.FalVolt, Epochs: 8, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+	rep, err := lane.Mitigate(fm, mitigation.FalVolt, mitigation.Options{
+		Epochs: 8, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng: rand.New(rand.NewSource(seed + 3)),
 	})
 	if err != nil {

@@ -15,6 +15,24 @@ import (
 // 64 MiB is far above any legitimate message.
 const MaxBodyBytes = 64 << 20
 
+// maxBody is the limit the worker client and ReadJSON apply
+// (MaxBodyBytes; tests lower it).
+var maxBody int64 = MaxBodyBytes
+
+// ReadLimited reads all of r, which must hold at most limit bytes. A
+// longer body is an error naming what was read and the limit, never a
+// truncated read that would surface later as a decode error.
+func ReadLimited(r io.Reader, what string, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("read %s: %w", what, err)
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("%s exceeds %d bytes", what, limit)
+	}
+	return data, nil
+}
+
 // client is the worker side of the wire protocol. A non-empty token is
 // sent as a bearer credential on every request (services require one).
 // A non-empty caFile makes HTTPS connections verify against that CA
@@ -73,9 +91,9 @@ func (cl *client) post(path string, in, out any) error {
 		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+	data, err := ReadLimited(resp.Body, path+" response", maxBody)
 	if err != nil {
-		return fmt.Errorf("cluster: read %s response: %w", path, err)
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
@@ -114,9 +132,10 @@ func (cl *client) results(req ResultsRequest) (ResultsResponse, error) {
 	return resp, err
 }
 
-// ReadJSON decodes a request body, replying 400 on malformed input.
+// ReadJSON decodes a request body, replying 400 on malformed or
+// oversized input.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	data, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes))
+	data, err := ReadLimited(r.Body, r.URL.Path+" request", maxBody)
 	if err == nil {
 		err = json.Unmarshal(data, v)
 	}

@@ -60,15 +60,18 @@ func stuckAt(gen faults.GenSpec, seed int64) func(*systolic.Array) error {
 	}
 }
 
-// Mitigate runs mitigation.Mitigate with cfg on the lane's baseline,
-// restored on its array of fm's side, and returns the report: final
-// accuracy, pruned fraction, Vths and, with cfg.TrackCurve, the Fig. 8
-// curve. The model keeps the mitigated weights.
-func (l *CellLane) Mitigate(fm *faults.Map, cfg mitigation.Config) (*mitigation.Report, error) {
+// Mitigate runs mitigation.Mitigate with method m and opt on the lane's
+// baseline, restored on its array of fm's side, retraining on the
+// lane's Train and evaluating on its Test (opt.Train and opt.Test are
+// overwritten). It returns the report: final accuracy, pruned fraction,
+// Vths and, with opt.TrackCurve, the Fig. 8 curve. The model keeps the
+// mitigated weights.
+func (l *CellLane) Mitigate(fm *faults.Map, m mitigation.Method, opt mitigation.Options) (*mitigation.Report, error) {
+	opt.Train, opt.Test = l.deps.Train, l.deps.Test
 	var rep *mitigation.Report
 	err := l.cell(fm.Rows, nil, func(arr *systolic.Array) error {
 		var err error
-		rep, err = mitigation.Mitigate(l.model, arr, fm, l.deps.Train, l.deps.Test, cfg)
+		rep, err = mitigation.Mitigate(l.model, arr, fm, m, opt)
 		return err
 	})
 	return rep, err

@@ -130,8 +130,8 @@ func TestEvaluateFaultyCorruptsAccuracy(t *testing.T) {
 		t.Errorf("bypass should not be clearly worse than corruption: bypass %.2f, faulty %.2f", bypassAcc, faultyAcc)
 	}
 
-	if _, err := cl.Mitigate(fm, mitigation.Config{
-		Method: mitigation.FalVolt, Epochs: 1, LR: 0.01, Rng: rand.New(rand.NewSource(3)),
+	if _, err := cl.Mitigate(fm, mitigation.FalVolt, mitigation.Options{
+		Epochs: 1, LR: 0.01, Rng: rand.New(rand.NewSource(3)),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestMitigationOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.model.Net.Undeploy()
-		rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
-			Method: m, Epochs: epochs, BatchSize: 16, LR: 0.01, ClipNorm: 5,
+		rep, err := mitigation.Mitigate(h.model, h.arr, fm, m, mitigation.Options{
+			Train: h.train, Test: h.test, Epochs: epochs, BatchSize: 16, LR: 0.01, ClipNorm: 5,
 			Rng: rand.New(rand.NewSource(3)),
 		})
 		if err != nil {
@@ -216,8 +216,8 @@ func TestMitigateFixedVthSweep(t *testing.T) {
 	if err := h.model.Net.LoadState(h.baseline); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
-		Method: mitigation.FaPIT, Epochs: 2, BatchSize: 16, LR: 0.01, FixedVth: 0.55,
+	rep, err := mitigation.Mitigate(h.model, h.arr, fm, mitigation.FaPIT, mitigation.Options{
+		Train: h.train, Test: h.test, Epochs: 2, BatchSize: 16, LR: 0.01, FixedVth: 0.55,
 		Rng: rand.New(rand.NewSource(5)),
 	})
 	if err != nil {
@@ -236,8 +236,8 @@ func TestMitigateTracksCurve(t *testing.T) {
 	if err := h.model.Net.LoadState(h.baseline); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
-		Method: mitigation.FalVolt, Epochs: 3, BatchSize: 16, LR: 0.01,
+	rep, err := mitigation.Mitigate(h.model, h.arr, fm, mitigation.FalVolt, mitigation.Options{
+		Train: h.train, Test: h.test, Epochs: 3, BatchSize: 16, LR: 0.01,
 		TrackCurve: true, CurveEvalSize: 40,
 		Rng: rand.New(rand.NewSource(7)),
 	})
@@ -261,8 +261,8 @@ func TestStateRoundTripThroughMitigation(t *testing.T) {
 	h := newHarness(t)
 	before := snn.Evaluate(h.model.Net, h.test, 32)
 	fm := worstCaseFaults(t, 16, 16, 60, 8)
-	if _, err := mitigation.Mitigate(h.model, h.arr, fm, h.train, h.test, mitigation.Config{
-		Method: mitigation.FaP, Rng: rand.New(rand.NewSource(9)),
+	if _, err := mitigation.Mitigate(h.model, h.arr, fm, mitigation.FaP, mitigation.Options{
+		Train: h.train, Test: h.test, Rng: rand.New(rand.NewSource(9)),
 	}); err != nil {
 		t.Fatal(err)
 	}

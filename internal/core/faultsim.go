@@ -41,6 +41,18 @@ type faultSimRow struct {
 	cells []faultSimCell
 }
 
+// The axes of the paper's Fig. 5 sweeps, shared by the faultsim kind's
+// bits/count/size tables and the fig5a/fig5b/fig5c figure kinds.
+var (
+	// Fig5aBits are the stuck bit positions of Fig. 5a.
+	Fig5aBits = []int{0, 2, 4, 6, 8, 10, 12, 14, 16}
+	// Fig5bCounts are the faulty-PE counts of Fig. 5b.
+	Fig5bCounts = []int{0, 4, 8, 16, 32, 40, 48, 56, 64}
+	// Fig5cSides are the array side lengths of Fig. 5c (total PEs
+	// 16..65536).
+	Fig5cSides = []int{4, 8, 16, 32, 256}
+)
+
 // faultSimTable lays a sweep out as its table header and rows. The axes
 // and per-cell seed formulas are the Fig. 5 sweeps'; fmodel is only read
 // by the "model" sweep.
@@ -51,7 +63,7 @@ func faultSimTable(f spec.FaultSimSpec, seed int64, fmodel faults.FaultModel) (s
 	}
 	switch strings.ToLower(f.Sweep) {
 	case "bits":
-		for bit := 0; bit <= 16; bit += 2 {
+		for _, bit := range Fig5aBits {
 			row := faultSimRow{label: fmt.Sprintf("%-5d", bit)}
 			for pi, pol := range []faults.Polarity{faults.StuckAt0, faults.StuckAt1} {
 				row.cells = append(row.cells, faultSimCell{
@@ -65,14 +77,14 @@ func faultSimTable(f spec.FaultSimSpec, seed int64, fmodel faults.FaultModel) (s
 		}
 		return fmt.Sprintf("%-5s  %-8s  %-8s\n", "bit", "sa0", "sa1"), rows, nil
 	case "count":
-		for _, n := range []int{0, 4, 8, 16, 32, 40, 48, 56, 64} {
+		for _, n := range Fig5bCounts {
 			rows = append(rows, faultSimRow{label: fmt.Sprintf("%-8d", n), cells: []faultSimCell{{
 				key: fmt.Sprintf("faulty=%d", n), seed: seed + int64(n*10), side: f.Array, gen: stuck(n),
 			}}})
 		}
 		return fmt.Sprintf("%-8s  %-8s\n", "faulty", "accuracy"), rows, nil
 	case "size":
-		for _, side := range []int{4, 8, 16, 32, 256} {
+		for _, side := range Fig5cSides {
 			rows = append(rows, faultSimRow{label: fmt.Sprintf("%-10d", side*side), cells: []faultSimCell{{
 				key: fmt.Sprintf("side=%d", side), seed: seed + int64(side*10), side: side, gen: stuck(f.Faults),
 			}}})

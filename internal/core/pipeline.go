@@ -91,8 +91,8 @@ func FalVoltTrial(deps YieldDeps, s *spec.Spec) (campaign.Result, time.Duration,
 		return campaign.Result{}, 0, err
 	}
 	var losses []float64
-	rep, err := cl.Mitigate(fm, mitigation.Config{
-		Method: method, Epochs: p.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+	rep, err := cl.Mitigate(fm, method, mitigation.Options{
+		Epochs: p.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 		Rng:      rand.New(rand.NewSource(seed + 3)),
 		Progress: func(_ int, loss float64) { losses = append(losses, loss) },
 	})

@@ -30,13 +30,12 @@ func YieldConfigFromSpec(s *spec.Spec) (YieldConfig, error) {
 		return YieldConfig{}, err
 	}
 	return YieldConfig{
-		Chips:     y.Chips,
-		Defects:   faults.DefectModel{MeanFaulty: y.MeanFaulty, Alpha: y.Alpha},
-		Clustered: y.Clustered,
-		Threshold: y.Threshold,
-		Mitigation: mitigation.Config{
-			Method: m, Epochs: y.MitEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
-		},
+		Chips:       y.Chips,
+		Defects:     faults.DefectModel{MeanFaulty: y.MeanFaulty, Alpha: y.Alpha},
+		Clustered:   y.Clustered,
+		Threshold:   y.Threshold,
+		Method:      m,
+		Mitigation:  mitigation.Options{Epochs: y.MitEpochs, LR: 0.01, BatchSize: 16, ClipNorm: 5},
 		EvalSamples: y.Eval,
 		Seed:        s.EffectiveSeed() + 2,
 	}, nil
@@ -69,7 +68,7 @@ func init() {
 				lat, en := systolic.ReexecutionOverhead()
 				_, err = fmt.Fprintf(w, "%s\nfault-free dies: %d/%d; salvage policy: %s (%d epochs)\n"+
 					"for comparison, redundant re-execution would cost %.2fx latency and %.2fx energy on every inference, forever\n",
-					rep, rep.FaultFree, rep.Chips, cfg.Mitigation.Method, cfg.Mitigation.Epochs, lat, en)
+					rep, rep.FaultFree, rep.Chips, cfg.Method, cfg.Mitigation.Epochs, lat, en)
 				return err
 			},
 			JSON: func(results []campaign.Result) (any, error) {

@@ -11,7 +11,6 @@ import (
 	"falvolt/internal/mitigation"
 	"falvolt/internal/snn"
 	"falvolt/internal/systolic"
-	"falvolt/internal/tensor"
 )
 
 // Yield analysis.
@@ -38,12 +37,14 @@ type YieldConfig struct {
 	Clustered bool
 	// Threshold is the minimum accuracy for a die to ship.
 	Threshold float64
-	// Mitigation selects the salvage policy applied to faulty dies.
-	// Epochs/LR/BatchSize are passed through to Mitigate. Its Rng field
-	// is ignored: every die retrains on a private generator seeded
-	// Seed+die, so dies are independent trials whichever shard or lane
-	// runs them.
-	Mitigation mitigation.Config
+	// Method is the salvage policy applied to faulty dies.
+	Method mitigation.Method
+	// Mitigation configures Method's retraining; Epochs/LR/BatchSize
+	// are passed through to Mitigate. Its Train and Test are the lane's
+	// and its Rng is ignored: every die retrains on a private generator
+	// seeded Seed+die, so dies are independent trials whichever shard or
+	// lane runs them.
+	Mitigation mitigation.Options
 	// EvalSamples caps evaluation cost per die (0 = all test samples).
 	EvalSamples int
 	// Rng drives the population sampling (per-die defect counts and map
@@ -148,35 +149,17 @@ type YieldDeps struct {
 	// so additional lanes can evaluate dies concurrently; when nil the
 	// campaign runs single-lane on Model/Arr.
 	BuildModel func() (*snn.Model, error)
-	// Fingerprint adds caller-level provenance (baseline training
-	// epochs, dataset sizes, ...) to the checkpoint metadata, so shards
-	// whose results depend on configuration the YieldConfig cannot see
-	// still refuse to merge when it differs.
-	Fingerprint map[string]string
 }
 
-// YieldCampaign decomposes a yield study into a campaign: one trial per
-// simulated die. Run it with campaign.Run (shard/checkpoint as needed)
-// and fold the results with YieldFromResults.
-func YieldCampaign(deps YieldDeps, cfg YieldConfig) (campaign.Campaign, error) {
-	if err := validateYield(cfg); err != nil {
-		return nil, err
-	}
-	if deps.Model == nil || deps.Baseline == nil || deps.Arr == nil {
-		return nil, fmt.Errorf("core: yield campaign needs model, baseline and array")
-	}
-	acfg := deps.Arr.Config()
-	return LazyYieldCampaign(acfg.Rows, acfg.Cols, cfg, deps.Fingerprint,
-		func() (YieldDeps, error) { return deps, nil })
-}
-
-// LazyYieldCampaign is YieldCampaign with the expensive resources
-// (trained baseline, arrays) built by the callback on first NewWorker
-// call instead of up front: planning trials, and resuming a checkpoint
-// that already covers every trial, never pay for baseline training.
-// rows/cols give the array extent (needed for trial enumeration). Lane
-// 0 works on the built model and array; further lanes build private
-// replicas.
+// LazyYieldCampaign decomposes a yield study into a campaign: one trial
+// per simulated die. The expensive resources (trained baseline, arrays)
+// are built by the callback on the first NewWorker call, not up front:
+// planning trials, and resuming a checkpoint that already covers every
+// trial, never pay for baseline training. rows/cols give the array
+// extent (needed for trial enumeration). Lane 0 works on the built
+// model and array; further lanes build private replicas. Run it with
+// campaign.Run (shard/checkpoint as needed) and fold the results with
+// YieldFromResults.
 func LazyYieldCampaign(rows, cols int, cfg YieldConfig, fingerprint map[string]string,
 	build func() (YieldDeps, error)) (campaign.Campaign, error) {
 	trials, err := YieldTrials(rows, cols, cfg)
@@ -233,7 +216,7 @@ func yieldMeta(rows, cols int, cfg YieldConfig, extra map[string]string) map[str
 		"mean":       strconv.FormatFloat(cfg.Defects.MeanFaulty, 'g', -1, 64),
 		"alpha":      strconv.FormatFloat(cfg.Defects.Alpha, 'g', -1, 64),
 		"clustered":  strconv.FormatBool(cfg.Clustered),
-		"method":     cfg.Mitigation.Method.String(),
+		"method":     cfg.Method.String(),
 		"mit-epochs": strconv.Itoa(cfg.Mitigation.Epochs),
 		"mit-lr":     strconv.FormatFloat(cfg.Mitigation.LR, 'g', -1, 64),
 		"mit-batch":  strconv.Itoa(cfg.Mitigation.BatchSize),
@@ -268,9 +251,9 @@ func yieldDie(cl *CellLane, rows, cols int, cfg YieldConfig, t campaign.Trial) (
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	mcfg := cfg.Mitigation
-	mcfg.Rng = rand.New(rand.NewSource(cfg.Seed + int64(t.ID)))
-	mrep, err := cl.Mitigate(fm, mcfg)
+	opt := cfg.Mitigation
+	opt.Rng = rand.New(rand.NewSource(cfg.Seed + int64(t.ID)))
+	mrep, err := cl.Mitigate(fm, cfg.Method, opt)
 	if err != nil {
 		return campaign.Result{}, err
 	}
@@ -365,29 +348,4 @@ func SyntheticYieldBuild(seed int64, baseEpochs, arrayN int, threshold float64, 
 		logf(log, "baseline accuracy %.3f; shipping threshold %.2f\n", acc, threshold)
 		return deps, nil
 	}
-}
-
-// YieldStudy simulates cfg.Chips manufactured dies of the given array
-// size, evaluates each unmitigated and after the salvage policy, and
-// reports shippable counts. The model is restored from baseline before
-// every die. It is the single-process convenience wrapper over
-// YieldCampaign + campaign.Run + YieldFromResults; use those directly
-// for sharding, checkpointing, or parallel lanes (BuildModel).
-func YieldStudy(model *snn.Model, baseline *snn.NetworkState, arr *systolic.Array,
-	train, test []snn.Sample, cfg YieldConfig) (*YieldReport, error) {
-	c, err := YieldCampaign(YieldDeps{
-		Model: model, Baseline: baseline, Arr: arr, Train: train, Test: test,
-	}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Single-lane: the caller handed us one mutable model, so dies run
-	// sequentially on it exactly as the pre-campaign implementation did.
-	rr, err := campaign.Run(c, campaign.Options{
-		Runner: campaign.PoolRunner{Engine: tensor.Serial()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return YieldFromResults(rr.Results, cfg.Chips, cfg.Threshold)
 }

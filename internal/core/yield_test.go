@@ -29,11 +29,11 @@ func TestYieldStudyMechanics(t *testing.T) {
 		Defects:   faults.DefectModel{MeanFaulty: 20, Alpha: 1},
 		Threshold: 0.5,
 		// mitigation.FaP salvage keeps the test fast (no retraining).
-		Mitigation:  mitigation.Config{Method: mitigation.FaP},
+		Method:      mitigation.FaP,
 		EvalSamples: 40,
 		Rng:         rand.New(rand.NewSource(42)),
 	}
-	rep, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test, cfg)
+	rep, err := runYield(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestYieldStudyClustered(t *testing.T) {
 		Defects:     faults.DefectModel{MeanFaulty: 15, Alpha: 0.7},
 		Clustered:   true,
 		Threshold:   0.5,
-		Mitigation:  mitigation.Config{Method: mitigation.FaP},
+		Method:      mitigation.FaP,
 		EvalSamples: 24,
 		Rng:         rand.New(rand.NewSource(43)),
 	}
-	rep, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test, cfg)
+	rep, err := runYield(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +80,40 @@ func TestYieldStudyClustered(t *testing.T) {
 
 func TestYieldStudyValidation(t *testing.T) {
 	h := newHarness(t)
-	if _, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test,
+	if _, err := runYield(h,
 		YieldConfig{Chips: 0, Threshold: 0.5}); err == nil {
 		t.Error("zero chips should error")
 	}
-	if _, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test,
+	if _, err := runYield(h,
 		YieldConfig{Chips: 1, Threshold: 0}); err == nil {
 		t.Error("zero threshold should error")
 	}
-	if _, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test,
+	if _, err := runYield(h,
 		YieldConfig{Chips: 1, Threshold: 1.5}); err == nil {
 		t.Error("threshold > 1 should error")
 	}
+}
+
+// yieldCampaign is the yield campaign over already built deps.
+func yieldCampaign(deps YieldDeps, cfg YieldConfig) (campaign.Campaign, error) {
+	acfg := deps.Arr.Config()
+	return LazyYieldCampaign(acfg.Rows, acfg.Cols, cfg, nil, func() (YieldDeps, error) { return deps, nil })
+}
+
+// runYield runs a yield study single-lane on the harness model, the way
+// the yield kind does: campaign.Run, then YieldFromResults.
+func runYield(h *testHarness, cfg YieldConfig) (*YieldReport, error) {
+	c, err := yieldCampaign(YieldDeps{
+		Model: h.model, Baseline: h.baseline, Arr: h.arr, Train: h.train, Test: h.test,
+	}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := campaign.Run(c, campaign.Options{Runner: campaign.PoolRunner{Engine: tensor.Serial()}})
+	if err != nil {
+		return nil, err
+	}
+	return YieldFromResults(rr.Results, cfg.Chips, cfg.Threshold)
 }
 
 // yieldTestConfig is the shared small-population campaign configuration
@@ -102,7 +124,7 @@ func yieldTestConfig() YieldConfig {
 		Chips:       6,
 		Defects:     faults.DefectModel{MeanFaulty: 20, Alpha: 1},
 		Threshold:   0.5,
-		Mitigation:  mitigation.Config{Method: mitigation.FaP},
+		Method:      mitigation.FaP,
 		EvalSamples: 32,
 		Seed:        42,
 	}
@@ -128,7 +150,7 @@ func TestYieldCampaignShardMergeBitIdentical(t *testing.T) {
 	cfg := yieldTestConfig()
 	dir := t.TempDir()
 
-	whole, err := YieldCampaign(yieldTestDeps(t, h), cfg)
+	whole, err := yieldCampaign(yieldTestDeps(t, h), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +171,7 @@ func TestYieldCampaignShardMergeBitIdentical(t *testing.T) {
 
 	var paths []string
 	for i := 0; i < 2; i++ {
-		c, err := YieldCampaign(yieldTestDeps(t, h), cfg)
+		c, err := yieldCampaign(yieldTestDeps(t, h), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +219,7 @@ func TestYieldCampaignResume(t *testing.T) {
 
 	// countingDeps wraps the worker path indirectly: count dies via a
 	// wrapper campaign so re-runs are observable.
-	base, err := YieldCampaign(yieldTestDeps(t, h), cfg)
+	base, err := yieldCampaign(yieldTestDeps(t, h), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +262,7 @@ func TestYieldCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uninterrupted, err := YieldStudy(h.model, h.baseline, h.arr, h.train, h.test, cfg)
+	uninterrupted, err := runYield(h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

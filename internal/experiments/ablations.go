@@ -78,8 +78,8 @@ func (s *Suite) ablations() []ablation {
 				cfg.PaperVthGrad = i == 1
 				node.SetConfig(cfg)
 			}
-			rep, err := mitigation.Mitigate(model, arr, fm, bl.Train, bl.Test, mitigation.Config{
-				Method: mitigation.FalVolt, Epochs: s.Spec.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
+			rep, err := mitigation.Mitigate(model, arr, fm, mitigation.FalVolt, mitigation.Options{
+				Train: bl.Train, Test: bl.Test, Epochs: s.Spec.Epochs, LR: 0.01, BatchSize: 16, ClipNorm: 5,
 				Rng: rand.New(rand.NewSource(s.Seed + 70)),
 			})
 			if err != nil {

@@ -166,8 +166,8 @@ func (s *Suite) fig2Trials() ([]campaign.Trial, []laneCell) {
 						"rate": ftag(rate), "vth": ftag(vth),
 					},
 				})
-				cells = append(cells, s.mitigatedCell(name, d, rate, false, mitigation.Config{
-					Method: mitigation.FaPIT, Epochs: s.fig2Epochs(), FixedVth: vth,
+				cells = append(cells, s.mitigatedCell(name, d, rate, false, mitigation.FaPIT, mitigation.Options{
+					Epochs: s.fig2Epochs(), FixedVth: vth,
 				}))
 			}
 		}
@@ -228,8 +228,8 @@ func (s *Suite) mitigationTrials() ([]campaign.Trial, []laneCell) {
 						"curve": strconv.FormatBool(track),
 					},
 				})
-				cells = append(cells, s.mitigatedCell(name, d, rate, true, mitigation.Config{
-					Method: m, Epochs: s.Spec.Epochs, TrackCurve: track, CurveEvalSize: s.Spec.Eval,
+				cells = append(cells, s.mitigatedCell(name, d, rate, true, m, mitigation.Options{
+					Epochs: s.Spec.Epochs, TrackCurve: track, CurveEvalSize: s.Spec.Eval,
 				}))
 			}
 		}
@@ -237,13 +237,13 @@ func (s *Suite) mitigationTrials() ([]campaign.Trial, []laneCell) {
 	return trials, cells
 }
 
-// mitigatedCell retrains dataset ds (the dsIdx-th) with cfg against
+// mitigatedCell retrains dataset ds (the dsIdx-th) with m and cfg against
 // the fault map every method shares at (ds, rate), on the retraining
 // recipe every figure trial shares and a generator seeded from the
 // trial. A study cell (Fig. 6/7/8) records the pruned fraction, the
 // Vths and any Fig. 8 curve beside the accuracy; a Fig. 2 cell records
 // the accuracy alone.
-func (s *Suite) mitigatedCell(ds string, dsIdx int, rate float64, study bool, cfg mitigation.Config) laneCell {
+func (s *Suite) mitigatedCell(ds string, dsIdx int, rate float64, study bool, m mitigation.Method, cfg mitigation.Options) laneCell {
 	cfg.BatchSize, cfg.LR, cfg.ClipNorm = 16, 0.01, 5
 	cfg.Replicas, cfg.MicroBatch = s.Spec.Training.Replicas, s.Spec.Training.MicroBatch
 	return laneCell{ds: ds, measure: func(cl *core.CellLane, t campaign.Trial) (campaign.Result, error) {
@@ -253,11 +253,11 @@ func (s *Suite) mitigatedCell(ds string, dsIdx int, rate float64, study bool, cf
 		}
 		cfg := cfg
 		cfg.Rng = rand.New(rand.NewSource(t.Seed))
-		rep, err := cl.Mitigate(fm, cfg)
+		rep, err := cl.Mitigate(fm, m, cfg)
 		if err != nil {
 			return campaign.Result{}, err
 		}
-		s.logf("%s %s: acc %.3f (pruned %.1f%%)\n", cfg.Method, t.Key, rep.Accuracy, rep.PrunedFraction*100)
+		s.logf("%s %s: acc %.3f (pruned %.1f%%)\n", m, t.Key, rep.Accuracy, rep.PrunedFraction*100)
 		res := campaign.Result{Metrics: map[string]float64{"acc": rep.Accuracy}}
 		if !study {
 			return res, nil

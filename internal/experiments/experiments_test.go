@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"falvolt/internal/campaign"
+	"falvolt/internal/core"
 	"falvolt/internal/mitigation"
 	"falvolt/internal/spec"
 )
@@ -268,13 +269,13 @@ func TestFig5aTrialSeedsMatchLegacyFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLen := 6 * len(Fig5aBits) * s.Spec.Repeats
+	wantLen := 6 * len(core.Fig5aBits) * s.Spec.Repeats
 	if len(trials) != wantLen {
 		t.Fatalf("fig5a enumerates %d trials, want %d", len(trials), wantLen)
 	}
 	id := 0
 	for j := 0; j < 6; j++ {
-		for i := range Fig5aBits {
+		for i := range core.Fig5aBits {
 			for rep := 0; rep < s.Spec.Repeats; rep++ {
 				want := s.Seed + int64(j*1000+i*10+rep)
 				if trials[id].Seed != want {

@@ -7,8 +7,8 @@
 //   - "fap", "fapit", "falvolt" — the paper's retraining family
 //     (Algorithm 1): fault-aware pruning, optionally retraining the
 //     surviving weights, with FalVolt additionally learning per-layer
-//     threshold voltages. The engine lives in this package; internal/core
-//     re-exports it unchanged for the historical API.
+//     threshold voltages. Mitigate runs it directly with a Method and
+//     the same Options every strategy takes.
 //   - "respawn" — ReSpawn-style fault-aware weight-to-PE mapping
 //     (Putra et al.): permute GEMM rows/columns so the most significant
 //     weight lines land on the least-faulty PE lines. Zero retraining;

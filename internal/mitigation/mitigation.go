@@ -50,22 +50,16 @@ type Outcome struct {
 	// ClampedLayers counts GEMM layers given a range restriction
 	// (softsnn).
 	ClampedLayers int
-	// Vths is the per-spiking-layer threshold voltage after mitigation,
-	// when the strategy touches thresholds.
-	Vths []float64
-	// Report carries the full retraining report for the retrain family
-	// (nil for the others).
-	Report *Report
 }
 
-// Options carries the shared strategy configuration. Zero values select
+// Options carries the shared strategy configuration, the retraining
+// family's included (Mitigate takes it directly). Zero values select
 // documented defaults; strategies ignore fields they do not use.
 type Options struct {
-	// Train and Test drive the retraining family. Test doubles as the
-	// retrain family's final-evaluation set.
+	// Train and Test drive the retraining family: it retrains on Train
+	// and reports final accuracy on Test.
 	Train, Test []snn.Sample
-	// Epochs is the retraining budget (retrain family; forced to 0 for
-	// FaP).
+	// Epochs is the retraining budget (retrain family; ignored for FaP).
 	Epochs int
 	// BatchSize and LR configure the retraining loop (0 selects the
 	// Algorithm-1 defaults, 16 and 1e-3).
@@ -74,19 +68,29 @@ type Options struct {
 	// ClipNorm caps the global gradient norm during retraining.
 	ClipNorm float64
 	// FixedVth, when non-zero, forces every spiking layer to this
-	// threshold before retraining (fapit only).
+	// threshold before retraining — the Fig. 2 fixed-threshold sweeps.
+	// FaPIT conventionally uses 1.0 (the training default).
 	FixedVth float64
-	// Rng drives batch shuffling; when nil a generator seeded with Seed
-	// is constructed (0 selects seed 1).
-	Rng  *rand.Rand
-	Seed int64
-	// Engine is the compute backend (nil selects tensor.Default()).
+	// Rng drives batch shuffling. When nil, a generator seeded 1 is
+	// constructed, so runs are reproducible from the options alone —
+	// never from the wall clock.
+	Rng *rand.Rand
+	// Engine is the compute backend retraining and evaluation run on
+	// (nil selects tensor.Default()). Mitigate installs it on the model's
+	// network, where it stays; call Network.SetEngine to change it.
+	// Results are bit-identical on every engine; only wall-clock changes.
 	Engine tensor.Backend
 	// BypassBit is rescuesnn's severity threshold: PEs with a stuck bit
 	// at or above this position are bypassed. 0 selects the array
 	// format's first integer bit (faults at or above the binary point
 	// trigger bypass); fractional-bit-only faults are left to the remap.
 	BypassBit int
+	// TrackCurve records float-path test accuracy after every retraining
+	// epoch (the Fig. 8 convergence curves). Costs one evaluation/epoch.
+	TrackCurve bool
+	// CurveEvalSize limits how many test samples the per-epoch curve uses
+	// (0 = all).
+	CurveEvalSize int
 	// Replicas and MicroBatch configure the data-parallel replica
 	// training engine for the retraining family (see snn.TrainConfig;
 	// every configuration runs that engine — zero replicas means one

@@ -13,8 +13,8 @@ import (
 	"falvolt/internal/tensor"
 )
 
-// The paper's retraining family (Algorithm 1). This engine moved here
-// verbatim from internal/core; every figure built on it is unchanged.
+// The paper's retraining family (Algorithm 1): Mitigate is the engine,
+// and retrainStrategy serves it to the zoo under the same Options.
 
 // Method selects the retraining-family strategy.
 type Method int
@@ -58,50 +58,6 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("mitigation: unknown method %q (want fap, fapit or falvolt)", name)
 }
 
-// Config controls a retraining-family mitigation run.
-type Config struct {
-	Method Method
-	// Epochs is the retraining budget (ignored for FaP).
-	Epochs int
-	// BatchSize and LR configure the retraining loop.
-	BatchSize int
-	LR        float64
-	// FixedVth, when non-zero, forces every spiking layer to this
-	// threshold before retraining — the Fig. 2 fixed-threshold sweeps.
-	// FaPIT conventionally uses 1.0 (the training default).
-	FixedVth float64
-	// ClipNorm caps the global gradient norm during retraining.
-	ClipNorm float64
-	// Rng drives batch shuffling. When nil, a generator seeded with Seed
-	// is constructed, so runs are reproducible from the config alone —
-	// never from the wall clock.
-	Rng *rand.Rand
-	// Seed seeds the default Rng (0 selects seed 1). Ignored when Rng is
-	// supplied.
-	Seed int64
-	// Engine is the compute backend retraining and evaluation run on
-	// (nil selects tensor.Default()). Mitigate installs it on the model's
-	// network (part of the "model is modified in place" contract) and it
-	// remains in effect afterwards; call Network.SetEngine to change it.
-	// Results are bit-identical on every engine; only wall-clock changes.
-	Engine tensor.Backend
-	// TrackCurve records float-path test accuracy after every retraining
-	// epoch (the Fig. 8 convergence curves). Costs one evaluation/epoch.
-	TrackCurve bool
-	// CurveEvalSize limits how many test samples the per-epoch curve uses
-	// (0 = all).
-	CurveEvalSize int
-	// Replicas and MicroBatch configure the data-parallel replica
-	// training engine for retraining (see snn.TrainConfig; every
-	// configuration runs that engine — zero replicas means one lane).
-	// Replica count never changes results, only wall-clock.
-	Replicas   int
-	MicroBatch int
-	// Progress observes retraining (epoch, mean loss); nil is silent —
-	// the library default. cmd tools install a printer.
-	Progress func(epoch int, loss float64)
-}
-
 // EpochPoint is one point of a retraining convergence curve.
 type EpochPoint struct {
 	Epoch    int
@@ -111,13 +67,9 @@ type EpochPoint struct {
 
 // Report summarises a retraining-family mitigation run.
 type Report struct {
-	Method    Method
-	FaultRate float64
 	// PrunedFraction is the overall fraction of weights pruned across all
 	// GEMM layers (array reuse can make this exceed the PE fault rate).
 	PrunedFraction float64
-	// PrunedPerLayer gives the pruned fraction of each GEMM layer.
-	PrunedPerLayer []float64
 	// Accuracy is the final test accuracy on the faulty array with bypass
 	// enabled and the retrained weights deployed.
 	Accuracy float64
@@ -142,28 +94,24 @@ func EpochsToReachTarget(curve []EpochPoint, target float64) int {
 	return -1
 }
 
-// Mitigate runs Algorithm 1 on model against the fault map, retraining on
-// train and reporting accuracy on test. The model is modified in place
-// (snapshot with Network.State first if the original is still needed).
-// The array must have the same dimensions as the fault map; it is left
-// fault-injected with bypass enabled and the network deployed onto it.
-func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map,
-	train, test []snn.Sample, cfg Config) (*Report, error) {
+// Mitigate runs Algorithm 1 with method m on model against the fault
+// map, retraining on opt.Train and reporting accuracy on opt.Test. The
+// model is modified in place (snapshot with Network.State first if the
+// original is still needed). The array must have the same dimensions as
+// the fault map; it is left fault-injected with bypass enabled and the
+// network deployed onto it.
+func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map, m Method, opt Options) (*Report, error) {
 	net := model.Net
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
+	if opt.BatchSize <= 0 {
+		opt.BatchSize = 16
 	}
-	if cfg.LR == 0 {
-		cfg.LR = 1e-3
+	if opt.LR == 0 {
+		opt.LR = 1e-3
 	}
-	if cfg.Rng == nil {
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		cfg.Rng = rand.New(rand.NewSource(seed))
+	if opt.Rng == nil {
+		opt.Rng = rand.New(rand.NewSource(1))
 	}
-	eng := cfg.Engine
+	eng := opt.Engine
 	if eng == nil {
 		eng = tensor.Default()
 	}
@@ -173,18 +121,17 @@ func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map,
 	// them. One mask per GEMM layer.
 	gemms := net.GEMMLayers()
 	masks := make([]*mapping.PruneMask, len(gemms))
-	report := &Report{Method: cfg.Method, FaultRate: fm.FaultRate()}
+	report := &Report{}
 	totalW, totalP := 0, 0
 	for i, g := range gemms {
-		m, k := g.GEMMShape()
-		mask, err := mapping.Derive(fm, m, k)
+		rows, k := g.GEMMShape()
+		mask, err := mapping.Derive(fm, rows, k)
 		if err != nil {
 			return nil, fmt.Errorf("mitigation: mask for layer %d: %w", i, err)
 		}
 		masks[i] = mask
 		mask.Apply(g.WeightMatrix())
-		report.PrunedPerLayer = append(report.PrunedPerLayer, mask.Fraction())
-		totalW += m * k
+		totalW += rows * k
 		totalP += mask.Count()
 	}
 	if totalW > 0 {
@@ -198,42 +145,42 @@ func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map,
 
 	// Line 3: threshold-voltage initialization. FalVolt learns V per
 	// layer; the others freeze it (optionally at a swept fixed value).
-	net.SetLearnVth(cfg.Method == FalVolt)
-	if cfg.FixedVth > 0 {
-		net.SetVths(cfg.FixedVth)
+	net.SetLearnVth(m == FalVolt)
+	if opt.FixedVth > 0 {
+		net.SetVths(opt.FixedVth)
 	}
 
 	// Lines 4–14: retraining with epoch-end re-pruning.
-	epochs := cfg.Epochs
-	if cfg.Method == FaP {
+	epochs := opt.Epochs
+	if m == FaP {
 		epochs = 0
 	}
 	if epochs > 0 {
-		curveTest := test
-		if cfg.TrackCurve && cfg.CurveEvalSize > 0 && cfg.CurveEvalSize < len(test) {
-			curveTest = test[:cfg.CurveEvalSize]
+		curveTest := opt.Test
+		if opt.TrackCurve && opt.CurveEvalSize > 0 && opt.CurveEvalSize < len(opt.Test) {
+			curveTest = opt.Test[:opt.CurveEvalSize]
 		}
 		start := time.Now()
-		_, err := snn.Train(net, train, snn.TrainConfig{
+		_, err := snn.Train(net, opt.Train, snn.TrainConfig{
 			Epochs:     epochs,
-			BatchSize:  cfg.BatchSize,
-			LR:         cfg.LR,
+			BatchSize:  opt.BatchSize,
+			LR:         opt.LR,
 			Classes:    model.Spec.Classes,
-			ClipNorm:   cfg.ClipNorm,
-			Rng:        cfg.Rng,
+			ClipNorm:   opt.ClipNorm,
+			Rng:        opt.Rng,
 			Engine:     eng,
-			Replicas:   cfg.Replicas,
-			MicroBatch: cfg.MicroBatch,
+			Replicas:   opt.Replicas,
+			MicroBatch: opt.MicroBatch,
 			Hooks: snn.TrainHooks{
 				AfterEpoch: func(epoch int, loss float64) {
 					// Algorithm 1 line 13: re-zero pruned weights.
 					applyMasks()
-					if cfg.TrackCurve {
-						acc := snn.EvaluateWith(eng, net, curveTest, cfg.BatchSize)
+					if opt.TrackCurve {
+						acc := snn.EvaluateWith(eng, net, curveTest, opt.BatchSize)
 						report.Curve = append(report.Curve, EpochPoint{Epoch: epoch, Loss: loss, Accuracy: acc})
 					}
-					if cfg.Progress != nil {
-						cfg.Progress(epoch, loss)
+					if opt.Progress != nil {
+						opt.Progress(epoch, loss)
 					}
 				},
 			},
@@ -250,11 +197,11 @@ func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map,
 		return nil, fmt.Errorf("mitigation: inject faults: %w", err)
 	}
 	arr.SetBypass(true)
-	restoreArr := installEngine(arr, cfg.Engine)
+	restoreArr := installEngine(arr, opt.Engine)
 	defer restoreArr()
 	net.Deploy(arr)
 	net.Redeploy() // quantize the retrained weights
-	report.Accuracy = snn.EvaluateWith(eng, net, test, cfg.BatchSize)
+	report.Accuracy = snn.EvaluateWith(eng, net, opt.Test, opt.BatchSize)
 	report.Vths = net.Vths()
 	return report, nil
 }
@@ -307,33 +254,11 @@ func (s *retrainStrategy) Apply(model *snn.Model, arr *systolic.Array, fm *fault
 		model.Net.Redeploy()
 		return out, nil
 	}
-	rng := s.opt.Rng
-	if rng == nil {
-		seed := s.opt.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		rng = rand.New(rand.NewSource(seed))
-	}
-	rep, err := Mitigate(model, arr, fm, s.opt.Train, s.opt.Test, Config{
-		Method:     s.method,
-		Epochs:     s.opt.Epochs,
-		BatchSize:  s.opt.BatchSize,
-		LR:         s.opt.LR,
-		FixedVth:   s.opt.FixedVth,
-		ClipNorm:   s.opt.ClipNorm,
-		Rng:        rng,
-		Engine:     s.opt.Engine,
-		Replicas:   s.opt.Replicas,
-		MicroBatch: s.opt.MicroBatch,
-		Progress:   s.opt.Progress,
-	})
+	rep, err := Mitigate(model, arr, fm, s.method, s.opt)
 	if err != nil {
 		return nil, err
 	}
 	out.PrunedFraction = rep.PrunedFraction
-	out.Vths = rep.Vths
-	out.Report = rep
 	if s.method != FaP {
 		out.RetrainEpochs = s.opt.Epochs
 	}

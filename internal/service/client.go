@@ -76,12 +76,9 @@ func (c *Client) do(method, path string, in, out any) error {
 		return fmt.Errorf("service: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	data, err := cluster.ReadLimited(resp.Body, path+" response", maxResponseBytes)
 	if err != nil {
-		return fmt.Errorf("service: read %s response: %w", path, err)
-	}
-	if int64(len(data)) > maxResponseBytes {
-		return fmt.Errorf("service: %s response exceeds %d bytes", path, maxResponseBytes)
+		return fmt.Errorf("service: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {

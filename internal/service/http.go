@@ -4,7 +4,6 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -219,7 +218,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteJSONError(w, http.StatusConflict, "this is a one-run service (`campaign serve`); submit specs to a `campaign service`")
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, cluster.MaxBodyBytes))
+	data, err := cluster.ReadLimited(r.Body, r.URL.Path+" request", cluster.MaxBodyBytes)
 	if err != nil {
 		cluster.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return

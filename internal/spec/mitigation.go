@@ -24,8 +24,9 @@ type MitigationSpec struct {
 	// consuming campaign's budget). FaP and the zero-retraining
 	// strategies reject it.
 	Epochs int `json:"epochs,omitempty"`
-	// LR is the retraining learning rate (fapit/falvolt only; 0 = the
-	// Algorithm-1 default).
+	// LR is the retraining learning rate (fapit/falvolt only). 0 selects
+	// the consuming kind's default: 0.01 in salvage, and in faultsim
+	// mitigation.Mitigate's Algorithm-1 default of 1e-3.
 	LR float64 `json:"lr,omitempty"`
 	// Vth forces a fixed threshold voltage before retraining (fapit
 	// only — falvolt learns thresholds, the rest never touch them).
