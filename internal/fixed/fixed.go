@@ -62,11 +62,15 @@ func (f Format) String() string {
 // Quantize converts a float to the nearest representable fixed-point word,
 // saturating at the format's range limits. NaN quantizes to zero, matching
 // the behaviour of a hardware datapath that never produces NaNs.
+//
+// Scaling multiplies by the exact power of two 2^FracBits, which rounds
+// nothing: the product equals math.Ldexp(x, FracBits) for every input,
+// overflow to ±Inf included, at a fraction of the cost.
 func (f Format) Quantize(x float64) Word {
 	if math.IsNaN(x) {
 		return 0
 	}
-	scaled := math.Round(math.Ldexp(x, int(f.FracBits)))
+	scaled := math.Round(x * float64(uint64(1)<<f.FracBits))
 	if scaled >= float64(math.MaxInt32) {
 		return math.MaxInt32
 	}

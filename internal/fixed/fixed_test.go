@@ -53,6 +53,60 @@ func TestQuantizeExactValues(t *testing.T) {
 	}
 }
 
+// TestQuantizeEdgeCases pins Quantize on the inputs where scaling by
+// 2^FracBits, rounding and clamping could disagree between
+// implementations: signed zeros, exact half-LSB ties (rounded away from
+// zero), NaN, infinities, subnormals, MaxFloat64 and the words on
+// either side of the int32 limits.
+func TestQuantizeEdgeCases(t *testing.T) {
+	const (
+		maxW = math.MaxInt32
+		minW = math.MinInt32
+	)
+	nan, inf := math.NaN(), math.Inf(1)
+	tiny := math.SmallestNonzeroFloat64
+	bigSub := math.Float64frombits(0x000fffffffffffff) // largest subnormal
+	for _, f := range []Format{Q16x16, Q8x24, Q24x8} {
+		lsb := math.Ldexp(1, -int(f.FracBits))
+		cases := []struct {
+			name string
+			x    float64
+			want Word
+		}{
+			{"+0", 0, 0},
+			{"-0", math.Copysign(0, -1), 0},
+			{"+half", 0.5 * lsb, 1},
+			{"-half", -0.5 * lsb, -1},
+			{"below half", math.Nextafter(0.5, 0) * lsb, 0},
+			{"+1.5", 1.5 * lsb, 2},
+			{"+2.5", 2.5 * lsb, 3},
+			{"-2.5", -2.5 * lsb, -3},
+			{"NaN", nan, 0},
+			{"+Inf", inf, maxW},
+			{"-Inf", -inf, minW},
+			{"+subnormal", tiny, 0},
+			{"-subnormal", -tiny, 0},
+			{"largest subnormal", bigSub, 0},
+			{"+MaxFloat64", math.MaxFloat64, maxW},
+			{"-MaxFloat64", -math.MaxFloat64, minW},
+			{"MaxInt32-1", (maxW - 1) * lsb, maxW - 1},
+			{"MaxInt32-half", (maxW - 0.5) * lsb, maxW},
+			{"MaxInt32", maxW * lsb, maxW},
+			{"MaxInt32+half", (maxW + 0.5) * lsb, maxW},
+			{"MaxInt32+1", (maxW + 1) * lsb, maxW},
+			{"MinInt32+1", (minW + 1) * lsb, minW + 1},
+			{"MinInt32+half", (minW + 0.5) * lsb, minW},
+			{"MinInt32", minW * lsb, minW},
+			{"MinInt32-1", (minW - 1) * lsb, minW},
+		}
+		for _, c := range cases {
+			if got := f.Quantize(c.x); got != c.want {
+				t.Errorf("%v Quantize(%s = %g) = %d, want %d", f, c.name, c.x, got, c.want)
+			}
+		}
+	}
+}
+
 func TestAddSat(t *testing.T) {
 	if got := AddSat(math.MaxInt32, 1); got != math.MaxInt32 {
 		t.Errorf("AddSat overflow = %d, want saturation", got)

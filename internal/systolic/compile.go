@@ -10,7 +10,8 @@ import "falvolt/internal/fixed"
 //     hit exactly what the accelerator stores, once per compile.
 //   - Weight-register stuck bits (wOrMask/wClearMask) are then
 //     force-applied once per compile instead of per accumulation, so
-//     the slow path never consults wFaulty.
+//     no forward loop consults wFaulty, and a PE whose only fault sits
+//     in its weight register is not a special row (systolic.go).
 //   - For the analog path, the effective weights are pre-dequantized to
 //     float64, eliminating the Dequantize (Ldexp) call per element; the
 //     per-element Quantize stays, keeping results bit-identical.

@@ -11,22 +11,24 @@ import (
 
 // The spike-sparse data plane. SNN spike trains are mostly zeros and the
 // paper's multiplier-less PE either gates a weight into the accumulator or
-// does nothing, so a fault-free, bypass-free column's pass is fully
-// determined by the nonzero input positions. Forward therefore builds a
-// CSR event list over the input once per call (cost B×K) and reuses it
-// across all M output columns: clean columns iterate only over spikes.
-// Columns holding a faulty or bypassed PE keep a slow path that walks
-// every PE — stuck-bit forcing applies on every accumulation step and
-// bypass skips must be counted — but on column-contiguous fault state and
-// precompiled weights (compile.go), with no modulo, no per-element weight
-// forcing and no float64 round-trip in the loop.
+// does nothing, so a healthy PE with no spike leaves the partial sum
+// unchanged. Forward therefore builds a CSR event list over the input
+// once per call (cost B×K) and reuses it across all M output columns:
+// every column iterates only over spikes. A column with no special row
+// (a PE that forces accumulator bits or is bypassed) in reach takes a
+// straight per-tile sum; any other column merges the spikes with its
+// ascending special rows (colPass.walk), forcing bits and skipping
+// bypassed PEs exactly where the hardware does. Weights come from
+// precompiled tiles (compile.go), so no loop forces weight bits or
+// round-trips through float64.
 //
 // Every path accumulates each output word in the exact per-element order
 // of a textbook column walk (the tests' scalar reference model): skipping
 // a zero add is exact because AddSat(acc, 0) == AddWrap(acc, 0) == acc,
-// and stuck-bit forcing of faulty PEs is never skipped. The contract — bit-identical outputs,
-// Stats and spike counters across paths, engines and worker counts — is
-// what future SIMD backends must also satisfy.
+// skipping a healthy PE's forcing is exact because ForceBits(acc, 0, 0)
+// == acc, and a special row's forcing is never skipped. The contract —
+// bit-identical outputs, Stats and spike counters across paths, engines
+// and worker counts — is what future SIMD backends must also satisfy.
 
 // events is a per-call CSR index of the nonzero input entries, grouped by
 // (batch row, K-tile) so per-tile fixed-point accumulation (and its
@@ -128,33 +130,11 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 
 	// Only PE rows < usedRows ever see an input: tiles are Rows-aligned,
 	// so a K smaller than the grid leaves the bottom rows idle and their
-	// faults unreachable. Column fast-path eligibility considers only
-	// reachable PEs.
-	usedRows := min(rows, w.K)
-	fast := make([]bool, cols)
-	anyFast := false
-	usedCols := min(cols, w.M)
-	for j := 0; j < usedCols; j++ {
-		f := true
-		if usedRows == rows {
-			f = a.colClean[j] && !a.colBypassed[j]
-		} else {
-			for _, flt := range a.faultyT[j*rows : j*rows+usedRows] {
-				if flt {
-					f = false
-					break
-				}
-			}
-		}
-		fast[j] = f
-		anyFast = anyFast || f
-	}
-
+	// faults unreachable. A column takes the straight sum iff no special
+	// row is reachable.
+	usedRows := int32(min(rows, w.K))
 	counting := binary && a.spikeCount != nil
-	var ev *events
-	if anyFast || counting {
-		ev = buildEvents(x, w.K, rows, counting)
-	}
+	ev := buildEvents(x, w.K, rows, counting)
 
 	a.engine().For(w.M, func(m0, m1 int) {
 		var ps passStats
@@ -165,15 +145,20 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 		for m := m0; m < m1; m++ {
 			j := m % cols
 			weff := tiles.eff[m*w.K : (m+1)*w.K]
-			if fast[j] {
-				if binary {
-					fastBinaryColumn(y, ev, weff, x.Shape[0], numKTiles, m, w.M, scale, sat)
-				} else {
-					fastAnalogColumn(y, ev, x, tiles.deq[m*w.K:(m+1)*w.K], numKTiles, m, w.M, w.K, scale, format, sat)
-				}
+			var deq []float64
+			if !binary {
+				deq = tiles.deq[m*w.K : (m+1)*w.K]
+			}
+			switch sp := a.colSpecial(j); {
+			case sp[0].row < usedRows:
+				c := colPass{weff: weff, deq: deq, format: format, binary: binary, sat: sat, scale: scale}
+				c.walk(y, x, ev, sp, rows, m, &ps)
+			case binary:
+				fastBinaryColumn(y, ev, weff, b, numKTiles, m, w.M, scale, sat)
 				ps.accumulations += uint64(b) * uint64(w.K)
-			} else {
-				a.slowColumn(y, x, weff, tiles.deq, m, j, w.M, w.K, scale, binary, &ps)
+			default:
+				fastAnalogColumn(y, ev, x, deq, numKTiles, m, w.M, w.K, scale, format, sat)
+				ps.accumulations += uint64(b) * uint64(w.K)
 			}
 			if counting {
 				buf := *spikes
@@ -195,15 +180,13 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 		}
 	})
 
-	if ev != nil {
-		eventPool.Put(ev)
-	}
+	eventPool.Put(ev)
 	return y
 }
 
-// fastBinaryColumn fills output column m for a fault-free, bypass-free PE
-// column: per (batch row, tile), a straight sum of the weights at spike
-// positions — no per-element branches at all.
+// fastBinaryColumn fills output column m for a PE column with no
+// reachable special row: per (batch row, tile), a straight sum of the
+// weights at spike positions — no per-element branches at all.
 func fastBinaryColumn(y *tensor.Tensor, ev *events, weff []fixed.Word, b, numKTiles, m, mDim int, scale float32, sat bool) {
 	if sat {
 		for bi := 0; bi < b; bi++ {
@@ -259,93 +242,87 @@ func fastAnalogColumn(y *tensor.Tensor, ev *events, x *tensor.Tensor, deq []floa
 	}
 }
 
-// slowColumn fills output column m for a PE column holding at least one
-// faulty or bypassed PE. It walks every PE — stuck-bit forcing corrupts
-// the accumulator on every step, spiking or not, and bypassed steps must
-// be counted — but against column-contiguous fault state and precompiled
-// weights, with the tile-local index doubling as the PE row. Two exact
-// identities keep the walk branch-light: a no-spike step adds zero
-// (AddSat(acc, 0) == AddWrap(acc, 0) == acc, so the spike gate becomes a
-// conditional move), and a healthy PE's force masks are zero
-// (ForceBits(acc, 0, 0) == acc, so forcing applies unconditionally).
-func (a *Array) slowColumn(y, x *tensor.Tensor, weff []fixed.Word, deq []float64, m, j, mDim, kDim int, scale float32, binary bool, ps *passStats) {
-	rows := a.cfg.Rows
-	format := a.cfg.Format
-	sat := a.cfg.Saturate
-	base := j * rows
-	byp := a.bypT[base : base+rows]
-	orM := a.orT[base : base+rows]
-	clM := a.clearT[base : base+rows]
-	var deqrow []float64
-	if !binary {
-		deqrow = deq[m*kDim : (m+1)*kDim]
-	}
-	b := x.Shape[0]
+// colPass is one output column's pass over a column with reachable
+// special rows: its compiled weights (binary) or their dequantized
+// values (analog), and the adder mode.
+type colPass struct {
+	weff        []fixed.Word
+	deq         []float64
+	xrow        []float32 // the current batch row's inputs (analog)
+	format      fixed.Format
+	binary, sat bool
+	scale       float32
+}
+
+// walk fills output column m. Per (batch row, K-tile) it merges the
+// tile's ascending spike list with the column's ascending special rows
+// sp: between special rows only spikes add; at a special row a bypassed
+// PE drops its spike and passes the pre-sum on, and any other PE adds
+// its spike and then forces its stuck bits. Bypassed steps are counted
+// per tile; every other step is an accumulation.
+func (c *colPass) walk(y, x *tensor.Tensor, ev *events, sp []specialPE, rows, m int, ps *passStats) {
+	b, kDim, mDim := x.Shape[0], x.Shape[1], y.Shape[1]
+	var bypassed uint64
+	g := 0 // event group (batch row, tile)
 	for bi := 0; bi < b; bi++ {
-		xrow := x.Data[bi*kDim : (bi+1)*kDim]
+		c.xrow = x.Data[bi*kDim : (bi+1)*kDim]
 		var total int64
-		var bypassed uint64
-		var steps uint64
 		for k0 := 0; k0 < kDim; k0 += rows {
-			k1 := k0 + rows
-			if k1 > kDim {
-				k1 = kDim
-			}
-			xs := xrow[k0:k1]
-			steps += uint64(len(xs))
+			end := int32(min(k0+rows, kDim))
+			evs := ev.idx[ev.offs[g]:ev.offs[g+1]]
+			g++
 			var acc fixed.Word
-			switch {
-			case binary && sat:
-				ws := weff[k0:k1]
-				for i, xv := range xs {
-					if byp[i] {
-						bypassed++
-						continue // pre-sum routed around the PE unchanged
-					}
-					wv := ws[i]
-					if xv == 0 {
-						wv = 0
-					}
-					acc = fixed.AddSat(acc, wv)
-					acc = fixed.ForceBits(acc, orM[i], clM[i])
+			i := 0 // next event
+			for si := range sp {
+				s := &sp[si]
+				r := int32(k0) + s.row
+				if r >= end {
+					break // the sentinel, or a row past a ragged last tile
 				}
-			case binary:
-				ws := weff[k0:k1]
-				for i, xv := range xs {
-					if byp[i] {
-						bypassed++
-						continue
+				acc, i = c.span(acc, evs, i, r)
+				if s.bypass {
+					bypassed++
+					if i < len(evs) && evs[i] == r {
+						i++
 					}
-					wv := ws[i]
-					if xv == 0 {
-						wv = 0
-					}
-					acc = fixed.AddWrap(acc, wv)
-					acc = fixed.ForceBits(acc, orM[i], clM[i])
+					continue
 				}
-			default:
-				dq := deqrow[k0:k1]
-				for i, xv := range xs {
-					if byp[i] {
-						bypassed++
-						continue
-					}
-					var add fixed.Word
-					if xv != 0 {
-						add = format.Quantize(float64(xv) * dq[i])
-					}
-					if sat {
-						acc = fixed.AddSat(acc, add)
-					} else {
-						acc = fixed.AddWrap(acc, add)
-					}
-					acc = fixed.ForceBits(acc, orM[i], clM[i])
-				}
+				acc, i = c.span(acc, evs, i, r+1)
+				acc = fixed.ForceBits(acc, s.or, s.clear)
 			}
+			acc, _ = c.span(acc, evs, i, end)
 			total += int64(acc)
 		}
-		ps.bypassedSteps += bypassed
-		ps.accumulations += steps - bypassed
-		y.Data[bi*mDim+m] = float32(total) * scale
+		y.Data[bi*mDim+m] = float32(total) * c.scale
 	}
+	ps.bypassedSteps += bypassed
+	ps.accumulations += uint64(b)*uint64(kDim) - bypassed
+}
+
+// span adds to acc the contributions of the events evs[i:] that lie
+// below input index limit, and returns the new accumulator with the
+// index of the first event it left. Each input mode × adder mode has its
+// own loop, so no add branches on either.
+func (c *colPass) span(acc fixed.Word, evs []int32, i int, limit int32) (fixed.Word, int) {
+	switch {
+	case c.binary && c.sat:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			acc = fixed.AddSat(acc, c.weff[evs[i]])
+		}
+	case c.binary:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			acc = fixed.AddWrap(acc, c.weff[evs[i]])
+		}
+	case c.sat:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			kk := evs[i]
+			acc = fixed.AddSat(acc, c.format.Quantize(float64(c.xrow[kk])*c.deq[kk]))
+		}
+	default:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			kk := evs[i]
+			acc = fixed.AddWrap(acc, c.format.Quantize(float64(c.xrow[kk])*c.deq[kk]))
+		}
+	}
+	return acc, i
 }

@@ -25,9 +25,11 @@ import (
 // scalarForward computes y = forward(x, wm) for a rows x cols array
 // carrying the given fault state at timestep tstep, together with the
 // Stats the pass charges and the spike counts it adds to each PE
-// (binary inputs only; indexed row*cols+col).
+// (binary inputs only; indexed row*cols+col). bypass is the global
+// bypass switch; bypMask, if non-nil, selects bypass muxes per PE
+// (row-major), as SetBypassMask programs them.
 func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
-	ts *faults.TransientSchedule, tstep int, bypass bool,
+	ts *faults.TransientSchedule, tstep int, bypass bool, bypMask []bool,
 	x *tensor.Tensor, wm *Matrix, binary bool) (*tensor.Tensor, Stats, []uint64) {
 
 	rows, cols := cfg.Rows, cfg.Cols
@@ -67,14 +69,16 @@ func scalarForward(cfg Config, fm, wfm *faults.Map, mem *faults.MemoryFaults,
 		}
 	}
 	// Effective accumulator forcing = permanent + active transient bits;
-	// bypass covers permanently faulty PEs only (either register).
+	// bypass (global or per-PE) covers permanently faulty PEs only
+	// (either register).
 	or := make([]uint32, n)
 	cl := make([]uint32, n)
 	byp := make([]bool, n)
 	for i := 0; i < n; i++ {
 		or[i] = pOr[i] | tOr[i]
 		cl[i] = pCl[i] | tCl[i]
-		byp[i] = bypass && (pOr[i]|pCl[i]|wOr[i]|wCl[i] != 0)
+		selected := bypass || (bypMask != nil && bypMask[i])
+		byp[i] = selected && (pOr[i]|pCl[i]|wOr[i]|wCl[i] != 0)
 	}
 
 	add := func(a, v fixed.Word) fixed.Word {
@@ -192,7 +196,7 @@ func TestForwardMatchesScalarReference(t *testing.T) {
 									x = analog
 								}
 								got := arr.Forward(x, wm, binary)
-								want, _, _ := scalarForward(cfg, fm, nil, mem, ts, step, bypass, x, wm, binary)
+								want, _, _ := scalarForward(cfg, fm, nil, mem, ts, step, bypass, nil, x, wm, binary)
 								for i := range want.Data {
 									if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
 										t.Fatalf("%s binary=%v: y[%d] = %v, scalar reference %v",
@@ -251,7 +255,7 @@ func TestForwardMatchesScalarReferenceStacked(t *testing.T) {
 			for step := 0; step <= ts.Horizon()+1; step++ {
 				arr.SetTimestep(step)
 				got := arr.Forward(spikes, wm, true)
-				want, _, _ := scalarForward(cfg, fm, wfm, mem, ts, step, bypass, spikes, wm, true)
+				want, _, _ := scalarForward(cfg, fm, wfm, mem, ts, step, bypass, nil, spikes, wm, true)
 				for i := range want.Data {
 					if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
 						t.Fatalf("sat=%v byp=%v t=%d: y[%d] = %v, scalar reference %v",

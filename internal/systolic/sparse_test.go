@@ -26,7 +26,7 @@ func assertMatchesScalar(t *testing.T, label string, a *Array, tally *scalarTall
 	t.Helper()
 	got := a.Forward(x, wm, binary)
 	want, st, spikes := scalarForward(a.cfg, a.FaultMap(), a.WeightFaultMap(), a.MemoryFaults(),
-		a.Transient(), a.Timestep(), a.BypassEnabled(), x, wm, binary)
+		a.Transient(), a.Timestep(), a.BypassEnabled(), a.bypMask, x, wm, binary)
 	for i := range want.Data {
 		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
 			t.Fatalf("%s: y[%d] = %v, scalar reference %v", label, i, got.Data[i], want.Data[i])
@@ -62,6 +62,14 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 		faults, wfault bool
 		mem, trans     bool
 		bypass         bool
+		// selective programs a per-PE bypass mask over about half the
+		// faulty PEs (RescueSNN-style salvage) instead of the global
+		// switch.
+		selective bool
+		// sparse puts one stuck PE in each column, at row 0, at row
+		// Rows-1 or inside the ragged last K-tile, in place of the
+		// random fault map.
+		sparse bool
 	}
 	scenarios := []scenario{
 		{name: "clean"},
@@ -74,6 +82,8 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 		{name: "transient", trans: true},
 		{name: "transient-bitflip", trans: true, mem: true},
 		{name: "everything-bypassed", faults: true, wfault: true, mem: true, trans: true, bypass: true},
+		{name: "selective-bypass", faults: true, wfault: true, trans: true, selective: true},
+		{name: "sparse-fault", faults: true, sparse: true},
 	}
 	shapes := []struct{ rows, cols, b, k, m int }{
 		{8, 8, 3, 19, 13},    // ragged K and M tiles
@@ -86,7 +96,10 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			var fm, wfm *faults.Map
 			var err error
-			if sc.faults {
+			switch {
+			case sc.sparse:
+				fm = sparseFaultMap(t, sh.rows, sh.cols, sh.k)
+			case sc.faults:
 				fm, err = faults.Generate(sh.rows, sh.cols, faults.GenSpec{
 					NumFaulty: sh.rows * sh.cols / 4, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
 				}, rng)
@@ -119,6 +132,10 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+			}
+			var mask []bool
+			if sc.selective {
+				mask = halfFaultyMask(sh.rows*sh.cols, fm, wfm)
 			}
 			w := tensor.New(sh.m, sh.k)
 			w.RandNormal(rng, 0.5)
@@ -155,6 +172,9 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 						a.SetTimestep(1)
 					}
 					a.SetBypass(sc.bypass)
+					if err := a.SetBypassMask(mask); err != nil {
+						t.Fatal(err)
+					}
 					var tally scalarTally
 					// One Matrix shared across all densities and both
 					// input modes: the compiled-tile cache must keep the
@@ -177,6 +197,52 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sparseFaultMap sticks bit 30 of exactly one PE per column, cycling
+// the row through 0, rows-1 and the last row of the ragged final K-tile
+// (row (k-1) mod rows), with alternating polarity. With k < rows the
+// rows-1 faults lie below every input and must stay unreachable.
+func sparseFaultMap(t *testing.T, rows, cols, k int) *faults.Map {
+	t.Helper()
+	fm := faults.NewMap(rows, cols)
+	for j := 0; j < cols; j++ {
+		row := []int{0, rows - 1, (k - 1) % rows}[j%3]
+		pol := faults.StuckAt1
+		if j%2 == 1 {
+			pol = faults.StuckAt0
+		}
+		if err := fm.Add(faults.StuckAtFault{Row: row, Col: j, Bit: fixed.WordBits - 2, Pol: pol}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fm
+}
+
+// halfFaultyMask selects every other PE, in row-major order, among those
+// faulty in either register map, plus every eighth PE regardless: the
+// entries on healthy PEs must be inert.
+func halfFaultyMask(n int, maps ...*faults.Map) []bool {
+	faulty := make([]bool, n)
+	for _, m := range maps {
+		if m == nil {
+			continue
+		}
+		for _, f := range m.Faults {
+			faulty[f.Row*m.Cols+f.Col] = true
+		}
+	}
+	mask := make([]bool, n)
+	odd := false
+	for i, f := range faulty {
+		if f {
+			mask[i] = odd
+			odd = !odd
+		} else {
+			mask[i] = i%8 == 0
+		}
+	}
+	return mask
 }
 
 // TestCompiledTilesRecompileOnFaultChange asserts the compiled weight-tile

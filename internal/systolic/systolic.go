@@ -58,17 +58,6 @@ type Array struct {
 	pOr    []uint32
 	pClear []uint32
 
-	// EFFECTIVE per-PE accumulator fault state at the current timestep:
-	// the permanent bits plus any transient strikes active right now.
-	// All datapath loops read only these.
-	orMask     []uint32 // bits forced high
-	clearMask  []uint32 // bits forced low
-	faulty     []bool   // any effective stuck bit on this PE (either register)
-	permFaulty []bool   // any permanent stuck bit (either register)
-	bypassed   []bool   // permanently faulty PE with bypass mux engaged;
-	// transient upsets are invisible to post-fab testing, so the bypass
-	// mux can never be programmed around them
-
 	// Per-PE weight-register fault state: stuck bits in the pre-stored
 	// filter word rather than the accumulator output. An extension to the
 	// paper's model — both registers exist in the Fig. 3a datapath.
@@ -96,18 +85,15 @@ type Array struct {
 	step        int
 	tOr, tClear []uint32
 
-	// Per-column summaries for inner-loop fast paths.
-	colClean    []bool // no faulty, non-bypassed PE in column
-	colBypassed []bool // column contains at least one bypassed PE
-
-	// Column-major ([col*Rows+row]) mirrors of the accumulator fault
-	// state. The faulty-column slow path walks one column at a time, so
-	// these keep its per-PE loads on contiguous cache lines instead of
-	// striding by Cols through the row-major arrays above.
-	bypT    []bool
-	faultyT []bool
-	orT     []uint32
-	clearT  []uint32
+	// The EFFECTIVE accumulator fault state at the current timestep, as
+	// the datapath reads it: per PE column, the special rows — PEs that
+	// force accumulator bits (permanent plus active transient) or are
+	// bypassed — in ascending row order, each column's run ended by a
+	// sentinel at row Rows. Column j's run starts at special[specOff[j]].
+	// Every other PE is healthy as far as the accumulator is concerned:
+	// weight-register faults are compiled into the weights (compile.go).
+	special []specialPE
+	specOff []int32
 
 	// gen counts fault-state changes (InjectFaults, InjectWeightFaults,
 	// InjectMemoryFaults, InjectTransient, ClearFaults, SetBypass).
@@ -146,23 +132,13 @@ func New(cfg Config) (*Array, error) {
 	}
 	n := cfg.Rows * cfg.Cols
 	a := &Array{
-		cfg:         cfg,
-		pOr:         make([]uint32, n),
-		pClear:      make([]uint32, n),
-		orMask:      make([]uint32, n),
-		clearMask:   make([]uint32, n),
-		faulty:      make([]bool, n),
-		permFaulty:  make([]bool, n),
-		bypassed:    make([]bool, n),
-		wOrMask:     make([]uint32, n),
-		wClearMask:  make([]uint32, n),
-		wFaulty:     make([]bool, n),
-		colClean:    make([]bool, cfg.Cols),
-		colBypassed: make([]bool, cfg.Cols),
-		bypT:        make([]bool, n),
-		faultyT:     make([]bool, n),
-		orT:         make([]uint32, n),
-		clearT:      make([]uint32, n),
+		cfg:        cfg,
+		pOr:        make([]uint32, n),
+		pClear:     make([]uint32, n),
+		wOrMask:    make([]uint32, n),
+		wClearMask: make([]uint32, n),
+		wFaulty:    make([]bool, n),
+		specOff:    make([]int32, cfg.Cols),
 	}
 	if cfg.CountSpikes {
 		a.spikeCount = make([]uint64, n)
@@ -340,7 +316,7 @@ func (a *Array) Dims() (rows, cols int) { return a.cfg.Rows, a.cfg.Cols }
 // ClearFaults removes all fault state — stuck-at maps in both
 // registers, memory flips, transient schedules — and disengages bypass.
 func (a *Array) ClearFaults() {
-	for i := range a.faulty {
+	for i := range a.pOr {
 		a.pOr[i], a.pClear[i] = 0, 0
 		a.wOrMask[i], a.wClearMask[i] = 0, 0
 		a.wFaulty[i] = false
@@ -390,53 +366,55 @@ func (a *Array) SetBypassMask(mask []bool) error {
 // engaged (the per-inference pruning cost a salvage report records).
 func (a *Array) BypassedPEs() int {
 	n := 0
-	for _, b := range a.bypassed {
-		if b {
+	for _, s := range a.special {
+		if s.bypass {
 			n++
 		}
 	}
 	return n
 }
 
-// refreshState recomputes the effective per-PE fault state (permanent
-// masks plus transient strikes active at the current timestep), the
-// bypass flags, the per-column summaries and the column-major mirrors.
-// It does not touch the tile generation — SetTimestep calls it every
-// timestep and must not force a weight recompile.
+// specialPE is one special row of a PE column (see Array.special).
+type specialPE struct {
+	row       int32
+	bypass    bool   // bypass mux engaged: the pre-sum passes unchanged
+	or, clear uint32 // accumulator bits forced high / low
+}
+
+// colSpecial returns PE column j's special rows, ascending and ended by
+// the sentinel row Rows (entries past it belong to later columns).
+func (a *Array) colSpecial(j int) []specialPE { return a.special[a.specOff[j]:] }
+
+// refreshState rebuilds the per-column special-row lists from the
+// permanent masks, the transient strikes active at the current timestep
+// and the bypass settings. A PE is bypassed iff it is permanently faulty
+// (either register) and selected by the global switch or the mask:
+// transient upsets are invisible to post-fab testing, so the bypass mux
+// can never be programmed around them. It does not touch the tile
+// generation — SetTimestep calls it every timestep and must not force a
+// weight recompile.
 func (a *Array) refreshState() {
 	rows, cols := a.cfg.Rows, a.cfg.Cols
 	if a.transient != nil {
 		a.transient.ActiveMasks(a.step, a.tOr, a.tClear)
 	}
-	for i := range a.faulty {
-		or, cl := a.pOr[i], a.pClear[i]
-		pf := or != 0 || cl != 0 || a.wFaulty[i]
-		a.permFaulty[i] = pf
-		a.bypassed[i] = pf && (a.bypassOn || (a.bypMask != nil && a.bypMask[i]))
-		if a.transient != nil {
-			or |= a.tOr[i]
-			cl |= a.tClear[i]
-		}
-		a.orMask[i], a.clearMask[i] = or, cl
-		a.faulty[i] = pf || or != 0 || cl != 0
-	}
+	a.special = a.special[:0]
 	for j := 0; j < cols; j++ {
-		clean, byp := true, false
-		base := j * rows
+		a.specOff[j] = int32(len(a.special))
 		for i := 0; i < rows; i++ {
 			idx := i*cols + j
-			if a.bypassed[idx] {
-				byp = true
-			} else if a.faulty[idx] {
-				clean = false
+			or, cl := a.pOr[idx], a.pClear[idx]
+			byp := (or != 0 || cl != 0 || a.wFaulty[idx]) &&
+				(a.bypassOn || (a.bypMask != nil && a.bypMask[idx]))
+			if a.transient != nil {
+				or |= a.tOr[idx]
+				cl |= a.tClear[idx]
 			}
-			a.bypT[base+i] = a.bypassed[idx]
-			a.faultyT[base+i] = a.faulty[idx]
-			a.orT[base+i] = a.orMask[idx]
-			a.clearT[base+i] = a.clearMask[idx]
+			if byp || or|cl != 0 {
+				a.special = append(a.special, specialPE{row: int32(i), bypass: byp, or: or, clear: cl})
+			}
 		}
-		a.colClean[j] = clean
-		a.colBypassed[j] = byp
+		a.special = append(a.special, specialPE{row: int32(rows)})
 	}
 }
 
