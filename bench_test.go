@@ -400,6 +400,35 @@ func benchConvForward(b *testing.B, eng tensor.Backend) {
 	}
 }
 
+// benchConvTrainStep times one training step (forward with the cached
+// lowering, then backward with weight and input gradients) of a hidden
+// block conv on binary spike input about 10% dense, the regime of the
+// trained models' conv inputs.
+func benchConvTrainStep(b *testing.B, eng tensor.Backend) {
+	rng := rand.New(rand.NewSource(27))
+	conv, err := snn.NewConv2D(8, 16, 16, 16, 3, 1, 1, false, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conv.SetEngine(eng)
+	x := tensor.New(16, 8, 16, 16)
+	for i := range x.Data {
+		if rng.Float64() < 0.1 {
+			x.Data[i] = 1
+		}
+	}
+	g := tensor.New(16, 16, 16, 16)
+	g.RandNormal(rng, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Forward(x, true)
+		conv.Backward(g)
+	}
+}
+
+func BenchmarkConvTrainStepSerial(b *testing.B)   { benchConvTrainStep(b, tensor.Serial()) }
+func BenchmarkConvTrainStepParallel(b *testing.B) { benchConvTrainStep(b, tensor.NewParallel(0)) }
+
 func BenchmarkConvForward(b *testing.B)         { benchConvForward(b, nil) }
 func BenchmarkConvForwardSerial(b *testing.B)   { benchConvForward(b, tensor.Serial()) }
 func BenchmarkConvForwardParallel(b *testing.B) { benchConvForward(b, tensor.NewParallel(0)) }

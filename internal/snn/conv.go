@@ -54,6 +54,17 @@ type GEMMWeighted interface {
 // Conv2D is a 2-D convolution lowered to im2col + GEMM. Weights are stored
 // directly in GEMM form [OutC, InC*KH*KW], the same layout that is mapped
 // onto the systolic array.
+//
+// Training never builds the dense im2col patch matrix. Forward lowers the
+// input to tensor.Patches — the patch matrix as compressed sparse rows,
+// built from the input's nonzero pixels — multiplies only the stored
+// entries, and keeps each timestep's Patches for Backward, whose weight
+// gradient reads the same rows. Spike inputs leave most patch entries
+// zero. The results are bit-identical to the dense im2col + GEMM
+// formulation whenever the weights and gradients are finite (see
+// tensor.Patches). At inference the patch matrix dies inside the call,
+// so it stays dense in recycled scratch, streamed through the systolic
+// array when the layer is deployed.
 type Conv2D struct {
 	Shape tensor.ConvShape
 
@@ -63,8 +74,7 @@ type Conv2D struct {
 	deploy *Deployment
 	eng    tensor.Backend // nil = tensor.Default()
 
-	cols  cacheStack // cached im2col patches per timestep
-	batch []int      // cached batch size per timestep
+	patches []*tensor.Patches // per-timestep lowered inputs, popped by Backward
 }
 
 // NewConv2D constructs a convolution; bias is usually disabled because the
@@ -132,34 +142,28 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	eng := c.engine()
 	n := x.Shape[0]
-	// At inference the patch matrix dies inside this call, so it lives in
-	// recycled scratch; during training it is cached for backward.
-	var cols *tensor.Tensor
-	if train {
-		cols = tensor.Im2ColUsing(eng, x, c.Shape)
-	} else {
-		cols = tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
-		eng.Im2Col(cols, x, c.Shape)
-	}
-	var y2 *tensor.Tensor // [N*P, M]
-	scratchY2 := false
 	if c.deploy != nil && !train {
-		y2 = c.deploy.forward(cols)
-	} else {
-		y2 = tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
-		scratchY2 = true
-		eng.MatMulTransB(y2, cols, c.weight.Value)
+		cols := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
+		eng.Im2Col(cols, x, c.Shape)
+		y2 := c.deploy.forward(cols)
+		tensor.ReleaseScratch(cols)
+		return c.patchesToNCHW(y2, n)
 	}
+	y2 := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
 	if train {
-		c.cols.push(cols)
-		c.batch = append(c.batch, n)
+		p := tensor.Im2Patches(eng, x, c.Shape)
+		p.MatMulTransB(eng, y2, c.weight.Value)
+		c.patches = append(c.patches, p)
 	} else {
+		// The patch matrix dies inside this call: dense im2col into
+		// recycled scratch, whose zeros MatMulTransB skips.
+		cols := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
+		eng.Im2Col(cols, x, c.Shape)
+		eng.MatMulTransB(y2, cols, c.weight.Value)
 		tensor.ReleaseScratch(cols)
 	}
 	out := c.patchesToNCHW(y2, n)
-	if scratchY2 {
-		tensor.ReleaseScratch(y2)
-	}
+	tensor.ReleaseScratch(y2)
 	return out
 }
 
@@ -208,20 +212,28 @@ func (c *Conv2D) nchwToPatches(dst, g *tensor.Tensor, n int) {
 }
 
 // Backward implements Layer. The staging matrices (transposed gradient,
-// weight gradient, patch gradient) all die within this call and come
-// from recycled scratch.
+// patch gradient) all die within this call and come from recycled
+// scratch.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	cols := c.cols.pop()
-	n := c.batch[len(c.batch)-1]
-	c.batch = c.batch[:len(c.batch)-1]
+	return c.backward(grad, true)
+}
+
+// backward pops the timestep's patches, accumulates the weight and bias
+// gradients and, when inputGrad is set, returns the gradient wrt the
+// input (nil otherwise).
+func (c *Conv2D) backward(grad *tensor.Tensor, inputGrad bool) *tensor.Tensor {
+	if len(c.patches) == 0 {
+		panic("snn: backward called more times than forward (cache underflow)")
+	}
+	pat := c.patches[len(c.patches)-1]
+	c.patches = c.patches[:len(c.patches)-1]
+	n := pat.N
 	eng := c.engine()
 
 	g2 := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
 	c.nchwToPatches(g2, grad, n) // [N*P, M]
-	gw := tensor.GetScratch(c.Shape.M, c.Shape.K)
-	eng.MatMulTransA(gw, g2, cols)
-	c.weight.Grad.AddInPlace(gw)
-	tensor.ReleaseScratch(gw)
+	pat.AddWeightGrad(eng, c.weight.Grad, g2)
+	pat.Release()
 	if c.bias != nil {
 		p := c.Shape.PatchesPerItem
 		for b := 0; b < n; b++ {
@@ -234,6 +246,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				c.bias.Grad.Data[mi] += s
 			}
 		}
+	}
+	if !inputGrad {
+		tensor.ReleaseScratch(g2)
+		return nil
 	}
 	gcols := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
 	eng.MatMul(gcols, g2, c.weight.Value) // [N*P, K]
@@ -253,8 +269,10 @@ func (c *Conv2D) Params() []*Param {
 
 // ResetState implements Layer.
 func (c *Conv2D) ResetState() {
-	c.cols.reset()
-	c.batch = c.batch[:0]
+	for _, p := range c.patches {
+		p.Release()
+	}
+	c.patches = c.patches[:0]
 }
 
 // Linear is a fully-connected layer y = x·Wᵀ + b with weights in GEMM form

@@ -162,14 +162,20 @@ func (n *Network) Forward(seq Sequence, train bool) *tensor.Tensor {
 
 // Backward propagates the gradient of the loss wrt the mean firing rate
 // back through all T timesteps (BPTT). Forward must have been called with
-// train=true on the same sequence.
+// train=true on the same sequence. The first layer's input is data, so a
+// first-layer convolution does not form its input gradient.
 func (n *Network) Backward(gradRate *tensor.Tensor) {
 	perStep := gradRate.Clone()
 	perStep.Scale(1 / float32(n.T))
 	for t := n.T - 1; t >= 0; t-- {
 		g := perStep
-		for i := len(n.Layers) - 1; i >= 0; i-- {
+		for i := len(n.Layers) - 1; i >= 1; i-- {
 			g = n.Layers[i].Backward(g)
+		}
+		if c, ok := n.Layers[0].(*Conv2D); ok {
+			c.backward(g, false)
+		} else {
+			n.Layers[0].Backward(g)
 		}
 	}
 }

@@ -186,17 +186,22 @@ func AvgPool2Backward(grad *Tensor, h, w int) *Tensor {
 //     gemmBlockJ columns, so b's panel rows stay cache-hot across the j
 //     sweep and each b element is multiplied against a register, not a
 //     memory-resident accumulator.
-//   - matMulTransBRows (dot-product style): both operands stream
-//     contiguously, so there is no panel to keep hot; it register-blocks
-//     four output columns per pass to amortize the arow loads fourfold.
+//   - matMulTransBRows (dot-product style): the same per-row nonzero
+//     list, then four output columns per pass over it, amortizing the
+//     list loads fourfold; there is no panel to keep hot.
 //
 // Bit-identity contract: for every output element the sequence of
-// floating-point additions is exactly the old scalar kernel's — kk
-// ascending, zero entries skipped where the old kernel skipped them (and
-// nowhere else). Register accumulators spill to dst between panels, which
-// is exact in float32. Any future SIMD backend must preserve the same
-// per-element accumulation order or switch the equivalence tests to
-// tolerance-based comparison (see README "Performance").
+// floating-point additions is the dense scalar kernel's — kk ascending —
+// minus the terms whose a entry is exactly zero (±0). Every accumulator
+// starts at +0 and under round-to-nearest never becomes −0, so adding a
+// ±0 product would leave it bitwise unchanged: skipping those terms is
+// exact whenever the b operand is finite (0·Inf and 0·NaN are NaN, which
+// the dense kernel would have propagated). Register accumulators spill to
+// dst between panels, which is exact in float32. Any future SIMD backend
+// must preserve the same per-element accumulation order or switch the
+// equivalence tests to tolerance-based comparison (see README
+// "Performance"). patches.go's sparse convolution kernels follow the same
+// contract.
 
 const (
 	// gemmPanelK is the kk-panel length: the number of (nonzero) reduction
@@ -295,13 +300,23 @@ func matMulTransARows(dst, a, b *Tensor, m, k, n, r0, r1 int) {
 	}
 }
 
-// matMulTransBRows computes dst rows [r0, r1) of dst = a·bᵀ. Zero entries
-// are NOT skipped (the old kernel didn't), so every element's addition
-// sequence is the full kk range, four dot products per arow sweep.
+// matMulTransBRows computes dst rows [r0, r1) of dst = a·bᵀ. Like
+// matMulRows it collects each arow's nonzero (kk, value) pairs once, then
+// takes four dot products per sweep of that list, kk ascending.
 func matMulTransBRows(dst, a, b *Tensor, k, n, r0, r1 int) {
+	nz := make([]int32, 0, k)
+	avs := make([]float32, 0, k)
 	for i := r0; i < r1; i++ {
-		arow := a.Data[i*k : (i+1)*k]
 		crow := dst.Data[i*n : (i+1)*n]
+		nz, avs = nz[:0], avs[:0]
+		for kk, av := range a.Data[i*k : (i+1)*k] {
+			if av == 0 {
+				continue
+			}
+			nz = append(nz, int32(kk))
+			avs = append(avs, av)
+		}
+		avs := avs[:len(nz)] // lets the compiler drop avs[t]'s bounds check
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			b0 := b.Data[j*k : (j+1)*k]
@@ -309,7 +324,8 @@ func matMulTransBRows(dst, a, b *Tensor, k, n, r0, r1 int) {
 			b2 := b.Data[(j+2)*k : (j+3)*k]
 			b3 := b.Data[(j+3)*k : (j+4)*k]
 			var s0, s1, s2, s3 float32
-			for kk, av := range arow {
+			for t, kk := range nz {
+				av := avs[t]
 				s0 += av * b0[kk]
 				s1 += av * b1[kk]
 				s2 += av * b2[kk]
@@ -320,8 +336,8 @@ func matMulTransBRows(dst, a, b *Tensor, k, n, r0, r1 int) {
 		for ; j < n; j++ {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float32
-			for kk, av := range arow {
-				s += av * brow[kk]
+			for t, kk := range nz {
+				s += avs[t] * brow[kk]
 			}
 			crow[j] = s
 		}
