@@ -55,16 +55,15 @@ type GEMMWeighted interface {
 // directly in GEMM form [OutC, InC*KH*KW], the same layout that is mapped
 // onto the systolic array.
 //
-// Training never builds the dense im2col patch matrix. Forward lowers the
-// input to tensor.Patches — the patch matrix as compressed sparse rows,
-// built from the input's nonzero pixels — multiplies only the stored
-// entries, and keeps each timestep's Patches for Backward, whose weight
-// gradient reads the same rows. Spike inputs leave most patch entries
-// zero. The results are bit-identical to the dense im2col + GEMM
+// Only a deployed layer builds the dense im2col patch matrix, which it
+// streams through the systolic array. Otherwise Forward lowers the input
+// to tensor.Patches — the patch matrix as compressed sparse rows, built
+// from the input's nonzero pixels — and multiplies only the stored
+// entries; training keeps each timestep's Patches for Backward, whose
+// weight gradient reads the same rows. Spike inputs leave most patch
+// entries zero. The results are bit-identical to the dense im2col + GEMM
 // formulation whenever the weights and gradients are finite (see
-// tensor.Patches). At inference the patch matrix dies inside the call,
-// so it stays dense in recycled scratch, streamed through the systolic
-// array when the layer is deployed.
+// tensor.Patches).
 type Conv2D struct {
 	Shape tensor.ConvShape
 
@@ -150,17 +149,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return c.patchesToNCHW(y2, n)
 	}
 	y2 := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
+	p := tensor.Im2Patches(eng, x, c.Shape)
+	p.MatMulTransB(eng, y2, c.weight.Value)
 	if train {
-		p := tensor.Im2Patches(eng, x, c.Shape)
-		p.MatMulTransB(eng, y2, c.weight.Value)
 		c.patches = append(c.patches, p)
 	} else {
-		// The patch matrix dies inside this call: dense im2col into
-		// recycled scratch, whose zeros MatMulTransB skips.
-		cols := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
-		eng.Im2Col(cols, x, c.Shape)
-		eng.MatMulTransB(y2, cols, c.weight.Value)
-		tensor.ReleaseScratch(cols)
+		p.Release()
 	}
 	out := c.patchesToNCHW(y2, n)
 	tensor.ReleaseScratch(y2)

@@ -13,10 +13,10 @@ import (
 // (column indices kk, strictly ascending) with values
 // Val[RowPtr[r]:RowPtr[r+1]]. Exact zeros (±0) are not stored.
 //
-// Spike inputs are mostly zero (the training convs of the N-MNIST and
-// MNIST models see 5–50% dense patches), so the two training GEMMs that
-// read the patch matrix — the forward product and the weight gradient —
-// visit only the stored entries.
+// Spike inputs are mostly zero (the convs of the N-MNIST and MNIST models
+// see 5–50% dense patches), so the GEMMs that read the patch matrix — the
+// forward product and the weight gradient — visit only the stored
+// entries.
 //
 // Exactness. Every output element keeps the accumulation order of the
 // dense kernels over the same matrix (kk ascending forward, r ascending
@@ -47,14 +47,15 @@ func (p *Patches) Release() { patchesPool.Put(p) }
 
 // Im2Patches lowers x [N, InC, InH, InW] into the patch rows of cs.
 //
-// It scans the NCHW input once per pass and sends each nonzero pixel to
-// the at most KH·KW patch rows whose receptive field covers it: a
-// counting pass sizes the rows, a fill pass writes the entries. For a
-// fixed patch row, a later pixel in NCHW order (higher channel, or same
-// channel and later row/column) lands at a higher column
-// kk = (c*KH + ky)*KW + kx, so visiting pixels in NCHW order leaves every
-// row's columns ascending without a sort. Both passes partition over
-// batch items, whose patch rows are disjoint.
+// Every nonzero pixel feeds the at most KH·KW patch rows whose receptive
+// field covers it. A counting pass sizes the rows (it tallies the nonzero
+// channels of each pixel position, then adds each tally to the rows the
+// position feeds), and a fill pass sends each nonzero pixel, in NCHW
+// order, to its rows' cursors. For a fixed patch row, a later pixel in
+// NCHW order (higher channel, or same channel and later row/column) lands
+// at a higher column kk = (c*KH + ky)*KW + kx, so visiting pixels in NCHW
+// order leaves every row's columns ascending without a sort. Both passes
+// partition over batch items, whose patch rows are disjoint.
 func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	if x.Rank() != 4 || x.Shape[1] != cs.InC || x.Shape[2] != cs.InH || x.Shape[3] != cs.InW {
 		panic(fmt.Sprintf("tensor: Im2Patches input shape %v does not match conv %+v", x.Shape, cs))
@@ -69,7 +70,7 @@ func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	xs := coverTable(cs.InW, cs.KW, cs.OutW, cs.Stride, cs.Pad, 1, 1)
 
 	clear(p.next)
-	e.For(n, func(b0, b1 int) { p.scatter(x, ys, xs, b0, b1, false) })
+	e.For(n, func(b0, b1 int) { p.count(x, ys, xs, b0, b1) })
 	p.RowPtr[0] = 0
 	for r, c := range p.next {
 		p.RowPtr[r+1] = p.RowPtr[r] + c
@@ -78,7 +79,7 @@ func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	p.Col = resize(p.Col, nnz)
 	p.Val = resize(p.Val, nnz)
 	copy(p.next, p.RowPtr[:rows])
-	e.For(n, func(b0, b1 int) { p.scatter(x, ys, xs, b0, b1, true) })
+	e.For(n, func(b0, b1 int) { p.fill(x, ys, xs, b0, b1) })
 	return p
 }
 
@@ -115,14 +116,48 @@ func coverTable(in, taps, outLen, stride, pad, outScale, tapScale int) [][]cover
 	return tab
 }
 
-// scatter visits the nonzero pixels of batch items [b0, b1) in NCHW
-// order and, for each patch entry (r, kk) a pixel feeds, counts it in
-// p.next[r] or, when fill is set, stores it at the row's cursor p.next[r].
-func (p *Patches) scatter(x *Tensor, ys, xs [][]cover, b0, b1 int, fill bool) {
+// count adds to p.next[r] the number of stored entries of every patch
+// row r of batch items [b0, b1). A pixel position feeds the same rows in
+// every channel, so the position's nonzero channels are tallied first and
+// each tally is sent to the position's rows once.
+func (p *Patches) count(x *Tensor, ys, xs [][]cover, b0, b1 int) {
+	cs := p.Shape
+	plane := cs.InH * cs.InW
+	nz := make([]int, plane)
+	next := p.next
+	for b := b0; b < b1; b++ {
+		clear(nz)
+		for c := 0; c < cs.InC; c++ {
+			for i, v := range x.Data[(b*cs.InC+c)*plane : (b*cs.InC+c+1)*plane] {
+				if v != 0 {
+					nz[i]++
+				}
+			}
+		}
+		rowBase := b * cs.PatchesPerItem
+		for iy := 0; iy < cs.InH; iy++ {
+			for ix, t := range nz[iy*cs.InW : (iy+1)*cs.InW] {
+				if t == 0 {
+					continue
+				}
+				for _, cy := range ys[iy] {
+					for _, cx := range xs[ix] {
+						next[rowBase+cy.out+cx.out] += t
+					}
+				}
+			}
+		}
+	}
+}
+
+// fill visits the nonzero pixels of batch items [b0, b1) in NCHW order
+// and stores each patch entry (r, kk) a pixel feeds at the row's cursor
+// p.next[r].
+func (p *Patches) fill(x *Tensor, ys, xs [][]cover, b0, b1 int) {
 	cs := p.Shape
 	plane := cs.InH * cs.InW
 	taps := cs.KH * cs.KW
-	next := p.next
+	next, col, val := p.next, p.Col, p.Val
 	for b := b0; b < b1; b++ {
 		rowBase := b * cs.PatchesPerItem
 		for c := 0; c < cs.InC; c++ {
@@ -137,12 +172,8 @@ func (p *Patches) scatter(x *Tensor, ys, xs [][]cover, b0, b1 int, fill bool) {
 					for _, cy := range ys[iy] {
 						for _, cx := range xs[ix] {
 							r := rowBase + cy.out + cx.out
-							if !fill {
-								next[r]++
-								continue
-							}
 							t := next[r]
-							p.Col[t], p.Val[t] = int32(kBase+cy.tap+cx.tap), v
+							col[t], val[t] = int32(kBase+cy.tap+cx.tap), v
 							next[r] = t + 1
 						}
 					}
