@@ -46,16 +46,12 @@
 // shard table, leases and every accepted result to an append-only WAL
 // in the state dir, so a serve killed mid-campaign and restarted with
 // the same flags resumes the run — surviving workers re-register on
-// their own and continue from their local checkpoints. `serve -balance
-// <timing-source>` (and `plan -balance`) sizes shards by predicted
-// wall-clock from a prior run's recorded per-trial timing instead of by
-// trial count, so slow keys no longer serialize the fleet behind one
-// overloaded shard.
+// their own and continue from their local checkpoints.
 //
 // Where serve runs ONE campaign and exits, `campaign service` is the
 // long-lived multi-tenant form of the same service: a persistent
 // catalog that accepts specs over HTTP, schedules every admitted run
-// across one shared worker fleet with priority + fair-share, and
+// across one shared worker fleet with deficit fair-share, and
 // survives its own restart. `campaign submit`, `campaign runs` and
 // `campaign drain` are its clients:
 //
@@ -152,26 +148,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 func (a *app) usage() {
 	fmt.Fprintf(a.stderr, `usage: campaign <plan|run|serve|service|submit|runs|drain|work|merge> [flags]
 
-  plan  -c <kind> [-balance src] [-shards N] [config flags]
-                                            print the deterministic trial list as JSON
-                                            (or, with -balance/-shards, the shard table)
+  plan  -c <kind> [config flags]            print the deterministic trial list as JSON
   run   -c <kind> -o <file> [-shard i/n] [-max N] [config flags]
                                             execute (one shard of) a campaign with
                                             JSONL checkpointing and resume
   serve -c <kind> -addr <host:port> -token <tok> [-shards N] [-lease-ttl D]
-        [-o file] [-state dir] [-balance src] [-tls-cert crt -tls-key key]
-        [config flags]
+        [-o file] [-state dir] [-tls-cert crt -tls-key key] [config flags]
                                             serve ONE campaign to HTTP workers, then
                                             print the figures/report; -state makes the
-                                            service survive its own restart, -balance
-                                            sizes shards by recorded timing
+                                            service survive its own restart
   service -addr <host:port> -state <dir> -token <tok> [-shards N] [-lease-ttl D]
           [-retain N] [-tls-cert crt -tls-key key]
                                             long-lived multi-tenant coordinator: accepts
                                             submitted specs, fair-shares one worker fleet
                                             across all running campaigns, survives restart;
                                             -retain prunes the oldest finished runs
-  submit -service <url> -token <tok> [-priority P] [-name N] [-label k=v]
+  submit -service <url> -token <tok> [-name N] [-label k=v]
          (-c <kind> [config flags] | -spec <file>)
                                             submit a spec to a service; prints the run ID
   runs   -service <url> -token <tok> [-id run [-watch] [-cancel] [-o file]]
@@ -517,10 +509,6 @@ func (a *app) prepare(c *config) (*spec.Spec, *spec.Built, error) {
 func (a *app) plan(args []string) error {
 	fs := a.flagSet("plan")
 	var c config
-	var (
-		balance = fs.String("balance", "", "plan load-aware shards from this timing source (a checkpoint, WAL, or state dir)")
-		shards  = fs.Int("shards", 0, "with -balance: print the shard table for this many shards (0 = serve's default)")
-	)
 	addConfigFlags(fs, &c)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -533,13 +521,6 @@ func (a *app) plan(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The shard-table view is opt-in by flag only: a spec file that
-	// happens to carry a planner must not change what `plan` prints
-	// (nor demand the timing file on a machine that only wants the
-	// trial list).
-	if *balance != "" || *shards > 0 {
-		return a.printShardPlan(s, trials, plannerName(s, *balance), *shards)
-	}
 	b, err := json.MarshalIndent(trials, "", "  ")
 	if err != nil {
 		return err
@@ -547,53 +528,6 @@ func (a *app) plan(args []string) error {
 	fmt.Fprintln(a.stdout, string(b))
 	fmt.Fprintf(a.stderr, "%d trials (spec %s)\n", len(trials), fingerprintOf(s))
 	return nil
-}
-
-// printShardPlan renders the shard table `serve` would plan —
-// the dry-run view of -shards / -balance.
-func (a *app) printShardPlan(s *spec.Spec, trials []campaign.Trial, name string, shards int) error {
-	planner, err := campaign.PlannerByName(name)
-	if err != nil {
-		return err
-	}
-	planned, err := planner.Plan(trials, campaign.ResolveShards(shards, cluster.DefaultShards, len(trials)))
-	if err != nil {
-		return err
-	}
-	type shardView struct {
-		Shard            string  `json:"shard"`
-		Trials           int     `json:"trials"`
-		PredictedSeconds float64 `json:"predictedSeconds,omitempty"`
-		IDs              []int   `json:"ids"`
-	}
-	view := make([]shardView, len(planned))
-	for i, ps := range planned {
-		view[i] = shardView{
-			Shard: ps.Label, Trials: len(ps.Trials),
-			PredictedSeconds: ps.PredictedSeconds, IDs: ps.TrialIDs(),
-		}
-	}
-	b, err := json.MarshalIndent(view, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(a.stdout, string(b))
-	kind := name
-	if kind == "" {
-		kind = "uniform"
-	}
-	fmt.Fprintf(a.stderr, "%d trials in %d shards (planner %s, spec %s)\n",
-		len(trials), len(planned), kind, fingerprintOf(s))
-	return nil
-}
-
-// plannerName resolves the effective planner: the -balance flag wins
-// over the spec's planner field.
-func plannerName(s *spec.Spec, balanceFlag string) string {
-	if balanceFlag != "" {
-		return "balance:" + balanceFlag
-	}
-	return s.Planner
 }
 
 func (a *app) run(args []string) error {
@@ -652,7 +586,6 @@ func (a *app) serve(args []string) error {
 		leaseTTL = fs.Duration("lease-ttl", 0, "shard lease deadline without a heartbeat (0 = default)")
 		out      = fs.String("o", "", "checkpoint/output JSONL (default <kind>-cluster.jsonl); resumes")
 		state    = fs.String("state", "", "state directory for the run's WAL: journal shard table, leases and results; a restarted serve with the same -state resumes the run")
-		balance  = fs.String("balance", "", "size shards by predicted wall-clock from this timing source (a checkpoint, WAL, or state dir of a prior run)")
 		tlsCert  = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key)")
 		tlsKey   = fs.String("tls-key", "", "PEM private key for -tls-cert")
 	)
@@ -681,28 +614,23 @@ func (a *app) serve(args []string) error {
 		}
 		*state = abs
 	}
-	pn := plannerName(s, *balance)
 	ctx, stop := sigCtx()
 	defer stop()
 	one := service.NewOneRun(service.Config{
 		Addr: *addr, StateDir: *state, Token: tok, Shards: *shards, LeaseTTL: *leaseTTL,
 		TLSCert: *tlsCert, TLSKey: *tlsKey, Log: a.stderr,
-	}, s, pn)
+	}, s)
 	// One startup line with everything an operator needs to point
 	// workers (and debug a wrong flag): the RESOLVED listen address —
-	// ":0" is useless in a log — plus state dir and planner.
+	// ":0" is useless in a log — plus state dir.
 	go func() {
 		<-one.Ready()
 		stateDesc := *state
 		if stateDesc == "" {
 			stateDesc = "temporary (a restart loses leases and results)"
 		}
-		planDesc := pn
-		if planDesc == "" {
-			planDesc = "uniform"
-		}
-		fmt.Fprintf(a.stderr, "serve: listening on %s (state %s, planner %s, spec %s)\n",
-			one.URL(), stateDesc, planDesc, fingerprintOf(s))
+		fmt.Fprintf(a.stderr, "serve: listening on %s (state %s, spec %s)\n",
+			one.URL(), stateDesc, fingerprintOf(s))
 	}()
 	opt := campaign.Options{Context: ctx, Runner: one, Checkpoint: *out, Log: a.stderr}
 	rr, err := campaign.Run(built.Campaign, opt)
@@ -809,11 +737,10 @@ func (a *app) submit(args []string) error {
 	var c config
 	labels := labelFlags{}
 	var (
-		svcURL   = fs.String("service", "", "campaign service base URL (http://host:port)")
-		token    = fs.String("token", "", "bearer token (default $CAMPAIGN_TOKEN)")
-		tlsCA    = fs.String("tls-ca", "", "PEM CA bundle for an https:// service with a private certificate")
-		name     = fs.String("name", "", "catalog display name for the run (overrides the spec's name)")
-		priority = fs.Int("priority", 0, fmt.Sprintf("scheduling priority %d..%d; higher leases first within the fleet", -service.MaxPriority, service.MaxPriority))
+		svcURL = fs.String("service", "", "campaign service base URL (http://host:port)")
+		token  = fs.String("token", "", "bearer token (default $CAMPAIGN_TOKEN)")
+		tlsCA  = fs.String("tls-ca", "", "PEM CA bundle for an https:// service with a private certificate")
+		name   = fs.String("name", "", "catalog display name for the run (overrides the spec's name)")
 	)
 	fs.Var(labels, "label", "catalog label k=v (repeatable; merged over the spec's labels)")
 	addConfigFlags(fs, &c)
@@ -855,7 +782,7 @@ func (a *app) submit(args []string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := cl.Submit(enc, *priority)
+	resp, err := cl.Submit(enc)
 	if err != nil {
 		return err
 	}
@@ -902,8 +829,8 @@ func (a *app) runs(args []string) error {
 			if name == "" {
 				name = "-"
 			}
-			fmt.Fprintf(a.stdout, "%s\t%s\t%d/%d\tprio %d\t%s\t%s\n",
-				r.ID, r.State, r.Done, r.Trials, r.Priority, r.Kind, name)
+			fmt.Fprintf(a.stdout, "%s\t%s\t%d/%d\t%s\t%s\n",
+				r.ID, r.State, r.Done, r.Trials, r.Kind, name)
 		}
 		return nil
 	}

@@ -126,6 +126,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"drain", "-service", "http://127.0.0.1:1", "-token", "t"}, "drain needs -service <url> and -worker"},
 		{[]string{"drain", "-service", "http://127.0.0.1:1", "-worker", "w"}, "drain needs a bearer token"},
 		{[]string{"drain", "-service", "http://127.0.0.1:1", "-worker", "w", "-token", "t", "extra"}, `unexpected argument "extra"`},
+		// Shards are always planned uniformly and runs share the fleet by
+		// fair share alone: no load-aware planner, no priority bands.
+		{[]string{"plan", "-c", "selftest", "-balance", "x"}, "flag provided but not defined: -balance"},
+		{[]string{"plan", "-c", "selftest", "-shards", "4"}, "flag provided but not defined: -shards"},
+		{[]string{"serve", "-c", "selftest", "-token", "t", "-balance", "x"}, "flag provided but not defined: -balance"},
+		{[]string{"submit", "-c", "selftest", "-priority", "5"}, "flag provided but not defined: -priority"},
 	} {
 		code, stdout, stderr := invoke(t, tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {

@@ -73,3 +73,29 @@ func (s Shard) Of(trials []Trial) []Trial {
 	}
 	return out
 }
+
+// PlannedShard is one entry of a shard table: a Shard label ("i/n",
+// used for worker checkpoint filenames and logs) and that shard's
+// trials, in trial-list order.
+type PlannedShard struct {
+	Label  string
+	Trials []Trial
+}
+
+// PlanShards splits trials into at most n interleaved shards of
+// (near-)equal trial count via Shard.Of, labelled "i/n". n is clamped
+// to [1, len(trials)], and shards that would be empty (a pending subset
+// whose IDs skip a residue) are dropped, so every trial lands in exactly
+// one non-empty shard. Planning never affects results: trials are
+// seed-addressed and reductions are order-independent.
+func PlanShards(trials []Trial, n int) []PlannedShard {
+	n = max(1, min(n, len(trials)))
+	var out []PlannedShard
+	for i := 0; i < n; i++ {
+		sh := Shard{Index: i, Count: n}
+		if mine := sh.Of(trials); len(mine) > 0 {
+			out = append(out, PlannedShard{Label: sh.String(), Trials: mine})
+		}
+	}
+	return out
+}

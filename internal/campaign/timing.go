@@ -7,9 +7,8 @@ import (
 )
 
 // Per-trial wall-clock aggregation. Runners stamp Result.Wall as trials
-// execute and checkpoints preserve it, so a merge can report where a
-// campaign's time actually went — the input load-aware shard sizing
-// needs (slow keys get smaller shards).
+// execute and checkpoints and WALs preserve it, so `campaign merge` can
+// report where a campaign's time actually went.
 
 // KeyTiming aggregates the recorded wall-clock of one result key.
 type KeyTiming struct {
@@ -32,8 +31,7 @@ func (k KeyTiming) Mean() float64 {
 }
 
 // TimingByKey folds per-trial durations into per-key summaries, sorted
-// by descending total (the expensive keys — the shard-sizing signal —
-// come first). Results without a recorded duration are skipped.
+// by descending total (the expensive keys come first). Results without a recorded duration are skipped.
 func TimingByKey(results []Result) []KeyTiming {
 	byKey := make(map[string]*KeyTiming)
 	for _, r := range results {

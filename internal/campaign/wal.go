@@ -16,15 +16,17 @@ import (
 // kill), re-derives the trial bodies from the embedded spec, restores
 // the exact shard table, treats journaled-but-open leases as
 // invalidated, and carries on; workers re-register and resume from
-// their local checkpoints. The WAL doubles as a timing source for
-// load-aware planning (TimingFromFile) since result records carry the
-// out-of-band per-trial wall-clock.
+// their local checkpoints.
 
 // walVersion is bumped on incompatible WAL schema changes; readers
-// refuse newer files instead of misparsing them. Version 2 added plan
-// records (mid-run re-planning journals a replacement shard table);
-// version-1 files remain readable.
+// refuse newer files instead of misparsing them. Version-1 files remain
+// readable. Version 2 allowed plan records from a since-retired
+// load-aware planner; journals holding one are refused (see readWAL).
 const walVersion = 2
+
+// walPlanner is the only shard planner a journal may name: PlanShards's
+// interleaved split. CreateWAL stamps it into every header.
+const walPlanner = "uniform"
 
 // WALFileName is the journal's filename inside a run's state
 // directory.
@@ -47,8 +49,8 @@ type WALHeader struct {
 	// canonical spec JSON), making the state dir self-describing.
 	Fingerprint string `json:"fingerprint"`
 	Spec        string `json:"spec,omitempty"`
-	// Planner names the policy that produced Shards (observability; the
-	// table itself is authoritative on replay).
+	// Planner names the policy that produced Shards: always "uniform"
+	// (stamped by CreateWAL). Replay refuses any other name.
 	Planner string `json:"planner,omitempty"`
 	// Shards is the shard table: labels plus trial-ID membership. Trial
 	// bodies are re-derived from the spec on replay, so the journal
@@ -84,27 +86,17 @@ type WALLease struct {
 	Shard  string `json:"shard,omitempty"`
 }
 
-// WALPlan journals a replacement shard table: a coordinator that
-// re-planned a run mid-flight (as accumulated timing data arrives)
-// appends one so replay restores the plan actually in force, not the
-// admission-time one. Only unleased, unfinished work may be moved, so
-// the latest plan record is always authoritative.
-type WALPlan struct {
-	// Planner names the policy that produced this plan (observability).
-	Planner string `json:"planner,omitempty"`
-	// Shards is the full replacement shard table (same shape as the
-	// header's).
-	Shards []WALShard `json:"shards"`
-}
-
-// walRecord is one journal line: exactly one of Header/Plan/Lease/
-// Result set. Wall carries Result.Wall out of band, as checkpoints do.
+// walRecord is one journal line: exactly one of Header/Lease/Result
+// set. Wall carries Result.Wall out of band, as checkpoints do. Plan is
+// decoded only to refuse the re-plan records older builds journaled.
 type walRecord struct {
 	Header *WALHeader `json:"header,omitempty"`
-	Plan   *WALPlan   `json:"plan,omitempty"`
-	Lease  *WALLease  `json:"lease,omitempty"`
-	Result *Result    `json:"result,omitempty"`
-	Wall   float64    `json:"wall,omitempty"`
+	Plan   *struct {
+		Planner string `json:"planner"`
+	} `json:"plan,omitempty"`
+	Lease  *WALLease `json:"lease,omitempty"`
+	Result *Result   `json:"result,omitempty"`
+	Wall   float64   `json:"wall,omitempty"`
 }
 
 // WAL appends journal records with per-record flushing, so a SIGKILLed
@@ -114,9 +106,10 @@ type WAL struct {
 }
 
 // CreateWAL creates (truncating) a journal and writes its header line,
-// stamping the current schema version (callers never set it).
+// stamping the current schema version and the planner (callers never
+// set them).
 func CreateWAL(path string, h WALHeader) (*WAL, error) {
-	h.Version = walVersion
+	h.Version, h.Planner = walVersion, walPlanner
 	af, err := createAppendFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create WAL: %w", err)
@@ -150,11 +143,6 @@ func (w *WAL) AppendLease(l WALLease) error {
 	return w.append(walRecord{Lease: &l})
 }
 
-// AppendPlan journals a replacement shard table (mid-run re-planning).
-func (w *WAL) AppendPlan(p WALPlan) error {
-	return w.append(walRecord{Plan: &p})
-}
-
 func (w *WAL) append(rec walRecord) error {
 	if err := w.af.appendJSON(rec); err != nil {
 		return fmt.Errorf("campaign: write WAL: %w", err)
@@ -167,15 +155,16 @@ func (w *WAL) Close() error { return w.af.Close() }
 
 // ErrNotWAL marks a file that parses as JSONL but whose header is not
 // a coordinator-WAL header — most likely a plain checkpoint passed by
-// mistake. Callers that accept either format (TimingFromFile) branch
-// on it; genuine WAL corruption is reported as itself.
+// mistake; genuine WAL corruption is reported as itself.
 var ErrNotWAL = errors.New("not a coordinator WAL")
 
 // ReadWAL loads a journal: header, accepted results (sorted by trial
 // ID, duplicates dropped), and every lease event in order. A truncated
 // final line — the record being written when the coordinator was
 // killed — is dropped; corruption anywhere else is an error, as is a
-// file whose header is not a WAL header (ErrNotWAL).
+// file whose header is not a WAL header (ErrNotWAL). A journal another
+// planner shaped — a header naming it, or a re-plan record — is refused:
+// its shard table may not be the one in force when it was written.
 func ReadWAL(path string) (WALHeader, []Result, []WALLease, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -214,19 +203,13 @@ func readWAL(data []byte, path string) (WALHeader, []Result, []WALLease, error) 
 			if rec.Header.Fingerprint == "" || rec.Header.Shards == nil {
 				return fail(fmt.Errorf("campaign: %s is %w (checkpoint file passed by mistake?)", path, ErrNotWAL))
 			}
+			if p := rec.Header.Planner; p != "" && p != walPlanner {
+				return fail(retiredPlanner(path, p))
+			}
 			header = *rec.Header
 			gotHeader = true
 		case rec.Plan != nil:
-			if !gotHeader {
-				return fail(fmt.Errorf("campaign: WAL %s: plan record before header", path))
-			}
-			// The latest plan supersedes the header's admission-time
-			// shard table; fold it in so callers replay the plan that
-			// was actually in force.
-			header.Shards = rec.Plan.Shards
-			if rec.Plan.Planner != "" {
-				header.Planner = rec.Plan.Planner
-			}
+			return fail(retiredPlanner(path, rec.Plan.Planner))
 		case rec.Lease != nil:
 			if !gotHeader {
 				return fail(fmt.Errorf("campaign: WAL %s: lease event before header", path))
@@ -249,6 +232,13 @@ func readWAL(data []byte, path string) (WALHeader, []Result, []WALLease, error) 
 	}
 	sortResults(results)
 	return header, results, leases, nil
+}
+
+// retiredPlanner is readWAL's refusal of a journal shaped by a shard
+// planner other than the uniform one, which later builds cannot
+// reproduce.
+func retiredPlanner(path, planner string) error {
+	return fmt.Errorf("campaign: WAL %s was planned by %q, which this build no longer supports: finish the run with the build that started it, or start a fresh state dir", path, planner)
 }
 
 // OpenLeases folds a journal's lease events and returns the leases

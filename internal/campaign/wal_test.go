@@ -114,61 +114,6 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALPlanRecord: a journaled re-plan supersedes the header's
-// admission-time shard table on replay — the latest plan wins, its
-// planner name is folded in, and results journaled before or after the
-// re-plan replay identically. A plan before the header is rejected.
-func TestWALPlanRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, err := CreateWAL(path, walFixtureHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendResult(Result{TrialID: 0, Key: "k", Wall: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	stale := WALPlan{Planner: "balance:accumulated", Shards: []WALShard{
-		{Label: "0/2", Trials: []int{0, 1, 2}},
-		{Label: "1/2", Trials: []int{3, 4, 5, 6, 7}},
-	}}
-	final := WALPlan{Planner: "balance:accumulated", Shards: []WALShard{
-		{Label: "0/2", Trials: []int{0, 1, 2, 3, 4}},
-		{Label: "1/2", Trials: []int{5, 6, 7}},
-	}}
-	if err := w.AppendPlan(stale); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendResult(Result{TrialID: 5, Key: "k", Wall: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendPlan(final); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	hdr, results, _, err := ReadWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(hdr.Shards, final.Shards) {
-		t.Fatalf("replayed shards %+v, want the latest plan %+v", hdr.Shards, final.Shards)
-	}
-	if hdr.Planner != "balance:accumulated" {
-		t.Fatalf("replayed planner %q, want the re-plan's", hdr.Planner)
-	}
-	if len(results) != 2 || results[0].TrialID != 0 || results[1].TrialID != 5 {
-		t.Fatalf("results drifted across plan records: %+v", results)
-	}
-
-	orphan := filepath.Join(t.TempDir(), "orphan.jsonl")
-	if err := os.WriteFile(orphan, []byte(`{"plan":{"shards":[]}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadWAL(orphan); err == nil || !strings.Contains(err.Error(), "before header") {
-		t.Fatalf("plan before header: err = %v", err)
-	}
-}
-
 // TestOpenLeasesIDReuse: an ID granted, closed, and granted again (as
 // journals written before coordinators advanced their lease sequence
 // across restarts can contain) folds to exactly one open lease — the
@@ -234,7 +179,10 @@ func TestWALTornFinalRecord(t *testing.T) {
 }
 
 // TestWALRejections: corruption mid-file, a checkpoint masquerading as
-// a WAL, future versions, and missing headers all fail loudly.
+// a WAL, future versions, missing headers, and journals shaped by the
+// retired load-aware planner (a header naming it, or a re-plan record
+// superseding the admission-time shard table) all fail loudly, naming
+// the file.
 func TestWALRejections(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -253,12 +201,16 @@ func TestWALRejections(t *testing.T) {
 		{"future version", strings.Replace(hdr, `"version":1`, `"version":99`, 1) + "\n", "newer than supported"},
 		{"no header", `{"result":{"trial":0,"key":"k"}}` + "\n", "before header"},
 		{"empty", "", "no header"},
+		{"balanced header", strings.Replace(hdr, `"fingerprint"`, `"planner":"balance:accumulated","fingerprint"`, 1) + "\n", `planned by "balance:accumulated"`},
+		{"plan record", hdr + "\n" + `{"result":{"trial":0,"key":"k"},"wall":0.5}` + "\n" +
+			`{"plan":{"planner":"balance:accumulated","shards":[{"label":"0/1","trials":[1,0]}]}}` + "\n",
+			`planned by "balance:accumulated"`},
 	}
 	for _, tc := range cases {
 		p := write(strings.ReplaceAll(tc.name, " ", "-")+".jsonl", tc.content)
 		_, _, _, err := ReadWAL(p)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), p) {
+			t.Errorf("%s: error = %v, want substring %q and the path", tc.name, err, tc.want)
 		}
 	}
 }

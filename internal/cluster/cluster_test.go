@@ -92,16 +92,15 @@ func (r *cancelAfter) Run(ctx context.Context, c campaign.Campaign, trials []cam
 
 // startCoordinator runs campaign.Run with a one-run service as its
 // runner in the background and returns the service, its URL, and a
-// channel with the run outcome. sp is the spec workers build from;
-// planner selects the fresh-run shard plan.
-func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg service.Config, planner string,
+// channel with the run outcome. sp is the spec workers build from.
+func startCoordinator(t *testing.T, c campaign.Campaign, sp *spec.Spec, cfg service.Config,
 	opt campaign.Options) (*service.OneRun, string, <-chan runOutcome) {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	cfg.Token = testToken
-	one := service.NewOneRun(cfg, sp, planner)
+	one := service.NewOneRun(cfg, sp)
 	opt.Runner = one
 	if opt.Context == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -177,7 +176,7 @@ func TestDistributedEquivalence(t *testing.T) {
 func testDistributedEquivalence(t *testing.T, sp *spec.Spec, n, workers int, want []byte) {
 	ckpt := filepath.Join(t.TempDir(), "serve.jsonl")
 	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 4, LeaseTTL: 2 * time.Second}, "",
+		service.Config{Shards: 4, LeaseTTL: 2 * time.Second},
 		campaign.Options{Checkpoint: ckpt})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -271,7 +270,7 @@ func TestWorkerDeathReassignment(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "serve.jsonl")
 	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 2, LeaseTTL: 150 * time.Millisecond}, "",
+		service.Config{Shards: 2, LeaseTTL: 150 * time.Millisecond},
 		campaign.Options{Checkpoint: ckpt})
 
 	// Worker A dies (stops running AND heartbeating) after 3 results.
@@ -344,7 +343,7 @@ func TestRestartedWorkerResumesLocalCheckpoint(t *testing.T) {
 
 	var runs atomic.Int64
 	co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond},
 		campaign.Options{})
 
 	dir := t.TempDir() // shared across the worker's two lives
@@ -397,7 +396,7 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	defer cancel()
 	sp := selftestSpec(20, 1)
 	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{LeaseTTL: time.Second}, "",
+		service.Config{LeaseTTL: time.Second},
 		campaign.Options{Context: ctx})
 
 	body, err := json.Marshal(cluster.RegisterRequest{Worker: "stale-build", Proto: cluster.ProtocolVersion - 1})
@@ -432,7 +431,7 @@ func TestUnknownSpecKindFailsWorker(t *testing.T) {
 	defer cancel()
 	sp := &spec.Spec{Version: spec.Version, Kind: "martian"}
 	_, url, out := startCoordinator(t, campaign.Synthetic(8, 1), sp,
-		service.Config{LeaseTTL: time.Second}, "",
+		service.Config{LeaseTTL: time.Second},
 		campaign.Options{Context: ctx})
 
 	err := cluster.NewWorker(cluster.WorkerConfig{
@@ -465,7 +464,7 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 
 	var runs atomic.Int64
 	co, url, out := startCoordinator(t, slow, selftestSpec(n, 1),
-		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond}, "",
+		service.Config{Shards: 1, LeaseTTL: 150 * time.Millisecond},
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -508,7 +507,7 @@ func TestTrialErrorAbortsCampaign(t *testing.T) {
 	})
 
 	_, url, out := startCoordinator(t, failing, selftestSpec(8, 1),
-		service.Config{Shards: 2, LeaseTTL: time.Second}, "",
+		service.Config{Shards: 2, LeaseTTL: time.Second},
 		campaign.Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -51,9 +51,9 @@
 //   - TLS helpers and the JSON transport shared by both sides.
 //
 // internal/service owns the control plane on top: the run catalog and
-// its per-run WAL-journaled state dirs, restart recovery, priority +
-// deficit fair-share scheduling, admission-time re-planning, the
-// autoscaling hooks, bearer-token auth, and the one-run entry point.
+// its per-run WAL-journaled state dirs, restart recovery, deficit
+// fair-share scheduling, graceful drain, bearer-token auth, and the
+// one-run entry point.
 // When changing a behavior, place it by that test — a worker or the
 // wire needs it: cluster; deciding what runs where, or remembering it
 // across restarts: service.

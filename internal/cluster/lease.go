@@ -97,8 +97,8 @@ func (t *LeaseTable[K]) ByID(id string) *Lease[K] {
 	return t.byID[id]
 }
 
-// Held returns the number of active leases a worker holds — the
-// idle-worker signal behind scale-up advice.
+// Held returns the number of active leases a worker holds (a draining
+// worker retires once it holds none).
 func (t *LeaseTable[K]) Held(worker string) int {
 	n := 0
 	for _, l := range t.byID {

@@ -112,8 +112,8 @@ type LeaseResponse struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Fingerprint digests Spec.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Drain tells an idle worker to exit now instead of polling again:
-	// the graceful scale-down half of the autoscaling hooks.
+	// Drain tells an idle worker to exit now instead of polling again
+	// (graceful scale-down).
 	Drain bool `json:"drain,omitempty"`
 }
 
@@ -132,11 +132,6 @@ type HeartbeatResponse struct {
 	// instead of taking another lease (graceful scale-down). Unlike
 	// OK=false it never aborts in-flight work.
 	Drain bool `json:"drain,omitempty"`
-	// ScaleUp is the service's scale-up advice: how many ADDITIONAL
-	// workers could be leasing work right now (schedulable shards with
-	// no holder, minus idle registered workers). Pure advice — workers
-	// log it and external autoscalers act on it via /v1/status.
-	ScaleUp int `json:"scaleUp,omitempty"`
 }
 
 // ResultsRequest streams completed trial results (or a fatal trial

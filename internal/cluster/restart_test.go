@@ -75,7 +75,7 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
 	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
+		service.Config{Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
 		campaign.Options{Checkpoint: ckpt, Context: ctx1})
 
 	var runs atomic.Int64
@@ -99,7 +99,7 @@ func TestCoordinatorRestartResumesFromWAL(t *testing.T) {
 	// Life 2: same state dir, same checkpoint, same address. The worker
 	// was never told anything happened.
 	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
+		service.Config{Addr: hostPort(url), Shards: 4, LeaseTTL: 300 * time.Millisecond, StateDir: state},
 		campaign.Options{Checkpoint: ckpt})
 
 	res := <-out2
@@ -149,7 +149,7 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	ctx1, kill := context.WithCancel(context.Background())
 	defer kill()
 	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
+		service.Config{Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
 		campaign.Options{Context: ctx1})
 
 	var runs atomic.Int64
@@ -171,7 +171,7 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	}
 
 	co2, _, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state}, "",
+		service.Config{Addr: hostPort(url), Shards: 2, LeaseTTL: 300 * time.Millisecond, StateDir: state},
 		campaign.Options{})
 
 	res := <-out2
@@ -196,64 +196,6 @@ func TestCoordinatorRestartRecoversWALResults(t *testing.T) {
 	}
 }
 
-// TestRestartSurvivesMissingBalanceSource: the WAL's shard table is
-// authoritative on replay, so a serve started with -balance
-// <timing-file> must restart fine after that file is gone.
-func TestRestartSurvivesMissingBalanceSource(t *testing.T) {
-	const n = 12
-	// 1ms delay guarantees the timing checkpoint records nonzero walls
-	// even on coarse clocks, so the balance planner accepts it.
-	sp := delayedSelftestSpec(n, 7, 1)
-	want := singleProcessWant(t, buildFromSpec(t, sp))
-
-	// A timing source: one completed run of the same campaign.
-	timingDir := t.TempDir()
-	timing := filepath.Join(timingDir, "timing.jsonl")
-	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Checkpoint: timing}); err != nil {
-		t.Fatal(err)
-	}
-
-	state := t.TempDir()
-	ctx1, kill := context.WithCancel(context.Background())
-	co1, url, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
-		campaign.Options{Context: ctx1})
-	if st := co1.Summary(); st.Planner != "balance:"+timing {
-		t.Fatalf("fresh run planned by %q, want the balance planner", st.Planner)
-	}
-	kill() // WAL header (with the balanced shard table) is already on disk
-	if res := <-out1; res.err == nil {
-		t.Fatal("killed service should report cancellation")
-	}
-
-	// The timing source vanishes (rotated away, different machine...).
-	if err := os.RemoveAll(timingDir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart with the same flags must restore from the WAL, not
-	// re-resolve the planner.
-	co2, url2, out2 := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Addr: hostPort(url), StateDir: state, LeaseTTL: time.Second}, "balance:"+timing,
-		campaign.Options{})
-	wctx, wcancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer wcancel()
-	w := startWorker(t, cluster.WorkerConfig{Coordinator: url2, Name: "w", CheckpointDir: t.TempDir()}, wctx)
-	res := <-out2
-	if res.err != nil {
-		t.Fatalf("restart with missing balance source failed: %v", res.err)
-	}
-	if err := <-w; err != nil {
-		t.Fatalf("worker exited with error: %v", err)
-	}
-	if got, _ := campaign.MarshalResults(res.rr.Results); !bytes.Equal(got, want) {
-		t.Fatal("balanced restart merged output differs from single-process run")
-	}
-	if st := co2.Summary(); st.State != service.RunDone {
-		t.Fatalf("restarted stats: %+v", st)
-	}
-}
-
 // TestTornHeaderWALPlansFresh: a serve SIGKILLed before its journal
 // header durably landed leaves a 0-byte or newline-less wal.jsonl;
 // restarting with the same flags must plan fresh instead of failing
@@ -268,7 +210,7 @@ func TestTornHeaderWALPlansFresh(t *testing.T) {
 		// the header is then torn as if the kill had beaten its flush.
 		ctx1, kill := context.WithCancel(context.Background())
 		co1, _, out1 := startCoordinator(t, buildFromSpec(t, sp), sp,
-			service.Config{StateDir: state, LeaseTTL: time.Second}, "",
+			service.Config{StateDir: state, LeaseTTL: time.Second},
 			campaign.Options{Context: ctx1})
 		kill()
 		<-out1
@@ -277,7 +219,7 @@ func TestTornHeaderWALPlansFresh(t *testing.T) {
 		}
 
 		co, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-			service.Config{StateDir: state, LeaseTTL: time.Second}, "",
+			service.Config{StateDir: state, LeaseTTL: time.Second},
 			campaign.Options{})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		w := startWorker(t, cluster.WorkerConfig{Coordinator: url, Name: "w"}, ctx)
@@ -315,11 +257,11 @@ func TestStateDirDoubleServeRefused(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
+		service.Config{StateDir: state, LeaseTTL: time.Second},
 		campaign.Options{Context: ctx})
 
 	cfg := service.Config{Addr: "127.0.0.1:0", StateDir: state, Token: testToken}
-	_, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp, "")})
+	_, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp)})
 	if err == nil || !strings.Contains(err.Error(), "already served") {
 		t.Fatalf("second serve on a live state dir accepted: %v", err)
 	}
@@ -331,7 +273,7 @@ func TestStateDirDoubleServeRefused(t *testing.T) {
 	// With the first serve gone, the lock is free again.
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	cancel3()
-	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp, ""), Context: ctx3}); err == nil ||
+	if _, err := campaign.Run(buildFromSpec(t, sp), campaign.Options{Runner: service.NewOneRun(cfg, sp), Context: ctx3}); err == nil ||
 		strings.Contains(err.Error(), "already served") {
 		t.Fatalf("lock not released after the first serve exited: %v", err)
 	}
@@ -345,7 +287,7 @@ func TestStateDirSpecMismatchRefused(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sp := delayedSelftestSpec(12, 7, 0)
 	_, _, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{StateDir: state, LeaseTTL: time.Second}, "",
+		service.Config{StateDir: state, LeaseTTL: time.Second},
 		campaign.Options{Context: ctx})
 	cancel() // no workers; the WAL header is written at admission
 	if res := <-out; res.err == nil {
@@ -354,7 +296,7 @@ func TestStateDirSpecMismatchRefused(t *testing.T) {
 
 	other := delayedSelftestSpec(30, 7, 0)
 	cfg := service.Config{Addr: "127.0.0.1:0", StateDir: state, Token: testToken}
-	_, err := campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: service.NewOneRun(cfg, other, "")})
+	_, err := campaign.Run(buildFromSpec(t, other), campaign.Options{Runner: service.NewOneRun(cfg, other)})
 	if err == nil || !strings.Contains(err.Error(), "journals spec") {
 		t.Fatalf("mismatched state dir accepted: %v", err)
 	}

@@ -115,7 +115,7 @@ func TestDistributedEquivalenceTLS(t *testing.T) {
 	want := singleProcessWant(t, buildFromSpec(t, sp))
 
 	_, url, out := startCoordinator(t, buildFromSpec(t, sp), sp,
-		service.Config{Shards: 2, LeaseTTL: 2 * time.Second, TLSCert: certFile, TLSKey: keyFile}, "",
+		service.Config{Shards: 2, LeaseTTL: 2 * time.Second, TLSCert: certFile, TLSKey: keyFile},
 		campaign.Options{})
 	if !strings.HasPrefix(url, "https://") {
 		t.Fatalf("TLS service URL = %q, want https://", url)

@@ -356,13 +356,12 @@ func (w *Worker) runShard(ctx context.Context, c campaign.Campaign, info Campaig
 	// Heartbeat until the shard run finishes (the deferred cancel stops
 	// the goroutine). A revoked lease — expired, or its run finished,
 	// failed or was cancelled — cancels the shard context, which aborts
-	// the runner promptly; drain directives and scale-up advice ride the
-	// heartbeat responses.
+	// the runner promptly; drain directives ride the heartbeat
+	// responses.
 	go func() {
 		ticker := time.NewTicker(hbEvery)
 		defer ticker.Stop()
 		misses := 0
-		var lastAdvice int
 		for {
 			select {
 			case <-shardCtx.Done():
@@ -381,10 +380,6 @@ func (w *Worker) runShard(ctx context.Context, c campaign.Campaign, info Campaig
 			if resp.Drain && !drain.Load() {
 				drain.Store(true)
 				w.logf("worker %s: drain directive received; will exit after this shard\n", workerID)
-			}
-			if resp.ScaleUp != lastAdvice {
-				lastAdvice = resp.ScaleUp
-				w.logf("worker %s: service advises %+d workers\n", workerID, resp.ScaleUp)
 			}
 			if !resp.OK {
 				cancel()

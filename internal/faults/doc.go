@@ -2,8 +2,7 @@
 // accelerator and generates the fault instances used throughout the
 // experiments. Three fault classes are covered, unified behind the
 // FaultModel interface so campaigns, spec files and tools can address
-// any of them by name the way they already address a tensor.Backend or
-// a campaign.Planner:
+// any of them by name the way they already address a tensor.Backend:
 //
 //   - "stuckat" (StuckAtModel): the paper's fault class. Permanent
 //     stuck-at bits on PE accumulator (or weight-register) outputs,

@@ -36,7 +36,6 @@ type run struct {
 	name     string
 	labels   map[string]string
 	kind     string
-	priority int
 	fp       string
 	specJSON []byte // canonical spec, shipped in lease grants
 	dir      string
@@ -54,7 +53,9 @@ type run struct {
 	results    []campaign.Result
 	remaining  int
 	wal        *campaign.WAL
-	planner    string
+	// done is a terminal run's result count as its status.json
+	// recorded it (runs recovered without replay have no recorded set).
+	done int
 
 	deficit    float64
 	recovered  int
@@ -72,23 +73,22 @@ type shardState struct {
 // terminal reports whether the run reached a final state.
 func (r *run) terminal() bool { return r.state != RunRunning }
 
-// doneCount is the number of recorded results (terminal runs loaded
-// from disk keep it in len(results)).
+// doneCount is the number of recorded results.
 func (r *run) doneCount() int {
 	if r.recorded != nil {
 		return len(r.recorded)
 	}
-	return len(r.results)
+	return r.done
 }
 
 // summary renders the run's catalog entry.
 func (r *run) summary() RunSummary {
 	return RunSummary{
 		ID: r.id, Name: r.name, Labels: r.labels, Kind: r.kind,
-		Fingerprint: r.fp, Priority: r.priority, State: r.state,
+		Fingerprint: r.fp, State: r.state,
 		Failure: r.failure, Trials: r.info.Trials, Done: r.doneCount(),
 		Shards: len(r.shards), Recovered: r.recovered,
-		Reassigned: r.reassigned, Planner: r.planner,
+		Reassigned: r.reassigned,
 	}
 }
 
@@ -103,7 +103,6 @@ type runStatus struct {
 	Labels      map[string]string `json:"labels,omitempty"`
 	Kind        string            `json:"kind"`
 	Fingerprint string            `json:"fingerprint"`
-	Priority    int               `json:"priority,omitempty"`
 	Trials      int               `json:"trials"`
 	State       string            `json:"state"`
 	Failure     string            `json:"failure,omitempty"`
@@ -116,8 +115,7 @@ type runStatus struct {
 func (r *run) writeStatus() error {
 	st := runStatus{
 		ID: r.id, Seq: r.seq, Name: r.name, Labels: r.labels,
-		Kind: r.kind, Fingerprint: r.fp, Priority: r.priority,
-		Trials: r.info.Trials, State: r.state, Failure: r.failure,
+		Kind: r.kind, Fingerprint: r.fp, Trials: r.info.Trials, State: r.state, Failure: r.failure,
 		Done: r.doneCount(),
 	}
 	b, err := json.MarshalIndent(st, "", "  ")
@@ -146,9 +144,9 @@ func readRunStatus(dir string) (runStatus, error) {
 	return st, nil
 }
 
-// installPlan (re)builds the run's shard table from a planned split,
-// re-deriving each shard's pending set from what is already recorded.
-func (r *run) installPlan(planned []campaign.PlannedShard, plannerName string) {
+// installPlan builds the run's shard table from a planned split,
+// deriving each shard's pending set from what is already recorded.
+func (r *run) installPlan(planned []campaign.PlannedShard) {
 	r.shards = r.shards[:0]
 	r.trialShard = make(map[int]int, len(r.trials))
 	for _, ps := range planned {
@@ -162,7 +160,6 @@ func (r *run) installPlan(planned []campaign.PlannedShard, plannerName string) {
 		st.done = len(st.remaining) == 0
 		r.shards = append(r.shards, st)
 	}
-	r.planner = plannerName
 }
 
 // walShards renders the run's current shard table in journal form.

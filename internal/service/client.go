@@ -104,9 +104,9 @@ func (c *Client) do(method, path string, in, out any) error {
 }
 
 // Submit enqueues a spec and returns the admitted run.
-func (c *Client) Submit(specJSON []byte, priority int) (SubmitResponse, error) {
+func (c *Client) Submit(specJSON []byte) (SubmitResponse, error) {
 	var resp SubmitResponse
-	err := c.do("POST", "/v1/runs", SubmitRequest{Spec: specJSON, Priority: priority}, &resp)
+	err := c.do("POST", "/v1/runs", SubmitRequest{Spec: specJSON}, &resp)
 	return resp, err
 }
 
@@ -159,7 +159,7 @@ func (c *Client) Drain(worker string) (DrainResponse, error) {
 	return resp, err
 }
 
-// Status returns the service snapshot (catalog, fleet, scale advice).
+// Status returns the service snapshot (catalog, fleet, queue depth).
 func (c *Client) Status() (ServiceStatus, error) {
 	var resp ServiceStatus
 	err := c.do("GET", "/v1/status", nil, &resp)

@@ -18,19 +18,18 @@
 // daemon, TLS. This package owns everything that decides what runs
 // where or must survive a restart: the run catalog (submit/list/get/
 // watch/cancel, with spec.Spec Name/Labels annotations), per-run
-// durability, the cross-run fair-share scheduler, admission-time
-// re-planning, the autoscaling hooks, and bearer-token auth. It reuses
-// cluster's LeaseTable, protocol types and HTTP helpers, and campaign's
-// WAL.
+// durability, the cross-run fair-share scheduler, graceful drain, and
+// bearer-token auth. It reuses cluster's LeaseTable, protocol types and
+// HTTP helpers, and campaign's shard plan and WAL.
 //
 // # Run catalog and durability
 //
 // Each submitted spec becomes a run: "r<seq>-<fingerprint[:8]>", with
 // its own state directory <StateDir>/runs/<runID>/ holding
 //
-//   - status.json — catalog metadata (name, labels, priority, state),
-//     rewritten atomically on every state transition, so a restarted
-//     service can list terminal runs without replaying anything;
+//   - status.json — catalog metadata (name, labels, state, result
+//     count), rewritten atomically on every state transition, so a
+//     restarted service lists terminal runs without replaying anything;
 //   - wal.jsonl — the run's write-ahead log (campaign.WAL: shard table,
 //     lease lifecycle, every accepted result), the one crash-recovery
 //     path: restart recovery replays it;
@@ -52,28 +51,22 @@
 //
 // # Scheduling
 //
-// One cluster.LeaseTable keyed by (run, shard) covers the whole
-// catalog. A lease request picks among runs that are running and have a
-// free shard: the highest submission priority wins outright, and within
-// a priority band a deficit counter — charged to the chosen run,
-// credited equally to every contender — keeps long-term shard grants
-// fair however uneven the shard sizes are.
+// Each run is split once, at admission, into Config.Shards interleaved
+// shards (campaign.PlanShards); the journaled table is the one replay
+// restores. One cluster.LeaseTable keyed by (run, shard) covers the
+// whole catalog. A lease request picks among runs that are running and
+// have a free shard by a deficit counter — charged to the chosen run,
+// credited equally to every contender — that keeps long-term grants of
+// work fair however uneven the shard sizes are. GET /v1/status reports
+// the fleet size and the queue depth (schedulable shards with no
+// holder).
 //
-// Plans are revisited at run-admission boundaries: every admission
-// recomputes campaign.TimingByKey over all recorded results and feeds
-// it through the campaign.Planner seam (BalancedPlanner), both for the
-// new run and to re-plan any running run that currently has no leases
-// outstanding; each re-plan is journaled as a WAL plan record so replay
-// restores the table actually in force.
+// # Drain
 //
-// # Autoscaling hooks
-//
-// Heartbeat responses carry scale-up advice (schedulable shards minus
-// idle live workers) and graceful-drain directives; lease responses
-// carry drain for idle workers. cluster.Worker honors both: a drained
-// worker finishes its current shard, then exits instead of taking
-// another lease. The advice is also exposed on GET /v1/status for
-// external autoscalers.
+// POST /v1/drain marks workers for graceful retirement: heartbeat
+// responses carry the directive to a busy worker, lease responses to an
+// idle one, and cluster.Worker finishes its current shard, then exits
+// instead of taking another lease.
 //
 // # Auth
 //

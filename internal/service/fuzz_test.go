@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"falvolt/internal/service"
@@ -13,7 +15,9 @@ import (
 // decoder, the service's only write surface reachable from outside the
 // worker protocol. Malformed envelopes and specs must be rejected with
 // an error, never a panic, and whatever is accepted must satisfy the
-// endpoint's invariants (a decoded spec, an in-bounds priority).
+// endpoint's invariants (a decoded spec, an envelope holding nothing
+// but the spec). Submissions carry no scheduling priority: the seeds
+// that still send one are refused as unknown fields.
 func FuzzDecodeSubmit(f *testing.F) {
 	seeds := []string{
 		`{"spec": {"version": 1, "kind": "selftest", "selftest": {"trials": 4}}}`,
@@ -33,17 +37,29 @@ func FuzzDecodeSubmit(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
+		if !strings.Contains(s, `"priority"`) {
+			continue
+		}
+		if _, err := service.DecodeSubmit([]byte(s)); err == nil || !strings.Contains(err.Error(), `unknown field "priority"`) {
+			f.Fatalf("submit %s: err = %v, want the priority refused as an unknown field", s, err)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, sp, err := service.DecodeSubmit(data)
+		sp, err := service.DecodeSubmit(data)
 		if err != nil {
 			return // rejected is fine; panicking is the bug
 		}
-		if req == nil || sp == nil {
-			t.Fatalf("accepted submit returned nil request/spec: %v / %v", req, sp)
+		if sp == nil {
+			t.Fatal("accepted submit returned a nil spec")
 		}
-		if req.Priority < -service.MaxPriority || req.Priority > service.MaxPriority {
-			t.Fatalf("accepted submit carries out-of-bounds priority %d", req.Priority)
+		var envelope map[string]json.RawMessage
+		if err := json.Unmarshal(data, &envelope); err != nil {
+			t.Fatalf("accepted submit is not a JSON object: %v", err)
+		}
+		for k := range envelope {
+			if !strings.EqualFold(k, "spec") {
+				t.Fatalf("accepted submit carries envelope field %q", k)
+			}
 		}
 		if _, err := sp.Fingerprint(); err != nil {
 			t.Fatalf("accepted spec does not fingerprint: %v", err)

@@ -31,7 +31,7 @@ func (s *Service) mux() *http.ServeMux {
 	m.HandleFunc("GET /v1/runs/{id}", s.auth(s.handleGet))
 	m.HandleFunc("GET /v1/runs/{id}/results", s.auth(s.handleFetchResults))
 	m.HandleFunc("POST /v1/runs/{id}/cancel", s.auth(s.handleCancel))
-	// Autoscaling hook: mark workers for graceful drain.
+	// Mark workers for graceful drain.
 	m.HandleFunc("POST /v1/drain", s.auth(s.handleDrain))
 	return m
 }
@@ -64,7 +64,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	s.wseq++
 	id := fmt.Sprintf("w%d-%s", s.wseq, req.Worker)
-	s.workers[id] = &workerState{name: req.Worker, lastSeen: s.now()}
+	s.workers[id] = &workerState{name: req.Worker}
 	s.logf("service: registered worker %s\n", id)
 	cluster.WriteJSON(w, cluster.RegisterResponse{
 		WorkerID:       id,
@@ -73,15 +73,13 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // workerSeen authenticates a worker ID against the fleet table (403
-// sends the worker back through registration) and refreshes its
-// liveness timestamp.
+// sends the worker back through registration).
 func (s *Service) workerSeen(w http.ResponseWriter, id string) *workerState {
 	ws, ok := s.workers[id]
 	if !ok {
 		cluster.WriteJSONError(w, http.StatusForbidden, fmt.Sprintf("unknown worker %q: register first", id))
 		return nil
 	}
-	ws.lastSeen = s.now()
 	return ws
 }
 
@@ -157,9 +155,8 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cluster.WriteJSON(w, cluster.HeartbeatResponse{
-		OK:      s.leases.Renew(req.LeaseID),
-		Drain:   ws.drain,
-		ScaleUp: s.scaleUpLocked(),
+		OK:    s.leases.Renew(req.LeaseID),
+		Drain: ws.drain,
 	})
 }
 
@@ -209,7 +206,6 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Runs:       s.runSummariesLocked(),
 		Workers:    len(s.workers),
 		OpenShards: s.openShardsLocked(),
-		ScaleUp:    s.scaleUpLocked(),
 	})
 }
 
@@ -223,7 +219,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request: %v", err))
 		return
 	}
-	req, sp, err := DecodeSubmit(data)
+	sp, err := DecodeSubmit(data)
 	if err != nil {
 		cluster.WriteJSONError(w, http.StatusBadRequest, err.Error())
 		return
@@ -235,7 +231,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("spec does not build: %v", err))
 		return
 	}
-	resp, err := s.admit(req, sp, built)
+	resp, err := s.admit(sp, built)
 	if err != nil {
 		cluster.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return

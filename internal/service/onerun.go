@@ -27,28 +27,24 @@ type OneRun struct {
 	svc *Service
 }
 
-// oneRun is the Service side of a OneRun: spec and planner come from
-// NewOneRun, the campaign-side fields from Run, and run is set once
-// the run is admitted or recovered.
+// oneRun is the Service side of a OneRun: spec comes from NewOneRun,
+// the campaign-side fields from Run, and run is set once the run is
+// admitted or recovered.
 type oneRun struct {
-	spec    *spec.Spec
-	fp      string
-	planner string
-	c       campaign.Campaign
-	trials  []campaign.Trial
-	sink    func(campaign.Result) error
-	run     *run
+	spec   *spec.Spec
+	fp     string
+	c      campaign.Campaign
+	trials []campaign.Trial
+	sink   func(campaign.Result) error
+	run    *run
 }
 
 // NewOneRun builds a one-run service for the experiment sp. Workers
-// build their campaign from sp; planner selects the shard plan of a
-// fresh run (campaign.PlannerByName: "" or "uniform", or
-// "balance:<timing-source>"). A restart that recovers the run from
-// StateDir keeps the journaled plan instead, so the timing source need
-// not survive. cfg.Token is required, as for any service.
-func NewOneRun(cfg Config, sp *spec.Spec, planner string) *OneRun {
+// build their campaign from sp. cfg.Token is required, as for any
+// service.
+func NewOneRun(cfg Config, sp *spec.Spec) *OneRun {
 	svc := New(cfg)
-	svc.one = &oneRun{spec: sp, planner: planner}
+	svc.one = &oneRun{spec: sp}
 	return &OneRun{svc: svc}
 }
 
@@ -120,22 +116,15 @@ func (o *OneRun) Run(ctx context.Context, c campaign.Campaign, trials []campaign
 
 // admitOneLocked attaches a one-run service to its run: the one
 // recovered from the state dir (recoverLocked admits no other), or a
-// fresh admission planned by the configured planner.
+// fresh admission.
 func (s *Service) admitOneLocked() error {
 	one := s.one
 	if len(s.order) > 0 {
 		one.run = s.runs[s.order[0]]
 		return nil
 	}
-	planner, err := campaign.PlannerByName(one.planner)
-	if err != nil {
-		return err
-	}
-	name := one.planner
-	if name == "" {
-		name = "uniform"
-	}
-	one.run, err = s.admitLocked(one.spec, &spec.Built{Campaign: one.c}, one.trials, 0, planner, name)
+	var err error
+	one.run, err = s.admitLocked(one.spec, &spec.Built{Campaign: one.c}, one.trials)
 	return err
 }
 

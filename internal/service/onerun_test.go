@@ -31,7 +31,7 @@ func TestOneRunTemporaryState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := NewOneRun(Config{Addr: "127.0.0.1:0", Token: testToken, Shards: 3, linger: 100 * time.Millisecond}, sp, "")
+	one := NewOneRun(Config{Addr: "127.0.0.1:0", Token: testToken, Shards: 3, linger: 100 * time.Millisecond}, sp)
 	out := make(chan error, 1)
 	var rr *campaign.RunResult
 	go func() {
@@ -50,7 +50,7 @@ func TestOneRunTemporaryState(t *testing.T) {
 	}
 
 	cl := NewClient(one.URL(), testToken)
-	if _, err := cl.Submit(selftestSpec(4, 0, "intruder"), 0); err == nil || !strings.Contains(err.Error(), "one-run service") {
+	if _, err := cl.Submit(selftestSpec(4, 0, "intruder")); err == nil || !strings.Contains(err.Error(), "one-run service") {
 		t.Fatalf("one-run service accepted a catalog submission: %v", err)
 	}
 
@@ -90,7 +90,7 @@ func TestOneRunNeedsToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := NewOneRun(Config{Addr: "127.0.0.1:0"}, sp, "")
+	one := NewOneRun(Config{Addr: "127.0.0.1:0"}, sp)
 	if _, err := campaign.Run(built.Campaign, campaign.Options{Runner: one}); err == nil || !strings.Contains(err.Error(), "token") {
 		t.Fatalf("one-run service started without a token: %v", err)
 	}

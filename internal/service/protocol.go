@@ -25,49 +25,35 @@ const (
 	RunCancelled = "cancelled"
 )
 
-// MaxPriority bounds submission priority to [-MaxPriority, MaxPriority]
-// (0 is the default; higher schedules first).
-const MaxPriority = 100
-
 // SubmitRequest is the POST /v1/runs body: the experiment spec to
-// enqueue plus scheduling priority. The spec's execution-only Name and
-// Labels fields annotate the catalog entry.
+// enqueue. The spec's execution-only Name and Labels fields annotate
+// the catalog entry.
 type SubmitRequest struct {
 	// Spec is the experiment spec JSON (internal/spec), decoded
 	// strictly: unknown fields and invalid values are rejected at the
 	// door, not at build time.
 	Spec json.RawMessage `json:"spec"`
-	// Priority orders runs in the scheduler; higher runs first. Bounded
-	// to [-MaxPriority, MaxPriority].
-	Priority int `json:"priority,omitempty"`
 }
 
-// DecodeSubmit strictly decodes a submit-endpoint body: unknown
-// envelope fields, trailing data, a missing or invalid spec, and
-// out-of-range priority are all errors. This is the service's
-// untrusted-input surface (see FuzzDecodeSubmit).
-func DecodeSubmit(data []byte) (*SubmitRequest, *spec.Spec, error) {
+// DecodeSubmit strictly decodes a submit-endpoint body into its spec:
+// unknown envelope fields, trailing data, and a missing or invalid spec
+// are all errors. This is the service's untrusted-input surface (see
+// FuzzDecodeSubmit).
+func DecodeSubmit(data []byte) (*spec.Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("service: decode submit request: %w", err)
+		return nil, fmt.Errorf("service: decode submit request: %w", err)
 	}
 	var trailing json.RawMessage
 	if err := dec.Decode(&trailing); err != io.EOF {
-		return nil, nil, fmt.Errorf("service: decode submit request: trailing data after request object")
+		return nil, fmt.Errorf("service: decode submit request: trailing data after request object")
 	}
 	if len(req.Spec) == 0 {
-		return nil, nil, fmt.Errorf("service: submit request has no spec")
+		return nil, fmt.Errorf("service: submit request has no spec")
 	}
-	if req.Priority < -MaxPriority || req.Priority > MaxPriority {
-		return nil, nil, fmt.Errorf("service: priority %d outside [%d, %d]", req.Priority, -MaxPriority, MaxPriority)
-	}
-	sp, err := spec.Decode(req.Spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &req, sp, nil
+	return spec.Decode(req.Spec)
 }
 
 // SubmitResponse acknowledges an admitted run.
@@ -85,7 +71,6 @@ type RunSummary struct {
 	Labels      map[string]string `json:"labels,omitempty"`
 	Kind        string            `json:"kind"`
 	Fingerprint string            `json:"fingerprint"`
-	Priority    int               `json:"priority,omitempty"`
 	State       string            `json:"state"`
 	Failure     string            `json:"failure,omitempty"`
 	// Trials and Done count the run's full trial set and the results
@@ -99,9 +84,6 @@ type RunSummary struct {
 	// Reassigned counts lease expiries that put a shard with pending
 	// work back on the queue.
 	Reassigned int `json:"reassigned,omitempty"`
-	// Planner names the policy behind the run's current shard table
-	// ("uniform" or "balance:accumulated" after a re-plan).
-	Planner string `json:"planner,omitempty"`
 }
 
 // ListResponse is the GET /v1/runs body: every catalog entry in
@@ -123,15 +105,12 @@ type DrainResponse struct {
 	Drained int `json:"drained"`
 }
 
-// ServiceStatus is the GET /v1/status snapshot: catalog plus fleet and
-// the same scale-up advice heartbeats carry, for external autoscalers.
+// ServiceStatus is the GET /v1/status snapshot: catalog, fleet size
+// and queue depth.
 type ServiceStatus struct {
 	Runs    []RunSummary `json:"runs"`
 	Workers int          `json:"workers"`
 	// OpenShards counts schedulable shards with no lease holder across
 	// all running runs.
 	OpenShards int `json:"openShards"`
-	// ScaleUp is max(0, OpenShards - idle live workers): how many
-	// additional workers could lease work right now.
-	ScaleUp int `json:"scaleUp"`
 }

@@ -69,7 +69,7 @@ func TestRetentionPrunesTerminalRuns(t *testing.T) {
 
 	var subs []string
 	for _, name := range []string{"keep-a", "keep-b", "keep-c"} {
-		sub, err := cl.Submit(selftestSpec(6, 1, name), 0)
+		sub, err := cl.Submit(selftestSpec(6, 1, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestRetentionEnforcedOnRestart(t *testing.T) {
 	})
 	cl1 := NewClient(svc1.URL(), testToken)
 	for _, name := range []string{"old-a", "old-b", "old-c"} {
-		sub, err := cl1.Submit(selftestSpec(4, 1, name), 0)
+		sub, err := cl1.Submit(selftestSpec(4, 1, name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package service
 
-import (
-	"strconv"
-
-	"falvolt/internal/campaign"
-)
+import "strconv"
 
 // runShard keys the service-wide lease table: one table covers every
 // run's shards, so one sweep policy and one lease-ID sequence span the
@@ -31,24 +27,13 @@ func (s *Service) freeShardLocked(r *run) int {
 	return -1
 }
 
-// activeLeasesLocked counts the run's shards currently under lease.
-func (s *Service) activeLeasesLocked(r *run) int {
-	n := 0
-	for i := range r.shards {
-		if s.leases.Holder(runShard{r.id, i}) != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // pickLocked is the fair-share scheduler: among running runs with a
-// free shard, the highest priority band wins outright; within the band
-// the largest deficit wins, ties broken by submission order. Granting
-// charges the chosen run the shard's cost (its pending trial count) and
-// credits the same cost equally across every contender — including the
-// chosen one — so over time each same-priority run receives an equal
-// share of granted work regardless of how its shards are sized.
+// free shard, the largest deficit wins, ties broken by submission
+// order. Granting charges the chosen run the shard's cost (its pending
+// trial count) and credits the same cost equally across every
+// contender — including the chosen one — so over time each run receives
+// an equal share of granted work regardless of how its shards are
+// sized.
 func (s *Service) pickLocked() (*run, int) {
 	var group []*run
 	shard := make(map[string]int)
@@ -60,13 +45,6 @@ func (s *Service) pickLocked() (*run, int) {
 		i := s.freeShardLocked(r)
 		if i < 0 {
 			continue
-		}
-		if len(group) > 0 {
-			if r.priority > group[0].priority {
-				group = group[:0]
-			} else if r.priority < group[0].priority {
-				continue
-			}
 		}
 		group = append(group, r)
 		shard[r.id] = i
@@ -91,7 +69,7 @@ func (s *Service) pickLocked() (*run, int) {
 }
 
 // openShardsLocked counts schedulable shards (pending work, no holder)
-// across every running run — the demand half of scale-up advice.
+// across every running run: the queue depth /v1/status reports.
 func (s *Service) openShardsLocked() int {
 	n := 0
 	for _, r := range s.runs {
@@ -105,39 +83,4 @@ func (s *Service) openShardsLocked() int {
 		}
 	}
 	return n
-}
-
-// scaleUpLocked is the advice carried in heartbeat responses and
-// /v1/status: how many ADDITIONAL workers could be leasing work right
-// now. Idle live workers (no lease, not draining, seen within two lease
-// TTLs) are expected to pick up open shards on their next poll, so they
-// subtract from the demand.
-func (s *Service) scaleUpLocked() int {
-	open := s.openShardsLocked()
-	if open == 0 {
-		return 0
-	}
-	idle := 0
-	cutoff := s.now().Add(-2 * s.cfg.LeaseTTL)
-	for id, ws := range s.workers {
-		if !ws.drain && ws.lastSeen.After(cutoff) && s.leases.Held(id) == 0 {
-			idle++
-		}
-	}
-	if idle >= open {
-		return 0
-	}
-	return open - idle
-}
-
-// timingLocked aggregates per-key wall-clock across every run's
-// recorded results — the accumulating cost model behind admission-time
-// re-planning. Terminal runs recovered from disk contribute too: their
-// results.jsonl was loaded at startup.
-func (s *Service) timingLocked() []campaign.KeyTiming {
-	var all []campaign.Result
-	for _, r := range s.runs {
-		all = append(all, r.results...)
-	}
-	return campaign.TimingByKey(all)
 }

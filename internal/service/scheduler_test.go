@@ -2,10 +2,6 @@ package service
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,8 +19,8 @@ func newTestScheduler() *Service {
 
 // addRun installs a synthetic running run whose shards hold the given
 // pending-trial counts.
-func addRun(s *Service, id string, priority int, shardTrials ...int) *run {
-	r := &run{id: id, priority: priority, state: RunRunning, recorded: map[int][]byte{}}
+func addRun(s *Service, id string, shardTrials ...int) *run {
+	r := &run{id: id, state: RunRunning, recorded: map[int][]byte{}}
 	next := 0
 	for _, n := range shardTrials {
 		st := &shardState{
@@ -55,28 +51,12 @@ func grantNext(s *Service) string {
 	return r.id
 }
 
-// TestPickPriorityBand: a higher-priority run wins every grant while it
-// has free shards, regardless of accumulated deficit.
-func TestPickPriorityBand(t *testing.T) {
-	s := newTestScheduler()
-	addRun(s, "lo", 0, 5, 5, 5)
-	addRun(s, "hi", 10, 1, 1)
-
-	want := []string{"hi", "hi", "lo", "lo", "lo", ""}
-	for i, w := range want {
-		if got := grantNext(s); got != w {
-			t.Fatalf("grant %d went to %q, want %q", i, got, w)
-		}
-	}
-}
-
-// TestPickDeficitFairShare: within one priority band, deficit round
-// robin balances granted WORK (pending-trial cost), not grant count — a
+// TestPickDeficitFairShare: deficit round robin balances granted WORK (pending-trial cost), not grant count — a
 // run with big shards cedes several turns to a run with small ones.
 func TestPickDeficitFairShare(t *testing.T) {
 	s := newTestScheduler()
-	addRun(s, "big", 0, 10, 10, 10, 10)
-	addRun(s, "small", 0, 2, 2, 2, 2)
+	addRun(s, "big", 10, 10, 10, 10)
+	addRun(s, "small", 2, 2, 2, 2)
 
 	// First grant ties on deficit and goes to the earlier submission
 	// ("big", cost 10); "small" then wins repeatedly until its credit is
@@ -93,8 +73,8 @@ func TestPickDeficitFairShare(t *testing.T) {
 // never schedulable.
 func TestPickSkipsLeasedAndTerminal(t *testing.T) {
 	s := newTestScheduler()
-	r := addRun(s, "only", 0, 3, 3)
-	dead := addRun(s, "dead", 50, 3)
+	r := addRun(s, "only", 3, 3)
+	dead := addRun(s, "dead", 3)
 	dead.state = RunFailed
 
 	if got := grantNext(s); got != "only" {
@@ -114,83 +94,5 @@ func TestPickSkipsLeasedAndTerminal(t *testing.T) {
 	s.leases.Release(l.ID)
 	if got := grantNext(s); got != "only" {
 		t.Fatalf("post-release grant went to %q, want the reopened shard", got)
-	}
-}
-
-// TestReplanAtAdmission: once the catalog has accumulated timing,
-// admission plans new runs with the balanced planner AND re-plans idle
-// runs, journaling the new table as a WAL plan record that replay
-// honors.
-func TestReplanAtAdmission(t *testing.T) {
-	state := t.TempDir()
-	svc, stop := startService(t, Config{StateDir: state, Shards: 4, LeaseTTL: 10 * time.Second})
-	defer stop()
-	cl := NewClient(svc.URL(), testToken)
-
-	// First run admits with no timing on file: uniform plan.
-	subA, err := cl.Submit(selftestSpec(12, 1, "first"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum, err := cl.Get(subA.RunID); err != nil || sum.Planner != "uniform" {
-		t.Fatalf("first admission planner %q (%v), want uniform", sum.Planner, err)
-	}
-
-	// Complete it so timing accumulates, then retire the fleet so later
-	// runs sit idle (re-planning only touches lease-free runs).
-	var n atomic.Int64
-	w := startWorker(t, svc.URL(), "pw", t.TempDir(), &n)
-	if sum, err := cl.Watch(subA.RunID); err != nil || sum.State != RunDone {
-		t.Fatalf("first run: %+v, %v", sum, err)
-	}
-	if _, err := cl.Drain("pw"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-w:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker did not drain")
-	}
-
-	// Second run admits against accumulated timing.
-	subB, err := cl.Submit(selftestSpec(12, 1, "second"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum, err := cl.Get(subB.RunID); err != nil || sum.Planner != accumulatedPlanner {
-		t.Fatalf("second admission planner %q (%v), want %s", sum.Planner, err, accumulatedPlanner)
-	}
-
-	// A third admission re-plans the idle second run: its WAL gains a
-	// plan record, and replay folds that table into the header.
-	if _, err := cl.Submit(selftestSpec(12, 1, "third"), 0); err != nil {
-		t.Fatal(err)
-	}
-	walPath := campaign.WALPath(filepath.Join(state, runsDirName, subB.RunID))
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"plan"`) {
-		t.Fatalf("run %s WAL has no plan record after a later admission", subB.RunID)
-	}
-	hdr, _, _, err := campaign.ReadWAL(walPath)
-	if err != nil {
-		t.Fatalf("WAL with plan record does not replay: %v", err)
-	}
-	if hdr.Planner != accumulatedPlanner {
-		t.Fatalf("replayed planner %q, want %s", hdr.Planner, accumulatedPlanner)
-	}
-	seen := map[int]bool{}
-	for _, sh := range hdr.Shards {
-		for _, id := range sh.Trials {
-			if seen[id] {
-				t.Fatalf("trial %d appears in two shards of the replayed plan", id)
-			}
-			seen[id] = true
-		}
-	}
-	if len(seen) != 12 {
-		t.Fatalf("replayed plan covers %d trials, want 12", len(seen))
 	}
 }

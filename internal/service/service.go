@@ -23,11 +23,6 @@ import (
 	"falvolt/internal/spec"
 )
 
-// accumulatedPlanner names the policy of plans derived from the
-// service's accumulating cross-run timing (vs a file-backed
-// "balance:<path>" source).
-const accumulatedPlanner = "balance:accumulated"
-
 // HTTP server timeouts. ReadHeaderTimeout bounds how long a connection
 // may dribble in its request headers (a client that connects and sends
 // nothing is dropped); IdleTimeout bounds keep-alive connections
@@ -50,8 +45,10 @@ type Config struct {
 	// Token is the bearer credential every endpoint requires. Required:
 	// a multi-tenant catalog must not be world-writable.
 	Token string
-	// Shards is the per-run shard count (0 = cluster.DefaultShards,
-	// clamped to each run's trial count).
+	// Shards is the per-run shard count, and so the lease granularity:
+	// more shards reassign less work when a worker dies and interleave
+	// runs more finely (0 = cluster.DefaultShards; clamped to each run's
+	// trial count).
 	Shards int
 	// LeaseTTL is how long a shard lease survives without a heartbeat
 	// (0 = cluster.DefaultLeaseTTL).
@@ -86,9 +83,8 @@ type Config struct {
 
 // workerState is one registered worker's fleet entry.
 type workerState struct {
-	name     string
-	lastSeen time.Time
-	drain    bool
+	name  string
+	drain bool
 }
 
 // Service is the long-lived multi-tenant coordinator. Construct with
@@ -140,8 +136,6 @@ func (s *Service) Ready() <-chan struct{} { return s.ready }
 // URL returns the service's base URL ("http://host:port"). Valid only
 // after Ready.
 func (s *Service) URL() string { return s.url }
-
-func (s *Service) now() time.Time { return s.cfg.now() }
 
 func (s *Service) buildFunc() func(*spec.Spec) (*spec.Built, error) {
 	if s.cfg.Build != nil {
@@ -273,8 +267,8 @@ func (s *Service) await(ctx context.Context, serveErr <-chan error) error {
 }
 
 // recoverLocked rebuilds the catalog from <StateDir>/runs/*: terminal
-// runs are listed from their status.json (results.jsonl loaded for the
-// timing model), in-flight runs replay their WAL — shard table from the
+// runs are listed from their status.json alone, in-flight runs replay
+// their WAL — shard table from the
 // journal, recorded results replayed, open leases invalidated. A
 // one-run service refuses a state dir journaling any other spec, and
 // resumes its run whatever state the previous life left it in.
@@ -316,18 +310,14 @@ func (s *Service) recoverLocked() error {
 		}
 		r := &run{
 			id: rc.st.ID, seq: rc.st.Seq, name: rc.st.Name, labels: rc.st.Labels,
-			kind: rc.st.Kind, fp: rc.st.Fingerprint, priority: rc.st.Priority,
+			kind: rc.st.Kind, fp: rc.st.Fingerprint,
 			dir: rc.dir, state: rc.st.State, failure: rc.st.Failure,
 			info: cluster.CampaignInfo{Campaign: rc.st.Kind, Trials: rc.st.Trials},
 		}
 		if r.terminal() && s.one == nil {
-			// Listing needs only status.json; results.jsonl (if the run
-			// completed) feeds the timing model and the fetch endpoint.
-			if rc.st.State == RunDone {
-				if _, results, err := campaign.ReadCheckpoint(filepath.Join(rc.dir, resultsFileName)); err == nil {
-					r.results = results
-				}
-			}
+			// Listing needs only status.json, which recorded the final
+			// result count; the fetch endpoint reads results.jsonl itself.
+			r.done = rc.st.Done
 			s.runs[r.id] = r
 			s.order = append(s.order, r.id)
 			continue
@@ -488,11 +478,7 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 		}
 		planned[i] = ps
 	}
-	plannerName := hdr.Planner
-	if plannerName == "" {
-		plannerName = "uniform"
-	}
-	r.installPlan(planned, plannerName)
+	r.installPlan(planned)
 	if len(r.trialShard) != len(trials) {
 		return 0, fmt.Errorf("WAL shard table covers %d of %d pending trials (a one-run journal began after a checkpoint that no longer supplies the rest: restore that checkpoint or start a fresh state dir)",
 			len(r.trialShard), len(trials))
@@ -535,11 +521,10 @@ func (s *Service) recoverRunLocked(r *run) (int, error) {
 	return grants, nil
 }
 
-// admit plans and journals a newly submitted run, then revisits the
-// plans of idle runs with the refreshed timing model. The campaign is
+// admit plans and journals a newly submitted run. The campaign is
 // built by the caller (outside the lock: builds can be slow and must
 // not stall worker heartbeats).
-func (s *Service) admit(req *SubmitRequest, sp *spec.Spec, built *spec.Built) (SubmitResponse, error) {
+func (s *Service) admit(sp *spec.Spec, built *spec.Built) (SubmitResponse, error) {
 	trials, err := built.Campaign.Trials()
 	if err != nil {
 		return SubmitResponse{}, err
@@ -549,28 +534,17 @@ func (s *Service) admit(req *SubmitRequest, sp *spec.Spec, built *spec.Built) (S
 	if s.closed {
 		return SubmitResponse{}, fmt.Errorf("service: shutting down")
 	}
-	// Admission is a planning boundary: the accumulated cross-run
-	// timing (if any) flows through the Planner seam for the new run...
-	var planner campaign.Planner = campaign.UniformPlanner{}
-	plannerName := "uniform"
-	if timing := s.timingLocked(); len(timing) > 0 {
-		planner = campaign.BalancedPlanner{Timing: timing}
-		plannerName = accumulatedPlanner
-	}
-	r, err := s.admitLocked(sp, built, trials, req.Priority, planner, plannerName)
+	r, err := s.admitLocked(sp, built, trials)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	// ...and back into any running run that has no leases outstanding.
-	s.replanIdleLocked(r.id)
 	s.bumpLocked()
 	return SubmitResponse{RunID: r.id, Fingerprint: r.fp, Trials: len(trials), Shards: len(r.shards)}, nil
 }
 
-// admitLocked creates a run over trials: its state directory, a shard
-// table from planner, status.json and the WAL header.
-func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaign.Trial,
-	priority int, planner campaign.Planner, plannerName string) (*run, error) {
+// admitLocked creates a run over trials: its state directory, a
+// uniform shard table, status.json and the WAL header.
+func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaign.Trial) (*run, error) {
 	canonical, err := sp.Canonical()
 	if err != nil {
 		return nil, err
@@ -590,7 +564,7 @@ func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaig
 	r := &run{
 		id:  fmt.Sprintf("r%d-%s", s.rseq, fp[:8]),
 		seq: s.rseq, name: sp.Name, labels: sp.Labels, kind: sp.Kind,
-		priority: priority, fp: fp, specJSON: canonical,
+		fp: fp, specJSON: canonical,
 		state: RunRunning, built: built, info: info, trials: trials,
 		recorded: make(map[int][]byte), remaining: len(trials),
 	}
@@ -598,17 +572,17 @@ func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaig
 	if err := os.MkdirAll(r.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: run dir: %w", err)
 	}
-	planned, err := planner.Plan(trials, campaign.ResolveShards(s.cfg.Shards, cluster.DefaultShards, len(trials)))
-	if err != nil {
-		return nil, err
+	shards := s.cfg.Shards
+	if shards <= 0 {
+		shards = cluster.DefaultShards
 	}
-	r.installPlan(planned, plannerName)
+	r.installPlan(campaign.PlanShards(trials, shards))
 	if err := r.writeStatus(); err != nil {
 		return nil, err
 	}
 	wal, err := campaign.CreateWAL(campaign.WALPath(r.dir), campaign.WALHeader{
 		Campaign: info.Campaign, Trials: info.Trials, Fingerprint: fp,
-		Spec: string(canonical), Planner: plannerName, Shards: r.walShards(),
+		Spec: string(canonical), Shards: r.walShards(),
 	})
 	if err != nil {
 		return nil, err
@@ -616,44 +590,9 @@ func (s *Service) admitLocked(sp *spec.Spec, built *spec.Built, trials []campaig
 	r.wal = wal
 	s.runs[r.id] = r
 	s.order = append(s.order, r.id)
-	s.logf("service: admitted run %s (%s, %d trials, %d shards, priority %d, planner %s)\n",
-		r.id, displayName(r), len(trials), len(r.shards), r.priority, plannerName)
+	s.logf("service: admitted run %s (%s, %d trials, %d shards)\n",
+		r.id, displayName(r), len(trials), len(r.shards))
 	return r, nil
-}
-
-// replanIdleLocked re-plans every running, currently-unleased run
-// against the latest accumulated timing, journaling each new table as a
-// WAL plan record so replay restores the plan actually in force. Only
-// runs with zero active leases move: a worker mid-shard holds trial
-// membership the service must not shuffle under it.
-func (s *Service) replanIdleLocked(excludeID string) {
-	timing := s.timingLocked()
-	if len(timing) == 0 {
-		return
-	}
-	planner := campaign.BalancedPlanner{Timing: timing}
-	for _, id := range s.order {
-		r := s.runs[id]
-		if id == excludeID || r.state != RunRunning || r.remaining == 0 {
-			continue
-		}
-		if s.activeLeasesLocked(r) > 0 {
-			continue
-		}
-		planned, err := planner.Plan(r.trials, len(r.shards))
-		if err != nil {
-			continue // keep the current plan; planning is advisory
-		}
-		r.installPlan(planned, accumulatedPlanner)
-		if r.wal != nil {
-			if err := r.wal.AppendPlan(campaign.WALPlan{Planner: accumulatedPlanner, Shards: r.walShards()}); err != nil {
-				s.failRunLocked(r, fmt.Sprintf("journal re-plan: %v", err))
-				continue
-			}
-		}
-		s.logf("service: re-planned run %s across %d shards from accumulated timing (%d keys)\n",
-			r.id, len(r.shards), len(timing))
-	}
 }
 
 // recordRunLocked folds one streamed (or WAL-replayed) result into a

@@ -162,11 +162,11 @@ func TestTwoRunsSharedFleet(t *testing.T) {
 
 	specA := selftestSpec(24, 1, "run-a")
 	specB := selftestSpec(16, 1, "run-b")
-	subA, err := cl.Submit(specA, 0)
+	subA, err := cl.Submit(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subB, err := cl.Submit(specB, 0)
+	subB, err := cl.Submit(specB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func TestRestartRecovery(t *testing.T) {
 
 	specA := selftestSpec(20, 20, "ra")
 	specB := selftestSpec(12, 20, "rb")
-	subA, err := cl1.Submit(specA, 0)
+	subA, err := cl1.Submit(specA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subB, err := cl1.Submit(specB, 0)
+	subB, err := cl1.Submit(specB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +311,59 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsTerminalDone: a run cancelled after some results
+// landed keeps its result count across a restart. Terminal runs are
+// listed from status.json without replaying anything, so the count must
+// come from the Done that status.json recorded at the transition.
+func TestRestartKeepsTerminalDone(t *testing.T) {
+	state := t.TempDir()
+	svc1, stop1 := startService(t, Config{StateDir: state, Shards: 4, LeaseTTL: time.Second})
+	cl1 := NewClient(svc1.URL(), testToken)
+	sub, err := cl1.Submit(selftestSpec(40, 20, "halted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed atomic.Int64
+	w := startWorker(t, svc1.URL(), "tw1", t.TempDir(), &executed)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sum, err := cl1.Get(sub.RunID)
+		if err == nil && sum.Done >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no results landed before the cancel")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	before, err := cl1.Cancel(sub.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.State != RunCancelled || before.Done == 0 || before.Done == before.Trials {
+		t.Fatalf("cancelled run %+v, want cancelled part-way", before)
+	}
+	if _, err := cl1.Drain("tw1"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not drain")
+	}
+	stop1()
+
+	svc2, stop2 := startService(t, Config{StateDir: state, Shards: 4, LeaseTTL: time.Second})
+	defer stop2()
+	after, err := NewClient(svc2.URL(), testToken).Get(sub.RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.State != RunCancelled || after.Done != before.Done {
+		t.Fatalf("after restart the run is %s with %d done, want %s with %d", after.State, after.Done, RunCancelled, before.Done)
+	}
+}
+
 // TestAuth rejects every endpoint without the bearer token, and rejects
 // workers carrying the wrong one at registration.
 func TestAuth(t *testing.T) {
@@ -358,7 +411,7 @@ func TestCancel(t *testing.T) {
 	cl := NewClient(svc.URL(), testToken)
 
 	// Slow run: 200ms per trial gives cancel a wide window.
-	sub, err := cl.Submit(selftestSpec(50, 200, "doomed"), 0)
+	sub, err := cl.Submit(selftestSpec(50, 200, "doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +433,7 @@ func TestCancel(t *testing.T) {
 	}
 
 	// The worker lives on: a fresh run completes on the same fleet.
-	sub2, err := cl.Submit(selftestSpec(6, 1, "after"), 0)
+	sub2, err := cl.Submit(selftestSpec(6, 1, "after"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +468,7 @@ func TestBrokenSpecFailsOnlyItsRun(t *testing.T) {
 	defer stop()
 	cl := NewClient(svc.URL(), testToken)
 
-	sub, err := cl.Submit(selftestSpec(8, 1, "ok"), 0)
+	sub, err := cl.Submit(selftestSpec(8, 1, "ok"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +494,7 @@ func TestBrokenSpecFailsOnlyItsRun(t *testing.T) {
 	wdone := make(chan error, 1)
 	go func() { wdone <- w.Run(context.Background()) }()
 
-	subBad, err := cl.Submit(badSpec, 50) // higher priority: leased first
+	subBad, err := cl.Submit(badSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestServiceTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	specJSON := selftestSpec(8, 1, "tls-run")
-	sub, err := cl.Submit(specJSON, 0)
+	sub, err := cl.Submit(specJSON)
 	if err != nil {
 		t.Fatal(err)
 	}

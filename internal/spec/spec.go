@@ -64,15 +64,8 @@ type Spec struct {
 	// Shard restricts execution to the i-th of n interleaved trial
 	// subsets ("i/n"). Execution-only: excluded from the canonical form.
 	Shard string `json:"shard,omitempty"`
-	// Planner selects the shard-planning policy of a distributed serve:
-	// "uniform" (default) or "balance:<timing-source>" for shards that
-	// equalize predicted wall-clock from a prior run's per-key timing
-	// (campaign.PlannerByName). Execution-only, like Backend and Shard:
-	// any plan of the same experiment merges byte-identically, so the
-	// planner is excluded from the canonical form.
-	Planner string `json:"planner,omitempty"`
 	// Name is a human-readable run name for service catalogs (`campaign
-	// submit -name`). Execution-only, like Backend/Shard/Planner: two
+	// submit -name`). Execution-only, like Backend and Shard: two
 	// submissions of the same experiment under different names are the
 	// same experiment, so the name is excluded from the canonical form.
 	Name string `json:"name,omitempty"`
@@ -673,9 +666,6 @@ func (s *Spec) Validate() error {
 	if _, err := campaign.ParseShard(s.Shard); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if err := campaign.ValidatePlannerName(s.Planner); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
 	if err := validateRunName(s.Name); err != nil {
 		return err
 	}
@@ -792,13 +782,13 @@ func validateLabels(labels map[string]string) error {
 }
 
 // Canonical returns the spec's identity bytes: execution placement
-// (Backend, Shard, Planner) and catalog identity (Name, Labels)
+// (Backend, Shard) and catalog identity (Name, Labels)
 // cleared, compact JSON in fixed struct-field order. Two specs
 // describing the same experiment canonicalize identically however
 // their JSON source was ordered or indented.
 func (s *Spec) Canonical() ([]byte, error) {
 	c := *s
-	c.Backend, c.Shard, c.Planner = "", "", ""
+	c.Backend, c.Shard = "", ""
 	c.Name, c.Labels = "", nil
 	// Training replica counts are execution placement too — the
 	// deterministic reduction makes results bit-identical at any lane

@@ -170,9 +170,8 @@ func TestFingerprintStability(t *testing.T) {
 	// Execution placement must not perturb identity.
 	placed := *s
 	placed.Backend, placed.Shard = "parallel:4", "1/2"
-	placed.Planner = "balance:timing.jsonl"
 	if got, _ := placed.Fingerprint(); got != want {
-		t.Fatal("backend/shard/planner leaked into the fingerprint")
+		t.Fatal("backend/shard leaked into the fingerprint")
 	}
 
 	// Catalog identity (name, labels) must not perturb identity either:
@@ -205,8 +204,10 @@ func TestDecodeRejections(t *testing.T) {
 		{"missing kind", `{"version": 1}`, "missing kind"},
 		{"unknown field", `{"version": 1, "kind": "selftest", "trails": 5}`, "unknown field"},
 		{"bad shard", `{"version": 1, "kind": "selftest", "shard": "2"}`, "shard"},
-		{"bad planner", `{"version": 1, "kind": "selftest", "planner": "fastest"}`, "unknown planner"},
-		{"balance without source", `{"version": 1, "kind": "selftest", "planner": "balance:"}`, "unknown planner"},
+		// Specs carry no shard planner: every distributed run is planned
+		// uniformly, so a planner field is refused like any unknown one.
+		{"bad planner", `{"version": 1, "kind": "selftest", "planner": "fastest"}`, `unknown field "planner"`},
+		{"balance without source", `{"version": 1, "kind": "selftest", "planner": "balance:"}`, `unknown field "planner"`},
 		{"trailing garbage", `{"version": 1, "kind": "selftest"} {"again": true}`, "trailing data"},
 		{"name with newline", `{"version": 1, "kind": "selftest", "name": "a\nb"}`, "control character"},
 		{"overlong name", fmt.Sprintf(`{"version": 1, "kind": "selftest", "name": %q}`, strings.Repeat("x", 200)), "longer than"},
