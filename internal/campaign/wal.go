@@ -209,6 +209,9 @@ func readWAL(data []byte, path string) (WALHeader, []Result, []WALLease, error) 
 			header = *rec.Header
 			gotHeader = true
 		case rec.Plan != nil:
+			if !gotHeader {
+				return fail(fmt.Errorf("campaign: WAL %s: plan record before header", path))
+			}
 			return fail(retiredPlanner(path, rec.Plan.Planner))
 		case rec.Lease != nil:
 			if !gotHeader {

@@ -179,10 +179,8 @@ func TestWALTornFinalRecord(t *testing.T) {
 }
 
 // TestWALRejections: corruption mid-file, a checkpoint masquerading as
-// a WAL, future versions, missing headers, and journals shaped by the
-// retired load-aware planner (a header naming it, or a re-plan record
-// superseding the admission-time shard table) all fail loudly, naming
-// the file.
+// a WAL, future versions, missing headers, and a header naming the
+// retired load-aware planner all fail loudly, naming the file.
 func TestWALRejections(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -202,9 +200,6 @@ func TestWALRejections(t *testing.T) {
 		{"no header", `{"result":{"trial":0,"key":"k"}}` + "\n", "before header"},
 		{"empty", "", "no header"},
 		{"balanced header", strings.Replace(hdr, `"fingerprint"`, `"planner":"balance:accumulated","fingerprint"`, 1) + "\n", `planned by "balance:accumulated"`},
-		{"plan record", hdr + "\n" + `{"result":{"trial":0,"key":"k"},"wall":0.5}` + "\n" +
-			`{"plan":{"planner":"balance:accumulated","shards":[{"label":"0/1","trials":[1,0]}]}}` + "\n",
-			`planned by "balance:accumulated"`},
 	}
 	for _, tc := range cases {
 		p := write(strings.ReplaceAll(tc.name, " ", "-")+".jsonl", tc.content)
@@ -212,5 +207,32 @@ func TestWALRejections(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), p) {
 			t.Errorf("%s: error = %v, want substring %q and the path", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestWALPlanRecord: a re-plan record (which builds with the retired
+// load-aware planner journaled to supersede the admission-time shard
+// table) is refused, naming the file and the planner, rather than
+// replayed; one before any header fails as a missing header.
+func TestWALPlanRecord(t *testing.T) {
+	dir := t.TempDir()
+	hdr := `{"header":{"version":1,"campaign":"c","trials":2,"fingerprint":"ab","shards":[{"label":"0/1","trials":[0,1]}]}}`
+	path := filepath.Join(dir, "wal.jsonl")
+	content := hdr + "\n" + `{"result":{"trial":0,"key":"k"},"wall":0.5}` + "\n" +
+		`{"plan":{"planner":"balance:accumulated","shards":[{"label":"0/1","trials":[1,0]}]}}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := ReadWAL(path)
+	if err == nil || !strings.Contains(err.Error(), `planned by "balance:accumulated"`) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("plan record: error = %v, want the planner and the path", err)
+	}
+
+	orphan := filepath.Join(dir, "orphan.jsonl")
+	if err := os.WriteFile(orphan, []byte(`{"plan":{"shards":[]}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ReadWAL(orphan); err == nil || !strings.Contains(err.Error(), "before header") {
+		t.Fatalf("plan before header: err = %v", err)
 	}
 }
