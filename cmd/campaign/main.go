@@ -3,10 +3,10 @@
 // fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study, the
 // "ablations"), the manufacturing-yield study (-c yield), the Fig.
 // 5-family vulnerability sweeps (-c faultsim) and the fault-model,
-// salvage and site-sweep studies, decomposed into deterministic
-// seed-addressed trials by internal/campaign. It is the flag front end
-// of every campaign kind but falvolt, whose cmd/falvolt also saves the
-// mitigated network.
+// salvage and site-sweep studies, and the paper's one-trial tool flow
+// (-c falvolt: train, inject, mitigate, report the per-layer Vth),
+// decomposed into deterministic seed-addressed trials by
+// internal/campaign. It is the flag front end of every campaign kind.
 //
 // Every subcommand is a thin shim over a declarative experiment spec
 // (internal/spec): config flags compile into a Spec, -dump-spec prints
@@ -27,6 +27,7 @@
 //	campaign merge a.jsonl b.jsonl                     # assemble figures
 //	campaign run  -c yield -chips 40 -mit-epochs 6 -o y.jsonl   # yield study
 //	campaign run  -c faultsim -sweep count -dataset nmnist      # Fig. 5 sweep
+//	campaign run  -c falvolt -rate 0.3 -method falvolt -save net.gob  # tool flow
 //
 // Distributed mode replaces manual sharding with a one-run campaign
 // service (internal/service) that leases shards to worker daemons over
@@ -149,9 +150,10 @@ func (a *app) usage() {
 	fmt.Fprintf(a.stderr, `usage: campaign <plan|run|serve|service|submit|runs|drain|work|merge> [flags]
 
   plan  -c <kind> [config flags]            print the deterministic trial list as JSON
-  run   -c <kind> -o <file> [-shard i/n] [-max N] [config flags]
+  run   -c <kind> -o <file> [-shard i/n] [-max N] [-save file] [config flags]
                                             execute (one shard of) a campaign with
-                                            JSONL checkpointing and resume
+                                            JSONL checkpointing and resume; -save
+                                            writes falvolt's mitigated network
   serve -c <kind> -addr <host:port> -token <tok> [-shards N] [-lease-ttl D]
         [-o file] [-state dir] [-tls-cert crt -tls-key key] [config flags]
                                             serve ONE campaign to HTTP workers, then
@@ -272,6 +274,10 @@ type config struct {
 	test     int
 	mitigate string
 
+	// Falvolt pipeline options (-dataset, -method, -array,
+	// -base-epochs, -epochs, -train, -test, -quick and -seed are shared).
+	rate finiteFloat
+
 	// fs is the flag set the options were parsed from, which tells
 	// flags given on the command line from their defaults.
 	fs *flag.FlagSet
@@ -285,7 +291,7 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.StringVar(&c.backend, "backend", "", tensor.BackendFlagDoc)
 	fs.BoolVar(&c.verbose, "v", false, "progress logging")
 	fs.Int64Var(&c.seed, "seed", 7, "seed")
-	fs.BoolVar(&c.quick, "quick", false, "reduced model/dataset sizes (figure campaigns)")
+	fs.BoolVar(&c.quick, "quick", false, "reduced model/dataset sizes (figure campaigns; falvolt defaults to true)")
 	fs.IntVar(&c.arrayN, "array", 64, "systolic array side (NxN)")
 	fs.IntVar(&c.epochs, "epochs", 0, "retraining epochs (0 = default for mode)")
 	fs.IntVar(&c.repeats, "repeats", 0, "fault maps averaged per vulnerability point (0 = default; faultsim defaults to 3)")
@@ -300,9 +306,9 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.Float64Var(&c.alpha, "alpha", ydef.Alpha, "yield: defect clustering (smaller = heavier tails)")
 	fs.BoolVar(&c.clustered, "clustered", true, "yield: spatially clustered fault maps")
 	fs.Float64Var(&c.threshold, "threshold", ydef.Threshold, "yield: minimum shipping accuracy")
-	fs.StringVar(&c.method, "method", ydef.Method, "yield: salvage policy fap | fapit | falvolt")
+	fs.StringVar(&c.method, "method", ydef.Method, "yield/falvolt: salvage policy fap | fapit | falvolt")
 	fs.IntVar(&c.mitEpochs, "mit-epochs", ydef.MitEpochs, "yield: retraining epochs per salvaged die; faultsim: per -mitigate salvage (unset = 0, which retrains 1)")
-	fs.IntVar(&c.baseEp, "base-epochs", ydef.BaseEpochs, "yield/salvage/faultsim: baseline training epochs")
+	fs.IntVar(&c.baseEp, "base-epochs", ydef.BaseEpochs, "yield/salvage/faultsim/falvolt: baseline training epochs")
 	fs.IntVar(&c.trials, "trials", 24, "selftest: synthetic trial count")
 	fs.IntVar(&c.delayMS, "delay", 0, "selftest: artificial per-trial delay in ms (scheduling smoke tests)")
 	fs.StringVar(&c.model, "model", "", "faultmodel, faultsim -sweep model: fault model "+strings.Join(faults.ModelNames(), " | ")+" (\"\" = stuckat)")
@@ -315,12 +321,14 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.StringVar(&c.pols, "pols", "", "sitesweep: stuck-at polarity both | sa0 | sa1 (\"\" = both)")
 	fs.IntVar(&c.sample, "sample", 0, "sitesweep: seed-addressed random site subset (0 = exhaustive)")
 	fdef := spec.FaultSimSpec{}.Defaulted()
-	fs.StringVar(&c.dataset, "dataset", fdef.Dataset, "faultsim: mnist | nmnist | dvsgesture")
+	fs.StringVar(&c.dataset, "dataset", fdef.Dataset, "faultsim/falvolt: mnist | nmnist | dvsgesture")
 	fs.StringVar(&c.sweep, "sweep", fdef.Sweep, "faultsim: bits | count | size | model")
 	fs.IntVar(&c.faults, "faults", fdef.Faults, "faultsim: faulty PEs for bits/size sweeps")
-	fs.IntVar(&c.train, "train", fdef.Train, "faultsim: training samples")
-	fs.IntVar(&c.test, "test", fdef.Test, "faultsim: test samples")
+	fs.IntVar(&c.train, "train", fdef.Train, "faultsim/falvolt: training samples")
+	fs.IntVar(&c.test, "test", fdef.Test, "faultsim/falvolt: test samples")
 	fs.StringVar(&c.mitigate, "mitigate", "", "faultsim: salvage each deployment with this mitigation before measuring: "+strings.Join(spec.MitigationKinds(), " | ")+" (\"\" = unmitigated)")
+	c.rate = 0.30
+	fs.Var(&c.rate, "rate", "falvolt: fraction of faulty PEs")
 }
 
 // given reports whether the named flag was set on the command line.
@@ -340,6 +348,27 @@ func (c *config) intOr(name string, v, def int) int {
 	return def
 }
 
+// finite parses a float, refusing NaN and ±Inf: no rate is either, and
+// NaN cannot be encoded into a spec.
+func finite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// finiteFloat is a float flag that refuses NaN and ±Inf when parsed.
+type finiteFloat float64
+
+func (f *finiteFloat) String() string { return strconv.FormatFloat(float64(*f), 'g', -1, 64) }
+
+func (f *finiteFloat) Set(s string) error {
+	v, ok := finite(s)
+	if !ok {
+		return errors.New("not a finite number")
+	}
+	*f = finiteFloat(v)
+	return nil
+}
+
 // parseRates parses the -rates ladder ("0.01,0.05,0.1").
 func parseRates(s string) ([]float64, error) {
 	if s == "" {
@@ -347,8 +376,8 @@ func parseRates(s string) ([]float64, error) {
 	}
 	var rates []float64
 	for _, f := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || math.IsNaN(r) || math.IsInf(r, 0) {
+		r, ok := finite(f)
+		if !ok {
 			return nil, fmt.Errorf("bad -rates entry %q", f)
 		}
 		rates = append(rates, r)
@@ -427,9 +456,13 @@ func (c *config) spec() (*spec.Spec, error) {
 			s.FaultSim.Mitigate = &spec.MitigationSpec{Kind: c.mitigate, Epochs: c.intOr("mit-epochs", c.mitEpochs, 0)}
 		}
 	case "falvolt":
-		// Its config flags live on cmd/falvolt, which compiles them into
-		// the spec this command runs.
-		return nil, errors.New("-c falvolt has no config flags here: compile its spec with `cmd/falvolt -dump-spec > falvolt.json` and pass -spec falvolt.json")
+		// The shared flags' defaults are the pipeline's, but for -epochs
+		// (0 elsewhere) and -quick (false elsewhere, true here).
+		s.Pipeline = &spec.PipelineSpec{
+			Dataset: c.dataset, Rate: float64(c.rate), Method: c.method, Array: c.arrayN,
+			BaseEpochs: c.baseEp, Epochs: c.intOr("epochs", c.epochs, spec.PipelineSpec{}.Defaulted().Epochs),
+			Train: c.train, Test: c.test, Quick: c.quick || !c.given("quick"),
+		}
 	case "faultmodel":
 		rates, err := parseRates(c.rates)
 		if err != nil {
@@ -537,6 +570,7 @@ func (a *app) run(args []string) error {
 		out      = fs.String("o", "", "checkpoint/output JSONL (default <kind>-shard<i>of<n>.jsonl)")
 		shardArg = fs.String("shard", "", "run the i-th of n interleaved trial subsets (i/n); overrides the spec's shard")
 		maxNew   = fs.Int("max", 0, "max new trials this sitting (0 = unlimited)")
+		save     = fs.String("save", "", "falvolt: save the mitigated network state to this file (the trial must run in this process)")
 	)
 	addConfigFlags(fs, &c)
 	if err := parse(fs, args); err != nil {
@@ -545,6 +579,9 @@ func (a *app) run(args []string) error {
 	s, built, err := a.prepare(&c)
 	if err != nil || built == nil {
 		return err
+	}
+	if *save != "" && built.Save == nil {
+		return usageError{fmt.Errorf("-save: campaign kind %q has no network to save (only falvolt does)", s.Kind)}
 	}
 	shard, err := shardFor(s, *shardArg)
 	if err != nil {
@@ -565,6 +602,12 @@ func (a *app) run(args []string) error {
 	}
 	fmt.Fprintf(a.stderr, "campaign %s shard %s: %d/%d trials complete (%d resumed, %d run) -> %s\n",
 		s.Kind, shard, len(rr.Results), rr.Planned, rr.Resumed, rr.Executed, *out)
+	if *save != "" {
+		if err := built.Save(*save); err != nil {
+			return fmt.Errorf("-save %s: %w", *save, err)
+		}
+		fmt.Fprintln(a.stderr, "saved mitigated network state to", *save)
+	}
 	if !rr.Complete {
 		fmt.Fprintln(a.stderr, "partial: rerun the same command to resume")
 		return nil

@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"falvolt/internal/campaign"
+	"falvolt/internal/core"
+	"falvolt/internal/snn"
 )
 
 // invoke runs one in-process invocation and returns its exit status
@@ -19,10 +25,10 @@ func invoke(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestDumpSpecMatchesRetiredTools pins the flag-compiled specs of the
-// yield and faultsim kinds. Each testdata file is the -dump-spec output
-// of the standalone tool the kind's flags came from; campaign must
-// reproduce its bytes, because fingerprints, checkpoints and -cache
-// files all hash them.
+// yield, faultsim and falvolt kinds. Each testdata file is the
+// -dump-spec output of the standalone tool the kind's flags came from;
+// campaign must reproduce its bytes, because fingerprints, checkpoints
+// and -cache files all hash them.
 func TestDumpSpecMatchesRetiredTools(t *testing.T) {
 	for _, tc := range []struct {
 		tool   string // the retired tool's command line
@@ -41,6 +47,12 @@ func TestDumpSpecMatchesRetiredTools(t *testing.T) {
 		{"faultsim -sweep model -model stuckat -mitigate rescuesnn -mit-epochs 2", "faultsim-model-stuckat-rescuesnn",
 			[]string{"-c", "faultsim", "-sweep", "model", "-model", "stuckat", "-mitigate", "rescuesnn", "-mit-epochs", "2"}},
 		{"faultsim -dataset nmnist -array 32", "faultsim-nmnist", []string{"-c", "faultsim", "-dataset", "nmnist", "-array", "32"}},
+		{"falvolt", "falvolt", []string{"-c", "falvolt"}},
+		{"falvolt -dataset dvsgesture -rate 0.6 -method fapit -epochs 10", "falvolt-dvsgesture-fapit",
+			[]string{"-c", "falvolt", "-dataset", "dvsgesture", "-rate", "0.6", "-method", "fapit", "-epochs", "10"}},
+		{"falvolt -rate 0.3 -train 320 -test 64 -base-epochs 6 -epochs 2 -array 16", "falvolt-rate0.3",
+			[]string{"-c", "falvolt", "-rate", "0.3", "-train", "320", "-test", "64", "-base-epochs", "6", "-epochs", "2", "-array", "16"}},
+		{"falvolt -quick=false -seed 3", "falvolt-full-seed3", []string{"-c", "falvolt", "-quick=false", "-seed", "3"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".json"))
 		if err != nil {
@@ -132,6 +144,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"plan", "-c", "selftest", "-shards", "4"}, "flag provided but not defined: -shards"},
 		{[]string{"serve", "-c", "selftest", "-token", "t", "-balance", "x"}, "flag provided but not defined: -balance"},
 		{[]string{"submit", "-c", "selftest", "-priority", "5"}, "flag provided but not defined: -priority"},
+		// A falvolt rate must be a finite number, and only falvolt has a
+		// network to save.
+		{[]string{"run", "-c", "falvolt", "-rate", "NaN"}, `invalid value "NaN" for flag -rate`},
+		{[]string{"run", "-c", "yield", "-save", "x"}, `-save: campaign kind "yield"`},
 	} {
 		code, stdout, stderr := invoke(t, tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
@@ -192,5 +208,50 @@ func TestParseRates(t *testing.T) {
 	code, _, stderr := invoke(t, "plan", "-c", "faultmodel", "-rates", "NaN,0.1")
 	if code != 1 || !strings.Contains(stderr, `bad -rates entry "NaN"`) {
 		t.Errorf("plan -rates NaN,0.1: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestRunFalVoltSave runs the pipeline kind on a tiny config with
+// -save: the state file holds the mitigated network (its thresholds are
+// the trial's vth series, not the baseline's), and a rerun that resumes
+// the trial from -o has nothing to save.
+func TestRunFalVoltSave(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, state := filepath.Join(dir, "falvolt.jsonl"), filepath.Join(dir, "net.gob")
+	args := []string{"run", "-c", "falvolt", "-train", "48", "-test", "24", "-base-epochs", "1",
+		"-epochs", "1", "-array", "16", "-o", ckpt, "-save", state}
+	code, stdout, stderr := invoke(t, args...)
+	if code != 0 || !strings.Contains(stdout, "per-layer threshold voltages:") {
+		t.Fatalf("run exited %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	st, err := snn.LoadStateFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mspec, err := core.BaselinePlan{Dataset: "mnist", Quick: true}.ModelSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := snn.Build(mspec, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.Net.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	_, results, err := campaign.ReadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 {
+		t.Fatalf("checkpoint holds %d results, want 1", len(results))
+	}
+	if got, want := model.Net.Vths(), results[0].Series["vth"]; !slices.Equal(got, want) {
+		t.Errorf("saved network's thresholds %v, trial's vth series %v", got, want)
+	}
+
+	code, _, stderr = invoke(t, args...)
+	if code == 0 || !strings.Contains(stderr, "-save") {
+		t.Errorf("rerun on the completed checkpoint with -save: exit %d, stderr %q; want a failure naming -save", code, stderr)
 	}
 }

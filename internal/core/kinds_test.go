@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -151,6 +152,27 @@ func TestFaultSimRejectsImpossibleCells(t *testing.T) {
 		if _, err := spec.Build(s, spec.BuildOpts{}); err == nil || !strings.Contains(err.Error(), tc.point) {
 			t.Errorf("%s sweep (array %d, faults %d): err = %v, want a build error naming %s",
 				tc.sweep, tc.array, tc.faults, err, tc.point)
+		}
+	}
+}
+
+// TestFalVoltRejectsImpossibleRates: a pipeline rate outside [0,1]
+// fails at build time, before any training, and the error names it.
+func TestFalVoltRejectsImpossibleRates(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want string
+	}{
+		{1.5, "rate 1.5"},
+		{-0.1, "rate -0.1"},
+		{math.NaN(), "rate NaN"},
+	} {
+		s := &spec.Spec{
+			Version: spec.Version, Kind: "falvolt", Seed: 7,
+			Pipeline: &spec.PipelineSpec{Rate: tc.rate, Array: 16, Quick: true},
+		}
+		if _, err := spec.Build(s, spec.BuildOpts{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("rate %v: err = %v, want a build error naming %s", tc.rate, err, tc.want)
 		}
 	}
 }

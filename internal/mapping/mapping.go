@@ -89,10 +89,6 @@ func (p *PruneMask) Apply(w *tensor.Tensor) {
 	}
 }
 
-// ApplyToGrad zeroes gradients of pruned weights so optimizer steps cannot
-// resurrect them between epoch-end re-prunings.
-func (p *PruneMask) ApplyToGrad(g *tensor.Tensor) { p.Apply(g) }
-
 // Union merges another mask over the same shape into p (weights pruned by
 // either mask end up pruned).
 func (p *PruneMask) Union(o *PruneMask) error {

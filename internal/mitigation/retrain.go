@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"falvolt/internal/faults"
 	"falvolt/internal/mapping"
@@ -78,8 +77,6 @@ type Report struct {
 	Vths []float64
 	// Curve is the per-epoch convergence trace when TrackCurve is set.
 	Curve []EpochPoint
-	// RetrainDuration is the wall-clock time spent retraining.
-	RetrainDuration time.Duration
 }
 
 // EpochsToReachTarget returns the first epoch at which a convergence curve
@@ -160,7 +157,6 @@ func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map, m Method, o
 		if opt.TrackCurve && opt.CurveEvalSize > 0 && opt.CurveEvalSize < len(opt.Test) {
 			curveTest = opt.Test[:opt.CurveEvalSize]
 		}
-		start := time.Now()
 		_, err := snn.Train(net, opt.Train, snn.TrainConfig{
 			Epochs:     epochs,
 			BatchSize:  opt.BatchSize,
@@ -188,7 +184,6 @@ func Mitigate(model *snn.Model, arr *systolic.Array, fm *faults.Map, m Method, o
 		if err != nil {
 			return nil, fmt.Errorf("mitigation: retraining: %w", err)
 		}
-		report.RetrainDuration = time.Since(start)
 	}
 	applyMasks()
 

@@ -40,7 +40,7 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() { clear(p.Grad.Data) }
 
 // shadowParam returns a parameter that shares p's value tensor but owns a
 // private, zeroed gradient accumulator — the training-replica seam: every

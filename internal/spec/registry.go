@@ -43,6 +43,11 @@ type Built struct {
 	// JSON returns the kind's structured artifact (figures, yield
 	// report) for -json outputs.
 	JSON func(results []campaign.Result) (any, error)
+	// Save writes the network the kind's trial left behind to path
+	// (`campaign run -save`). Only the falvolt kind sets it, to save the
+	// mitigated network; it fails when the trial did not run in this
+	// process, e.g. when it was resumed from a checkpoint.
+	Save func(path string) error
 }
 
 // Builder constructs a campaign (and its renderers) from a validated

@@ -81,7 +81,7 @@ type Spec struct {
 	// Selftest configures the model-free synthetic smoke campaign.
 	Selftest *SelftestSpec `json:"selftest,omitempty"`
 	// Pipeline configures the one-trial end-to-end pipeline (kind
-	// "falvolt", cmd/falvolt).
+	// "falvolt", `campaign run -c falvolt`).
 	Pipeline *PipelineSpec `json:"pipeline,omitempty"`
 	// FaultSim configures the vulnerability sweeps (kind "faultsim",
 	// `campaign run -c faultsim`).
@@ -218,12 +218,13 @@ type SelftestSpec struct {
 // PipelineSpec describes the one-trial end-to-end FalVolt pipeline
 // (kind "falvolt"): train a baseline, inject one fault map, mitigate. Rate
 // and Quick are taken literally (like YieldSpec.Clustered): an omitted
-// rate means a fault-free run, not the `falvolt` flag default of 0.30 —
+// rate means a fault-free run, not campaign's -rate default of 0.30 —
 // flag-compiled specs always spell both out.
 type PipelineSpec struct {
 	// Dataset is "mnist", "nmnist" or "dvsgesture" ("" = "mnist").
 	Dataset string `json:"dataset,omitempty"`
-	// Rate is the fraction of faulty PEs (literal: 0 injects nothing).
+	// Rate is the fraction of faulty PEs, in [0,1] (literal: 0 injects
+	// nothing).
 	Rate float64 `json:"rate,omitempty"`
 	// Method is "fap", "fapit" or "falvolt" ("" = "falvolt").
 	Method string `json:"method,omitempty"`
@@ -237,7 +238,7 @@ type PipelineSpec struct {
 	Train int `json:"train,omitempty"`
 	Test  int `json:"test,omitempty"`
 	// Quick selects the reduced model sizes (literal: omitted = full
-	// size, though the `falvolt` flag defaults it to true).
+	// size, though `campaign -c falvolt` defaults it to true).
 	Quick bool `json:"quick,omitempty"`
 }
 

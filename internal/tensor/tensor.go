@@ -47,9 +47,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -83,13 +80,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.Shape, len(t.Data), shape, n))
 	}
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
-// Zero sets every element to 0 in place.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 }
 
 // Fill sets every element to v in place.
