@@ -262,7 +262,10 @@ func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass bool, 
 	b.SetBytes(int64(32 * 256 * 64 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arr.Forward(x, wm, true)
+		// Lowering the rows is part of every pass a Linear layer makes.
+		p := tensor.RowPatches(x)
+		arr.Forward(p, wm, true)
+		p.Release()
 	}
 }
 
@@ -306,7 +309,10 @@ func benchSystolicForwardBitFlip(b *testing.B, eng tensor.Backend) {
 	b.SetBytes(int64(32 * 256 * 64 * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arr.Forward(x, wm, true)
+		// Lowering the rows is part of every pass a Linear layer makes.
+		p := tensor.RowPatches(x)
+		arr.Forward(p, wm, true)
+		p.Release()
 	}
 }
 

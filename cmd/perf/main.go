@@ -120,11 +120,12 @@ func run(dataset string, arrayN, batch int, rate, clockMHz float64, seed int64) 
 		for i := range w {
 			w[i] = float32(rng.NormFloat64() * 0.3)
 		}
-		xt := tensor.FromSlice(x, sh.B, sh.K)
+		xp := tensor.RowPatches(tensor.FromSlice(x, sh.B, sh.K))
 		wt := tensor.FromSlice(w, sh.M, sh.K)
 		for t := 0; t < sh.Timesteps; t++ {
-			arr.Forward(xt, systolic.QuantizeMatrix(wt, fixed.Q16x16), true)
+			arr.Forward(xp, systolic.QuantizeMatrix(wt, fixed.Q16x16), true)
 		}
+		xp.Release()
 	}
 	rep := arr.Energy(timing, systolic.DefaultEnergyParams(), density)
 	fmt.Printf("\nenergy estimate (batch of %d, spike density %.0f%%):\n", batch, 100*density)

@@ -55,7 +55,7 @@ func FaultModelTrials(cfg spec.FaultModelCampaignSpec, seed int64) []campaign.Tr
 type corruptionProbe struct {
 	faulty *systolic.Array
 	wm     *systolic.Matrix
-	x      *tensor.Tensor
+	x      *tensor.Patches
 	yClean *tensor.Tensor
 }
 
@@ -90,7 +90,8 @@ func newCorruptionProbe(side, batch int, density float64, seed int64) (*corrupti
 			x.Data[i] = 1
 		}
 	}
-	return &corruptionProbe{faulty: faulty, wm: wm, x: x, yClean: clean.Forward(x, wm, true)}, nil
+	rows := tensor.RowPatches(x)
+	return &corruptionProbe{faulty: faulty, wm: wm, x: rows, yClean: clean.Forward(rows, wm, true)}, nil
 }
 
 // measure injects trial t's fault instance into the cleared faulty

@@ -20,9 +20,9 @@ import (
 // through spec.Build + campaign.Run with the build log and the report
 // on one stream, as the tools print them.
 
-// retrainClock matches falvolt's wall-clock retraining field, the one
-// part of the report that is not a function of the spec.
-var retrainClock = regexp.MustCompile(`retrain [0-9.]+s`)
+// trialClock matches falvolt's wall-clock trial field, the one part of
+// the report that is not a function of the spec.
+var trialClock = regexp.MustCompile(`trial [0-9.]+s`)
 
 // readKindGolden returns a golden's expected output, without its
 // command line.
@@ -115,7 +115,7 @@ func TestFaultSimKindMitigatedGolden(t *testing.T) {
 	}
 }
 
-// TestFalVoltKindGolden pins the one-trial pipeline kind, the retraining
+// TestFalVoltKindGolden pins the one-trial pipeline kind, the trial
 // clock aside.
 func TestFalVoltKindGolden(t *testing.T) {
 	_, results, got := runKind(t, &spec.Spec{
@@ -129,8 +129,8 @@ func TestFalVoltKindGolden(t *testing.T) {
 		t.Fatalf("falvolt ran %d trials, want 1", len(results))
 	}
 	want := readKindGolden(t, "falvolt-rate0.3")
-	got = retrainClock.ReplaceAllString(got, "retrain Ns")
-	if want = retrainClock.ReplaceAllString(want, "retrain Ns"); got != want {
+	got = trialClock.ReplaceAllString(got, "trial Ns")
+	if want = trialClock.ReplaceAllString(want, "trial Ns"); got != want {
 		t.Fatalf("falvolt output:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -110,8 +110,8 @@ func buildPipeline(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 	})
 	return &spec.Built{
 		Campaign: cam,
-		// A single trial: its runner wall time stands in for the
-		// retraining time, which results do not carry.
+		// A single trial: the report's clock is the runner's wall time
+		// for the whole trial (both evaluations and the retraining).
 		Render: func(w io.Writer, results []campaign.Result) error {
 			if len(results) != 1 {
 				return fmt.Errorf("core: falvolt report needs its one trial, got %d results", len(results))
@@ -122,7 +122,7 @@ func buildPipeline(s *spec.Spec, opt spec.BuildOpts) (*spec.Built, error) {
 			for epoch, loss := range r.Series["loss"] {
 				fmt.Fprintf(w, "  [%s] epoch %2d loss %.4f\n", method, epoch, loss)
 			}
-			fmt.Fprintf(w, "after %s: accuracy %.3f (pruned %.1f%% of weights, retrain %.1fs)\n",
+			fmt.Fprintf(w, "after %s: accuracy %.3f (pruned %.1f%% of weights, trial %.1fs)\n",
 				method, r.Metrics["acc"], r.Metrics["pruned"]*100, r.Wall)
 			fmt.Fprintln(w, "per-layer threshold voltages:")
 			for i, name := range names {

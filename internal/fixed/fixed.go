@@ -45,12 +45,6 @@ var Q24x8 = Format{FracBits: 8}
 // Scale returns the value of one least-significant bit, 2^-FracBits.
 func (f Format) Scale() float64 { return math.Ldexp(1, -int(f.FracBits)) }
 
-// MaxValue returns the largest representable value.
-func (f Format) MaxValue() float64 { return float64(math.MaxInt32) * f.Scale() }
-
-// MinValue returns the smallest (most negative) representable value.
-func (f Format) MinValue() float64 { return float64(math.MinInt32) * f.Scale() }
-
 // Valid reports whether the format is usable (FracBits in 0..31).
 func (f Format) Valid() bool { return f.FracBits < WordBits }
 
@@ -121,20 +115,6 @@ func AddSat(a, b Word) Word {
 // plain binary adder with no overflow detection.
 func AddWrap(a, b Word) Word {
 	return Word(uint32(a) + uint32(b)) //nolint:gosec // intentional wraparound
-}
-
-// SubSat returns a-b with saturation; the PE's adder–subtractor uses the
-// same datapath for signed-weight subtraction.
-func SubSat(a, b Word) Word {
-	s := int64(a) - int64(b)
-	switch {
-	case s > math.MaxInt32:
-		return math.MaxInt32
-	case s < math.MinInt32:
-		return math.MinInt32
-	default:
-		return Word(s)
-	}
 }
 
 // ForceBit returns w with bit position bit (0 = LSB, 31 = MSB/sign) forced

@@ -25,8 +25,8 @@ type Deployment struct {
 	// back, so the layer's logical contract is unchanged.
 	MPerm []int
 	// KPerm permutes the K reduction dimension the same way across array
-	// rows: physical slot i streams logical input KPerm[i]. The input
-	// vector is permuted to match on every forward call.
+	// rows: physical slot i streams logical input KPerm[i]. The input's
+	// patch rows are permuted to match on every forward call.
 	KPerm []int
 	// ClampLo/ClampHi, when non-nil, bound each logical output row of the
 	// GEMM result (SoftSNN-style range restriction): a fault-free output
@@ -55,13 +55,13 @@ type GEMMWeighted interface {
 // directly in GEMM form [OutC, InC*KH*KW], the same layout that is mapped
 // onto the systolic array.
 //
-// Only a deployed layer builds the dense im2col patch matrix, which it
-// streams through the systolic array. Otherwise Forward lowers the input
-// to tensor.Patches — the patch matrix as compressed sparse rows, built
-// from the input's nonzero pixels — and multiplies only the stored
-// entries; training keeps each timestep's Patches for Backward, whose
-// weight gradient reads the same rows. Spike inputs leave most patch
-// entries zero. The results are bit-identical to the dense im2col + GEMM
+// Forward lowers the input once, to tensor.Patches: the im2col patch
+// matrix as compressed sparse rows, built from the input's nonzero
+// pixels. A deployed layer streams those rows into the systolic array;
+// otherwise the float GEMM multiplies only the stored entries, and
+// training keeps each timestep's Patches for Backward, whose weight
+// gradient reads the same rows. Spike inputs leave most patch entries
+// zero. The float results are bit-identical to the dense im2col + GEMM
 // formulation whenever the weights and gradients are finite (see
 // tensor.Patches).
 type Conv2D struct {
@@ -141,15 +141,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	eng := c.engine()
 	n := x.Shape[0]
+	p := tensor.Im2Patches(eng, x, c.Shape)
 	if c.deploy != nil && !train {
-		cols := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.K)
-		eng.Im2Col(cols, x, c.Shape)
-		y2 := c.deploy.forward(cols)
-		tensor.ReleaseScratch(cols)
+		y2 := c.deploy.forward(p)
+		p.Release()
 		return c.patchesToNCHW(y2, n)
 	}
 	y2 := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
-	p := tensor.Im2Patches(eng, x, c.Shape)
 	p.MatMulTransB(eng, y2, c.weight.Value)
 	if train {
 		c.patches = append(c.patches, p)
@@ -345,7 +343,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	var y *tensor.Tensor
 	if l.deploy != nil && !train {
-		y = l.deploy.forward(flat)
+		p := tensor.RowPatches(flat)
+		y = l.deploy.forward(p)
+		p.Release()
 	} else {
 		y = tensor.MatMulTransBUsing(l.engine(), flat, l.weight.Value)
 	}

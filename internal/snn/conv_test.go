@@ -19,7 +19,7 @@ func denseConvStep(c *Conv2D, x, grad *tensor.Tensor) (y, gw, gb, gx *tensor.Ten
 	cs := c.Shape
 	n := x.Shape[0]
 	w := c.weight.Value
-	cols := tensor.Im2ColUsing(tensor.Serial(), x, cs)
+	cols := tensor.Im2Col(x, cs)
 	rows := cols.Shape[0]
 	y2 := tensor.New(rows, cs.M)
 	for r := 0; r < rows; r++ {

@@ -49,31 +49,16 @@ func (d *Deployment) install(w *tensor.Tensor) {
 	d.weights = &systolic.Matrix{M: q.M, K: q.K, Words: words, Format: q.Format}
 }
 
-// forward runs the deployed GEMM: permute the input onto the remapped
-// rows, stream through the array, unpermute the outputs, then apply the
-// range restriction. All transforms are identities when unset.
-func (d *Deployment) forward(x *tensor.Tensor) *tensor.Tensor {
-	if d.MPerm == nil && d.KPerm == nil && d.ClampLo == nil {
-		return d.Array.Forward(x, d.weights, d.Binary)
-	}
-	in := x
-	var scratch *tensor.Tensor
+// forward runs the deployed GEMM on the layer's patch rows: move each
+// input onto its remapped array row (in place: the caller owns x and
+// discards it afterwards), stream through the array, unpermute the
+// outputs, then apply the range restriction. All transforms are
+// identities when unset.
+func (d *Deployment) forward(x *tensor.Patches) *tensor.Tensor {
 	if d.KPerm != nil {
-		n, k := x.Shape[0], x.Shape[1]
-		scratch = tensor.GetScratch(n, k)
-		for b := 0; b < n; b++ {
-			src := x.Data[b*k : (b+1)*k]
-			dst := scratch.Data[b*k : (b+1)*k]
-			for i, ki := range d.KPerm {
-				dst[i] = src[ki]
-			}
-		}
-		in = scratch
+		x.PermuteCols(d.KPerm)
 	}
-	y := d.Array.Forward(in, d.weights, d.Binary)
-	if scratch != nil {
-		tensor.ReleaseScratch(scratch)
-	}
+	y := d.Array.Forward(x, d.weights, d.Binary)
 	if d.MPerm != nil {
 		n, m := y.Shape[0], y.Shape[1]
 		out := tensor.New(n, m)

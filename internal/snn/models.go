@@ -122,10 +122,6 @@ func Build(spec ModelSpec, rng *rand.Rand) (*Model, error) {
 	}, nil
 }
 
-// HiddenLayerNames returns the names of the non-encoder spiking layers,
-// the set whose optimized thresholds the paper reports in Fig. 6.
-func (m *Model) HiddenLayerNames() []string { return m.SpikingNames[1:] }
-
 // LayerShapes lowers the model's GEMM layers to systolic workload shapes
 // for the dataflow timing/energy model: per conv, one streamed vector per
 // output patch per batch item; per FC, one vector per batch item. Each

@@ -7,63 +7,6 @@ import (
 	"falvolt/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears nothing; call ZeroGrad after.
-	Step()
-	// ZeroGrad clears all parameter gradients.
-	ZeroGrad()
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float64)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	params   []*Param
-	lr       float64
-	momentum float64
-	velocity []*tensor.Tensor
-}
-
-// NewSGD constructs the optimizer over params.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Value.Shape...)
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if s.momentum != 0 {
-			v := s.velocity[i]
-			for j := range v.Data {
-				v.Data[j] = float32(s.momentum)*v.Data[j] + p.Grad.Data[j]
-				p.Value.Data[j] -= float32(s.lr) * v.Data[j]
-			}
-		} else {
-			for j := range p.Value.Data {
-				p.Value.Data[j] -= float32(s.lr) * p.Grad.Data[j]
-			}
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
 // Adam is the Adam optimizer (Kingma & Ba), the default for SNN training.
 type Adam struct {
 	params       []*Param
@@ -86,7 +29,8 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients; it clears
+// nothing (call ZeroGrad after).
 func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -105,15 +49,12 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
+// ZeroGrad clears all parameter gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
 		p.ZeroGrad()
 	}
 }
-
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // ClipGradNorm scales all gradients so their global L2 norm does not
 // exceed maxNorm; returns the pre-clip norm. Guards BPTT against the
@@ -134,12 +75,6 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// ensure interfaces are satisfied.
-var (
-	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Adam)(nil)
-)
 
 // String implements fmt.Stringer for diagnostics.
 func (a *Adam) String() string { return fmt.Sprintf("Adam(lr=%g, t=%d)", a.lr, a.t) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"falvolt/internal/faults"
+	"falvolt/internal/tensor"
 )
 
 // TestSetBypassMask covers the selective bypass muxes RescueSNN-style
@@ -66,13 +67,13 @@ func TestSetBypassMask(t *testing.T) {
 	if got := a.BypassedPEs(); got != 2 {
 		t.Fatalf("full mask bypassed %d PEs, want 2", got)
 	}
-	yMask := a.Forward(x, wm, true)
+	yMask := a.Forward(tensor.RowPatches(x), wm, true)
 
 	if err := a.SetBypassMask(nil); err != nil {
 		t.Fatal(err)
 	}
 	a.SetBypass(true)
-	yGlobal := a.Forward(x, wm, true)
+	yGlobal := a.Forward(tensor.RowPatches(x), wm, true)
 	a.SetBypass(false)
 	if !reflect.DeepEqual(yMask.Data, yGlobal.Data) {
 		t.Fatal("selective mask over all faulty PEs differs from the global bypass switch")

@@ -116,7 +116,7 @@ func TestEnergyComponentsPositive(t *testing.T) {
 	}
 	w := tensor.New(8, 16)
 	w.RandNormal(rng, 0.5)
-	a.Forward(x, QuantizeMatrix(w, fixed.Q16x16), true)
+	a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, fixed.Q16x16), true)
 
 	it, err := a.ScheduleNetwork([]LayerShape{{Name: "l", B: 8, K: 16, M: 8, Timesteps: 1}})
 	if err != nil {

@@ -12,15 +12,17 @@ import (
 // The spike-sparse data plane. SNN spike trains are mostly zeros and the
 // paper's multiplier-less PE either gates a weight into the accumulator or
 // does nothing, so a healthy PE with no spike leaves the partial sum
-// unchanged. Forward therefore builds a CSR event list over the input
-// once per call (cost B×K) and reuses it across all M output columns:
-// every column iterates only over spikes. A column with no special row
-// (a PE that forces accumulator bits or is bypassed) in reach takes a
-// straight per-tile sum; any other column merges the spikes with its
-// ascending special rows (colPass.walk), forcing bits and skipping
-// bypassed PEs exactly where the hardware does. Weights come from
-// precompiled tiles (compile.go), so no loop forces weight bits or
-// round-trips through float64.
+// unchanged. Forward therefore takes its input as patch rows
+// (tensor.Patches: each row's nonzero inputs, ascending), cuts every row
+// at the K-tile boundaries once per call (cost: the stored entries) and
+// reuses the cut across all M output columns: every column iterates only
+// over spikes. A column with no special row (a PE that forces
+// accumulator bits or is bypassed) in reach takes a straight per-tile
+// sum; any other column merges the spikes with its ascending special
+// rows (colPass.walk), forcing bits and skipping bypassed PEs exactly
+// where the hardware does. Weights come from precompiled tiles
+// (compile.go), so no loop forces weight bits or round-trips through
+// float64.
 //
 // Every path accumulates each output word in the exact per-element order
 // of a textbook column walk (the tests' scalar reference model): skipping
@@ -30,12 +32,13 @@ import (
 // bit-identical outputs, Stats and spike counters across paths, engines
 // and worker counts — is what future SIMD backends must also satisfy.
 
-// events is a per-call CSR index of the nonzero input entries, grouped by
-// (batch row, K-tile) so per-tile fixed-point accumulation (and its
-// saturation behaviour) is preserved exactly.
+// events groups the input's stored entries by (batch row, K-tile), so
+// per-tile fixed-point accumulation (and its saturation behaviour) is
+// preserved exactly. The entries stay in the input's own slices.
 type events struct {
-	idx  []int32 // ascending k of nonzero x entries, grouped by (bi, tile)
-	offs []int32 // len b*numKTiles+1; group g spans idx[offs[g]:offs[g+1]]
+	idx  []int32   // the input's Col: ascending k within each batch row
+	val  []float32 // the input's Val, aligned with idx
+	offs []int32   // len b*numKTiles+1; group g spans idx[offs[g]:offs[g+1]]
 	// rowTotals[r] counts nonzero inputs landing on PE row r, summed over
 	// the whole batch; built only when per-PE spike counting is on. Every
 	// output column m receives exactly these counts at PE column m%Cols.
@@ -44,13 +47,13 @@ type events struct {
 
 var eventPool = sync.Pool{New: func() any { return new(events) }}
 
-// buildEvents scans x ([b, k]) once and fills a pooled events value.
-func buildEvents(x *tensor.Tensor, k, rows int, wantTotals bool) *events {
+// buildEvents cuts every row of x at the tile boundaries (multiples of
+// rows) and fills a pooled events value.
+func buildEvents(x *tensor.Patches, rows int, wantTotals bool) *events {
 	ev := eventPool.Get().(*events)
-	b := x.Shape[0]
-	ev.idx = ev.idx[:0]
-	ev.offs = ev.offs[:0]
-	ev.offs = append(ev.offs, 0)
+	k := x.Shape.K
+	ev.idx, ev.val = x.Col, x.Val
+	ev.offs = append(ev.offs[:0], 0)
 	if wantTotals {
 		if cap(ev.rowTotals) < rows {
 			ev.rowTotals = make([]uint64, rows)
@@ -60,19 +63,16 @@ func buildEvents(x *tensor.Tensor, k, rows int, wantTotals bool) *events {
 	} else {
 		ev.rowTotals = nil
 	}
-	for bi := 0; bi < b; bi++ {
-		xrow := x.Data[bi*k : (bi+1)*k]
+	for bi := 0; bi < x.Rows(); bi++ {
+		q, end := x.RowPtr[bi], x.RowPtr[bi+1]
 		for k0 := 0; k0 < k; k0 += rows {
-			k1 := min(k0+rows, k)
-			for kk := k0; kk < k1; kk++ {
-				if xrow[kk] != 0 {
-					ev.idx = append(ev.idx, int32(kk))
-					if wantTotals {
-						ev.rowTotals[kk-k0]++
-					}
+			k1 := int32(min(k0+rows, k))
+			for ; q < end && x.Col[q] < k1; q++ {
+				if wantTotals {
+					ev.rowTotals[int(x.Col[q])-k0]++
 				}
 			}
-			ev.offs = append(ev.offs, int32(len(ev.idx)))
+			ev.offs = append(ev.offs, int32(q))
 		}
 	}
 	return ev
@@ -94,11 +94,13 @@ func getSpikeBuf(n int) *[]uint64 {
 }
 
 // Forward computes Y = X · Wᵀ on the (possibly faulty) array: X is
-// [B, K] inputs, W is a quantized [M, K] matrix, and the result is a
-// float [B, M] tensor dequantized from the fixed-point column sums.
+// [B, K] inputs held as B patch rows (tensor.Im2Patches for a conv,
+// tensor.RowPatches for a dense matrix), W is a quantized [M, K] matrix,
+// and the result is a float [B, M] tensor dequantized from the
+// fixed-point column sums.
 //
-// If binary is true, X is treated as spikes: any non-zero entry gates the
-// weight into the accumulator (the paper's multiplier-less PE). If false,
+// If binary is true, X is treated as spikes: any stored (non-zero) entry
+// gates the weight into the accumulator (the paper's multiplier-less PE). If false,
 // each contribution is the quantized product w*x (used for the analog
 // encoder layer; same accumulator datapath, same fault exposure).
 //
@@ -108,14 +110,11 @@ func getSpikeBuf(n int) *[]uint64 {
 // bit-identical on every engine, and — by the event-list construction
 // above — to the per-element column walk. Concurrent Forward calls on one
 // Array are safe; statistics and spike counters merge atomically.
-func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor {
-	if x.Rank() != 2 {
-		panic("systolic: Forward requires rank-2 input")
+func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tensor {
+	if x.Shape.K != w.K {
+		panic(fmt.Sprintf("systolic: input K %d != weight K %d", x.Shape.K, w.K))
 	}
-	if x.Shape[1] != w.K {
-		panic(fmt.Sprintf("systolic: input K %d != weight K %d", x.Shape[1], w.K))
-	}
-	b := x.Shape[0]
+	b := x.Rows()
 	y := tensor.New(b, w.M)
 	rows, cols := a.cfg.Rows, a.cfg.Cols
 	numKTiles := (w.K + rows - 1) / rows
@@ -134,7 +133,7 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 	// row is reachable.
 	usedRows := int32(min(rows, w.K))
 	counting := binary && a.spikeCount != nil
-	ev := buildEvents(x, w.K, rows, counting)
+	ev := buildEvents(x, rows, counting)
 
 	a.engine().For(w.M, func(m0, m1 int) {
 		var ps passStats
@@ -152,12 +151,12 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 			switch sp := a.colSpecial(j); {
 			case sp[0].row < usedRows:
 				c := colPass{weff: weff, deq: deq, format: format, binary: binary, sat: sat, scale: scale}
-				c.walk(y, x, ev, sp, rows, m, &ps)
+				c.walk(y, ev, sp, b, w.K, rows, m, &ps)
 			case binary:
 				fastBinaryColumn(y, ev, weff, b, numKTiles, m, w.M, scale, sat)
 				ps.accumulations += uint64(b) * uint64(w.K)
 			default:
-				fastAnalogColumn(y, ev, x, deq, numKTiles, m, w.M, w.K, scale, format, sat)
+				fastAnalogColumn(y, ev, deq, b, numKTiles, m, w.M, scale, format, sat)
 				ps.accumulations += uint64(b) * uint64(w.K)
 			}
 			if counting {
@@ -180,6 +179,7 @@ func (a *Array) Forward(x *tensor.Tensor, w *Matrix, binary bool) *tensor.Tensor
 		}
 	})
 
+	ev.idx, ev.val = nil, nil
 	eventPool.Put(ev)
 	return y
 }
@@ -218,18 +218,18 @@ func fastBinaryColumn(y *tensor.Tensor, ev *events, weff []fixed.Word, b, numKTi
 }
 
 // fastAnalogColumn is fastBinaryColumn for the analog encoder path: each
-// spike contributes the quantized product of the input and the
+// stored input contributes the quantized product of its value and the
 // pre-dequantized effective weight.
-func fastAnalogColumn(y *tensor.Tensor, ev *events, x *tensor.Tensor, deq []float64, numKTiles, m, mDim, kDim int, scale float32, format fixed.Format, sat bool) {
-	b := x.Shape[0]
+func fastAnalogColumn(y *tensor.Tensor, ev *events, deq []float64, b, numKTiles, m, mDim int, scale float32, format fixed.Format, sat bool) {
 	for bi := 0; bi < b; bi++ {
-		xrow := x.Data[bi*kDim : (bi+1)*kDim]
 		base := bi * numKTiles
 		var total int64
 		for kt := 0; kt < numKTiles; kt++ {
 			var acc fixed.Word
-			for _, kk := range ev.idx[ev.offs[base+kt]:ev.offs[base+kt+1]] {
-				add := format.Quantize(float64(xrow[kk]) * deq[kk])
+			lo, hi := ev.offs[base+kt], ev.offs[base+kt+1]
+			vals := ev.val[lo:hi]
+			for q, kk := range ev.idx[lo:hi] {
+				add := format.Quantize(float64(vals[q]) * deq[kk])
 				if sat {
 					acc = fixed.AddSat(acc, add)
 				} else {
@@ -248,7 +248,7 @@ func fastAnalogColumn(y *tensor.Tensor, ev *events, x *tensor.Tensor, deq []floa
 type colPass struct {
 	weff        []fixed.Word
 	deq         []float64
-	xrow        []float32 // the current batch row's inputs (analog)
+	vals        []float32 // the current group's input values (analog)
 	format      fixed.Format
 	binary, sat bool
 	scale       float32
@@ -260,16 +260,16 @@ type colPass struct {
 // PE drops its spike and passes the pre-sum on, and any other PE adds
 // its spike and then forces its stuck bits. Bypassed steps are counted
 // per tile; every other step is an accumulation.
-func (c *colPass) walk(y, x *tensor.Tensor, ev *events, sp []specialPE, rows, m int, ps *passStats) {
-	b, kDim, mDim := x.Shape[0], x.Shape[1], y.Shape[1]
+func (c *colPass) walk(y *tensor.Tensor, ev *events, sp []specialPE, b, kDim, rows, m int, ps *passStats) {
+	mDim := y.Shape[1]
 	var bypassed uint64
 	g := 0 // event group (batch row, tile)
 	for bi := 0; bi < b; bi++ {
-		c.xrow = x.Data[bi*kDim : (bi+1)*kDim]
 		var total int64
 		for k0 := 0; k0 < kDim; k0 += rows {
 			end := int32(min(k0+rows, kDim))
 			evs := ev.idx[ev.offs[g]:ev.offs[g+1]]
+			c.vals = ev.val[ev.offs[g]:ev.offs[g+1]]
 			g++
 			var acc fixed.Word
 			i := 0 // next event
@@ -315,13 +315,11 @@ func (c *colPass) span(acc fixed.Word, evs []int32, i int, limit int32) (fixed.W
 		}
 	case c.sat:
 		for ; i < len(evs) && evs[i] < limit; i++ {
-			kk := evs[i]
-			acc = fixed.AddSat(acc, c.format.Quantize(float64(c.xrow[kk])*c.deq[kk]))
+			acc = fixed.AddSat(acc, c.format.Quantize(float64(c.vals[i])*c.deq[evs[i]]))
 		}
 	default:
 		for ; i < len(evs) && evs[i] < limit; i++ {
-			kk := evs[i]
-			acc = fixed.AddWrap(acc, c.format.Quantize(float64(c.xrow[kk])*c.deq[kk]))
+			acc = fixed.AddWrap(acc, c.format.Quantize(float64(c.vals[i])*c.deq[evs[i]]))
 		}
 	}
 	return acc, i

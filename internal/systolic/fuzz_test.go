@@ -90,7 +90,7 @@ func FuzzForwardMatchesScalar(f *testing.F) {
 			}
 		}
 
-		got := a.Forward(x, wm, binary)
+		got := a.Forward(tensor.RowPatches(x), wm, binary)
 		want, st, spikes := scalarForward(cfg, fm, nil, nil, nil, 0, global, mask, x, wm, binary)
 		for i := range want.Data {
 			if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {

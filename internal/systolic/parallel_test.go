@@ -107,13 +107,13 @@ func TestForwardParallelBitIdenticalToSerial(t *testing.T) {
 			analog := randAnalogInput(rng, sh.b, sh.k)
 
 			ref := newTestArray(t, sh.rows, sh.cols, tensor.Serial(), fm, wfm, sc.bypass, true)
-			refBin := ref.Forward(spikes, wm, true)
-			refAna := ref.Forward(analog, wm, false)
+			refBin := ref.Forward(tensor.RowPatches(spikes), wm, true)
+			refAna := ref.Forward(tensor.RowPatches(analog), wm, false)
 
 			for _, workers := range []int{1, 2, 8} {
 				par := newTestArray(t, sh.rows, sh.cols, tensor.NewParallel(workers), fm, wfm, sc.bypass, true)
-				gotBin := par.Forward(spikes, wm, true)
-				gotAna := par.Forward(analog, wm, false)
+				gotBin := par.Forward(tensor.RowPatches(spikes), wm, true)
+				gotAna := par.Forward(tensor.RowPatches(analog), wm, false)
 
 				for i := range refBin.Data {
 					if math.Float32bits(refBin.Data[i]) != math.Float32bits(gotBin.Data[i]) {
@@ -162,7 +162,7 @@ func TestForwardConcurrentCallsAreSafe(t *testing.T) {
 	x := randSpikeInput(rng, 6, 24, 0.4)
 
 	ref := newTestArray(t, 8, 8, tensor.Serial(), fm, nil, true, true)
-	want := ref.Forward(x, wm, true)
+	want := ref.Forward(tensor.RowPatches(x), wm, true)
 	wantStats := ref.Stats()
 
 	eng := tensor.NewParallel(4)
@@ -170,7 +170,7 @@ func TestForwardConcurrentCallsAreSafe(t *testing.T) {
 	const calls = 8
 	results := make([]*tensor.Tensor, calls)
 	eng.Map(calls, func(_, i int) {
-		results[i] = arr.Forward(x, wm, true)
+		results[i] = arr.Forward(tensor.RowPatches(x), wm, true)
 	})
 	for c, y := range results {
 		for i := range want.Data {

@@ -100,7 +100,7 @@ func TestArrayMatchesPEReference(t *testing.T) {
 				x.Data[i] = 1
 			}
 		}
-		got := a.Forward(x, wm, true)
+		got := a.Forward(tensor.RowPatches(x), wm, true)
 
 		// Reference: one explicit PE column per output.
 		for m := 0; m < 4; m++ {

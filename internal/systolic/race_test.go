@@ -76,7 +76,7 @@ func TestTileCacheConcurrentMutationStress(t *testing.T) {
 		expected[o] = make([]*tensor.Tensor, len(phases))
 		for p, ph := range phases {
 			ph.mutate(scratch, int64(o))
-			expected[o][p] = scratch.Forward(x, wm, true)
+			expected[o][p] = scratch.Forward(tensor.RowPatches(x), wm, true)
 		}
 	}
 
@@ -89,7 +89,7 @@ func TestTileCacheConcurrentMutationStress(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				for p, ph := range phases {
 					ph.mutate(arr, int64(o))
-					got := arr.Forward(x, wm, true)
+					got := arr.Forward(tensor.RowPatches(x), wm, true)
 					want := expected[o][p]
 					for i := range want.Data {
 						if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
@@ -108,13 +108,13 @@ func TestTileCacheConcurrentMutationStress(t *testing.T) {
 	shared := mk(tensor.NewParallel(2))
 	scratch.ClearFaults()
 	scratch.SetBypass(false)
-	wantClean := scratch.Forward(x, wm, true)
+	wantClean := scratch.Forward(tensor.RowPatches(x), wm, true)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				got := shared.Forward(x, wm, true)
+				got := shared.Forward(tensor.RowPatches(x), wm, true)
 				for i := range wantClean.Data {
 					if math.Float32bits(wantClean.Data[i]) != math.Float32bits(got.Data[i]) {
 						t.Errorf("shared reader %d iter %d: y[%d] = %v, want %v",

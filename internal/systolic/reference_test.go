@@ -195,7 +195,7 @@ func TestForwardMatchesScalarReference(t *testing.T) {
 								if !binary {
 									x = analog
 								}
-								got := arr.Forward(x, wm, binary)
+								got := arr.Forward(tensor.RowPatches(x), wm, binary)
 								want, _, _ := scalarForward(cfg, fm, nil, mem, ts, step, bypass, nil, x, wm, binary)
 								for i := range want.Data {
 									if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
@@ -254,7 +254,7 @@ func TestForwardMatchesScalarReferenceStacked(t *testing.T) {
 			fm, mem, ts := arr.FaultMap(), arr.MemoryFaults(), arr.Transient()
 			for step := 0; step <= ts.Horizon()+1; step++ {
 				arr.SetTimestep(step)
-				got := arr.Forward(spikes, wm, true)
+				got := arr.Forward(tensor.RowPatches(spikes), wm, true)
 				want, _, _ := scalarForward(cfg, fm, wfm, mem, ts, step, bypass, nil, spikes, wm, true)
 				for i := range want.Data {
 					if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {

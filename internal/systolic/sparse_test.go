@@ -24,7 +24,7 @@ type scalarTally struct {
 // counters against the tally. It returns the array's output.
 func assertMatchesScalar(t *testing.T, label string, a *Array, tally *scalarTally, x *tensor.Tensor, wm *Matrix, binary bool) *tensor.Tensor {
 	t.Helper()
-	got := a.Forward(x, wm, binary)
+	got := a.Forward(tensor.RowPatches(x), wm, binary)
 	want, st, spikes := scalarForward(a.cfg, a.FaultMap(), a.WeightFaultMap(), a.MemoryFaults(),
 		a.Transient(), a.Timestep(), a.BypassEnabled(), a.bypMask, x, wm, binary)
 	for i := range want.Data {
@@ -353,7 +353,7 @@ func TestTransientTimestepSweep(t *testing.T) {
 
 	sparse := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
 	baseline := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, false)
-	clean := baseline.Forward(x, wm, true)
+	clean := baseline.Forward(tensor.RowPatches(x), wm, true)
 
 	if err := sparse.InjectTransient(ts); err != nil {
 		t.Fatal(err)

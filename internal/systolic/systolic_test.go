@@ -66,7 +66,7 @@ func TestFaultFreeMatchesFloatGEMM(t *testing.T) {
 		b, k, m := 3+rng.Intn(4), 5+rng.Intn(20), 4+rng.Intn(12)
 		x := randSpikes(rng, b, k, 0.4)
 		w := randMat(rng, m, k)
-		got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+		got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 		want := floatRef(x, w)
 		// Error bound: one quantization LSB per accumulated weight.
 		bound := float64(k+1) * a.Config().Format.Scale()
@@ -83,7 +83,7 @@ func TestAnalogInputMatchesFloatGEMM(t *testing.T) {
 	x := tensor.New(b, k)
 	x.RandUniform(rng, 0, 1)
 	w := randMat(rng, m, k)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), false)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), false)
 	want := floatRef(x, w)
 	bound := float64(2*(k+1)) * a.Config().Format.Scale()
 	if d := maxAbsDiff(got, want); d > bound {
@@ -98,7 +98,7 @@ func TestTilingCrossesArrayBoundary(t *testing.T) {
 	b, k, m := 2, 100, 37
 	x := randSpikes(rng, b, k, 0.5)
 	w := randMat(rng, m, k)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	want := floatRef(x, w)
 	bound := float64(k+1) * a.Config().Format.Scale()
 	if d := maxAbsDiff(got, want); d > bound {
@@ -124,7 +124,7 @@ func TestStuckAt1MSBCorruptsOutput(t *testing.T) {
 	}
 	x := randSpikes(rng, 2, 8, 1.0) // all-ones spikes
 	w := randMat(rng, 8, 8)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	want := floatRef(x, w)
 	// Output m=0 maps to column 0 and must be corrupted far beyond
 	// quantization error; other columns must be untouched.
@@ -150,7 +150,7 @@ func TestStuckAt0LSBIsMild(t *testing.T) {
 	}
 	x := randSpikes(rng, 4, 8, 0.8)
 	w := randMat(rng, 8, 8)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	want := floatRef(x, w)
 	// LSB sa0 can perturb each accumulate step by at most one LSB.
 	bound := float64(9) * a.Config().Format.Scale() * 2
@@ -187,7 +187,7 @@ func TestBypassEqualsPrunedFloat(t *testing.T) {
 			}
 		}
 	}
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	want := floatRef(x, pruned)
 	bound := float64(k+1) * a.Config().Format.Scale()
 	if d := maxAbsDiff(got, want); d > bound {
@@ -210,9 +210,9 @@ func TestBypassStopsCorruption(t *testing.T) {
 	w.Set(0.5, 0, 0)
 	wm := QuantizeMatrix(w, a.Config().Format)
 
-	faulty := a.Forward(x, wm, true)
+	faulty := a.Forward(tensor.RowPatches(x), wm, true)
 	a.SetBypass(true)
-	bypassed := a.Forward(x, wm, true)
+	bypassed := a.Forward(tensor.RowPatches(x), wm, true)
 
 	if math.Abs(float64(faulty.At(0, 0))) < 1000 {
 		t.Error("expected corrupted output before bypass")
@@ -231,7 +231,7 @@ func TestClearFaultsRestores(t *testing.T) {
 	a.ClearFaults()
 	x := randSpikes(rng, 2, 8, 0.5)
 	w := randMat(rng, 8, 8)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	want := floatRef(x, w)
 	bound := float64(9) * a.Config().Format.Scale()
 	if d := maxAbsDiff(got, want); d > bound {
@@ -288,7 +288,7 @@ func TestSpikeCounters(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 0, 1, 0, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.1)
-	a.Forward(x, QuantizeMatrix(w, cfg.Format), true)
+	a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, cfg.Format), true)
 	// Spikes at k=0 and k=2 hit PE rows 0 and 2 of every used column.
 	if got := a.SpikeCount(0, 0); got != 1 {
 		t.Errorf("SpikeCount(0,0) = %d, want 1", got)
@@ -305,7 +305,7 @@ func TestStatsAccumulate(t *testing.T) {
 	a := MustNew(smallConfig())
 	x := randSpikes(rand.New(rand.NewSource(10)), 2, 16, 0.5)
 	w := randMat(rand.New(rand.NewSource(11)), 10, 16)
-	a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	st := a.Stats()
 	if st.Accumulations == 0 || st.TilePasses == 0 || st.MACCycles == 0 {
 		t.Errorf("stats not accumulated: %+v", st)
@@ -339,12 +339,12 @@ func TestWrappingAdderOverflows(t *testing.T) {
 	x.Fill(1)
 	w := tensor.New(1, k)
 	w.Fill(30000) // 8 * 30000 = 240000 > 32767 max of Q16.16
-	got := a.Forward(x, QuantizeMatrix(w, cfg.Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, cfg.Format), true)
 	if got.At(0, 0) >= 0 {
 		t.Errorf("wrapping adder should overflow negative, got %v", got.At(0, 0))
 	}
 	aSat := MustNew(smallConfig())
-	gotSat := aSat.Forward(x, QuantizeMatrix(w, cfg.Format), true)
+	gotSat := aSat.Forward(tensor.RowPatches(x), QuantizeMatrix(w, cfg.Format), true)
 	if gotSat.At(0, 0) < 32767 {
 		t.Errorf("saturating adder should clamp near +32768, got %v", gotSat.At(0, 0))
 	}
@@ -387,9 +387,9 @@ func TestFaultPropertyBypassBeatsUnmaskedFault(t *testing.T) {
 		wm := QuantizeMatrix(w, a.Config().Format)
 		ref := floatRef(x, w)
 
-		faulty := a.Forward(x, wm, true)
+		faulty := a.Forward(tensor.RowPatches(x), wm, true)
 		a.SetBypass(true)
-		byp := a.Forward(x, wm, true)
+		byp := a.Forward(tensor.RowPatches(x), wm, true)
 		a.SetBypass(false)
 
 		// Every faulty column must be wildly negative pre-bypass...

@@ -21,7 +21,7 @@ func TestWeightFaultCorruptsColumn(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 0, 0, 0, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.25)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	// Column 0 corrupted: 0.25 with bit 30 forced = 0.25 + 2^30*2^-16.
 	wantCorrupt := 0.25 + math.Ldexp(1, 30-16)
 	if d := math.Abs(float64(got.At(0, 0)) - wantCorrupt); d > 1e-3 {
@@ -45,7 +45,7 @@ func TestWeightFaultOnlyFiresWithSpike(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 1, 0, 1, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.125)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	if d := math.Abs(float64(got.At(0, 0)) - 0.375); d > 1e-3 {
 		t.Errorf("weight fault fired without a spike: %v", got.At(0, 0))
 	}
@@ -62,7 +62,7 @@ func TestWeightFaultBypassed(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 1, 0, 0, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.5)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	// PE(0,0) bypassed: only the k=1 weight contributes to column 0.
 	if d := math.Abs(float64(got.At(0, 0)) - 0.5); d > 1e-3 {
 		t.Errorf("bypassed weight fault column = %v, want 0.5", got.At(0, 0))
@@ -83,7 +83,7 @@ func TestWeightFaultAnalogPath(t *testing.T) {
 	x := tensor.FromSlice([]float32{0.5, 0, 0, 0, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.5)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), false)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), false)
 	if math.Abs(float64(got.At(0, 0))) > 1e-3 {
 		t.Errorf("zeroed weight should kill analog product, got %v", got.At(0, 0))
 	}
@@ -151,7 +151,7 @@ func TestBothRegisterFaultsCoexist(t *testing.T) {
 	x.Fill(1)
 	w := tensor.New(8, 8)
 	w.Fill(0.125)
-	got := a.Forward(x, QuantizeMatrix(w, a.Config().Format), true)
+	got := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
 	// Columns 1 and 2 each lose exactly one 0.125 contribution.
 	if d := math.Abs(float64(got.At(0, 1)) - 0.875); d > 1e-3 {
 		t.Errorf("column 1 = %v, want 0.875", got.At(0, 1))

@@ -10,11 +10,13 @@ import (
 )
 
 // Backend is a pluggable compute engine for the tensor operations on the
-// framework's hot paths: GEMM (plain and transposed variants), the
-// im2col/col2im convolution lowering, elementwise arithmetic, and generic
-// parallel iteration. Implementations MUST be bit-identical to the Serial
-// reference for every operation — callers are free to mix backends and
-// results may never depend on the engine or its worker count.
+// framework's hot paths: GEMM (plain and transposed variants), the col2im
+// scatter of a convolution's input gradient, elementwise arithmetic, and
+// generic parallel iteration. A convolution's input lowering is not a
+// Backend operation: Im2Patches builds its sparse rows over For.
+// Implementations MUST be bit-identical to the Serial reference for every
+// operation — callers are free to mix backends and results may never
+// depend on the engine or its worker count.
 //
 // All destination-style operations ("dst" first) fully overwrite dst, so
 // dst may come from GetScratch. Backends are safe for concurrent use by
@@ -35,10 +37,8 @@ type Backend interface {
 	// MatMulTransB computes dst = a·bᵀ for a [m,k], b [n,k], dst [m,n].
 	MatMulTransB(dst, a, b *Tensor)
 
-	// Im2Col lowers x [N, InC, InH, InW] into dst [N*OutH*OutW, K].
-	Im2Col(dst, x *Tensor, cs ConvShape)
 	// Col2Im scatters cols [N*OutH*OutW, K] into dst [N, InC, InH, InW],
-	// the adjoint of Im2Col. dst is overwritten.
+	// the adjoint of the im2col lowering. dst is overwritten.
 	Col2Im(dst, cols *Tensor, cs ConvShape)
 
 	// AddInPlace computes dst += src elementwise; shapes must match.
@@ -105,17 +105,6 @@ func checkDst(dst *Tensor, m, n int) {
 	}
 }
 
-func checkIm2Col(dst, x *Tensor, cs ConvShape) int {
-	n := x.Shape[0]
-	if x.Rank() != 4 || x.Shape[1] != cs.InC || x.Shape[2] != cs.InH || x.Shape[3] != cs.InW {
-		panic(fmt.Sprintf("tensor: Im2Col input shape %v does not match conv %+v", x.Shape, cs))
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != n*cs.PatchesPerItem || dst.Shape[1] != cs.K {
-		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want [%d %d]", dst.Shape, n*cs.PatchesPerItem, cs.K))
-	}
-	return n
-}
-
 func checkCol2Im(dst, cols *Tensor, cs ConvShape) int {
 	if dst.Rank() != 4 || dst.Shape[1] != cs.InC || dst.Shape[2] != cs.InH || dst.Shape[3] != cs.InW {
 		panic(fmt.Sprintf("tensor: Col2Im dst shape %v does not match conv %+v", dst.Shape, cs))
@@ -160,12 +149,6 @@ func (serialBackend) MatMulTransA(dst, a, b *Tensor) {
 func (serialBackend) MatMulTransB(dst, a, b *Tensor) {
 	_, k, n := checkMatMulTransB(dst, a, b)
 	matMulTransBRows(dst, a, b, k, n, 0, dst.Shape[0])
-}
-
-// Im2Col implements Backend.
-func (serialBackend) Im2Col(dst, x *Tensor, cs ConvShape) {
-	n := checkIm2Col(dst, x, cs)
-	im2ColRows(dst, x, cs, 0, n*cs.PatchesPerItem)
 }
 
 // Col2Im implements Backend.

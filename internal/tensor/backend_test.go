@@ -86,6 +86,9 @@ func TestParallelGEMMIntoScratchDst(t *testing.T) {
 	ReleaseScratch(dst)
 }
 
+// TestParallelIm2ColCol2ImBitIdentical checks the parallel lowering
+// (Im2Patches) against the dense serial reference and the parallel Col2Im
+// against the serial one.
 func TestParallelIm2ColCol2ImBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	convs := []struct{ inC, inH, inW, outC, k, stride, pad, n int }{
@@ -102,9 +105,9 @@ func TestParallelIm2ColCol2ImBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := randTensor(rng, c.n, c.inC, c.inH, c.inW)
-			serialCols := Im2ColUsing(Serial(), x, cs)
-			parCols := Im2ColUsing(par, x, cs)
-			assertBitIdentical(t, "Im2Col", serialCols, parCols)
+			pp := Im2Patches(par, x, cs)
+			assertBitIdentical(t, "Im2Patches", Im2Col(x, cs), denseOf(pp))
+			pp.Release()
 
 			g := randTensor(rng, c.n*cs.PatchesPerItem, cs.K)
 			assertBitIdentical(t, "Col2Im",

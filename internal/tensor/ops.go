@@ -86,17 +86,12 @@ func NewConvShape(inC, inH, inW, outC, kh, kw, stride, pad int) (ConvShape, erro
 	}, nil
 }
 
-// Im2Col lowers input x of shape [N, InC, InH, InW] into a matrix of shape
-// [N*OutH*OutW, K] where each row is one receptive-field patch. Convolution
-// then becomes patches · Wᵀ for W of shape [OutC, K].
+// Im2Col lowers input x [N, InC, InH, InW] into the dense patch matrix
+// [N*OutH*OutW, K], one receptive-field patch per row: the serial
+// reference the tests hold Im2Patches to. Nothing else builds it.
 func Im2Col(x *Tensor, cs ConvShape) *Tensor {
-	return Im2ColUsing(Default(), x, cs)
-}
-
-// Im2ColUsing is Im2Col on an explicit backend.
-func Im2ColUsing(e Backend, x *Tensor, cs ConvShape) *Tensor {
 	out := New(x.Shape[0]*cs.PatchesPerItem, cs.K)
-	e.Im2Col(out, x, cs)
+	im2ColRows(out, x, cs, 0, out.Shape[0])
 	return out
 }
 

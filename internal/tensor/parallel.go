@@ -102,13 +102,6 @@ func (p *parallelBackend) MatMulTransB(dst, a, b *Tensor) {
 	p.split(m, m*k*n, func(r0, r1 int) { matMulTransBRows(dst, a, b, k, n, r0, r1) })
 }
 
-// Im2Col implements Backend.
-func (p *parallelBackend) Im2Col(dst, x *Tensor, cs ConvShape) {
-	n := checkIm2Col(dst, x, cs)
-	rows := n * cs.PatchesPerItem
-	p.split(rows, rows*cs.K, func(r0, r1 int) { im2ColRows(dst, x, cs, r0, r1) })
-}
-
 // Col2Im implements Backend. Parallelism is across batch items: patches
 // of one item overlap (their scatter order must stay serial) but items
 // write disjoint output regions.

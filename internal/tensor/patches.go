@@ -7,8 +7,8 @@ import (
 )
 
 // Patches is the spike-sparse lowering of a convolution input: the im2col
-// patch matrix [N*OutH*OutW, K] that Im2Col would build, held as
-// compressed sparse rows. Row r = (b*OutH + oy)*OutW + ox is one
+// patch matrix [N*OutH*OutW, K] (the one the dense reference Im2Col
+// builds), held as compressed sparse rows. Row r = (b*OutH + oy)*OutW + ox is one
 // receptive-field patch; its nonzero entries are Col[RowPtr[r]:RowPtr[r+1]]
 // (column indices kk, strictly ascending) with values
 // Val[RowPtr[r]:RowPtr[r+1]]. Exact zeros (±0) are not stored.
@@ -81,6 +81,57 @@ func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	copy(p.next, p.RowPtr[:rows])
 	e.For(n, func(b0, b1 int) { p.fill(x, ys, xs, b0, b1) })
 	return p
+}
+
+// RowPatches holds the rows of x [N, K] as patch rows, by a plain scan:
+// the lowering of a 1×1 convolution over x viewed as [N, K, 1, 1].
+func RowPatches(x *Tensor) *Patches {
+	if x.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: RowPatches input shape %v, want [N K]", x.Shape))
+	}
+	n, k := x.Shape[0], x.Shape[1]
+	p := patchesPool.Get().(*Patches)
+	p.N, p.Shape = n, ConvShape{InC: k, InH: 1, InW: 1, KH: 1, KW: 1, Stride: 1, OutH: 1, OutW: 1, K: k, PatchesPerItem: 1}
+	p.RowPtr = append(p.RowPtr[:0], 0)
+	// Write every entry but keep only nonzeros: no branch on the spikes.
+	col, val := resize(p.Col, n*k), resize(p.Val, n*k)
+	t := 0
+	for r := 0; r < n; r++ {
+		for kk, v := range x.Data[r*k : (r+1)*k] {
+			col[t], val[t] = int32(kk), v
+			if v != 0 {
+				t++
+			}
+		}
+		p.RowPtr = append(p.RowPtr, t)
+	}
+	p.Col, p.Val = col[:t], val[:t]
+	return p
+}
+
+// PermuteCols rewrites p in place as the patches of the matrix whose
+// column i is column perm[i] of p's: each stored column moves to its slot
+// through the inverse of perm, and an insertion sort restores each row's
+// ascending order. perm must be a permutation of [0, K).
+func (p *Patches) PermuteCols(perm []int) {
+	if len(perm) != p.Shape.K {
+		panic(fmt.Sprintf("tensor: PermuteCols permutation length %d, want K=%d", len(perm), p.Shape.K))
+	}
+	slot := make([]int32, len(perm))
+	for i, kk := range perm {
+		slot[kk] = int32(i)
+	}
+	for r := 0; r < p.Rows(); r++ {
+		cols, vals := p.Col[p.RowPtr[r]:p.RowPtr[r+1]], p.Val[p.RowPtr[r]:p.RowPtr[r+1]]
+		for i, kk := range cols {
+			c, v := slot[kk], vals[i]
+			j := i
+			for ; j > 0 && cols[j-1] > c; j-- {
+				cols[j], vals[j] = cols[j-1], vals[j-1]
+			}
+			cols[j], vals[j] = c, v
+		}
+	}
 }
 
 // resize returns s with length n, reallocating only when it is too small.

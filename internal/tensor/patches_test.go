@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,10 +48,74 @@ var patchShapes = []struct{ n, inC, inH, inW, outC, k, stride, pad int }{
 	{2, 1, 4, 6, 9, 1, 1, 0},
 }
 
+// checkPatchRows fails unless p holds exactly the nonzero entries of
+// dense [Rows, K] (±0 dropped, NaN kept) with columns strictly ascending
+// in every row.
+func checkPatchRows(t *testing.T, ctx string, dense *Tensor, p *Patches) {
+	t.Helper()
+	k := dense.Shape[1]
+	if p.Rows() != dense.Shape[0] || p.Shape.K != k {
+		t.Fatalf("%s: %d rows of K=%d, want %v", ctx, p.Rows(), p.Shape.K, dense.Shape)
+	}
+	for r := 0; r < p.Rows(); r++ {
+		for q := p.RowPtr[r]; q < p.RowPtr[r+1]; q++ {
+			if p.Val[q] == 0 {
+				t.Fatalf("%s: row %d stores a zero", ctx, r)
+			}
+			if q > p.RowPtr[r] && p.Col[q] <= p.Col[q-1] {
+				t.Fatalf("%s: row %d columns not ascending", ctx, r)
+			}
+		}
+	}
+	want := dense.Clone()
+	for i, v := range want.Data {
+		if v == 0 {
+			want.Data[i] = 0 // −0 entries are dropped like +0
+		}
+	}
+	assertBitIdentical(t, ctx, want, denseOf(p))
+}
+
+// checkRowLowerings checks RowPatches and PermuteCols against dense
+// [Rows, K]: RowPatches(dense) holds its nonzero entries, and permuting
+// its columns by perm equals lowering the column-permuted dense matrix.
+func checkRowLowerings(t *testing.T, ctx string, dense *Tensor, perm []int) {
+	t.Helper()
+	p := RowPatches(dense)
+	checkPatchRows(t, ctx+" RowPatches", dense, p)
+	n, k := dense.Shape[0], dense.Shape[1]
+	moved := New(n, k)
+	for i, kk := range perm {
+		for r := 0; r < n; r++ {
+			moved.Data[r*k+i] = dense.Data[r*k+kk]
+		}
+	}
+	p.PermuteCols(perm)
+	checkPatchRows(t, ctx+" PermuteCols", moved, p)
+	p.Release()
+}
+
 // TestIm2PatchesMatchesIm2ColParallel checks the sparse lowering holds
 // exactly Im2Col's nonzero entries, columns strictly ascending, on every
-// engine and at spike densities from 0 to 100%.
+// engine and at spike densities from 0 to 100%, and checks the row
+// lowerings (RowPatches, PermuteCols) on the same dense patch matrices
+// and on a K=7 matrix (not a multiple of any even array height) holding
+// ±0, NaN, an infinity and an all-zero row.
 func TestIm2PatchesMatchesIm2ColParallel(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	edge := FromSlice([]float32{
+		1, negZero, 0, nan, -2, 0, 0.5,
+		0, negZero, 0, 0, negZero, 0, 0,
+		negZero, 3, float32(math.Inf(-1)), 0, 0, nan, 1,
+	}, 3, 7)
+	if p := RowPatches(edge); p.RowPtr[1] != 4 || p.RowPtr[2] != 4 {
+		t.Fatalf("row pointers %v: want row 0 to keep 4 entries (NaN included) and row 1 none", p.RowPtr)
+	}
+	checkRowLowerings(t, "edge identity", edge, []int{0, 1, 2, 3, 4, 5, 6})
+	checkRowLowerings(t, "edge reversed", edge, []int{6, 5, 4, 3, 2, 1, 0})
+	checkRowLowerings(t, "edge rotated", edge, []int{3, 4, 5, 6, 0, 1, 2})
+
 	rng := rand.New(rand.NewSource(31))
 	engines := []Backend{Serial()}
 	for _, w := range testWorkerCounts {
@@ -64,30 +129,19 @@ func TestIm2PatchesMatchesIm2ColParallel(t *testing.T) {
 		for _, density := range []float64{0, 0.05, 0.3, 1} {
 			for _, analog := range []bool{false, true} {
 				x := sparseInput(rng, density, analog, sh.n, sh.inC, sh.inH, sh.inW)
-				want := Im2ColUsing(Serial(), x, cs)
-				for i, v := range want.Data {
-					if v == 0 {
-						want.Data[i] = 0 // Im2Col copies −0 pixels; patches drop them
-					}
+				if analog && density > 0 {
+					x.Data[len(x.Data)/2] = nan
 				}
+				dense := Im2Col(x, cs) // copies −0 pixels; the lowerings drop them
 				for _, e := range engines {
 					p := Im2Patches(e, x, cs)
-					if p.N != sh.n || p.Rows() != sh.n*cs.PatchesPerItem {
-						t.Fatalf("%+v: N=%d rows=%d", sh, p.N, p.Rows())
+					if p.N != sh.n {
+						t.Fatalf("%+v: N=%d", sh, p.N)
 					}
-					for r := 0; r < p.Rows(); r++ {
-						for q := p.RowPtr[r]; q < p.RowPtr[r+1]; q++ {
-							if p.Val[q] == 0 {
-								t.Fatalf("%+v: row %d stores a zero", sh, r)
-							}
-							if q > p.RowPtr[r] && p.Col[q] <= p.Col[q-1] {
-								t.Fatalf("%+v: row %d columns not ascending", sh, r)
-							}
-						}
-					}
-					assertBitIdentical(t, e.Name()+" patches", want, denseOf(p))
+					checkPatchRows(t, fmt.Sprintf("%s %+v", e.Name(), sh), dense, p)
 					p.Release()
 				}
+				checkRowLowerings(t, fmt.Sprintf("%+v", sh), dense, rng.Perm(cs.K))
 			}
 		}
 	}
@@ -131,7 +185,7 @@ func TestPatchesGEMMsMatchDenseParallel(t *testing.T) {
 		}
 		for _, density := range []float64{0, 0.05, 0.3, 1} {
 			x := sparseInput(rng, density, density == 0.3, sh.n, sh.inC, sh.inH, sh.inW)
-			cols := Im2ColUsing(Serial(), x, cs)
+			cols := Im2Col(x, cs)
 			g := randTensor(rng, cols.Shape[0], cs.M)
 			wantY := denseTransB(cols, w)
 			wantGW := randTensor(rng, cs.M, cs.K)

@@ -98,8 +98,8 @@ func (p *workerPool) Run(chunks int, fn func(chunk int)) {
 }
 
 // scratchPool recycles float32 buffers across hot-path calls, removing
-// the per-call allocations of im2col patch matrices and gradient
-// staging buffers.
+// the per-call allocations of GEMM outputs and gradient staging
+// buffers.
 var scratchPool = sync.Pool{New: func() any { b := make([]float32, 0); return &b }}
 
 // GetScratch returns a tensor of the given shape backed by a recycled

@@ -1,8 +1,9 @@
 // Package tensor provides a small dense float32 tensor library: the
 // numerical substrate for the SNN framework. It supports arbitrary-rank
 // row-major tensors with the handful of operations a conv-SNN needs —
-// GEMM, im2col/col2im lowering, pooling, padding, elementwise arithmetic —
-// implemented with plain loops over contiguous storage.
+// GEMM, the sparse patch-row lowering (Patches) and its col2im adjoint,
+// pooling, padding, elementwise arithmetic — implemented with plain loops
+// over contiguous storage.
 package tensor
 
 import (
