@@ -239,7 +239,10 @@ func BenchmarkBaselineTrainEpochReplicasParallel(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass bool, eng tensor.Backend) {
+// benchSystolicForwardAt times one Forward of a 32×256 input on the
+// 64×64 array. A stored input is a spike, or with pooled one of the four
+// levels an AvgPool2 of spikes takes, fed as analog input.
+func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass, pooled bool, eng tensor.Backend) {
 	arr := newArray(b, 64)
 	arr.SetEngine(eng)
 	if faulty {
@@ -254,6 +257,9 @@ func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass bool, 
 	for i := range x.Data {
 		if rng.Float64() < density {
 			x.Data[i] = 1
+			if pooled {
+				x.Data[i] = float32(1+rng.Intn(4)) / 4
+			}
 		}
 	}
 	w := tensor.New(64, 256)
@@ -264,13 +270,13 @@ func benchSystolicForwardAt(b *testing.B, density float64, faulty, bypass bool, 
 	for i := 0; i < b.N; i++ {
 		// Lowering the rows is part of every pass a Linear layer makes.
 		p := tensor.RowPatches(x)
-		arr.Forward(p, wm, true)
+		arr.Forward(p, wm, !pooled)
 		p.Release()
 	}
 }
 
 func benchSystolicForward(b *testing.B, faulty, bypass bool, eng tensor.Backend) {
-	benchSystolicForwardAt(b, 0.3, faulty, bypass, eng)
+	benchSystolicForwardAt(b, 0.3, faulty, bypass, false, eng)
 }
 
 func BenchmarkSystolicForwardClean(b *testing.B)  { benchSystolicForward(b, false, false, nil) }
@@ -326,16 +332,23 @@ func BenchmarkSystolicForwardBitFlipParallel(b *testing.B) {
 // Spike-density sweep of the event-list plane: clean columns iterate
 // only over spikes, so wall-clock should track the density.
 func BenchmarkSystolicForwardCleanSparse10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, false, false, nil)
+	benchSystolicForwardAt(b, 0.1, false, false, false, nil)
 }
 func BenchmarkSystolicForwardCleanSparse100(b *testing.B) {
-	benchSystolicForwardAt(b, 1.0, false, false, nil)
+	benchSystolicForwardAt(b, 1.0, false, false, false, nil)
 }
 func BenchmarkSystolicForwardFaultySparse10(b *testing.B) {
-	benchSystolicForwardAt(b, 0.1, true, false, nil)
+	benchSystolicForwardAt(b, 0.1, true, false, false, nil)
 }
 func BenchmarkSystolicForwardFaultySparse30(b *testing.B) {
-	benchSystolicForwardAt(b, 0.3, true, false, nil)
+	benchSystolicForwardAt(b, 0.3, true, false, false, nil)
+}
+
+// BenchmarkSystolicForwardPooled is FaultySparse30 on analog input of
+// AvgPool2 levels, the input of every layer fed by AvgPool2: each product
+// is a load from the weights' level table.
+func BenchmarkSystolicForwardPooled(b *testing.B) {
+	benchSystolicForwardAt(b, 0.3, true, false, true, nil)
 }
 
 // Salvage pair: one head-to-head benchmark cell through the pluggable

@@ -91,12 +91,6 @@ func (t *LeaseTable[K]) Holder(key K) *Lease[K] {
 	return t.byKey[key]
 }
 
-// ByID returns the active lease with the given ID, nil if none — how a
-// service routes a heartbeat's lease ID back to its (run, shard).
-func (t *LeaseTable[K]) ByID(id string) *Lease[K] {
-	return t.byID[id]
-}
-
 // Held returns the number of active leases a worker holds (a draining
 // worker retires once it holds none).
 func (t *LeaseTable[K]) Held(worker string) int {

@@ -14,8 +14,8 @@ func TestLeaseTable(t *testing.T) {
 	if tab.Holder(0) != l {
 		t.Fatal("holder should return the granted lease")
 	}
-	if tab.ByID(l.ID) != l {
-		t.Fatal("ByID should route the lease ID back to the lease")
+	if tab.byID[l.ID] != l {
+		t.Fatal("the lease should be indexed by its ID")
 	}
 	now = now.Add(9 * time.Second)
 	if !tab.Renew(l.ID) {

@@ -84,40 +84,6 @@ func GenerateClustered(rows, cols int, spec ClusterSpec, rng *rand.Rand) (*Map, 
 	return m, nil
 }
 
-// ClusteringIndex quantifies spatial clustering of a fault map: the mean
-// nearest-neighbour distance of faulty PEs divided by the expectation for
-// a uniform distribution of the same density (Clark–Evans ratio). Values
-// well below 1 indicate clustering; ≈1 indicates uniformity.
-func ClusteringIndex(m *Map) float64 {
-	pes := m.FaultyPEs()
-	n := len(pes)
-	if n < 2 {
-		return 1
-	}
-	var sum float64
-	for i, p := range pes {
-		best := math.Inf(1)
-		for j, q := range pes {
-			if i == j {
-				continue
-			}
-			dy := float64(p[0] - q[0])
-			dx := float64(p[1] - q[1])
-			if d := math.Sqrt(dy*dy + dx*dx); d < best {
-				best = d
-			}
-		}
-		sum += best
-	}
-	observed := sum / float64(n)
-	density := float64(n) / float64(m.Rows*m.Cols)
-	expected := 0.5 / math.Sqrt(density)
-	if expected == 0 {
-		return 1
-	}
-	return observed / expected
-}
-
 // DefectModel is a die-level defect-rate model for yield estimation:
 // the number of faulty PEs per manufactured chip follows a negative
 // binomial distribution (Stapper's model) with the given mean and

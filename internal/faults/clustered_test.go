@@ -51,7 +51,7 @@ func TestClusteredIsMoreClusteredThanUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, cu := ClusteringIndex(clustered), ClusteringIndex(uniform)
+	ci, cu := clarkEvans(clustered), clarkEvans(uniform)
 	if ci >= cu {
 		t.Errorf("clustered map should have lower Clark-Evans ratio: clustered %.3f vs uniform %.3f", ci, cu)
 	}
@@ -60,15 +60,38 @@ func TestClusteredIsMoreClusteredThanUniform(t *testing.T) {
 	}
 }
 
-func TestClusteringIndexDegenerate(t *testing.T) {
-	m := NewMap(8, 8)
-	if ClusteringIndex(m) != 1 {
-		t.Error("empty map should report 1")
+// clarkEvans quantifies spatial clustering of a fault map: the mean
+// nearest-neighbour distance of faulty PEs divided by the expectation for
+// a uniform distribution of the same density (Clark–Evans ratio). Values
+// well below 1 indicate clustering; ≈1 indicates uniformity.
+func clarkEvans(m *Map) float64 {
+	pes := m.FaultyPEs()
+	n := len(pes)
+	if n < 2 {
+		return 1
 	}
-	_ = m.Add(StuckAtFault{Row: 1, Col: 1})
-	if ClusteringIndex(m) != 1 {
-		t.Error("single fault should report 1")
+	var sum float64
+	for i, p := range pes {
+		best := math.Inf(1)
+		for j, q := range pes {
+			if i == j {
+				continue
+			}
+			dy := float64(p[0] - q[0])
+			dx := float64(p[1] - q[1])
+			if d := math.Sqrt(dy*dy + dx*dx); d < best {
+				best = d
+			}
+		}
+		sum += best
 	}
+	observed := sum / float64(n)
+	density := float64(n) / float64(m.Rows*m.Cols)
+	expected := 0.5 / math.Sqrt(density)
+	if expected == 0 {
+		return 1
+	}
+	return observed / expected
 }
 
 func TestDefectModelMean(t *testing.T) {

@@ -71,24 +71,6 @@ func (m *MemoryFaults) FlipWord(word int, v fixed.Word) fixed.Word {
 	return fixed.Word(uint32(v) ^ mask)
 }
 
-// CountFlips returns the total number of flipped bits over the first n
-// stored words — the realized corruption of an n-word weight memory.
-func (m *MemoryFaults) CountFlips(n int) int {
-	total := 0
-	for w := 0; w < n; w++ {
-		total += bitsOn(m.FlipMask(w))
-	}
-	return total
-}
-
-func bitsOn(v uint32) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
-
 // String summarises the instance.
 func (m *MemoryFaults) String() string {
 	var minR, maxR float64 = 1, 0

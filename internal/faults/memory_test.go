@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -106,7 +107,11 @@ func TestFlipMaskCounterBased(t *testing.T) {
 func TestCountFlipsTracksRate(t *testing.T) {
 	const rate, words = 0.1, 4000
 	m := &MemoryFaults{Seed: 101, BitRate: uniformRates(rate)}
-	got := float64(m.CountFlips(words)) / float64(words*fixed.WordBits)
+	flips := 0
+	for w := 0; w < words; w++ {
+		flips += bits.OnesCount32(m.FlipMask(w))
+	}
+	got := float64(flips) / float64(words*fixed.WordBits)
 	if math.Abs(got-rate) > 0.01 {
 		t.Errorf("realized flip density %.4f, configured rate %.4f", got, rate)
 	}

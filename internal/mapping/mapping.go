@@ -67,14 +67,6 @@ func (p *PruneMask) Count() int {
 	return n
 }
 
-// Fraction returns the pruned fraction of the layer's weights.
-func (p *PruneMask) Fraction() float64 {
-	if len(p.Pruned) == 0 {
-		return 0
-	}
-	return float64(p.Count()) / float64(len(p.Pruned))
-}
-
 // Apply zeroes the pruned entries of a weight tensor shaped [M, K]
 // (Algorithm 1 lines 2 and 13: before retraining and at the end of every
 // retraining epoch).
@@ -87,18 +79,4 @@ func (p *PruneMask) Apply(w *tensor.Tensor) {
 			w.Data[i] = 0
 		}
 	}
-}
-
-// Union merges another mask over the same shape into p (weights pruned by
-// either mask end up pruned).
-func (p *PruneMask) Union(o *PruneMask) error {
-	if p.M != o.M || p.K != o.K {
-		return fmt.Errorf("mapping: cannot union masks %dx%d and %dx%d", p.M, p.K, o.M, o.K)
-	}
-	for i, b := range o.Pruned {
-		if b {
-			p.Pruned[i] = true
-		}
-	}
-	return nil
 }

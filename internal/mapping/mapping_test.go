@@ -69,8 +69,8 @@ func TestFractionMatchesFaultRateSingleTileFullUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mask.Fraction() != fm.FaultRate() {
-		t.Errorf("pruned fraction %v != fault rate %v", mask.Fraction(), fm.FaultRate())
+	if frac := float64(mask.Count()) / float64(len(mask.Pruned)); frac != fm.FaultRate() {
+		t.Errorf("pruned fraction %v != fault rate %v", frac, fm.FaultRate())
 	}
 }
 
@@ -100,21 +100,6 @@ func TestApplyPanicsOnSizeMismatch(t *testing.T) {
 		}
 	}()
 	mask.Apply(tensor.New(3, 3))
-}
-
-func TestUnion(t *testing.T) {
-	a := &PruneMask{M: 1, K: 3, Pruned: []bool{true, false, false}}
-	b := &PruneMask{M: 1, K: 3, Pruned: []bool{false, false, true}}
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 2 {
-		t.Errorf("union count = %d, want 2", a.Count())
-	}
-	c := &PruneMask{M: 2, K: 2, Pruned: make([]bool, 4)}
-	if err := a.Union(c); err == nil {
-		t.Error("shape mismatch union should error")
-	}
 }
 
 func TestDeriveConsistentWithPERowCol(t *testing.T) {

@@ -110,11 +110,6 @@ func (n *PLIFNode) SetVth(v float64) {
 	n.vth.Value.Data[0] = float32(v)
 }
 
-// Tau returns the current membrane time constant τ = 1/sigmoid(w).
-func (n *PLIFNode) Tau() float64 {
-	return 1 / sigmoid(float64(n.tauW.Value.Data[0]))
-}
-
 // Config returns the neuron configuration.
 func (n *PLIFNode) Config() NeuronConfig { return n.cfg }
 

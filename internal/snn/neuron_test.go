@@ -135,8 +135,9 @@ func TestSetVthValidation(t *testing.T) {
 
 func TestTauRoundTrip(t *testing.T) {
 	n := NewPLIFNode(NeuronConfig{VThreshold: 1, InitTau: 3.5})
-	if math.Abs(n.Tau()-3.5) > 1e-5 {
-		t.Errorf("Tau() = %v, want 3.5", n.Tau())
+	// The membrane time constant is τ = 1/sigmoid(w).
+	if tau := 1 / sigmoid(float64(n.tauW.Value.Data[0])); math.Abs(tau-3.5) > 1e-5 {
+		t.Errorf("τ = %v, want 3.5", tau)
 	}
 }
 

@@ -13,8 +13,12 @@ import "falvolt/internal/fixed"
 //     no forward loop consults wFaulty, and a PE whose only fault sits
 //     in its weight register is not a special row (systolic.go).
 //   - For the analog path, the effective weights are pre-dequantized to
-//     float64, eliminating the Dequantize (Ldexp) call per element; the
-//     per-element Quantize stays, keeping results bit-identical.
+//     float64, eliminating the Dequantize (Ldexp) call per element.
+//   - For analog inputs that are all levels (an AvgPool2 of binary
+//     spikes, or event frames), a per-weight table holds the quantized
+//     product with each level, so those products skip Quantize too. The
+//     table holds the very value the per-element Quantize computes, so
+//     results stay bit-identical.
 //
 // Views cache on the Matrix keyed by *Array and are validated against the
 // array's fault-state generation, so InjectFaults / InjectWeightFaults /
@@ -27,14 +31,31 @@ import "falvolt/internal/fixed"
 type weightTiles struct {
 	gen uint64       // array fault-state generation at compile time
 	eff []fixed.Word // weight-fault-forced words; aliases Matrix.Words when the array has no weight faults
-	deq []float64    // eff dequantized in the array's format; built on first analog pass
+	deq []float64    // eff dequantized in the array's format; built on first analog pass not all levels
+	// lvl[i*4+l] is the quantized product of eff[i]'s value and
+	// levels[l]; built on first level pass.
+	lvl []fixed.Word
+}
+
+// levels are the analog inputs a level pass reads from the lvl table:
+// the values an AvgPool2 of binary spikes takes, 1 being an event.
+var levels = [4]float32{0.25, 0.5, 0.75, 1}
+
+// levelIndex returns v's index in levels, or -1 when v is not a level
+// (NaN included).
+func levelIndex(v float32) int {
+	q := v * 4 // exact: a power-of-two scale
+	if q >= 1 && q <= 4 && q == float32(int(q)) {
+		return int(q) - 1
+	}
+	return -1
 }
 
 // tilesFor returns the compiled view of w for array a, (re)building it if
 // the cache is cold or the array's fault state changed. Safe for
 // concurrent Forward calls: the Matrix mutex serializes compiles, and a
 // returned view is immutable.
-func (w *Matrix) tilesFor(a *Array, needDeq bool) *weightTiles {
+func (w *Matrix) tilesFor(a *Array, needDeq, needLvl bool) *weightTiles {
 	gen := a.gen.Load()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -58,13 +79,23 @@ func (w *Matrix) tilesFor(a *Array, needDeq bool) *weightTiles {
 		}
 		w.tiles[a] = t
 	}
+	format := a.cfg.Format
 	if needDeq && t.deq == nil {
-		format := a.cfg.Format
 		deq := make([]float64, len(t.eff))
 		for i, wd := range t.eff {
 			deq[i] = format.Dequantize(wd)
 		}
 		t.deq = deq
+	}
+	if needLvl && t.lvl == nil {
+		lvl := make([]fixed.Word, 4*len(t.eff))
+		for i, wd := range t.eff {
+			d := format.Dequantize(wd)
+			for l, v := range levels {
+				lvl[i*4+l] = format.Quantize(float64(v) * d)
+			}
+		}
+		t.lvl = lvl
 	}
 	return t
 }

@@ -22,7 +22,10 @@ import (
 // rows (colPass.walk), forcing bits and skipping bypassed PEs exactly
 // where the hardware does. Weights come from precompiled tiles
 // (compile.go), so no loop forces weight bits or round-trips through
-// float64.
+// float64. An analog call whose stored inputs are all levels (0.25, 0.5,
+// 0.75 or 1: an AvgPool2 of spikes, or event frames) reads each product
+// from the tiles' per-weight level table, a load like the binary path's;
+// any other analog call quantizes each product.
 //
 // Every path accumulates each output word in the exact per-element order
 // of a textbook column walk (the tests' scalar reference model): skipping
@@ -39,6 +42,9 @@ type events struct {
 	idx  []int32   // the input's Col: ascending k within each batch row
 	val  []float32 // the input's Val, aligned with idx
 	offs []int32   // len b*numKTiles+1; group g spans idx[offs[g]:offs[g+1]]
+	// lvl[q] is the levelIndex of val[q] when every stored input of an
+	// analog call is a level, else nil; lvlBuf keeps its storage pooled.
+	lvl, lvlBuf []uint8
 	// rowTotals[r] counts nonzero inputs landing on PE row r, summed over
 	// the whole batch; built only when per-PE spike counting is on. Every
 	// output column m receives exactly these counts at PE column m%Cols.
@@ -48,11 +54,25 @@ type events struct {
 var eventPool = sync.Pool{New: func() any { return new(events) }}
 
 // buildEvents cuts every row of x at the tile boundaries (multiples of
-// rows) and fills a pooled events value.
-func buildEvents(x *tensor.Patches, rows int, wantTotals bool) *events {
+// rows) and fills a pooled events value. For an analog call it also
+// classifies the stored inputs as levels, once per call.
+func buildEvents(x *tensor.Patches, rows int, wantTotals, analog bool) *events {
 	ev := eventPool.Get().(*events)
 	k := x.Shape.K
 	ev.idx, ev.val = x.Col, x.Val
+	ev.lvl = nil
+	if analog {
+		ev.lvlBuf = append(ev.lvlBuf[:0], make([]uint8, len(x.Val))...)
+		ev.lvl = ev.lvlBuf
+		for q, v := range x.Val {
+			l := levelIndex(v)
+			if l < 0 {
+				ev.lvl = nil
+				break
+			}
+			ev.lvl[q] = uint8(l)
+		}
+	}
 	ev.offs = append(ev.offs[:0], 0)
 	if wantTotals {
 		if cap(ev.rowTotals) < rows {
@@ -102,7 +122,8 @@ func getSpikeBuf(n int) *[]uint64 {
 // If binary is true, X is treated as spikes: any stored (non-zero) entry
 // gates the weight into the accumulator (the paper's multiplier-less PE). If false,
 // each contribution is the quantized product w*x (used for the analog
-// encoder layer; same accumulator datapath, same fault exposure).
+// encoder layer and the layers fed by AvgPool2; same accumulator
+// datapath, same fault exposure).
 //
 // The pass is parallelized across output columns on the array's engine:
 // each output word y[b][m] is still produced by one sequential chain of
@@ -125,15 +146,15 @@ func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tenso
 	scale := float32(w.Format.Scale())
 	format := a.cfg.Format
 	sat := a.cfg.Saturate
-	tiles := w.tilesFor(a, !binary)
+	counting := binary && a.spikeCount != nil
+	ev := buildEvents(x, rows, counting, !binary)
+	tiles := w.tilesFor(a, !binary && ev.lvl == nil, ev.lvl != nil)
 
 	// Only PE rows < usedRows ever see an input: tiles are Rows-aligned,
 	// so a K smaller than the grid leaves the bottom rows idle and their
 	// faults unreachable. A column takes the straight sum iff no special
 	// row is reachable.
 	usedRows := int32(min(rows, w.K))
-	counting := binary && a.spikeCount != nil
-	ev := buildEvents(x, rows, counting)
 
 	a.engine().For(w.M, func(m0, m1 int) {
 		var ps passStats
@@ -145,15 +166,22 @@ func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tenso
 			j := m % cols
 			weff := tiles.eff[m*w.K : (m+1)*w.K]
 			var deq []float64
-			if !binary {
+			var q4 []fixed.Word
+			switch {
+			case ev.lvl != nil:
+				q4 = tiles.lvl[m*w.K*4 : (m+1)*w.K*4]
+			case !binary:
 				deq = tiles.deq[m*w.K : (m+1)*w.K]
 			}
 			switch sp := a.colSpecial(j); {
 			case sp[0].row < usedRows:
-				c := colPass{weff: weff, deq: deq, format: format, binary: binary, sat: sat, scale: scale}
+				c := colPass{weff: weff, deq: deq, q4: q4, format: format, binary: binary, sat: sat, scale: scale}
 				c.walk(y, ev, sp, b, w.K, rows, m, &ps)
 			case binary:
 				fastBinaryColumn(y, ev, weff, b, numKTiles, m, w.M, scale, sat)
+				ps.accumulations += uint64(b) * uint64(w.K)
+			case q4 != nil:
+				fastLevelColumn(y, ev, q4, b, numKTiles, m, w.M, scale, sat)
 				ps.accumulations += uint64(b) * uint64(w.K)
 			default:
 				fastAnalogColumn(y, ev, deq, b, numKTiles, m, w.M, scale, format, sat)
@@ -179,7 +207,7 @@ func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tenso
 		}
 	})
 
-	ev.idx, ev.val = nil, nil
+	ev.idx, ev.val, ev.lvl = nil, nil, nil
 	eventPool.Put(ev)
 	return y
 }
@@ -217,9 +245,36 @@ func fastBinaryColumn(y *tensor.Tensor, ev *events, weff []fixed.Word, b, numKTi
 	}
 }
 
-// fastAnalogColumn is fastBinaryColumn for the analog encoder path: each
-// stored input contributes the quantized product of its value and the
-// pre-dequantized effective weight.
+// fastLevelColumn is fastBinaryColumn for an analog call whose inputs
+// are all levels: each stored input contributes its weight's quantized
+// product with its level, read from the column's level table q4.
+func fastLevelColumn(y *tensor.Tensor, ev *events, q4 []fixed.Word, b, numKTiles, m, mDim int, scale float32, sat bool) {
+	for bi := 0; bi < b; bi++ {
+		base := bi * numKTiles
+		var total int64
+		for kt := 0; kt < numKTiles; kt++ {
+			var acc fixed.Word
+			lo, hi := ev.offs[base+kt], ev.offs[base+kt+1]
+			lv := ev.lvl[lo:hi]
+			if sat {
+				for q, kk := range ev.idx[lo:hi] {
+					acc = fixed.AddSat(acc, q4[int(kk)*4+int(lv[q])])
+				}
+			} else {
+				for q, kk := range ev.idx[lo:hi] {
+					acc = fixed.AddWrap(acc, q4[int(kk)*4+int(lv[q])])
+				}
+			}
+			total += int64(acc)
+		}
+		y.Data[bi*mDim+m] = float32(total) * scale
+	}
+}
+
+// fastAnalogColumn is fastBinaryColumn for any other analog call (the
+// MNIST encoder's pixels, say): each stored input contributes the
+// quantized product of its value and the pre-dequantized effective
+// weight.
 func fastAnalogColumn(y *tensor.Tensor, ev *events, deq []float64, b, numKTiles, m, mDim int, scale float32, format fixed.Format, sat bool) {
 	for bi := 0; bi < b; bi++ {
 		base := bi * numKTiles
@@ -243,12 +298,14 @@ func fastAnalogColumn(y *tensor.Tensor, ev *events, deq []float64, b, numKTiles,
 }
 
 // colPass is one output column's pass over a column with reachable
-// special rows: its compiled weights (binary) or their dequantized
-// values (analog), and the adder mode.
+// special rows: its compiled weights (binary), their level table (level
+// inputs) or their dequantized values (other analog), and the adder mode.
 type colPass struct {
 	weff        []fixed.Word
 	deq         []float64
-	vals        []float32 // the current group's input values (analog)
+	q4          []fixed.Word // the column's level table; nil unless every input is a level
+	vals        []float32    // the current group's input values (analog)
+	lv          []uint8      // the current group's level indices (level inputs)
 	format      fixed.Format
 	binary, sat bool
 	scale       float32
@@ -270,6 +327,9 @@ func (c *colPass) walk(y *tensor.Tensor, ev *events, sp []specialPE, b, kDim, ro
 			end := int32(min(k0+rows, kDim))
 			evs := ev.idx[ev.offs[g]:ev.offs[g+1]]
 			c.vals = ev.val[ev.offs[g]:ev.offs[g+1]]
+			if c.q4 != nil {
+				c.lv = ev.lvl[ev.offs[g]:ev.offs[g+1]]
+			}
 			g++
 			var acc fixed.Word
 			i := 0 // next event
@@ -312,6 +372,14 @@ func (c *colPass) span(acc fixed.Word, evs []int32, i int, limit int32) (fixed.W
 	case c.binary:
 		for ; i < len(evs) && evs[i] < limit; i++ {
 			acc = fixed.AddWrap(acc, c.weff[evs[i]])
+		}
+	case c.q4 != nil && c.sat:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			acc = fixed.AddSat(acc, c.q4[int(evs[i])*4+int(c.lv[i])])
+		}
+	case c.q4 != nil:
+		for ; i < len(evs) && evs[i] < limit; i++ {
+			acc = fixed.AddWrap(acc, c.q4[int(evs[i])*4+int(c.lv[i])])
 		}
 	case c.sat:
 		for ; i < len(evs) && evs[i] < limit; i++ {

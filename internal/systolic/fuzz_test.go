@@ -12,14 +12,18 @@ import (
 
 // FuzzForwardMatchesScalar lets the fuzzer pick the grid, the GEMM
 // shape, the stuck rows and bits of every column, the per-PE bypass
-// mask, the input density and the binary/analog and saturating/wrapping
-// modes, and asserts one Forward on a fresh array is bit-identical to
-// scalarForward: outputs, Stats and per-PE spike counts.
+// mask, the input density, the binary/analog and saturating/wrapping
+// modes, and for analog input whether it is pooled (levels only) and how
+// many stored entries are not levels, and asserts one Forward on a fresh
+// array is bit-identical to scalarForward: outputs, Stats and per-PE
+// spike counts.
 func FuzzForwardMatchesScalar(f *testing.F) {
 	f.Add([]byte{7, 7, 2, 18, 12, 0x03, 5, 1, 2, 3, 30, 1, 1})
 	f.Add([]byte{15, 3, 3, 9, 5, 0x01, 3, 2, 2, 15, 31, 0, 1, 0, 0, 5, 0, 1})
 	f.Add([]byte{3, 5, 4, 40, 9, 0x1e, 10, 3, 3, 0, 31, 1, 0, 3, 29, 0, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0x0f, 10, 1, 1, 0, 0, 0, 1})
+	f.Add([]byte{7, 7, 2, 18, 12, 0x22, 5, 1, 0, 2, 3, 30, 1, 1})
+	f.Add([]byte{15, 3, 3, 9, 5, 0x30, 7, 2, 1, 2, 15, 31, 0, 1})
 	parallel := tensor.NewParallel(2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// next consumes one byte as a value in [0, n); an exhausted
@@ -38,12 +42,17 @@ func FuzzForwardMatchesScalar(f *testing.F) {
 		binary, sat := flags&1 != 0, flags&2 != 0
 		global := flags&4 != 0
 		wide := flags&8 != 0 // weights large enough to overflow a column sum
+		pooled := flags&32 != 0
 		eng := tensor.Serial()
 		if flags&16 != 0 {
 			eng = parallel
 		}
 		density := float64(next(11)) / 10
 		seed := int64(next(256))
+		others := 0 // stored entries of a pooled input that are not levels
+		if pooled {
+			others = next(4)
+		}
 
 		cfg := Config{Rows: rows, Cols: cols, Format: fixed.Q16x16, Saturate: sat, CountSpikes: true, Engine: eng}
 		a, err := New(cfg)
@@ -84,8 +93,17 @@ func FuzzForwardMatchesScalar(f *testing.F) {
 		x := randSpikeInput(rng, b, k, density)
 		if !binary {
 			for i := range x.Data {
-				if x.Data[i] != 0 {
+				if x.Data[i] == 0 {
+					continue
+				}
+				switch {
+				case !pooled:
 					x.Data[i] = float32(rng.NormFloat64())
+				case others > 0:
+					x.Data[i] = nonLevels[rng.Intn(len(nonLevels))]
+					others--
+				default:
+					x.Data[i] = float32(1+rng.Intn(4)) / 4
 				}
 			}
 		}

@@ -46,6 +46,32 @@ func randSpikeInput(rng *rand.Rand, b, k int, density float64) *tensor.Tensor {
 	return x
 }
 
+// randPooledInput draws what an AvgPool2 of binary spikes produces: each
+// entry is 0 with probability 1-density, else 0.25, 0.5, 0.75 or 1.
+func randPooledInput(rng *rand.Rand, b, k int, density float64) *tensor.Tensor {
+	x := tensor.New(b, k)
+	for i := range x.Data {
+		if rng.Float64() < density {
+			x.Data[i] = float32(1+rng.Intn(4)) / 4
+		}
+	}
+	return x
+}
+
+// nonLevels are analog inputs that must keep a call off the level
+// table: a pixel, a negative level and NaN.
+var nonLevels = []float32{0.3, -0.25, float32(math.NaN())}
+
+// setTieWords overwrites every seventh word of wm with ±1, ±2 or ±3, so
+// some level products land exactly on a rounding tie (0.5·1, 0.25·2,
+// 0.75·2, 0.5·3 words).
+func setTieWords(wm *Matrix) {
+	ties := []fixed.Word{1, -1, 2, -2, 3, -3}
+	for i := 0; i < len(wm.Words); i += 7 {
+		wm.Words[i] = ties[(i/7)%len(ties)]
+	}
+}
+
 func randAnalogInput(rng *rand.Rand, b, k int) *tensor.Tensor {
 	x := tensor.New(b, k)
 	for i := range x.Data {

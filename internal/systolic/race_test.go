@@ -16,7 +16,8 @@ import (
 // arrays whose owners race Forward calls against fault-state generation
 // bumps (InjectFaults / InjectMemoryFaults / InjectTransient /
 // ClearFaults / SetBypass) on their own array, while another pack of
-// goroutines runs concurrent Forwards on one clean shared array. The
+// goroutines runs concurrent binary, pooled and analog Forwards on one
+// clean shared array. The
 // cache's invalidation sweep reads every array's generation under the
 // matrix lock, so cross-array traffic exercises it constantly. Run
 // under -race in CI; the output checks also pin that a view compiled
@@ -104,21 +105,31 @@ func TestTileCacheConcurrentMutationStress(t *testing.T) {
 	}
 
 	// Concurrent Forwards on one clean shared array (the batch-parallel
-	// evaluation pattern) against the same shared Matrix.
+	// evaluation pattern) against the same shared Matrix. The readers mix
+	// binary, pooled and analog input, so the view's dequantized weights
+	// and level table are built while other readers use it.
 	shared := mk(tensor.NewParallel(2))
 	scratch.ClearFaults()
 	scratch.SetBypass(false)
-	wantClean := scratch.Forward(tensor.RowPatches(x), wm, true)
-	for g := 0; g < 4; g++ {
+	inputs := []struct {
+		x      *tensor.Tensor
+		binary bool
+	}{{x, true}, {randPooledInput(rng, b, k, 0.4), false}, {randAnalogInput(rng, b, k), false}}
+	wantClean := make([]*tensor.Tensor, len(inputs))
+	for i, in := range inputs {
+		wantClean[i] = scratch.Forward(tensor.RowPatches(in.x), wm, in.binary)
+	}
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			in, want := inputs[g%len(inputs)], wantClean[g%len(inputs)]
 			for it := 0; it < iters; it++ {
-				got := shared.Forward(tensor.RowPatches(x), wm, true)
-				for i := range wantClean.Data {
-					if math.Float32bits(wantClean.Data[i]) != math.Float32bits(got.Data[i]) {
+				got := shared.Forward(tensor.RowPatches(in.x), wm, in.binary)
+				for i := range want.Data {
+					if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
 						t.Errorf("shared reader %d iter %d: y[%d] = %v, want %v",
-							g, it, i, got.Data[i], wantClean.Data[i])
+							g, it, i, got.Data[i], want.Data[i])
 						return
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"falvolt/internal/faults"
@@ -55,7 +56,11 @@ func assertMatchesScalar(t *testing.T, label string, a *Array, tally *scalarTall
 // TestSparseForwardMatchesScalarReference sweeps spike density × fault
 // scenario × engine × saturation × shape, asserting the event-list sparse
 // forward is bit-identical to the scalar reference model — outputs, Stats
-// and spike counters alike.
+// and spike counters alike. Each density feeds binary spikes, normal
+// analog inputs, pooled inputs (all levels, so the level table is read)
+// and a mixed input (one non-level entry, so the call falls back); the
+// pooled input also runs in the Q8.24 and Q24.8 formats. Some weights are
+// ±1, ±2 or ±3 words, so level products land on rounding ties.
 func TestSparseForwardMatchesScalarReference(t *testing.T) {
 	type scenario struct {
 		name           string
@@ -139,60 +144,81 @@ func TestSparseForwardMatchesScalarReference(t *testing.T) {
 			}
 			w := tensor.New(sh.m, sh.k)
 			w.RandNormal(rng, 0.5)
-			for _, sat := range []bool{true, false} {
-				for _, eng := range []tensor.Backend{tensor.Serial(), tensor.NewParallel(4)} {
-					a, err := New(Config{
-						Rows: sh.rows, Cols: sh.cols, Format: fixed.Q16x16,
-						Saturate: sat, CountSpikes: true, Engine: eng,
-					})
-					if err != nil {
+			for _, sw := range []struct {
+				sat    bool
+				eng    tensor.Backend
+				format fixed.Format
+			}{
+				{true, tensor.Serial(), fixed.Q16x16},
+				{true, tensor.NewParallel(4), fixed.Q16x16},
+				{false, tensor.Serial(), fixed.Q16x16},
+				{false, tensor.NewParallel(4), fixed.Q16x16},
+				{true, tensor.Serial(), fixed.Q8x24},
+				{false, tensor.NewParallel(4), fixed.Q8x24},
+				{true, tensor.NewParallel(4), fixed.Q24x8},
+				{false, tensor.Serial(), fixed.Q24x8},
+			} {
+				sat, eng, format := sw.sat, sw.eng, sw.format
+				a, err := New(Config{
+					Rows: sh.rows, Cols: sh.cols, Format: format,
+					Saturate: sat, CountSpikes: true, Engine: eng,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fm != nil {
+					if err := a.InjectFaults(fm); err != nil {
 						t.Fatal(err)
 					}
-					if fm != nil {
-						if err := a.InjectFaults(fm); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if wfm != nil {
-						if err := a.InjectWeightFaults(wfm); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if mem != nil {
-						if err := a.InjectMemoryFaults(mem); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if ts != nil {
-						if err := a.InjectTransient(ts); err != nil {
-							t.Fatal(err)
-						}
-						// Land inside the strike window so the transient
-						// masks are live during the identity check.
-						a.SetTimestep(1)
-					}
-					a.SetBypass(sc.bypass)
-					if err := a.SetBypassMask(mask); err != nil {
+				}
+				if wfm != nil {
+					if err := a.InjectWeightFaults(wfm); err != nil {
 						t.Fatal(err)
 					}
-					var tally scalarTally
-					// One Matrix shared across all densities and both
-					// input modes: the compiled-tile cache must keep the
-					// binary and analog views apart.
-					wm := QuantizeMatrix(w, fixed.Q16x16)
-					for _, density := range densities {
-						label := fmt.Sprintf("%s %dx%d sat=%v eng=%s d=%.0f%%",
-							sc.name, sh.rows, sh.cols, sat, eng.Name(), 100*density)
-						spikes := randSpikeInput(rng, sh.b, sh.k, density)
-						assertMatchesScalar(t, label+" binary", a, &tally, spikes, wm, true)
-						analog := randAnalogInput(rng, sh.b, sh.k)
-						for i := range analog.Data {
-							if rng.Float64() >= density {
-								analog.Data[i] = 0
-							}
-						}
-						assertMatchesScalar(t, label+" analog", a, &tally, analog, wm, false)
+				}
+				if mem != nil {
+					if err := a.InjectMemoryFaults(mem); err != nil {
+						t.Fatal(err)
 					}
+				}
+				if ts != nil {
+					if err := a.InjectTransient(ts); err != nil {
+						t.Fatal(err)
+					}
+					// Land inside the strike window so the transient
+					// masks are live during the identity check.
+					a.SetTimestep(1)
+				}
+				a.SetBypass(sc.bypass)
+				if err := a.SetBypassMask(mask); err != nil {
+					t.Fatal(err)
+				}
+				var tally scalarTally
+				// One Matrix shared across all densities and input
+				// modes: the compiled-tile cache must keep the binary,
+				// analog and level views apart.
+				wm := QuantizeMatrix(w, format)
+				setTieWords(wm)
+				for di, density := range densities {
+					label := fmt.Sprintf("%s %dx%d sat=%v eng=%s %v d=%.0f%%",
+						sc.name, sh.rows, sh.cols, sat, eng.Name(), format, 100*density)
+					pooled := randPooledInput(rng, sh.b, sh.k, density)
+					assertMatchesScalar(t, label+" pooled", a, &tally, pooled, wm, false)
+					if format != fixed.Q16x16 {
+						continue
+					}
+					spikes := randSpikeInput(rng, sh.b, sh.k, density)
+					assertMatchesScalar(t, label+" binary", a, &tally, spikes, wm, true)
+					analog := randAnalogInput(rng, sh.b, sh.k)
+					for i := range analog.Data {
+						if rng.Float64() >= density {
+							analog.Data[i] = 0
+						}
+					}
+					assertMatchesScalar(t, label+" analog", a, &tally, analog, wm, false)
+					mixed := pooled.Clone()
+					mixed.Data[rng.Intn(len(mixed.Data))] = nonLevels[di%len(nonLevels)]
+					assertMatchesScalar(t, label+" mixed", a, &tally, mixed, wm, false)
 				}
 			}
 		}
@@ -249,7 +275,7 @@ func halfFaultyMask(n int, maps ...*faults.Map) []bool {
 // cache is invalidated by every fault-state mutation: a Matrix first used
 // on a clean array must observe weight faults injected afterwards, their
 // clearing, and bypass toggles — matching the scalar reference at each
-// step.
+// step, for binary, analog and pooled (level-table) inputs alike.
 func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const rows, cols, b, k, m = 8, 8, 4, 24, 12
@@ -258,6 +284,7 @@ func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 	wm := QuantizeMatrix(w, fixed.Q16x16)
 	x := randSpikeInput(rng, b, k, 0.4)
 	analog := randAnalogInput(rng, b, k)
+	pooled := randPooledInput(rng, b, k, 0.5)
 
 	fm, err := faults.Generate(rows, cols, faults.GenSpec{
 		NumFaulty: 12, BitMode: faults.MSBBits, Pol: faults.StuckAt1,
@@ -279,6 +306,7 @@ func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 		mutate(arr)
 		assertMatchesScalar(t, label+" binary", arr, &tally, x, wm, true)
 		assertMatchesScalar(t, label+" analog", arr, &tally, analog, wm, false)
+		assertMatchesScalar(t, label+" pooled", arr, &tally, pooled, wm, false)
 	}
 	rates, err := faults.BitRates(faults.ProfileDecay, 0.2)
 	if err != nil {
@@ -380,5 +408,27 @@ func TestTransientTimestepSweep(t *testing.T) {
 	sparse.ClearFaults()
 	if gen := sparse.gen.Load(); gen == genBefore {
 		t.Fatal("ClearFaults did not bump tile generation")
+	}
+}
+
+// TestBuildEventsClassifiesLevels pins the per-call classification that
+// picks the level table: a call whose stored inputs are all 0.25, 0.5,
+// 0.75 or 1 gets their level indices, and one other stored value (or a
+// binary call) gets none, so the products are quantized as before.
+func TestBuildEventsClassifiesLevels(t *testing.T) {
+	x := tensor.FromSlice([]float32{0.25, 0, 0.5, 0.75, 1, 0, 1, 0.25}, 2, 4)
+	ev := buildEvents(tensor.RowPatches(x), 4, false, true)
+	if want := []uint8{0, 1, 2, 3, 3, 0}; !slices.Equal(ev.lvl, want) {
+		t.Fatalf("level indices %v, want %v", ev.lvl, want)
+	}
+	if ev := buildEvents(tensor.RowPatches(x), 4, false, false); ev.lvl != nil {
+		t.Fatalf("binary call classified as levels: %v", ev.lvl)
+	}
+	inf := float32(math.Inf(1))
+	for _, v := range append([]float32{0.125, 0.7, 1.25, 2, -1, inf}, nonLevels...) {
+		x.Data[5] = v
+		if ev := buildEvents(tensor.RowPatches(x), 4, false, true); ev.lvl != nil {
+			t.Errorf("input with a stored %v classified as levels: %v", v, ev.lvl)
+		}
 	}
 }
