@@ -3,7 +3,8 @@ package falvolt
 // Benchmarks regenerating the machinery behind every figure of the paper,
 // plus micro-benchmarks of the hot paths. One benchmark per figure runs a
 // representative slice of that experiment (reduced sizes so `go test
-// -bench=.` completes quickly); cmd/experiments regenerates the full data.
+// -bench=.` completes quickly); `campaign run -c <kind>` regenerates the
+// full data.
 //
 //	go test -bench=. -benchmem
 

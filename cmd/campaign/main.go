@@ -1,6 +1,7 @@
 // Command campaign plans, runs, distributes and merges sharded
-// fault-sweep campaigns: the figure sweeps of cmd/experiments (fig2,
-// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study, the
+// fault-sweep campaigns: the figures of the paper's evaluation (fig2,
+// fig5a, fig5b, fig5c, the Fig. 6/7/8 "mitigation" study, whose Fig. 8
+// notes carry the §V-A baseline accuracies, and the opt-in
 // "ablations"), the manufacturing-yield study (-c yield), the Fig.
 // 5-family vulnerability sweeps (-c faultsim) and the fault-model,
 // salvage and site-sweep studies, and the paper's one-trial tool flow
@@ -296,7 +297,7 @@ func addConfigFlags(fs *flag.FlagSet, c *config) {
 	fs.IntVar(&c.epochs, "epochs", 0, "retraining epochs (0 = default for mode)")
 	fs.IntVar(&c.repeats, "repeats", 0, "fault maps averaged per vulnerability point (0 = default; faultsim defaults to 3)")
 	fs.IntVar(&c.evalN, "eval", 0, "test samples per deployed evaluation (0 = default)")
-	fs.StringVar(&c.cache, "cache", "", "directory for baseline snapshots (reused across shards)")
+	fs.StringVar(&c.cache, "cache", "", "directory for baseline snapshots (reused across shards, kinds and runs)")
 	// Yield and faultsim flag defaults come from the one definition of
 	// each kind's defaults (spec.YieldSpec.Defaulted and
 	// spec.FaultSimSpec.Defaulted), shared with the spec builders.

@@ -25,10 +25,12 @@ func invoke(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestDumpSpecMatchesRetiredTools pins the flag-compiled specs of the
-// yield, faultsim and falvolt kinds. Each testdata file is the
-// -dump-spec output of the standalone tool the kind's flags came from;
-// campaign must reproduce its bytes, because fingerprints, checkpoints
-// and -cache files all hash them.
+// yield, faultsim and falvolt kinds and of the figure kinds (fig2,
+// fig5a-c, mitigation, ablations). Each testdata file is the -dump-spec
+// output of the standalone tool the kind's flags came from (the figure
+// kinds' from the experiments tool, whose -fig 7 named the mitigation
+// study); campaign must reproduce its bytes, because fingerprints,
+// checkpoints and -cache files all hash them.
 func TestDumpSpecMatchesRetiredTools(t *testing.T) {
 	for _, tc := range []struct {
 		tool   string // the retired tool's command line
@@ -53,6 +55,16 @@ func TestDumpSpecMatchesRetiredTools(t *testing.T) {
 		{"falvolt -rate 0.3 -train 320 -test 64 -base-epochs 6 -epochs 2 -array 16", "falvolt-rate0.3",
 			[]string{"-c", "falvolt", "-rate", "0.3", "-train", "320", "-test", "64", "-base-epochs", "6", "-epochs", "2", "-array", "16"}},
 		{"falvolt -quick=false -seed 3", "falvolt-full-seed3", []string{"-c", "falvolt", "-quick=false", "-seed", "3"}},
+		{"experiments -quick -fig 2", "fig2-quick", []string{"-c", "fig2", "-quick"}},
+		{"experiments -quick -fig 5a", "fig5a-quick", []string{"-c", "fig5a", "-quick"}},
+		{"experiments -quick -fig 5b", "fig5b-quick", []string{"-c", "fig5b", "-quick"}},
+		{"experiments -quick -fig 5c", "fig5c-quick", []string{"-c", "fig5c", "-quick"}},
+		{"experiments -quick -fig 7", "mitigation-quick", []string{"-c", "mitigation", "-quick"}},
+		{"experiments -quick -fig ablations", "ablations-quick", []string{"-c", "ablations", "-quick"}},
+		{"experiments -quick -array 16 -repeats 1 -eval 16 -epochs 1 -fig 5a", "fig5a-golden-config",
+			[]string{"-c", "fig5a", "-quick", "-array", "16", "-repeats", "1", "-eval", "16", "-epochs", "1"}},
+		{"experiments -fig 7 -seed 3 -array 32", "mitigation-full-seed3",
+			[]string{"-c", "mitigation", "-seed", "3", "-array", "32"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".json"))
 		if err != nil {

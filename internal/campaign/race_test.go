@@ -62,8 +62,8 @@ func TestPoolRunnerConcurrencyStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndependentRuns runs several campaigns at once on the
-// shared default engine, as cmd/experiments does for figure campaigns.
+// TestConcurrentIndependentRuns runs several campaigns at once in one
+// process, each on its own parallel engine; every run must complete.
 func TestConcurrentIndependentRuns(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {

@@ -65,7 +65,14 @@ func TestClusteredIsMoreClusteredThanUniform(t *testing.T) {
 // a uniform distribution of the same density (Clark–Evans ratio). Values
 // well below 1 indicate clustering; ≈1 indicates uniformity.
 func clarkEvans(m *Map) float64 {
-	pes := m.FaultyPEs()
+	seen := map[[2]int]bool{}
+	var pes [][2]int
+	for _, f := range m.Faults {
+		if pe := [2]int{f.Row, f.Col}; !seen[pe] {
+			seen[pe] = true
+			pes = append(pes, pe)
+		}
+	}
 	n := len(pes)
 	if n < 2 {
 		return 1

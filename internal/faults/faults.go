@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"falvolt/internal/fixed"
 )
@@ -88,25 +87,6 @@ func (m *Map) FaultRate() float64 {
 		return 0
 	}
 	return float64(m.NumFaultyPEs()) / float64(total)
-}
-
-// FaultyPEs returns the sorted distinct (row, col) coordinates of faulty PEs.
-func (m *Map) FaultyPEs() [][2]int {
-	seen := make(map[[2]int]struct{}, len(m.Faults))
-	for _, f := range m.Faults {
-		seen[[2]int{f.Row, f.Col}] = struct{}{}
-	}
-	out := make([][2]int, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // Masks compacts the map into per-PE OR/AND-clear mask pairs for fast

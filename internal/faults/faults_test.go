@@ -54,23 +54,6 @@ func TestNumFaultyPEsDedup(t *testing.T) {
 	}
 }
 
-func TestFaultyPEsSorted(t *testing.T) {
-	m := NewMap(4, 4)
-	_ = m.Add(StuckAtFault{Row: 3, Col: 1})
-	_ = m.Add(StuckAtFault{Row: 0, Col: 2})
-	_ = m.Add(StuckAtFault{Row: 0, Col: 1})
-	pes := m.FaultyPEs()
-	want := [][2]int{{0, 1}, {0, 2}, {3, 1}}
-	if len(pes) != len(want) {
-		t.Fatalf("FaultyPEs len = %d, want %d", len(pes), len(want))
-	}
-	for i := range want {
-		if pes[i] != want[i] {
-			t.Errorf("FaultyPEs[%d] = %v, want %v", i, pes[i], want[i])
-		}
-	}
-}
-
 func TestMasksComposition(t *testing.T) {
 	m := NewMap(2, 2)
 	_ = m.Add(StuckAtFault{Row: 0, Col: 1, Bit: 2, Pol: StuckAt1})

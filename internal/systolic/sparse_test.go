@@ -27,7 +27,7 @@ func assertMatchesScalar(t *testing.T, label string, a *Array, tally *scalarTall
 	t.Helper()
 	got := a.Forward(tensor.RowPatches(x), wm, binary)
 	want, st, spikes := scalarForward(a.cfg, a.FaultMap(), a.WeightFaultMap(), a.MemoryFaults(),
-		a.Transient(), a.Timestep(), a.BypassEnabled(), a.bypMask, x, wm, binary)
+		a.Transient(), a.step, a.bypassOn, a.bypMask, x, wm, binary)
 	for i := range want.Data {
 		if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
 			t.Fatalf("%s: y[%d] = %v, scalar reference %v", label, i, got.Data[i], want.Data[i])

@@ -41,11 +41,6 @@ type Config struct {
 	Engine tensor.Backend
 }
 
-// DefaultConfig is the paper's 256x256 array with Q16.16 saturating PEs.
-func DefaultConfig() Config {
-	return Config{Rows: 256, Cols: 256, Format: fixed.Q16x16, Saturate: true}
-}
-
 // Array is a systolic accelerator with optional injected faults: a
 // permanent stuck-at map, weight-SRAM bit-flips, and/or a transient
 // soft-error schedule (see the faults package for the three models).
@@ -307,9 +302,6 @@ func (a *Array) SetTimestep(t int) {
 	a.refreshState()
 }
 
-// Timestep returns the timestep the array is currently configured for.
-func (a *Array) Timestep() int { return a.step }
-
 // Dims returns the PE grid extent (the faults.Target surface).
 func (a *Array) Dims() (rows, cols int) { return a.cfg.Rows, a.cfg.Cols }
 
@@ -337,9 +329,6 @@ func (a *Array) SetBypass(on bool) {
 	a.bypassOn = on
 	a.refresh()
 }
-
-// BypassEnabled reports whether faulty PEs are currently bypassed.
-func (a *Array) BypassEnabled() bool { return a.bypassOn }
 
 // SetBypassMask programs the bypass multiplexers individually: a
 // permanently faulty PE i (row-major) is bypassed iff mask[i] is set or
@@ -486,13 +475,6 @@ func (ps *passStats) mergeInto(s *Stats) {
 	if ps.bypassedSteps != 0 {
 		atomic.AddUint64(&s.BypassedSteps, ps.bypassedSteps)
 	}
-}
-
-// PERowCol returns the PE coordinates that hold weight w[m][k] under the
-// weight-stationary mapping. Exported so the mapping package and the
-// hardware simulator can never disagree.
-func (a *Array) PERowCol(k, m int) (row, col int) {
-	return k % a.cfg.Rows, m % a.cfg.Cols
 }
 
 // ScanWritePE models scan-chain access used by post-fabrication testing:

@@ -54,8 +54,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Rows: 4, Cols: 4, Format: fixed.Format{FracBits: 40}}); err == nil {
 		t.Error("invalid format should error")
 	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Errorf("default config should construct: %v", err)
+	// The paper's array: 256x256 PEs of Q16.16 saturating accumulators.
+	if _, err := New(Config{Rows: 256, Cols: 256, Format: fixed.Q16x16, Saturate: true}); err != nil {
+		t.Errorf("paper config should construct: %v", err)
 	}
 }
 
@@ -179,11 +180,9 @@ func TestBypassEqualsPrunedFloat(t *testing.T) {
 	pruned := w.Clone()
 	for mi := 0; mi < m; mi++ {
 		for ki := 0; ki < k; ki++ {
-			r, c := a.PERowCol(ki, mi)
-			idx := r*8 + c
-			if (r == 1 && c == 3) || (r == 5 && c == 0) {
+			// Weight w[m][k] sits on PE (k mod Rows, m mod Cols).
+			if r, c := ki%8, mi%8; (r == 1 && c == 3) || (r == 5 && c == 0) {
 				pruned.Set(0, mi, ki)
-				_ = idx
 			}
 		}
 	}
@@ -316,13 +315,38 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestPERowColMapping pins the weight-stationary mapping the mapping
+// package derives its prune masks from: weight w[m][k] sits on PE
+// (k mod Rows, m mod Cols). A lone spike on input k through all-one
+// weights reaches every output but those whose weight sits on the one
+// bypassed PE.
 func TestPERowColMapping(t *testing.T) {
-	a := MustNew(smallConfig())
-	err := quick.Check(func(kRaw, mRaw uint16) bool {
-		k, m := int(kRaw)%500, int(mRaw)%500
-		r, c := a.PERowCol(k, m)
-		return r == k%8 && c == m%8 && r >= 0 && c >= 0 && r < 8 && c < 8
-	}, &quick.Config{MaxCount: 100})
+	err := quick.Check(func(kRaw, mRaw uint8) bool {
+		const kDim, mDim = 20, 20
+		k, m := int(kRaw)%kDim, int(mRaw)%mDim
+		a := MustNew(smallConfig())
+		fm := faults.NewMap(8, 8)
+		_ = fm.Add(faults.StuckAtFault{Row: k % 8, Col: m % 8, Bit: 30, Pol: faults.StuckAt1})
+		if err := a.InjectFaults(fm); err != nil {
+			return false
+		}
+		a.SetBypass(true)
+		x := tensor.New(1, kDim)
+		x.Set(1, 0, k)
+		w := tensor.New(mDim, kDim)
+		w.Fill(1)
+		y := a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
+		for mi := 0; mi < mDim; mi++ {
+			want := float32(1)
+			if mi%8 == m%8 {
+				want = 0
+			}
+			if y.At(0, mi) != want {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Error(err)
 	}

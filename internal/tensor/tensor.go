@@ -173,21 +173,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.Data))
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Argmax returns the index of the maximum element of a 1-D view of row r in
 // a [rows, cols] matrix; t must be rank 2.
 func (t *Tensor) Argmax(r int) int {

@@ -92,9 +92,6 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	if a.Mean() != 0 {
 		t.Errorf("Mean = %v, want 0", a.Mean())
 	}
-	if a.MaxAbs() != 4 {
-		t.Errorf("MaxAbs = %v, want 4", a.MaxAbs())
-	}
 }
 
 func TestArgmax(t *testing.T) {
