@@ -453,14 +453,44 @@ func BenchmarkConvForward(b *testing.B)         { benchConvForward(b, nil) }
 func BenchmarkConvForwardSerial(b *testing.B)   { benchConvForward(b, tensor.Serial()) }
 func BenchmarkConvForwardParallel(b *testing.B) { benchConvForward(b, tensor.NewParallel(0)) }
 
+// BenchmarkPLIFForward measures one inference timestep of a spiking
+// layer; the spikes go back to the scratch pool, as Network.Forward
+// hands them back.
 func BenchmarkPLIFForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	node := snn.NewPLIFNode(snn.DefaultNeuronConfig())
 	x := tensor.New(16, 2048)
 	x.RandNormal(rng, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node.Forward(x, false)
+		tensor.ReleaseScratch(node.Forward(x, false))
+	}
+}
+
+// BenchmarkDeployedInferenceStep measures one batch-32 inference of the
+// paper-size MNIST network (T=4) deployed on a 64x64 array with 128 MSB
+// stuck-at-1 PEs: the unit of work a fault campaign repeats.
+func BenchmarkDeployedInferenceStep(b *testing.B) {
+	model, err := snn.Build(snn.MNISTSpec(), rand.New(rand.NewSource(27)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr := newArray(b, 64)
+	if err := arr.InjectFaults(msbFaults(b, 64, 128, 28)); err != nil {
+		b.Fatal(err)
+	}
+	model.Net.Deploy(arr)
+	ds, err := datasets.SyntheticMNIST(datasets.Config{Train: 1, Test: 32, T: model.Spec.T, Seed: 29})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq, _ := snn.MakeBatch(ds.Test)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.Net.ResetState()
+		model.Net.Forward(seq, false)
 	}
 }
 

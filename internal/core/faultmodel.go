@@ -120,6 +120,7 @@ func (p *corruptionProbe) measure(t campaign.Trial, timesteps int, inject func(*
 				}
 			}
 		}
+		tensor.ReleaseScratch(yf)
 	}
 	p.faulty.ClearFaults()
 	return campaign.Result{

@@ -76,17 +76,6 @@ func (s *TransientSchedule) Validate() error {
 	return nil
 }
 
-// ActiveCount returns how many strikes corrupt timestep t.
-func (s *TransientSchedule) ActiveCount(t int) int {
-	n := 0
-	for _, st := range s.Strikes {
-		if st.ActiveAt(t) {
-			n++
-		}
-	}
-	return n
-}
-
 // Horizon returns the first timestep at which every strike has decayed
 // (0 for an empty schedule): from Horizon() on, the array is clean.
 func (s *TransientSchedule) Horizon() int {

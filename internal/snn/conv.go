@@ -142,29 +142,30 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	eng := c.engine()
 	n := x.Shape[0]
 	p := tensor.Im2Patches(eng, x, c.Shape)
+	var y2 *tensor.Tensor
 	if c.deploy != nil && !train {
-		y2 := c.deploy.forward(p)
+		y2 = c.deploy.forward(p)
 		p.Release()
-		return c.patchesToNCHW(y2, n)
-	}
-	y2 := tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
-	p.MatMulTransB(eng, y2, c.weight.Value)
-	if train {
-		c.patches = append(c.patches, p)
 	} else {
-		p.Release()
+		y2 = tensor.GetScratch(n*c.Shape.PatchesPerItem, c.Shape.M)
+		p.MatMulTransB(eng, y2, c.weight.Value)
+		if train {
+			c.patches = append(c.patches, p)
+		} else {
+			p.Release()
+		}
 	}
-	out := c.patchesToNCHW(y2, n)
+	out := c.patchesToNCHW(y2, n, train)
 	tensor.ReleaseScratch(y2)
 	return out
 }
 
 // patchesToNCHW converts a [N*P, M] GEMM result into [N, M, OH, OW],
 // fanning out across batch items (items write disjoint output planes).
-func (c *Conv2D) patchesToNCHW(y2 *tensor.Tensor, n int) *tensor.Tensor {
+func (c *Conv2D) patchesToNCHW(y2 *tensor.Tensor, n int, train bool) *tensor.Tensor {
 	p := c.Shape.PatchesPerItem
 	m := c.Shape.M
-	out := tensor.New(n, m, c.Shape.OutH, c.Shape.OutW)
+	out := newActivation(train, n, m, c.Shape.OutH, c.Shape.OutW)
 	c.engine().For(n, func(b0, b1 int) {
 		for b := b0; b < b1; b++ {
 			for pi := 0; pi < p; pi++ {

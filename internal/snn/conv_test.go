@@ -31,7 +31,7 @@ func denseConvStep(c *Conv2D, x, grad *tensor.Tensor) (y, gw, gb, gx *tensor.Ten
 			y2.Data[r*cs.M+m] = s
 		}
 	}
-	y = c.patchesToNCHW(y2, n)
+	y = c.patchesToNCHW(y2, n, true)
 
 	g2 := tensor.New(rows, cs.M)
 	c.nchwToPatches(g2, grad, n)

@@ -53,7 +53,7 @@ func (d *Deployment) install(w *tensor.Tensor) {
 // input onto its remapped array row (in place: the caller owns x and
 // discards it afterwards), stream through the array, unpermute the
 // outputs, then apply the range restriction. All transforms are
-// identities when unset.
+// identities when unset. The result is a scratch tensor (see Layer).
 func (d *Deployment) forward(x *tensor.Patches) *tensor.Tensor {
 	if d.KPerm != nil {
 		x.PermuteCols(d.KPerm)
@@ -61,7 +61,7 @@ func (d *Deployment) forward(x *tensor.Patches) *tensor.Tensor {
 	y := d.Array.Forward(x, d.weights, d.Binary)
 	if d.MPerm != nil {
 		n, m := y.Shape[0], y.Shape[1]
-		out := tensor.New(n, m)
+		out := tensor.GetScratch(n, m)
 		for b := 0; b < n; b++ {
 			src := y.Data[b*m : (b+1)*m]
 			dst := out.Data[b*m : (b+1)*m]
@@ -69,6 +69,7 @@ func (d *Deployment) forward(x *tensor.Patches) *tensor.Tensor {
 				dst[mj] = src[j]
 			}
 		}
+		tensor.ReleaseScratch(y)
 		y = out
 	}
 	if d.ClampLo != nil {

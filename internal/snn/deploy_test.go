@@ -23,7 +23,7 @@ import (
 // ragged K-tiles and outputs across reused columns.
 func TestRemappedDeploymentMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	arr := systolic.MustNew(systolic.Config{Rows: 4, Cols: 3, Format: fixed.Q16x16, Saturate: true})
+	arr := mustNewArray(systolic.Config{Rows: 4, Cols: 3, Format: fixed.Q16x16, Saturate: true})
 	conv, err := NewConv2D(3, 6, 5, 5, 3, 1, 1, false, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,16 @@ import (
 	"falvolt/internal/tensor"
 )
 
+// mustNewArray is systolic.New for the tests' fixed, valid
+// configurations.
+func mustNewArray(cfg systolic.Config) *systolic.Array {
+	a, err := systolic.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func tensorsBitIdentical(t *testing.T, ctx string, a, b *tensor.Tensor) {
 	t.Helper()
 	if !a.SameShape(b) {
@@ -109,7 +119,7 @@ func TestEvaluateBatchParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	arr := systolic.MustNew(systolic.Config{
+	arr := mustNewArray(systolic.Config{
 		Rows: 16, Cols: 16, Format: fixed.Q16x16, Saturate: true,
 	})
 	fm, err := faults.Generate(16, 16, faults.GenSpec{

@@ -62,7 +62,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	plane := h * w
 	count := n * plane
-	out := tensor.New(x.Shape...)
+	out := newActivation(train, x.Shape...)
 
 	if !train {
 		for ch := 0; ch < c; ch++ {
@@ -247,7 +247,9 @@ func (p *AvgPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		p.hw = append(p.hw, [2]int{x.Shape[2], x.Shape[3]})
 	}
-	return tensor.AvgPool2(x)
+	out := newActivation(train, x.Shape[0], x.Shape[1], x.Shape[2]/2, x.Shape[3]/2)
+	tensor.AvgPool2(out, x)
+	return out
 }
 
 // Backward implements Layer.

@@ -28,7 +28,7 @@ func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("snn: MaxPool2 needs even spatial dims, got %dx%d", h, w))
 	}
 	oh, ow := h/2, w/2
-	out := tensor.New(n, c, oh, ow)
+	out := newActivation(train, n, c, oh, ow)
 	var arg []int
 	if train {
 		arg = make([]int, out.Len())

@@ -141,23 +141,42 @@ func (n *Network) ResetState() {
 // announced to every deployed systolic array first, so transient
 // soft-error schedules strike and decay mid-inference at the right
 // steps (a no-op for arrays without time-dependent faults).
+//
+// At inference every activation dies within its timestep, so each one is
+// released to the scratch pool as soon as the next layer's output exists
+// (see Layer); the sequence's own tensors are never released.
 func (n *Network) Forward(seq Sequence, train bool) *tensor.Tensor {
 	eng := n.Engine()
 	var rate *tensor.Tensor
 	for t := 0; t < n.T; t++ {
 		n.stepDeployments(t)
-		x := seq.At(t)
+		in := seq.At(t)
+		x := in
 		for _, l := range n.Layers {
-			x = l.Forward(x, train)
+			y := l.Forward(x, train)
+			if !train && !sharesData(x, in) && !sharesData(x, y) {
+				tensor.ReleaseScratch(x)
+			}
+			x = y
 		}
 		if rate == nil {
 			rate = x.Clone()
 		} else {
 			eng.AddInPlace(rate, x)
 		}
+		if !train && !sharesData(x, in) {
+			tensor.ReleaseScratch(x)
+		}
 	}
 	eng.Scale(rate, 1/float32(n.T))
 	return rate
+}
+
+// sharesData reports whether a and b are one tensor or views of one
+// buffer, as an identity layer (inference Dropout) or a reshape (Flatten)
+// returns.
+func sharesData(a, b *tensor.Tensor) bool {
+	return a == b || len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
 // Backward propagates the gradient of the loss wrt the mean firing rate

@@ -167,7 +167,7 @@ func TestLoadStateStructureMismatch(t *testing.T) {
 func TestDeployBinaryInference(t *testing.T) {
 	m := tinyModel(t, 13)
 	gemms := m.Net.GEMMLayers()
-	arr := systolic.MustNew(systolic.Config{Rows: 32, Cols: 32, Format: fixed.Q16x16, Saturate: true})
+	arr := mustNewArray(systolic.Config{Rows: 32, Cols: 32, Format: fixed.Q16x16, Saturate: true})
 	m.Net.Deploy(arr)
 	// Encoder conv sees the raw image: analog path. Conv1 directly follows
 	// the encoder PLIF: binary spikes. Conv2 and FC1 follow average

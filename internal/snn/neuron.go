@@ -115,7 +115,9 @@ func (n *PLIFNode) Config() NeuronConfig { return n.cfg }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Forward implements Layer.
+// Forward implements Layer. The membrane n.v is updated in place (no
+// cache holds it). At inference only the spikes are formed, into a
+// scratch tensor; training also pushes z, H, X−v and o for BPTT.
 func (n *PLIFNode) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if n.v == nil || !n.v.SameShape(x) {
 		n.v = tensor.New(x.Shape...)
@@ -123,33 +125,46 @@ func (n *PLIFNode) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	a := float32(sigmoid(float64(n.tauW.Value.Data[0])))
 	vth := n.vth.Value.Data[0]
 	invV := 1 / vth
+	v := n.v.Data
+
+	if !train {
+		o := tensor.GetScratch(x.Shape...)
+		for i, xi := range x.Data {
+			d := xi - v[i]
+			hi := v[i] + a*d
+			if hi*invV-1 > 0 {
+				o.Data[i] = 1
+				v[i] = 0 // hard reset
+			} else {
+				o.Data[i] = 0
+				v[i] = hi
+			}
+		}
+		return o
+	}
 
 	h := tensor.New(x.Shape...)
 	z := tensor.New(x.Shape...)
 	o := tensor.New(x.Shape...)
 	xmv := tensor.New(x.Shape...)
-	vNew := tensor.New(x.Shape...)
 	for i, xi := range x.Data {
-		d := xi - n.v.Data[i]
+		d := xi - v[i]
 		xmv.Data[i] = d
-		hi := n.v.Data[i] + a*d
+		hi := v[i] + a*d
 		h.Data[i] = hi
 		zi := hi*invV - 1
 		z.Data[i] = zi
 		if zi > 0 {
 			o.Data[i] = 1
-			// hard reset: v stays 0
+			v[i] = 0 // hard reset
 		} else {
-			vNew.Data[i] = hi
+			v[i] = hi
 		}
 	}
-	n.v = vNew
-	if train {
-		n.zs.push(z)
-		n.hs.push(h)
-		n.xmvs.push(xmv)
-		n.os.push(o)
-	}
+	n.zs.push(z)
+	n.hs.push(h)
+	n.xmvs.push(xmv)
+	n.os.push(o)
 	return o
 }
 
@@ -171,8 +186,9 @@ func (n *PLIFNode) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gamma := n.cfg.Gamma
 	invW := 1 / n.cfg.Width
 
+	// gradV is updated in place: each element is read before it is
+	// overwritten with dL/dv_{t−1}.
 	gradX := tensor.New(grad.Shape...)
-	gradVPrev := tensor.New(grad.Shape...)
 	var dW, dVth float64
 	for i := range grad.Data {
 		zi := float64(z.Data[i])
@@ -211,12 +227,11 @@ func (n *PLIFNode) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 		// H = v_prev + a·(X − v_prev).
 		gradX.Data[i] = float32(dH * a)
-		gradVPrev.Data[i] = float32(dH * (1 - a))
+		n.gradV.Data[i] = float32(dH * (1 - a))
 		if n.cfg.LearnTau {
 			dW += dH * float64(xmv.Data[i]) * dadw
 		}
 	}
-	n.gradV = gradVPrev
 	if n.cfg.LearnTau {
 		n.tauW.Grad.Data[0] += float32(dW)
 	}
@@ -254,10 +269,15 @@ func (n *PLIFNode) CloneTraining() Layer {
 	return &PLIFNode{cfg: n.cfg, vth: shadowParam(n.vth), tauW: shadowParam(n.tauW)}
 }
 
-// ResetState implements Layer.
+// ResetState implements Layer. The membrane and gradient buffers are
+// zeroed in place for the next sequence.
 func (n *PLIFNode) ResetState() {
-	n.v = nil
-	n.gradV = nil
+	if n.v != nil {
+		clear(n.v.Data)
+	}
+	if n.gradV != nil {
+		clear(n.gradV.Data)
+	}
 	n.zs.reset()
 	n.hs.reset()
 	n.xmvs.reset()

@@ -64,6 +64,14 @@ func (p *Param) String() string {
 // (t = 0..T-1) and then Backward exactly T times in reverse (t = T-1..0).
 // Each Forward pushes whatever it needs onto an internal cache stack; each
 // Backward pops. ResetState must drop all caches and recurrent state.
+//
+// Ownership at inference: a Forward(x, false) output may come from the
+// scratch pool (tensor.GetScratch), and the layer must neither keep it
+// nor keep x. Only Network.Forward releases them: each layer's input once
+// the next output exists (unless the output shares its data, as a
+// reshaped view does), and the last output once it is added into the
+// rate. A caller that runs layers itself may simply drop the outputs.
+// Training outputs are always fresh tensors, since BPTT caches hold them.
 type Layer interface {
 	// Forward maps this timestep's input to output. train enables
 	// training-only behaviour (dropout masks, batch statistics).
@@ -91,6 +99,16 @@ type Layer interface {
 	// clones are safe; the trainer harvests each clone's gradients and
 	// reduces them into the primary network in micro-batch index order.
 	CloneTraining() Layer
+}
+
+// newActivation returns a layer output whose every element the caller
+// writes: a fresh tensor in training, a scratch one at inference (see
+// Layer).
+func newActivation(train bool, shape ...int) *tensor.Tensor {
+	if train {
+		return tensor.New(shape...)
+	}
+	return tensor.GetScratch(shape...)
 }
 
 // cacheStack is a helper for per-timestep tensors pushed during forward

@@ -10,7 +10,7 @@ import (
 )
 
 func TestScheduleSingleTile(t *testing.T) {
-	a := MustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
 	lt, err := a.Schedule(LayerShape{Name: "l", B: 4, K: 8, M: 8, Timesteps: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestScheduleSingleTile(t *testing.T) {
 }
 
 func TestScheduleTilingMultiplies(t *testing.T) {
-	a := MustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
 	one, err := a.Schedule(LayerShape{Name: "s", B: 4, K: 8, M: 8, Timesteps: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestScheduleTilingMultiplies(t *testing.T) {
 }
 
 func TestScheduleValidation(t *testing.T) {
-	a := MustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
 	if _, err := a.Schedule(LayerShape{B: 0, K: 1, M: 1, Timesteps: 1}); err == nil {
 		t.Error("zero batch should error")
 	}
@@ -62,7 +62,7 @@ func TestScheduleValidation(t *testing.T) {
 
 func TestUtilizationImprovesWithBatch(t *testing.T) {
 	// Streaming more vectors amortizes fill and weight-load overhead.
-	a := MustNew(Config{Rows: 16, Cols: 16, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 16, Cols: 16, Format: fixed.Q16x16})
 	small, _ := a.Schedule(LayerShape{Name: "b1", B: 1, K: 16, M: 16, Timesteps: 1})
 	big, _ := a.Schedule(LayerShape{Name: "b64", B: 64, K: 16, M: 16, Timesteps: 1})
 	if big.Utilization <= small.Utilization {
@@ -71,7 +71,7 @@ func TestUtilizationImprovesWithBatch(t *testing.T) {
 }
 
 func TestScheduleNetworkAggregates(t *testing.T) {
-	a := MustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
 	layers := []LayerShape{
 		{Name: "conv1", B: 16, K: 72, M: 16, Timesteps: 4},
 		{Name: "fc", B: 16, K: 64, M: 10, Timesteps: 4},
@@ -99,7 +99,7 @@ func TestScheduleNetworkAggregates(t *testing.T) {
 }
 
 func TestEnergyComponentsPositive(t *testing.T) {
-	a := MustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
+	a := mustNew(Config{Rows: 8, Cols: 8, Format: fixed.Q16x16})
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 1, Col: 1, Bit: 30, Pol: faults.StuckAt1})
 	if err := a.InjectFaults(fm); err != nil {

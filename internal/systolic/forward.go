@@ -117,7 +117,8 @@ func getSpikeBuf(n int) *[]uint64 {
 // [B, K] inputs held as B patch rows (tensor.Im2Patches for a conv,
 // tensor.RowPatches for a dense matrix), W is a quantized [M, K] matrix,
 // and the result is a float [B, M] tensor dequantized from the
-// fixed-point column sums.
+// fixed-point column sums. The result comes from the scratch pool
+// (tensor.GetScratch); the caller may release it when it is dead.
 //
 // If binary is true, X is treated as spikes: any stored (non-zero) entry
 // gates the weight into the accumulator (the paper's multiplier-less PE). If false,
@@ -136,7 +137,7 @@ func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tenso
 		panic(fmt.Sprintf("systolic: input K %d != weight K %d", x.Shape.K, w.K))
 	}
 	b := x.Rows()
-	y := tensor.New(b, w.M)
+	y := tensor.GetScratch(b, w.M) // every element is written below
 	rows, cols := a.cfg.Rows, a.cfg.Cols
 	numKTiles := (w.K + rows - 1) / rows
 	numMTiles := (w.M + cols - 1) / cols

@@ -79,7 +79,7 @@ func TestArrayMatchesPEReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const k, rows = 8, 8
 		cfg := Config{Rows: rows, Cols: 4, Format: fixed.Q16x16, Saturate: true}
-		a := MustNew(cfg)
+		a := mustNew(cfg)
 		fm, err := faults.Generate(rows, 4, faults.GenSpec{
 			NumFaulty: 1 + rng.Intn(8), BitMode: faults.RandomBit, PolMode: faults.RandomPol,
 		}, rng)

@@ -145,15 +145,6 @@ func New(cfg Config) (*Array, error) {
 // Array satisfies the model-driven injection surface.
 var _ faults.Target = (*Array)(nil)
 
-// MustNew is New but panics on error; for tests and examples.
-func MustNew(cfg Config) *Array {
-	a, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
 

@@ -15,6 +15,15 @@ func smallConfig() Config {
 	return Config{Rows: 8, Cols: 8, Format: fixed.Q16x16, Saturate: true}
 }
 
+// mustNew is New for the tests' fixed, valid configurations.
+func mustNew(cfg Config) *Array {
+	a, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func randMat(rng *rand.Rand, m, k int) *tensor.Tensor {
 	w := tensor.New(m, k)
 	w.RandNormal(rng, 0.5)
@@ -62,7 +71,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestFaultFreeMatchesFloatGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	for trial := 0; trial < 5; trial++ {
 		b, k, m := 3+rng.Intn(4), 5+rng.Intn(20), 4+rng.Intn(12)
 		x := randSpikes(rng, b, k, 0.4)
@@ -79,7 +88,7 @@ func TestFaultFreeMatchesFloatGEMM(t *testing.T) {
 
 func TestAnalogInputMatchesFloatGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	b, k, m := 4, 30, 6
 	x := tensor.New(b, k)
 	x.RandUniform(rng, 0, 1)
@@ -95,7 +104,7 @@ func TestAnalogInputMatchesFloatGEMM(t *testing.T) {
 func TestTilingCrossesArrayBoundary(t *testing.T) {
 	// K and M far larger than the 8x8 grid force multi-tile execution.
 	rng := rand.New(rand.NewSource(3))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	b, k, m := 2, 100, 37
 	x := randSpikes(rng, b, k, 0.5)
 	w := randMat(rng, m, k)
@@ -114,7 +123,7 @@ func TestTilingCrossesArrayBoundary(t *testing.T) {
 
 func TestStuckAt1MSBCorruptsOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	// Sign bit stuck high on PE(0,0): column 0 outputs become hugely negative.
 	if err := fm.Add(faults.StuckAtFault{Row: 0, Col: 0, Bit: 31, Pol: faults.StuckAt1}); err != nil {
@@ -141,7 +150,7 @@ func TestStuckAt1MSBCorruptsOutput(t *testing.T) {
 
 func TestStuckAt0LSBIsMild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	if err := fm.Add(faults.StuckAtFault{Row: 3, Col: 2, Bit: 0, Pol: faults.StuckAt0}); err != nil {
 		t.Fatal(err)
@@ -164,7 +173,7 @@ func TestBypassEqualsPrunedFloat(t *testing.T) {
 	// With bypass on, the faulty PE's weights are skipped: the array must
 	// match a float GEMM with those weights zeroed, within quantization.
 	rng := rand.New(rand.NewSource(6))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 1, Col: 3, Bit: 30, Pol: faults.StuckAt1})
 	_ = fm.Add(faults.StuckAtFault{Row: 5, Col: 0, Bit: 28, Pol: faults.StuckAt0})
@@ -196,7 +205,7 @@ func TestBypassEqualsPrunedFloat(t *testing.T) {
 
 func TestBypassStopsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 0, Col: 0, Bit: 31, Pol: faults.StuckAt1})
 	if err := a.InjectFaults(fm); err != nil {
@@ -223,7 +232,7 @@ func TestBypassStopsCorruption(t *testing.T) {
 
 func TestClearFaultsRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 2, Col: 2, Bit: 31, Pol: faults.StuckAt1})
 	_ = a.InjectFaults(fm)
@@ -242,7 +251,7 @@ func TestClearFaultsRestores(t *testing.T) {
 }
 
 func TestInjectFaultsDimensionMismatch(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	if err := a.InjectFaults(faults.NewMap(4, 4)); err == nil {
 		t.Error("mismatched fault map dimensions should error")
 	}
@@ -250,7 +259,7 @@ func TestInjectFaultsDimensionMismatch(t *testing.T) {
 
 func TestScanTestRecoversFaultMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm, err := faults.Generate(8, 8, faults.GenSpec{NumFaulty: 12, BitMode: faults.RandomBit, PolMode: faults.RandomPol}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +292,7 @@ func TestScanTestRecoversFaultMap(t *testing.T) {
 func TestSpikeCounters(t *testing.T) {
 	cfg := smallConfig()
 	cfg.CountSpikes = true
-	a := MustNew(cfg)
+	a := mustNew(cfg)
 	x := tensor.FromSlice([]float32{1, 0, 1, 0, 0, 0, 0, 0}, 1, 8)
 	w := tensor.New(8, 8)
 	w.Fill(0.1)
@@ -301,7 +310,7 @@ func TestSpikeCounters(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	x := randSpikes(rand.New(rand.NewSource(10)), 2, 16, 0.5)
 	w := randMat(rand.New(rand.NewSource(11)), 10, 16)
 	a.Forward(tensor.RowPatches(x), QuantizeMatrix(w, a.Config().Format), true)
@@ -324,7 +333,7 @@ func TestPERowColMapping(t *testing.T) {
 	err := quick.Check(func(kRaw, mRaw uint8) bool {
 		const kDim, mDim = 20, 20
 		k, m := int(kRaw)%kDim, int(mRaw)%mDim
-		a := MustNew(smallConfig())
+		a := mustNew(smallConfig())
 		fm := faults.NewMap(8, 8)
 		_ = fm.Add(faults.StuckAtFault{Row: k % 8, Col: m % 8, Bit: 30, Pol: faults.StuckAt1})
 		if err := a.InjectFaults(fm); err != nil {
@@ -355,7 +364,7 @@ func TestPERowColMapping(t *testing.T) {
 func TestWrappingAdderOverflows(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Saturate = false
-	a := MustNew(cfg)
+	a := mustNew(cfg)
 	// Accumulating many large positive weights wraps to negative with a
 	// plain adder; with saturation it would clamp at the max.
 	k := 8
@@ -367,7 +376,7 @@ func TestWrappingAdderOverflows(t *testing.T) {
 	if got.At(0, 0) >= 0 {
 		t.Errorf("wrapping adder should overflow negative, got %v", got.At(0, 0))
 	}
-	aSat := MustNew(smallConfig())
+	aSat := mustNew(smallConfig())
 	gotSat := aSat.Forward(tensor.RowPatches(x), QuantizeMatrix(w, cfg.Format), true)
 	if gotSat.At(0, 0) < 32767 {
 		t.Errorf("saturating adder should clamp near +32768, got %v", gotSat.At(0, 0))
@@ -397,7 +406,7 @@ func TestFaultPropertyBypassBeatsUnmaskedFault(t *testing.T) {
 	// not asserted.)
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := MustNew(smallConfig())
+		a := mustNew(smallConfig())
 		fm, err := faults.Generate(8, 8, faults.GenSpec{NumFaulty: 4, BitMode: faults.FixedBit, Bit: 31, Pol: faults.StuckAt1, PolMode: faults.FixedPol}, rng)
 		if err != nil {
 			return false

@@ -10,7 +10,7 @@ import (
 )
 
 func TestWeightFaultCorruptsColumn(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	// Stuck-at-1 on a high weight bit of PE(0,0): weight w[m=0][k=0]
 	// becomes hugely wrong whenever a spike gates it in.
@@ -34,7 +34,7 @@ func TestWeightFaultCorruptsColumn(t *testing.T) {
 }
 
 func TestWeightFaultOnlyFiresWithSpike(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 2, Col: 0, Bit: 30, Pol: faults.StuckAt1})
 	if err := a.InjectWeightFaults(fm); err != nil {
@@ -52,7 +52,7 @@ func TestWeightFaultOnlyFiresWithSpike(t *testing.T) {
 }
 
 func TestWeightFaultBypassed(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	_ = fm.Add(faults.StuckAtFault{Row: 0, Col: 0, Bit: 30, Pol: faults.StuckAt1})
 	if err := a.InjectWeightFaults(fm); err != nil {
@@ -70,7 +70,7 @@ func TestWeightFaultBypassed(t *testing.T) {
 }
 
 func TestWeightFaultAnalogPath(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm := faults.NewMap(8, 8)
 	// Stuck-at-0 on all relevant bits of a weight: weight becomes ~0 so
 	// the analog product vanishes.
@@ -90,7 +90,7 @@ func TestWeightFaultAnalogPath(t *testing.T) {
 }
 
 func TestInjectWeightFaultsDimensionMismatch(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	if err := a.InjectWeightFaults(faults.NewMap(4, 4)); err == nil {
 		t.Error("mismatched dimensions should error")
 	}
@@ -98,7 +98,7 @@ func TestInjectWeightFaultsDimensionMismatch(t *testing.T) {
 
 func TestScanTestWeightsRecovers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	fm, err := faults.Generate(8, 8, faults.GenSpec{
 		NumFaulty: 10, BitMode: faults.RandomBit, PolMode: faults.RandomPol,
 	}, rng)
@@ -131,7 +131,7 @@ func TestScanTestWeightsRecovers(t *testing.T) {
 }
 
 func TestBothRegisterFaultsCoexist(t *testing.T) {
-	a := MustNew(smallConfig())
+	a := mustNew(smallConfig())
 	accFm := faults.NewMap(8, 8)
 	_ = accFm.Add(faults.StuckAtFault{Row: 1, Col: 1, Bit: 29, Pol: faults.StuckAt1})
 	wFm := faults.NewMap(8, 8)

@@ -109,15 +109,15 @@ func Col2ImUsing(e Backend, cols *Tensor, n int, cs ConvShape) *Tensor {
 	return out
 }
 
-// AvgPool2 performs non-overlapping 2x2 average pooling on [N,C,H,W]
-// (H and W must be even) returning [N,C,H/2,W/2].
-func AvgPool2(x *Tensor) *Tensor {
+// AvgPool2 performs non-overlapping 2x2 average pooling of x [N,C,H,W]
+// (H and W must be even) into out [N,C,H/2,W/2]. Every element of out is
+// written, so it may come from GetScratch.
+func AvgPool2(out, x *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("tensor: AvgPool2 needs even spatial dims, got %dx%d", h, w))
 	}
 	oh, ow := h/2, w/2
-	out := New(n, c, oh, ow)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
 			ibase := (b*c + ch) * h * w
@@ -132,7 +132,6 @@ func AvgPool2(x *Tensor) *Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // AvgPool2Backward distributes output gradients of shape [N,C,H/2,W/2]

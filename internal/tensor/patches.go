@@ -34,6 +34,7 @@ type Patches struct {
 	Val    []float32
 
 	next []int // per-row fill cursor, reused across builds
+	nz   []int // per-pixel nonzero-channel tallies of count, reused too
 }
 
 var patchesPool = sync.Pool{New: func() any { return new(Patches) }}
@@ -66,6 +67,7 @@ func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	p.N, p.Shape = n, cs
 	p.RowPtr = resize(p.RowPtr, rows+1)
 	p.next = resize(p.next, rows)
+	p.nz = resize(p.nz, n*cs.InH*cs.InW)
 	ys := coverTable(cs.InH, cs.KH, cs.OutH, cs.Stride, cs.Pad, cs.OutW, cs.KW)
 	xs := coverTable(cs.InW, cs.KW, cs.OutW, cs.Stride, cs.Pad, 1, 1)
 
@@ -174,9 +176,9 @@ func coverTable(in, taps, outLen, stride, pad, outScale, tapScale int) [][]cover
 func (p *Patches) count(x *Tensor, ys, xs [][]cover, b0, b1 int) {
 	cs := p.Shape
 	plane := cs.InH * cs.InW
-	nz := make([]int, plane)
 	next := p.next
 	for b := b0; b < b1; b++ {
+		nz := p.nz[b*plane : (b+1)*plane]
 		clear(nz)
 		for c := 0; c < cs.InC; c++ {
 			for i, v := range x.Data[(b*cs.InC+c)*plane : (b*cs.InC+c+1)*plane] {

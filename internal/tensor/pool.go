@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -97,35 +98,49 @@ func (p *workerPool) Run(chunks int, fn func(chunk int)) {
 	j.wg.Wait()
 }
 
-// scratchPool recycles float32 buffers across hot-path calls, removing
-// the per-call allocations of GEMM outputs and gradient staging
-// buffers.
-var scratchPool = sync.Pool{New: func() any { b := make([]float32, 0); return &b }}
+// scratchPools recycle float32 buffers across hot-path calls (GEMM
+// outputs, gradient staging, per-timestep inference activations), one
+// pool per power-of-two size class: class c holds buffers of capacity at
+// least 1<<c.
+var scratchPools [bits.UintSize]sync.Pool
 
 // GetScratch returns a tensor of the given shape backed by a recycled
 // buffer. Contents are UNSPECIFIED: every element must be written before
 // it is read (all backend Into-style operations satisfy this). Pass the
 // tensor to ReleaseScratch when it is dead to enable reuse.
+//
+// Buffers are size-classed: a request for n elements draws from class
+// ceil(log2 n) and allocates capacity 1<<ceil(log2 n) when that class is
+// empty, so a small request never takes a large buffer and one size does
+// not evict another's.
 func GetScratch(shape ...int) *Tensor {
 	n := 1
 	for _, s := range shape {
 		n *= s
 	}
-	bp := scratchPool.Get().(*[]float32)
-	if cap(*bp) < n {
-		*bp = make([]float32, n)
+	c := 0
+	if n > 1 {
+		c = bits.Len(uint(n - 1))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: (*bp)[:n]}
+	var buf []float32
+	if bp, ok := scratchPools[c].Get().(*[]float32); ok {
+		buf = *bp
+	} else {
+		buf = make([]float32, 1<<c)
+	}
+	return &Tensor{Shape: append([]int(nil), shape...), Data: buf[:n]}
 }
 
-// ReleaseScratch returns a tensor obtained from GetScratch to the pool.
-// The tensor must not be used afterwards. Releasing a non-scratch tensor
-// is also safe: its buffer simply joins the pool.
+// ReleaseScratch returns a tensor's buffer to the pool, filed under
+// class floor(log2 cap) so it only serves requests it can hold. The
+// tensor must not be used afterwards, and no other live tensor may share
+// its buffer. Releasing a non-scratch tensor is also safe: its buffer
+// simply joins the pool.
 func ReleaseScratch(t *Tensor) {
-	if t == nil || t.Data == nil {
+	if t == nil || cap(t.Data) == 0 {
 		return
 	}
 	b := t.Data[:0]
-	scratchPool.Put(&b)
+	scratchPools[bits.Len(uint(cap(b)))-1].Put(&b)
 	t.Data = nil
 }

@@ -286,7 +286,8 @@ func TestAvgPool2(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	p := AvgPool2(x)
+	p := New(1, 1, 2, 2)
+	AvgPool2(p, x)
 	want := []float32{3.5, 5.5, 11.5, 13.5}
 	for i, wv := range want {
 		if p.Data[i] != wv {
@@ -301,7 +302,8 @@ func TestAvgPool2BackwardAdjoint(t *testing.T) {
 	x.RandNormal(rng, 1)
 	g := New(2, 3, 3, 3)
 	g.RandNormal(rng, 1)
-	p := AvgPool2(x)
+	p := New(2, 3, 3, 3)
+	AvgPool2(p, x)
 	var lhs float64
 	for i := range p.Data {
 		lhs += float64(p.Data[i]) * float64(g.Data[i])
