@@ -290,6 +290,38 @@ func BenchmarkSystolicForwardFaultyParallel(b *testing.B) {
 }
 func BenchmarkSystolicForwardBypassed(b *testing.B) { benchSystolicForward(b, true, true, nil) }
 
+// BenchmarkSystolicForwardConvFaulty times one Forward at vuln-mnist's
+// Conv1 lowering: the spike patches of 32 items × 16×16 positions of an
+// 8-channel 3×3 conv (K=72, 15% of the inputs spiking) against M=16
+// filters on the 64×64 array with 5% of its PEs stuck at 1 in the MSB.
+// The patches are lowered once; the conv pays for that separately.
+func BenchmarkSystolicForwardConvFaulty(b *testing.B) {
+	arr := newArray(b, 64)
+	if err := arr.InjectFaults(msbFaults(b, 64, 205, 22)); err != nil {
+		b.Fatal(err)
+	}
+	cs, err := tensor.NewConvShape(8, 16, 16, 16, 3, 3, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	x := tensor.New(32, cs.InC, cs.InH, cs.InW)
+	for i := range x.Data {
+		if rng.Float64() < 0.15 {
+			x.Data[i] = 1
+		}
+	}
+	p := tensor.Im2Patches(tensor.Serial(), x, cs)
+	defer p.Release()
+	w := tensor.New(cs.M, cs.K)
+	w.RandNormal(rng, 0.5)
+	wm := systolic.QuantizeMatrix(w, fixed.Q16x16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.ReleaseScratch(arr.Forward(p, wm, true))
+	}
+}
+
 // Memory bit-flip pair: weight-SRAM flips recompile the weight tiles
 // once per fault instance, after which Forward runs from the flipped
 // tiles — steady-state cost should track the stuck-at faulty path.

@@ -100,15 +100,7 @@ func (f Format) DequantizeSlice(ws []Word) []float32 {
 // AddSat returns a+b with two's-complement saturation, mirroring a hardware
 // saturating adder. Overflow clamps to MaxInt32/MinInt32.
 func AddSat(a, b Word) Word {
-	s := int64(a) + int64(b)
-	switch {
-	case s > math.MaxInt32:
-		return math.MaxInt32
-	case s < math.MinInt32:
-		return math.MinInt32
-	default:
-		return Word(s)
-	}
+	return Word(min(max(int64(a)+int64(b), math.MinInt32), math.MaxInt32))
 }
 
 // AddWrap returns a+b with two's-complement wraparound, the behaviour of a

@@ -17,10 +17,12 @@ import (
 
 // TestDeployedForwardSteadyStateAllocs runs the paper-size MNIST network
 // deployed on a faulty 64×64 array: once the scratch pool is warm, a
-// whole inference (T timesteps, every layer) must allocate less than one
-// layer activation. GC is off so the pool is not drained mid-test; the
-// minimum of a few calls discounts a pool miss after the goroutine moves
-// to another processor.
+// whole inference (T timesteps, every layer) must allocate less than a
+// quarter of one layer activation (the conv lowerings reuse their cover
+// tables, so no per-call table is left). GC is off so the pool is not
+// drained mid-test; the minimum of ten calls discounts the pool misses
+// after a goroutine moves to another processor, which a loaded host
+// makes common.
 func TestDeployedForwardSteadyStateAllocs(t *testing.T) {
 	spec := MNISTSpec()
 	model, err := Build(spec, rand.New(rand.NewSource(61)))
@@ -37,7 +39,7 @@ func TestDeployedForwardSteadyStateAllocs(t *testing.T) {
 	model.Net.ResetState()
 	model.Net.Forward(seq, false)
 	delta := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 10; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		model.Net.ResetState()
@@ -48,7 +50,7 @@ func TestDeployedForwardSteadyStateAllocs(t *testing.T) {
 	// The encoder's output: [batch, EncoderC, H, W] float32s.
 	act := uint64(batch * spec.EncoderC * spec.InH * spec.InW * 4)
 	t.Logf("steady-state inference allocates %d B (one activation: %d B)", delta, act)
-	if delta >= act {
-		t.Errorf("steady-state inference allocates %d B, want < %d B (one activation)", delta, act)
+	if delta >= act/4 {
+		t.Errorf("steady-state inference allocates %d B, want < %d B (a quarter of one activation)", delta, act/4)
 	}
 }

@@ -3,7 +3,10 @@ package systolic
 import "falvolt/internal/fixed"
 
 // Compiled weight tiles: a per-array view of a Matrix with every
-// per-element branch of the old inner loop hoisted out of the hot path.
+// per-element branch of the old inner loop hoisted out of the hot path,
+// laid out K-major for the row-major pass (forward.go): the M weights a
+// stored input k gates sit in one contiguous row at k*M, so each event
+// adds one row into a patch row's block of M column accumulators.
 //
 //   - Weight-SRAM bit-flips (faults.MemoryFaults) corrupt each stored
 //     word first — the SRAM returns the flipped word — so memory faults
@@ -11,7 +14,7 @@ import "falvolt/internal/fixed"
 //   - Weight-register stuck bits (wOrMask/wClearMask) are then
 //     force-applied once per compile instead of per accumulation, so
 //     no forward loop consults wFaulty, and a PE whose only fault sits
-//     in its weight register is not a special row (systolic.go).
+//     in its weight register is not a special PE (systolic.go).
 //   - For the analog path, the effective weights are pre-dequantized to
 //     float64, eliminating the Dequantize (Ldexp) call per element.
 //   - For analog inputs that are all levels (an AvgPool2 of binary
@@ -29,15 +32,18 @@ import "falvolt/internal/fixed"
 
 // weightTiles is one compiled view of a Matrix on one Array.
 type weightTiles struct {
-	gen uint64       // array fault-state generation at compile time
-	eff []fixed.Word // weight-fault-forced words; aliases Matrix.Words when the array has no weight faults
-	deq []float64    // eff dequantized in the array's format; built on first analog pass not all levels
-	// lvl[i*4+l] is the quantized product of eff[i]'s value and
-	// levels[l]; built on first level pass.
-	lvl []fixed.Word
+	gen uint64 // array fault-state generation at compile time
+	// effT[k*M+m] is w[m][k] with the array's weight faults applied.
+	effT []fixed.Word
+	// deqT is effT dequantized in the array's format; built on the
+	// first analog pass that is not all levels.
+	deqT []float64
+	// q4T[(k*4+l)*M+m] is the quantized product of effT[k*M+m]'s value
+	// and levels[l]; built on the first level pass.
+	q4T []fixed.Word
 }
 
-// levels are the analog inputs a level pass reads from the lvl table:
+// levels are the analog inputs a level pass reads from the q4T table:
 // the values an AvgPool2 of binary spikes takes, 1 being an event.
 var levels = [4]float32{0.25, 0.5, 0.75, 1}
 
@@ -61,10 +67,7 @@ func (w *Matrix) tilesFor(a *Array, needDeq, needLvl bool) *weightTiles {
 	defer w.mu.Unlock()
 	t := w.tiles[a]
 	if t == nil || t.gen != gen {
-		t = &weightTiles{gen: gen, eff: w.Words}
-		if a.wmap != nil || a.mem != nil {
-			t.eff = w.compileEffective(a)
-		}
+		t = &weightTiles{gen: gen, effT: w.compileEffective(a)}
 		if w.tiles == nil {
 			w.tiles = make(map[*Array]*weightTiles)
 		} else {
@@ -80,41 +83,42 @@ func (w *Matrix) tilesFor(a *Array, needDeq, needLvl bool) *weightTiles {
 		w.tiles[a] = t
 	}
 	format := a.cfg.Format
-	if needDeq && t.deq == nil {
-		deq := make([]float64, len(t.eff))
-		for i, wd := range t.eff {
+	if needDeq && t.deqT == nil {
+		deq := make([]float64, len(t.effT))
+		for i, wd := range t.effT {
 			deq[i] = format.Dequantize(wd)
 		}
-		t.deq = deq
+		t.deqT = deq
 	}
-	if needLvl && t.lvl == nil {
-		lvl := make([]fixed.Word, 4*len(t.eff))
-		for i, wd := range t.eff {
-			d := format.Dequantize(wd)
-			for l, v := range levels {
-				lvl[i*4+l] = format.Quantize(float64(v) * d)
+	if needLvl && t.q4T == nil {
+		q4 := make([]fixed.Word, 4*len(t.effT))
+		for k := 0; k < w.K; k++ {
+			for m, wd := range t.effT[k*w.M : (k+1)*w.M] {
+				d := format.Dequantize(wd)
+				for l, v := range levels {
+					q4[(k*4+l)*w.M+m] = format.Quantize(float64(v) * d)
+				}
 			}
 		}
-		t.lvl = lvl
+		t.q4T = q4
 	}
 	return t
 }
 
-// compileEffective applies the array's weight-path faults to every
-// stored word: first the SRAM's bit-flips (addressed by the word's flat
-// index m*K+k — what the memory actually stores), then the destination
-// PE's weight-register stuck bits under the weight-stationary mapping
+// compileEffective returns the K-major effT of w on a: every stored
+// word transposed to [K, M] with the array's weight-path faults applied,
+// first the SRAM's bit-flips (addressed by the word's flat index m*K+k —
+// what the memory actually stores), then the destination PE's
+// weight-register stuck bits under the weight-stationary mapping
 // (w[m][k] lives in PE(k mod Rows, m mod Cols)). The scalar reference
 // model of the tests applies the same two corruptions per element in the
 // same order.
 func (w *Matrix) compileEffective(a *Array) []fixed.Word {
 	rows, cols := a.cfg.Rows, a.cfg.Cols
-	eff := make([]fixed.Word, len(w.Words))
+	effT := make([]fixed.Word, len(w.Words))
 	for m := 0; m < w.M; m++ {
 		col := m % cols
-		src := w.Words[m*w.K : (m+1)*w.K]
-		dst := eff[m*w.K : (m+1)*w.K]
-		for k, wd := range src {
+		for k, wd := range w.Words[m*w.K : (m+1)*w.K] {
 			if a.mem != nil {
 				wd = a.mem.FlipWord(m*w.K+k, wd)
 			}
@@ -122,8 +126,8 @@ func (w *Matrix) compileEffective(a *Array) []fixed.Word {
 			if a.wFaulty[idx] {
 				wd = fixed.ForceBits(wd, a.wOrMask[idx], a.wClearMask[idx])
 			}
-			dst[k] = wd
+			effT[k*w.M+m] = wd
 		}
 	}
-	return eff
+	return effT
 }

@@ -9,35 +9,38 @@ import (
 	"falvolt/internal/tensor"
 )
 
-// The spike-sparse data plane. SNN spike trains are mostly zeros and the
-// paper's multiplier-less PE either gates a weight into the accumulator or
-// does nothing, so a healthy PE with no spike leaves the partial sum
-// unchanged. Forward therefore takes its input as patch rows
-// (tensor.Patches: each row's nonzero inputs, ascending), cuts every row
-// at the K-tile boundaries once per call (cost: the stored entries) and
-// reuses the cut across all M output columns: every column iterates only
-// over spikes. A column with no special row (a PE that forces
-// accumulator bits or is bypassed) in reach takes a straight per-tile
-// sum; any other column merges the spikes with its ascending special
-// rows (colPass.walk), forcing bits and skipping bypassed PEs exactly
-// where the hardware does. Weights come from precompiled tiles
-// (compile.go), so no loop forces weight bits or round-trips through
-// float64. An analog call whose stored inputs are all levels (0.25, 0.5,
-// 0.75 or 1: an AvgPool2 of spikes, or event frames) reads each product
-// from the tiles' per-weight level table, a load like the binary path's;
-// any other analog call quantizes each product.
+// The spike-sparse, row-major data plane. SNN spike trains are mostly
+// zeros and the paper's multiplier-less PE either gates a weight into the
+// accumulator or does nothing, so a healthy PE with no spike leaves the
+// partial sum unchanged. Forward therefore takes its input as patch rows
+// (tensor.Patches: each row's nonzero inputs, ascending) and cuts every
+// row at the K-tile boundaries once per call (cost: the stored entries).
 //
-// Every path accumulates each output word in the exact per-element order
-// of a textbook column walk (the tests' scalar reference model): skipping
-// a zero add is exact because AddSat(acc, 0) == AddWrap(acc, 0) == acc,
+// Each patch row then runs through the array once per K-tile with a
+// block of M accumulators, one per output column. Each stored input k
+// adds one contiguous row of the K-major compiled weights (compile.go)
+// into the whole block: the weights for a spike, their level products for
+// a level input, or the quantized products of its value for any other
+// analog input. The tile's inputs are merged with the special PEs (those
+// that force accumulator bits or are bypassed) in row order, output
+// column m sitting on PE column m%Cols: at a special row a bypassed
+// column gets back its value from before the row's add, and a forced
+// column takes its stuck bits after it, exactly where the hardware does.
+// A tile with no special PE in reach is a straight sum.
+//
+// Every output word therefore sees the exact per-element sequence of a
+// textbook column walk (the tests' scalar reference model): skipping a
+// zero add is exact because AddSat(acc, 0) == AddWrap(acc, 0) == acc,
 // skipping a healthy PE's forcing is exact because ForceBits(acc, 0, 0)
-// == acc, and a special row's forcing is never skipped. The contract —
-// bit-identical outputs, Stats and spike counters across paths, engines
-// and worker counts — is what future SIMD backends must also satisfy.
+// == acc, and a special PE's forcing is never skipped. The contract —
+// bit-identical outputs, Stats and spike counters across engines and
+// worker counts — is what future SIMD backends must also satisfy.
 
-// events groups the input's stored entries by (batch row, K-tile), so
-// per-tile fixed-point accumulation (and its saturation behaviour) is
-// preserved exactly. The entries stay in the input's own slices.
+// events is one Forward call's view of its input and of the array: the
+// input's stored entries grouped by (batch row, K-tile), so per-tile
+// fixed-point accumulation (and its saturation behaviour) is preserved
+// exactly, and the special PEs the call's output columns meet. The
+// entries stay in the input's own slices.
 type events struct {
 	idx  []int32   // the input's Col: ascending k within each batch row
 	val  []float32 // the input's Val, aligned with idx
@@ -49,6 +52,46 @@ type events struct {
 	// the whole batch; built only when per-PE spike counting is on. Every
 	// output column m receives exactly these counts at PE column m%Cols.
 	rowTotals []uint64
+	// The call's special PEs by PE row, each PE column expanded to the
+	// output columns it computes: force[foff[r]:foff[r+1]] force bits
+	// on row r and byp[boff[r]:boff[r+1]] are the output columns
+	// bypassed there. foff and boff have Rows+1 entries.
+	force      []forcePE
+	byp        []int32
+	foff, boff []int32
+}
+
+// forcePE is output column col's PE on one special row: it forces the
+// accumulator bits or high and clear low.
+type forcePE struct {
+	col       int32
+	or, clear uint32
+}
+
+// expandSpecial fills ev's special-PE lists from the array's row-ordered
+// special PEs for an M-column weight matrix on a rows x cols grid:
+// output column m sits on PE column m%cols, so PE column j computes the
+// output columns j, j+cols, ... below m.
+func (ev *events) expandSpecial(special []specialPE, m, rows, cols int) {
+	ev.force, ev.byp = ev.force[:0], ev.byp[:0]
+	ev.foff, ev.boff = ev.foff[:0], ev.boff[:0]
+	i := 0
+	for r := int32(0); r < int32(rows); r++ {
+		ev.foff = append(ev.foff, int32(len(ev.force)))
+		ev.boff = append(ev.boff, int32(len(ev.byp)))
+		for ; i < len(special) && special[i].row == r; i++ {
+			s := special[i]
+			for c := s.col; c < int32(m); c += int32(cols) {
+				if s.bypass {
+					ev.byp = append(ev.byp, c)
+				} else {
+					ev.force = append(ev.force, forcePE{col: c, or: s.or, clear: s.clear})
+				}
+			}
+		}
+	}
+	ev.foff = append(ev.foff, int32(len(ev.force)))
+	ev.boff = append(ev.boff, int32(len(ev.byp)))
 }
 
 var eventPool = sync.Pool{New: func() any { return new(events) }}
@@ -98,21 +141,6 @@ func buildEvents(x *tensor.Patches, rows int, wantTotals, analog bool) *events {
 	return ev
 }
 
-// spikeBufPool recycles per-chunk spike-counter buffers (satellite of the
-// sparse plane: one buffered merge per chunk replaces an atomic add per
-// spiking element).
-var spikeBufPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func getSpikeBuf(n int) *[]uint64 {
-	p := spikeBufPool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	*p = (*p)[:n]
-	clear(*p)
-	return p
-}
-
 // Forward computes Y = X · Wᵀ on the (possibly faulty) array: X is
 // [B, K] inputs held as B patch rows (tensor.Im2Patches for a conv,
 // tensor.RowPatches for a dense matrix), W is a quantized [M, K] matrix,
@@ -126,12 +154,13 @@ func getSpikeBuf(n int) *[]uint64 {
 // encoder layer and the layers fed by AvgPool2; same accumulator
 // datapath, same fault exposure).
 //
-// The pass is parallelized across output columns on the array's engine:
-// each output word y[b][m] is still produced by one sequential chain of
-// accumulations in the serial order, so results (and all statistics) are
-// bit-identical on every engine, and — by the event-list construction
-// above — to the per-element column walk. Concurrent Forward calls on one
-// Array are safe; statistics and spike counters merge atomically.
+// The pass is parallelized across patch rows on the array's engine: each
+// row's block of M output words is produced by one worker, every word by
+// one sequential chain of accumulations in the serial order, so results
+// are bit-identical on every engine and — by the construction above — to
+// the per-element column walk. Stats and spike counters are charged once
+// per call. Concurrent Forward calls on one Array are safe; statistics
+// and spike counters merge atomically.
 func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tensor {
 	if x.Shape.K != w.K {
 		panic(fmt.Sprintf("systolic: input K %d != weight K %d", x.Shape.K, w.K))
@@ -144,252 +173,198 @@ func (a *Array) Forward(x *tensor.Patches, w *Matrix, binary bool) *tensor.Tenso
 	atomic.AddUint64(&a.stats.TilePasses, uint64(numKTiles*numMTiles))
 	atomic.AddUint64(&a.stats.MACCycles, uint64(numKTiles*numMTiles)*uint64(rows+cols+b-2))
 
-	scale := float32(w.Format.Scale())
-	format := a.cfg.Format
-	sat := a.cfg.Saturate
 	counting := binary && a.spikeCount != nil
 	ev := buildEvents(x, rows, counting, !binary)
 	tiles := w.tilesFor(a, !binary && ev.lvl == nil, ev.lvl != nil)
+	ev.expandSpecial(a.special, w.M, rows, cols)
+	p := rowPass{ev: ev, m: w.M, k: w.K, tile: rows, sat: a.cfg.Saturate,
+		format: a.cfg.Format, scale: float32(w.Format.Scale())}
+	switch {
+	case binary:
+		p.tab, p.stride = tiles.effT, 1
+	case ev.lvl != nil:
+		p.tab, p.stride = tiles.q4T, 4
+	default:
+		p.deqT = tiles.deqT
+	}
+	a.engine().For(b, func(r0, r1 int) { p.rows(y, r0, r1) })
 
-	// Only PE rows < usedRows ever see an input: tiles are Rows-aligned,
-	// so a K smaller than the grid leaves the bottom rows idle and their
-	// faults unreachable. A column takes the straight sum iff no special
-	// row is reachable.
-	usedRows := int32(min(rows, w.K))
-
-	a.engine().For(w.M, func(m0, m1 int) {
-		var ps passStats
-		var spikes *[]uint64
-		if counting {
-			spikes = getSpikeBuf(rows * cols)
-		}
-		for m := m0; m < m1; m++ {
-			j := m % cols
-			weff := tiles.eff[m*w.K : (m+1)*w.K]
-			var deq []float64
-			var q4 []fixed.Word
-			switch {
-			case ev.lvl != nil:
-				q4 = tiles.lvl[m*w.K*4 : (m+1)*w.K*4]
-			case !binary:
-				deq = tiles.deq[m*w.K : (m+1)*w.K]
-			}
-			switch sp := a.colSpecial(j); {
-			case sp[0].row < usedRows:
-				c := colPass{weff: weff, deq: deq, q4: q4, format: format, binary: binary, sat: sat, scale: scale}
-				c.walk(y, ev, sp, b, w.K, rows, m, &ps)
-			case binary:
-				fastBinaryColumn(y, ev, weff, b, numKTiles, m, w.M, scale, sat)
-				ps.accumulations += uint64(b) * uint64(w.K)
-			case q4 != nil:
-				fastLevelColumn(y, ev, q4, b, numKTiles, m, w.M, scale, sat)
-				ps.accumulations += uint64(b) * uint64(w.K)
-			default:
-				fastAnalogColumn(y, ev, deq, b, numKTiles, m, w.M, scale, format, sat)
-				ps.accumulations += uint64(b) * uint64(w.K)
-			}
-			if counting {
-				buf := *spikes
-				for r, t := range ev.rowTotals[:usedRows] {
-					if t != 0 {
-						buf[r*cols+j] += t
-					}
+	// Every tile of every patch row meets the same special PEs, so the
+	// bypassed steps follow from the lists alone.
+	var bypassed uint64
+	for k0 := 0; k0 < w.K; k0 += rows {
+		bypassed += uint64(ev.boff[min(rows, w.K-k0)])
+	}
+	bypassed *= uint64(b)
+	atomic.AddUint64(&a.stats.Accumulations, uint64(b)*uint64(w.K)*uint64(w.M)-bypassed)
+	if bypassed != 0 {
+		atomic.AddUint64(&a.stats.BypassedSteps, bypassed)
+	}
+	if counting {
+		// PE (r, j) sees row r's inputs once per output column on PE
+		// column j.
+		for j := 0; j < min(cols, w.M); j++ {
+			n := uint64((w.M - j + cols - 1) / cols)
+			for r, t := range ev.rowTotals {
+				if t != 0 {
+					atomic.AddUint64(&a.spikeCount[r*cols+j], t*n)
 				}
 			}
 		}
-		ps.mergeInto(&a.stats)
-		if counting {
-			for i, v := range *spikes {
-				if v != 0 {
-					atomic.AddUint64(&a.spikeCount[i], v)
-				}
-			}
-			spikeBufPool.Put(spikes)
-		}
-	})
+	}
 
 	ev.idx, ev.val, ev.lvl = nil, nil, nil
 	eventPool.Put(ev)
 	return y
 }
 
-// fastBinaryColumn fills output column m for a PE column with no
-// reachable special row: per (batch row, tile), a straight sum of the
-// weights at spike positions — no per-element branches at all.
-func fastBinaryColumn(y *tensor.Tensor, ev *events, weff []fixed.Word, b, numKTiles, m, mDim int, scale float32, sat bool) {
-	if sat {
-		for bi := 0; bi < b; bi++ {
-			base := bi * numKTiles
-			var total int64
-			for kt := 0; kt < numKTiles; kt++ {
-				var acc fixed.Word
-				for _, kk := range ev.idx[ev.offs[base+kt]:ev.offs[base+kt+1]] {
-					acc = fixed.AddSat(acc, weff[kk])
-				}
-				total += int64(acc)
+// rowPass is one Forward call's row-major kernel: the cut input, the
+// call's special PEs, the K-major weight rows the inputs select and the
+// adder mode.
+type rowPass struct {
+	ev     *events
+	m, k   int // output columns, reduction length
+	tile   int // K-tile height: the array's Rows
+	sat    bool
+	format fixed.Format
+	scale  float32
+	tab    []fixed.Word // binary: effT (stride 1); level inputs: q4T (stride 4)
+	stride int
+	deqT   []float64 // any other analog input
+}
+
+// accBlock is one worker's accumulator block: a patch row's M column
+// accumulators, their values before a bypassed row's add, and the
+// per-tile column sums.
+type accBlock struct {
+	acc, prev []fixed.Word
+	total     []int64
+}
+
+var accPool = sync.Pool{New: func() any { return new(accBlock) }}
+
+// rows fills output rows [r0, r1) of y.
+func (p *rowPass) rows(y *tensor.Tensor, r0, r1 int) {
+	blk := accPool.Get().(*accBlock)
+	acc, prev, total := grow(&blk.acc, p.m), grow(&blk.prev, p.m), grow(&blk.total, p.m)
+	ev := p.ev
+	numKTiles := (p.k + p.tile - 1) / p.tile
+	for bi := r0; bi < r1; bi++ {
+		clear(total)
+		g := bi * numKTiles
+		for k0 := 0; k0 < p.k; k0 += p.tile {
+			lo, hi := ev.offs[g], ev.offs[g+1]
+			g++
+			clear(acc)
+			n := min(p.tile, p.k-k0) // a ragged last tile ends early
+			if ev.foff[n] == 0 && ev.boff[n] == 0 {
+				p.add(acc, lo, hi) // no special PE in reach: a straight sum
+			} else {
+				p.special(acc, prev, lo, hi, k0, n)
 			}
-			y.Data[bi*mDim+m] = float32(total) * scale
+			for m, v := range acc {
+				total[m] += int64(v)
+			}
+		}
+		yrow := y.Data[bi*p.m : (bi+1)*p.m]
+		for m, t := range total {
+			yrow[m] = float32(t) * p.scale
+		}
+	}
+	accPool.Put(blk)
+}
+
+// special accumulates the stored inputs [lo, hi) of one n-row K-tile
+// starting at input k0 into acc, with the tile's special PEs. It walks
+// the ascending inputs with a cursor fi over the row-ordered forcing
+// PEs: before the input on PE row e adds, the PEs on the rows above e
+// force their bits; at row e the bypassed columns keep their pre-sums
+// (saved in prev) and the forcing PEs of row e act after the add.
+func (p *rowPass) special(acc, prev []fixed.Word, lo, hi int32, k0, n int) {
+	force, foff, byp, boff := p.ev.force, p.ev.foff, p.ev.byp, p.ev.boff
+	fi := int32(0)
+	for q := lo; q < hi; q++ {
+		e := int(p.ev.idx[q]) - k0
+		for ; fi < foff[e]; fi++ {
+			s := &force[fi]
+			acc[s.col] = fixed.ForceBits(acc[s.col], s.or, s.clear)
+		}
+		if b0, b1 := boff[e], boff[e+1]; b0 < b1 {
+			bs := byp[b0:b1]
+			for _, c := range bs {
+				prev[c] = acc[c]
+			}
+			p.add(acc, q, q+1)
+			for _, c := range bs {
+				acc[c] = prev[c]
+			}
+		} else {
+			p.add(acc, q, q+1)
+		}
+		for ; fi < foff[e+1]; fi++ {
+			s := &force[fi]
+			acc[s.col] = fixed.ForceBits(acc[s.col], s.or, s.clear)
+		}
+	}
+	for ; fi < foff[n]; fi++ { // the rest of the tile
+		s := &force[fi]
+		acc[s.col] = fixed.ForceBits(acc[s.col], s.or, s.clear)
+	}
+}
+
+// grow returns *s resized to n, reallocating only when it is too small.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
+
+// add adds the contributions of stored inputs [q0, q1) into the
+// accumulator block: one weight row for each spike or level input, or
+// the quantized products of any other analog input. Each input mode has
+// its own loop, so no add branches on it.
+func (p *rowPass) add(acc []fixed.Word, q0, q1 int32) {
+	m, idx := p.m, p.ev.idx
+	switch {
+	case p.stride == 1:
+		for q := q0; q < q1; q++ {
+			o := int(idx[q]) * m
+			addRow(acc, p.tab[o:o+m:o+m], p.sat)
+		}
+	case p.stride == 4:
+		lvl := p.ev.lvl
+		for q := q0; q < q1; q++ {
+			o := (int(idx[q])*4 + int(lvl[q])) * m
+			addRow(acc, p.tab[o:o+m:o+m], p.sat)
+		}
+	default:
+		acc = acc[:m]
+		for q := q0; q < q1; q++ {
+			o := int(idx[q]) * m
+			v := float64(p.ev.val[q])
+			for j, d := range p.deqT[o : o+m : o+m] {
+				add := p.format.Quantize(v * d)
+				if p.sat {
+					acc[j] = fixed.AddSat(acc[j], add)
+				} else {
+					acc[j] = fixed.AddWrap(acc[j], add)
+				}
+			}
+		}
+	}
+}
+
+// addRow adds the weight row w into the accumulator block acc.
+func addRow(acc, w []fixed.Word, sat bool) {
+	acc = acc[:len(w)]
+	if sat {
+		for j, v := range w {
+			acc[j] = fixed.AddSat(acc[j], v)
 		}
 		return
 	}
-	for bi := 0; bi < b; bi++ {
-		base := bi * numKTiles
-		var total int64
-		for kt := 0; kt < numKTiles; kt++ {
-			var acc fixed.Word
-			for _, kk := range ev.idx[ev.offs[base+kt]:ev.offs[base+kt+1]] {
-				acc = fixed.AddWrap(acc, weff[kk])
-			}
-			total += int64(acc)
-		}
-		y.Data[bi*mDim+m] = float32(total) * scale
+	for j, v := range w {
+		acc[j] = fixed.AddWrap(acc[j], v)
 	}
-}
-
-// fastLevelColumn is fastBinaryColumn for an analog call whose inputs
-// are all levels: each stored input contributes its weight's quantized
-// product with its level, read from the column's level table q4.
-func fastLevelColumn(y *tensor.Tensor, ev *events, q4 []fixed.Word, b, numKTiles, m, mDim int, scale float32, sat bool) {
-	for bi := 0; bi < b; bi++ {
-		base := bi * numKTiles
-		var total int64
-		for kt := 0; kt < numKTiles; kt++ {
-			var acc fixed.Word
-			lo, hi := ev.offs[base+kt], ev.offs[base+kt+1]
-			lv := ev.lvl[lo:hi]
-			if sat {
-				for q, kk := range ev.idx[lo:hi] {
-					acc = fixed.AddSat(acc, q4[int(kk)*4+int(lv[q])])
-				}
-			} else {
-				for q, kk := range ev.idx[lo:hi] {
-					acc = fixed.AddWrap(acc, q4[int(kk)*4+int(lv[q])])
-				}
-			}
-			total += int64(acc)
-		}
-		y.Data[bi*mDim+m] = float32(total) * scale
-	}
-}
-
-// fastAnalogColumn is fastBinaryColumn for any other analog call (the
-// MNIST encoder's pixels, say): each stored input contributes the
-// quantized product of its value and the pre-dequantized effective
-// weight.
-func fastAnalogColumn(y *tensor.Tensor, ev *events, deq []float64, b, numKTiles, m, mDim int, scale float32, format fixed.Format, sat bool) {
-	for bi := 0; bi < b; bi++ {
-		base := bi * numKTiles
-		var total int64
-		for kt := 0; kt < numKTiles; kt++ {
-			var acc fixed.Word
-			lo, hi := ev.offs[base+kt], ev.offs[base+kt+1]
-			vals := ev.val[lo:hi]
-			for q, kk := range ev.idx[lo:hi] {
-				add := format.Quantize(float64(vals[q]) * deq[kk])
-				if sat {
-					acc = fixed.AddSat(acc, add)
-				} else {
-					acc = fixed.AddWrap(acc, add)
-				}
-			}
-			total += int64(acc)
-		}
-		y.Data[bi*mDim+m] = float32(total) * scale
-	}
-}
-
-// colPass is one output column's pass over a column with reachable
-// special rows: its compiled weights (binary), their level table (level
-// inputs) or their dequantized values (other analog), and the adder mode.
-type colPass struct {
-	weff        []fixed.Word
-	deq         []float64
-	q4          []fixed.Word // the column's level table; nil unless every input is a level
-	vals        []float32    // the current group's input values (analog)
-	lv          []uint8      // the current group's level indices (level inputs)
-	format      fixed.Format
-	binary, sat bool
-	scale       float32
-}
-
-// walk fills output column m. Per (batch row, K-tile) it merges the
-// tile's ascending spike list with the column's ascending special rows
-// sp: between special rows only spikes add; at a special row a bypassed
-// PE drops its spike and passes the pre-sum on, and any other PE adds
-// its spike and then forces its stuck bits. Bypassed steps are counted
-// per tile; every other step is an accumulation.
-func (c *colPass) walk(y *tensor.Tensor, ev *events, sp []specialPE, b, kDim, rows, m int, ps *passStats) {
-	mDim := y.Shape[1]
-	var bypassed uint64
-	g := 0 // event group (batch row, tile)
-	for bi := 0; bi < b; bi++ {
-		var total int64
-		for k0 := 0; k0 < kDim; k0 += rows {
-			end := int32(min(k0+rows, kDim))
-			evs := ev.idx[ev.offs[g]:ev.offs[g+1]]
-			c.vals = ev.val[ev.offs[g]:ev.offs[g+1]]
-			if c.q4 != nil {
-				c.lv = ev.lvl[ev.offs[g]:ev.offs[g+1]]
-			}
-			g++
-			var acc fixed.Word
-			i := 0 // next event
-			for si := range sp {
-				s := &sp[si]
-				r := int32(k0) + s.row
-				if r >= end {
-					break // the sentinel, or a row past a ragged last tile
-				}
-				acc, i = c.span(acc, evs, i, r)
-				if s.bypass {
-					bypassed++
-					if i < len(evs) && evs[i] == r {
-						i++
-					}
-					continue
-				}
-				acc, i = c.span(acc, evs, i, r+1)
-				acc = fixed.ForceBits(acc, s.or, s.clear)
-			}
-			acc, _ = c.span(acc, evs, i, end)
-			total += int64(acc)
-		}
-		y.Data[bi*mDim+m] = float32(total) * c.scale
-	}
-	ps.bypassedSteps += bypassed
-	ps.accumulations += uint64(b)*uint64(kDim) - bypassed
-}
-
-// span adds to acc the contributions of the events evs[i:] that lie
-// below input index limit, and returns the new accumulator with the
-// index of the first event it left. Each input mode × adder mode has its
-// own loop, so no add branches on either.
-func (c *colPass) span(acc fixed.Word, evs []int32, i int, limit int32) (fixed.Word, int) {
-	switch {
-	case c.binary && c.sat:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddSat(acc, c.weff[evs[i]])
-		}
-	case c.binary:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddWrap(acc, c.weff[evs[i]])
-		}
-	case c.q4 != nil && c.sat:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddSat(acc, c.q4[int(evs[i])*4+int(c.lv[i])])
-		}
-	case c.q4 != nil:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddWrap(acc, c.q4[int(evs[i])*4+int(c.lv[i])])
-		}
-	case c.sat:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddSat(acc, c.format.Quantize(float64(c.vals[i])*c.deq[evs[i]]))
-		}
-	default:
-		for ; i < len(evs) && evs[i] < limit; i++ {
-			acc = fixed.AddWrap(acc, c.format.Quantize(float64(c.vals[i])*c.deq[evs[i]]))
-		}
-	}
-	return acc, i
 }

@@ -24,6 +24,17 @@ func FuzzForwardMatchesScalar(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0x0f, 10, 1, 1, 0, 0, 0, 1})
 	f.Add([]byte{7, 7, 2, 18, 12, 0x22, 5, 1, 0, 2, 3, 30, 1, 1})
 	f.Add([]byte{15, 3, 3, 9, 5, 0x30, 7, 2, 1, 2, 15, 31, 0, 1})
+	// M > Cols: output columns 0, 3 and 6 share PE column 0's special
+	// rows (one stuck, one bypassed), 1, 4 and 7 column 1's.
+	f.Add([]byte{3, 2, 2, 9, 7, 0x03, 5, 9, 2, 1, 1, 31, 0, 3, 0, 5, 1, 1, 0, 1, 30, 1, 1, 2, 1, 31, 0})
+	// K=21 on 8 rows: the last tile holds rows 0-4, so the bypassed PEs
+	// on rows 3 and 4 act in it and the bypassed PE on row 6 and the
+	// sign bits stuck on rows 5 and 7 do not; binary wrapping, then
+	// pooled levels saturating.
+	f.Add([]byte{7, 3, 1, 20, 5, 0x01, 6, 17, 2, 3, 1, 31, 1, 6, 0, 2, 1, 1, 4, 1, 29, 1, 1, 5, 1, 31, 0, 1, 7, 0, 31, 0})
+	f.Add([]byte{7, 3, 1, 20, 5, 0x22, 6, 17, 0, 2, 3, 1, 31, 1, 6, 0, 2, 1, 1, 4, 1, 29, 1, 1, 5, 1, 31, 0, 1, 7, 0, 31, 0})
+	// The parallel engine on a single patch row, fewer than its workers.
+	f.Add([]byte{3, 3, 0, 11, 4, 0x13, 7, 33, 1, 2, 1, 31, 1, 2, 0, 1, 31, 0, 3, 0, 0, 0, 0, 1, 1, 0, 4, 0})
 	parallel := tensor.NewParallel(2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// next consumes one byte as a value in [0, n); an exhausted

@@ -355,9 +355,10 @@ func TestCompiledTilesRecompileOnFaultChange(t *testing.T) {
 
 // TestTransientTimestepSweep drives an array with a soft-error schedule
 // through every timestep from before the burst to past its horizon,
-// asserting at each step that (1) Forward matches the scalar reference bit
-// for bit, (2) steps outside every strike window reproduce the clean
-// output exactly, and (3) steps inside the burst corrupt it. It also
+// asserting at each step, on the serial and the parallel engine, that (1)
+// Forward matches the scalar reference bit for bit, (2) steps outside
+// every strike window reproduce the clean output exactly, and (3) steps
+// inside the burst corrupt it. It also
 // pins the SetTimestep contract: advancing time never recompiles weight
 // tiles, while every true fault mutation does.
 func TestTransientTimestepSweep(t *testing.T) {
@@ -389,35 +390,41 @@ func TestTransientTimestepSweep(t *testing.T) {
 		t.Fatalf("burst at t=2 has %d active strikes, want 16", activeStrikes(ts, 2))
 	}
 
-	sparse := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, true)
 	baseline := newTestArray(t, rows, cols, tensor.Serial(), nil, nil, false, false)
 	clean := baseline.Forward(tensor.RowPatches(x), wm, true)
 
-	if err := sparse.InjectTransient(ts); err != nil {
-		t.Fatal(err)
-	}
-	var tally scalarTally
-	genBefore := sparse.gen.Load()
-	for step := 0; step <= ts.Horizon()+1; step++ {
-		sparse.SetTimestep(step)
-		label := fmt.Sprintf("t=%d", step)
-		got := assertMatchesScalar(t, label, sparse, &tally, x, wm, true)
-		same := true
-		for i := range got.Data {
-			if math.Float32bits(clean.Data[i]) != math.Float32bits(got.Data[i]) {
-				same = false
+	// On the parallel engine the patch rows split across workers, which
+	// all read the special-PE list SetTimestep rebuilt.
+	for _, eng := range []tensor.Backend{tensor.Serial(), tensor.NewParallel(4)} {
+		t.Run(eng.Name(), func(t *testing.T) {
+			sparse := newTestArray(t, rows, cols, eng, nil, nil, false, true)
+			if err := sparse.InjectTransient(ts); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if active := activeStrikes(ts, step) > 0; active == same {
-			t.Fatalf("%s: %d active strikes but output unchanged=%v", label, activeStrikes(ts, step), same)
-		}
-	}
-	if gen := sparse.gen.Load(); gen != genBefore {
-		t.Fatalf("SetTimestep sweep bumped tile generation %d -> %d; timestep advances must not recompile weights", genBefore, gen)
-	}
-	sparse.ClearFaults()
-	if gen := sparse.gen.Load(); gen == genBefore {
-		t.Fatal("ClearFaults did not bump tile generation")
+			var tally scalarTally
+			genBefore := sparse.gen.Load()
+			for step := 0; step <= ts.Horizon()+1; step++ {
+				sparse.SetTimestep(step)
+				label := fmt.Sprintf("t=%d", step)
+				got := assertMatchesScalar(t, label, sparse, &tally, x, wm, true)
+				same := true
+				for i := range got.Data {
+					if math.Float32bits(clean.Data[i]) != math.Float32bits(got.Data[i]) {
+						same = false
+					}
+				}
+				if active := activeStrikes(ts, step) > 0; active == same {
+					t.Fatalf("%s: %d active strikes but output unchanged=%v", label, activeStrikes(ts, step), same)
+				}
+			}
+			if gen := sparse.gen.Load(); gen != genBefore {
+				t.Fatalf("SetTimestep sweep bumped tile generation %d -> %d; timestep advances must not recompile weights", genBefore, gen)
+			}
+			sparse.ClearFaults()
+			if gen := sparse.gen.Load(); gen == genBefore {
+				t.Fatal("ClearFaults did not bump tile generation")
+			}
+		})
 	}
 }
 

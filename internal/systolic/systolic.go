@@ -81,14 +81,12 @@ type Array struct {
 	tOr, tClear []uint32
 
 	// The EFFECTIVE accumulator fault state at the current timestep, as
-	// the datapath reads it: per PE column, the special rows — PEs that
-	// force accumulator bits (permanent plus active transient) or are
-	// bypassed — in ascending row order, each column's run ended by a
-	// sentinel at row Rows. Column j's run starts at special[specOff[j]].
-	// Every other PE is healthy as far as the accumulator is concerned:
+	// the datapath reads it: the special PEs — those that force
+	// accumulator bits (permanent plus active transient) or are
+	// bypassed — in row-major order (row ascending, then column). Every
+	// other PE is healthy as far as the accumulator is concerned:
 	// weight-register faults are compiled into the weights (compile.go).
 	special []specialPE
-	specOff []int32
 
 	// gen counts fault-state changes (InjectFaults, InjectWeightFaults,
 	// InjectMemoryFaults, InjectTransient, ClearFaults, SetBypass).
@@ -133,7 +131,6 @@ func New(cfg Config) (*Array, error) {
 		wOrMask:    make([]uint32, n),
 		wClearMask: make([]uint32, n),
 		wFaulty:    make([]bool, n),
-		specOff:    make([]int32, cfg.Cols),
 	}
 	if cfg.CountSpikes {
 		a.spikeCount = make([]uint64, n)
@@ -354,18 +351,14 @@ func (a *Array) BypassedPEs() int {
 	return n
 }
 
-// specialPE is one special row of a PE column (see Array.special).
+// specialPE is one special PE (see Array.special).
 type specialPE struct {
-	row       int32
+	row, col  int32
 	bypass    bool   // bypass mux engaged: the pre-sum passes unchanged
 	or, clear uint32 // accumulator bits forced high / low
 }
 
-// colSpecial returns PE column j's special rows, ascending and ended by
-// the sentinel row Rows (entries past it belong to later columns).
-func (a *Array) colSpecial(j int) []specialPE { return a.special[a.specOff[j]:] }
-
-// refreshState rebuilds the per-column special-row lists from the
+// refreshState rebuilds the row-ordered special-PE list from the
 // permanent masks, the transient strikes active at the current timestep
 // and the bypass settings. A PE is bypassed iff it is permanently faulty
 // (either register) and selected by the global switch or the mask:
@@ -379,9 +372,8 @@ func (a *Array) refreshState() {
 		a.transient.ActiveMasks(a.step, a.tOr, a.tClear)
 	}
 	a.special = a.special[:0]
-	for j := 0; j < cols; j++ {
-		a.specOff[j] = int32(len(a.special))
-		for i := 0; i < rows; i++ {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
 			idx := i*cols + j
 			or, cl := a.pOr[idx], a.pClear[idx]
 			byp := (or != 0 || cl != 0 || a.wFaulty[idx]) &&
@@ -391,10 +383,9 @@ func (a *Array) refreshState() {
 				cl |= a.tClear[idx]
 			}
 			if byp || or|cl != 0 {
-				a.special = append(a.special, specialPE{row: int32(i), bypass: byp, or: or, clear: cl})
+				a.special = append(a.special, specialPE{row: int32(i), col: int32(j), bypass: byp, or: or, clear: cl})
 			}
 		}
-		a.special = append(a.special, specialPE{row: int32(rows)})
 	}
 }
 
@@ -448,24 +439,6 @@ func QuantizeMatrix(w *tensor.Tensor, f fixed.Format) *Matrix {
 // Dequantize converts the matrix back to a float tensor (for inspection).
 func (m *Matrix) Dequantize() *tensor.Tensor {
 	return tensor.FromSlice(m.Format.DequantizeSlice(m.Words), m.M, m.K)
-}
-
-// passStats accumulates datapath activity privately per parallel chunk;
-// chunks merge into the shared Stats with atomic adds once they finish.
-// Integer sums are order-independent, so the merged totals are identical
-// to a serial pass regardless of engine or worker count.
-type passStats struct {
-	accumulations uint64
-	bypassedSteps uint64
-}
-
-func (ps *passStats) mergeInto(s *Stats) {
-	if ps.accumulations != 0 {
-		atomic.AddUint64(&s.Accumulations, ps.accumulations)
-	}
-	if ps.bypassedSteps != 0 {
-		atomic.AddUint64(&s.BypassedSteps, ps.bypassedSteps)
-	}
 }
 
 // ScanWritePE models scan-chain access used by post-fabrication testing:

@@ -35,6 +35,11 @@ type Patches struct {
 
 	next []int // per-row fill cursor, reused across builds
 	nz   []int // per-pixel nonzero-channel tallies of count, reused too
+	// The cover tables of the conv shape covShape (rows, columns), which
+	// depend on nothing else: a build for the same shape reuses them,
+	// one for another shape rebuilds them in their storage.
+	covShape ConvShape
+	ys, xs   coverTable
 }
 
 var patchesPool = sync.Pool{New: func() any { return new(Patches) }}
@@ -68,8 +73,12 @@ func Im2Patches(e Backend, x *Tensor, cs ConvShape) *Patches {
 	p.RowPtr = resize(p.RowPtr, rows+1)
 	p.next = resize(p.next, rows)
 	p.nz = resize(p.nz, n*cs.InH*cs.InW)
-	ys := coverTable(cs.InH, cs.KH, cs.OutH, cs.Stride, cs.Pad, cs.OutW, cs.KW)
-	xs := coverTable(cs.InW, cs.KW, cs.OutW, cs.Stride, cs.Pad, 1, 1)
+	if p.ys.tab == nil || p.covShape != cs {
+		p.covShape = cs
+		p.ys.build(cs.InH, cs.KH, cs.OutH, cs.Stride, cs.Pad, cs.OutW, cs.KW)
+		p.xs.build(cs.InW, cs.KW, cs.OutW, cs.Stride, cs.Pad, 1, 1)
+	}
+	ys, xs := p.ys.tab, p.xs.tab
 
 	clear(p.next)
 	e.For(n, func(b0, b1 int) { p.count(x, ys, xs, b0, b1) })
@@ -151,22 +160,30 @@ type cover struct{ out, tap int }
 
 // coverTable lists, for every input coordinate i in [0, in), the
 // (output, tap) pairs with out*stride + tap - pad == i, in ascending tap
-// order. Entry i's pairs are tab[i].
-func coverTable(in, taps, outLen, stride, pad, outScale, tapScale int) [][]cover {
-	tab := make([][]cover, in)
-	flat := make([]cover, 0, in*taps)
+// order: entry i's pairs are tab[i], slices of flat.
+type coverTable struct {
+	tab  [][]cover
+	flat []cover
+}
+
+// build fills c for one axis of a convolution, reusing its storage.
+func (c *coverTable) build(in, taps, outLen, stride, pad, outScale, tapScale int) {
+	if cap(c.flat) < in*taps {
+		c.flat = make([]cover, 0, in*taps)
+	}
+	c.tab, c.flat = resize(c.tab, in), c.flat[:0]
+	tab := c.tab
 	for i := 0; i < in; i++ {
-		start := len(flat)
+		start := len(c.flat)
 		for tap := 0; tap < taps; tap++ {
 			o := i + pad - tap
 			if o < 0 || o%stride != 0 || o/stride >= outLen {
 				continue
 			}
-			flat = append(flat, cover{out: o / stride * outScale, tap: tap * tapScale})
+			c.flat = append(c.flat, cover{out: o / stride * outScale, tap: tap * tapScale})
 		}
-		tab[i] = flat[start:len(flat):len(flat)]
+		tab[i] = c.flat[start:len(c.flat):len(c.flat)]
 	}
-	return tab
 }
 
 // count adds to p.next[r] the number of stored entries of every patch
